@@ -20,7 +20,6 @@ from .geom import (
     coplanarity_det,
     project,
     quad_match,
-    recentre,
 )
 from .rotation import (
     AxisAngle,
@@ -37,7 +36,6 @@ from .configspace import (
     CLASSIFICATION_CELLS,
     CaseCell,
     MidpointFrame,
-    block_A,
     build_config_matrix,
     case_label,
     config_dimension,

@@ -39,6 +39,7 @@ from .geom import (
     ProjectionQuad,
     Tetrahedron,
     Tolerances,
+    as_finite_array,
     project,
     quad_match,
 )
@@ -55,11 +56,9 @@ _REPRODUCE_NAMES = ("four-cycle", "norm-prune", "planar", "uniqueness-sweep")
 class RunConfig:
     """Resolved command invocation: tolerances, trial count and seed."""
 
-    command: str
     tolerances: Tolerances
     trials: int
     seed: int
-    fmt: str
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -69,36 +68,56 @@ class RunConfig:
 
 
 def _load_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _numbers(obj: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """obj[key] as a finite float array of the given shape.
+
+    Every entry must be a JSON number: numpy alone would read true, "1" and
+    null as numbers, or fail on them with a TypeError.
+    """
+    pending = [obj[key]]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, list):
+            pending.extend(value)
+        elif (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or abs(value) > sys.float_info.max  # an integer too large for a float
+        ):
+            raise ValueError(f"{key} must hold only finite JSON numbers, got {value!r}")
+    return as_finite_array(obj[key], shape, key)
 
 
 def parse_tetrahedron(obj) -> Tetrahedron:
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise ValueError('tetrahedron input must be {"vertices": [[x, y, z] * 4]}')
-    return Tetrahedron(obj["vertices"])
+    return Tetrahedron(_numbers(obj, "vertices", (4, 3)))
 
 
 def parse_projection(obj) -> ProjectionQuad:
     if not isinstance(obj, dict) or "points" not in obj:
         raise ValueError('projection input must be {"points": [[x, y] * 4]}')
-    return ProjectionQuad(obj["points"])
+    return ProjectionQuad(_numbers(obj, "points", (4, 2)))
 
 
 def parse_rotation(obj) -> UnitQuaternion:
     if isinstance(obj, dict) and "quaternion" in obj:
-        comps = obj["quaternion"]
-        if len(comps) != 4:
-            raise ValueError("quaternion must have four components")
-        return UnitQuaternion.normalized(*(float(x) for x in comps))
+        return UnitQuaternion.normalized(*_numbers(obj, "quaternion", (4,)).tolist())
     if isinstance(obj, dict) and "axis" in obj and "angle_rad" in obj:
-        axis = np.asarray(obj["axis"], dtype=float)
+        axis = _numbers(obj, "axis", (3,))
         norm = float(np.linalg.norm(axis))
         if norm == 0.0:
             raise ValueError("rotation axis must be nonzero")
-        return quat_from_axis_angle(axis / norm, float(obj["angle_rad"]))
+        return quat_from_axis_angle(axis / norm, float(_numbers(obj, "angle_rad", ())))
     raise ValueError('rotation input must carry "quaternion" or "axis" + "angle_rad"')
 
 
@@ -112,11 +131,9 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 
 def _config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
-        command=args.command,
         tolerances=_tolerances(args),
         trials=getattr(args, "trials", 1),
         seed=args.seed,
-        fmt=args.format,
     )
 
 
@@ -182,7 +199,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     all_ok = True
     for trial in range(config.trials):
         rng = np.random.default_rng([config.seed, trial])
-        tetra = sample_tetrahedron(rotation, perm_class, rng, config.tolerances.rank_rel)
+        tetra = sample_tetrahedron(
+            rotation, perm_class, rng, config.tolerances.rank_rel, config.tolerances.angle_abs
+        )
         shadow = project(tetra)
         rotated = ProjectionQuad(apply(rotation, tetra.vertices)[:, :2])
         reordered = shadow.points[list(sigma.zero_based())]
@@ -214,7 +233,9 @@ def _cmd_verify_dims(args: argparse.Namespace) -> int:
         for trial in range(config.trials):
             rng = np.random.default_rng([config.seed, index, trial])
             rotation = sample_cell_rotation(cell, rng)
-            computed = config_dimension(rotation, cell.perm_class, config.tolerances.rank_rel)
+            computed = config_dimension(
+                rotation, cell.perm_class, config.tolerances.rank_rel, config.tolerances.angle_abs
+            )
             if computed != cell.expected_dim:
                 mismatches += 1
         total_mismatches += mismatches
@@ -340,8 +361,6 @@ def _add_common(parser: argparse.ArgumentParser, trials_default: int | None = No
     if trials_default is not None:
         parser.add_argument("--trials", type=int, default=trials_default,
                             help="number of random trials or samples")
-    parser.add_argument("--format", choices=["json"], default="json",
-                        help="report format (only json)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import DEFAULT_TOLERANCES, PermClass, Tetrahedron
+from .geom import CANONICAL_PERMUTATION, DEFAULT_TOLERANCES, PermClass, Permutation4, Tetrahedron
 from .rotation import (
     AxisClass,
     UnitQuaternion,
@@ -30,7 +30,6 @@ __all__ = [
     "CLASSIFICATION_CELLS",
     "CaseCell",
     "MidpointFrame",
-    "block_A",
     "build_config_matrix",
     "case_label",
     "config_dimension",
@@ -45,79 +44,112 @@ __all__ = [
     "verify_fourcycle_relations",
 ]
 
-_I23 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-_Z23 = np.zeros((2, 3))
-
 HALF_TURN = math.pi
 QUARTER_TURN = math.pi / 2
 THIRD_TURN = 2 * math.pi / 3
 
+_SPECIAL_ANGLES = (("half", HALF_TURN), ("quarter", QUARTER_TURN), ("third", THIRD_TURN))
 
-def block_A(q: UnitQuaternion) -> np.ndarray:
-    """Top two rows of the rotation matrix of q, the projected rotation."""
-    return quat_to_matrix(q)[:2]
+# Predicted null-space dimension by (class, axis class, special angle name).
+# None covers every other angle; a cell with no entry is generic, dimension 3.
+_DIMENSION: dict[tuple[PermClass, AxisClass, str | None], int] = {
+    (PermClass.IDENTITY, AxisClass.HORIZONTAL, None): 6,
+    (PermClass.TWO_CYCLE, AxisClass.HORIZONTAL, None): 5,
+    (PermClass.TWO_CYCLE, AxisClass.HORIZONTAL, "half"): 6,
+    (PermClass.TWO_CYCLE, AxisClass.VERTICAL, "half"): 5,
+    (PermClass.TWO_CYCLE, AxisClass.OBLIQUE, "half"): 4,
+    (PermClass.DOUBLE_TWO_CYCLE, AxisClass.HORIZONTAL, None): 4,
+    (PermClass.DOUBLE_TWO_CYCLE, AxisClass.HORIZONTAL, "half"): 6,
+    (PermClass.DOUBLE_TWO_CYCLE, AxisClass.VERTICAL, "half"): 7,
+    (PermClass.DOUBLE_TWO_CYCLE, AxisClass.OBLIQUE, "half"): 5,
+    (PermClass.THREE_CYCLE, AxisClass.HORIZONTAL, None): 4,
+    (PermClass.THREE_CYCLE, AxisClass.VERTICAL, "third"): 5,
+    (PermClass.FOUR_CYCLE, AxisClass.VERTICAL, "half"): 5,
+    (PermClass.FOUR_CYCLE, AxisClass.VERTICAL, "quarter"): 5,
+    # a half-turn about any non-vertical axis leaves rank 5
+    (PermClass.FOUR_CYCLE, AxisClass.OBLIQUE, "half"): 4,
+    (PermClass.FOUR_CYCLE, AxisClass.HORIZONTAL, "half"): 4,
+}
+
+
+def _table_dimension(perm_class: PermClass, axis_class: AxisClass, special: str | None) -> int:
+    generic = _DIMENSION.get((perm_class, axis_class, None), 3)
+    return _DIMENSION.get((perm_class, axis_class, special), generic)
+
+
+def _special_angle(alpha: float, angle_abs: float) -> str | None:
+    """Name of the first special angle (half, quarter, third) within angle_abs of alpha, or None."""
+    for name, value in _SPECIAL_ANGLES:
+        if abs(alpha - value) <= angle_abs:
+            return name
+    return None
+
+
+def _coupling(sigma: Permutation4) -> np.ndarray:
+    """Read-only rotation-free part of the system: row block i holds
+    -proj(p_sigma(i)), that is -I in column block sigma(i), or +I in all three
+    column blocks when sigma(i) = 4, since p4 = -(p1 + p2 + p3)."""
+    proj = np.eye(2, 3)
+    m = np.zeros((6, 9))
+    for i in range(3):
+        rows = slice(2 * i, 2 * i + 2)
+        # -0.0 is the exact additive identity: adding A to an otherwise empty
+        # diagonal block reproduces A bit for bit, signed zeros included
+        m[rows, 3 * i : 3 * i + 3] = -0.0
+        j = sigma.image(i + 1) - 1
+        if j == 3:
+            m[rows] = np.tile(proj, 3)
+        else:
+            m[rows, 3 * j : 3 * j + 3] = -proj
+    m.flags.writeable = False
+    return m
+
+
+_COUPLING = {perm_class: _coupling(sigma) for perm_class, sigma in CANONICAL_PERMUTATION.items()}
 
 
 def build_config_matrix(q: UnitQuaternion, perm_class: PermClass) -> np.ndarray:
     """6x9 coefficient matrix of the projection-match system for the class.
 
+    With sigma the canonical permutation of the class and A the top two
+    rows of the rotation matrix of q, the system is A p_i = proj(p_sigma(i))
+    for i = 1, 2, 3, with p4 = -(p1 + p2 + p3) by the centroid condition.
     Variables are ordered p1_x, p1_y, p1_z, p2_x, ..., p3_z; rows 2i-1 and
-    2i carry the x and y equation of block i.  With A the projected
-    rotation and I the 2x3 truncated identity, the block layouts are
-
-        identity         : diag(A-I, A-I, A-I)
-        two-cycle        : [[A, -I, 0], [-I, A, 0], [0, 0, A-I]]
-        double two-cycle : [[A, -I, 0], [-I, A, 0], [I, I, A+I]]
-        three-cycle      : [[A, -I, 0], [0, A, -I], [-I, 0, A]]
-        four-cycle       : [[A, -I, 0], [0, A, -I], [I, I, A+I]]
-
-    where the (A+I) rows eliminate the fourth vertex through the centroid
-    condition.
+    2i carry the x and y equation of block i.
     """
-    a = block_A(q)
-    ai = a - _I23
-    if perm_class is PermClass.IDENTITY:
-        rows = [[ai, _Z23, _Z23], [_Z23, ai, _Z23], [_Z23, _Z23, ai]]
-    elif perm_class is PermClass.TWO_CYCLE:
-        rows = [[a, -_I23, _Z23], [-_I23, a, _Z23], [_Z23, _Z23, ai]]
-    elif perm_class is PermClass.DOUBLE_TWO_CYCLE:
-        rows = [[a, -_I23, _Z23], [-_I23, a, _Z23], [_I23, _I23, a + _I23]]
-    elif perm_class is PermClass.THREE_CYCLE:
-        rows = [[a, -_I23, _Z23], [_Z23, a, -_I23], [-_I23, _Z23, a]]
-    elif perm_class is PermClass.FOUR_CYCLE:
-        rows = [[a, -_I23, _Z23], [_Z23, a, -_I23], [_I23, _I23, a + _I23]]
-    else:
-        raise ValueError(f"unknown permutation class {perm_class!r}")
-    return np.block(rows)
+    m = _COUPLING[perm_class].copy()
+    a = quat_to_matrix(q)[:2]
+    for i in range(3):
+        m[2 * i : 2 * i + 2, 3 * i : 3 * i + 3] += a
+    return m
 
 
-def numeric_rank(m, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> int:
-    """Count of singular values above rel_tol times the largest one."""
-    s = np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
+def _rank(s: np.ndarray, rel_tol: float) -> int:
+    """Count of singular values s (descending) above rel_tol times the largest."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
+def numeric_rank(m, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> int:
+    """Count of singular values above rel_tol times the largest one."""
+    return _rank(np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False), rel_tol)
+
+
 def null_space_basis(m, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> np.ndarray:
     """Orthonormal basis of the null space, one vector per row."""
-    m = np.asarray(m, dtype=float)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > rel_tol * s[0]))
-    return vh[rank:]
+    _, s, vh = np.linalg.svd(np.asarray(m, dtype=float), full_matrices=True)
+    return vh[_rank(s, rel_tol):]
 
 
 def config_dimension(
     q: UnitQuaternion,
     perm_class: PermClass,
     rel_tol: float = DEFAULT_TOLERANCES.rank_rel,
+    angle_abs: float = DEFAULT_TOLERANCES.angle_abs,
 ) -> int:
     """Null-space dimension of the projection-match system, 9 - rank."""
-    axis_class, _ = classify_rotation(q)
-    if axis_class is AxisClass.NO_AXIS:
+    if classify_rotation(q, angle_abs)[0] is AxisClass.NO_AXIS:
         raise ValueError("the identity rotation is excluded from dimension analysis")
     return 9 - numeric_rank(build_config_matrix(q, perm_class), rel_tol)
 
@@ -135,57 +167,15 @@ def predicted_dimension(
     """
     if axis_class is AxisClass.NO_AXIS or not alpha > angle_abs:
         raise ValueError("rotation must differ from the identity")
-    half = abs(alpha - HALF_TURN) <= angle_abs
-    quarter = abs(alpha - QUARTER_TURN) <= angle_abs
-    third = abs(alpha - THIRD_TURN) <= angle_abs
-    horizontal = axis_class is AxisClass.HORIZONTAL
-    vertical = axis_class is AxisClass.VERTICAL
-    oblique = axis_class is AxisClass.OBLIQUE
-
-    if perm_class is PermClass.IDENTITY:
-        return 6 if horizontal else 3
-    if perm_class is PermClass.TWO_CYCLE:
-        if horizontal:
-            return 6 if half else 5
-        if vertical and half:
-            return 5
-        if oblique and half:
-            return 4
-        return 3
-    if perm_class is PermClass.DOUBLE_TWO_CYCLE:
-        if horizontal:
-            return 6 if half else 4
-        if vertical and half:
-            return 7
-        if oblique and half:
-            return 5
-        return 3
-    if perm_class is PermClass.THREE_CYCLE:
-        if horizontal:
-            return 4
-        if vertical and third:
-            return 5
-        return 3
-    if perm_class is PermClass.FOUR_CYCLE:
-        if vertical:
-            return 5 if (half or quarter) else 3
-        # a half-turn about any non-vertical axis leaves rank 5
-        return 4 if half else 3
-    raise ValueError(f"unknown permutation class {perm_class!r}")
+    return _table_dimension(perm_class, axis_class, _special_angle(alpha, angle_abs))
 
 
 def case_label(axis_class: AxisClass, alpha: float, angle_abs: float = DEFAULT_TOLERANCES.angle_abs) -> str:
     """Geometric label of a rotation's case cell, e.g. 'vertical-half-turn'."""
     if axis_class is AxisClass.NO_AXIS:
         return "identity"
-    name = axis_class.value
-    if abs(alpha - HALF_TURN) <= angle_abs:
-        return f"{name}-half-turn"
-    if abs(alpha - QUARTER_TURN) <= angle_abs:
-        return f"{name}-quarter-turn"
-    if abs(alpha - THIRD_TURN) <= angle_abs:
-        return f"{name}-third-turn"
-    return name
+    special = _special_angle(alpha, angle_abs)
+    return axis_class.value if special is None else f"{axis_class.value}-{special}-turn"
 
 
 def minor_sigma_id(q: UnitQuaternion) -> float:
@@ -206,6 +196,7 @@ def sample_tetrahedron(
     perm_class: PermClass,
     seed,
     rel_tol: float = DEFAULT_TOLERANCES.rank_rel,
+    angle_abs: float = DEFAULT_TOLERANCES.angle_abs,
 ) -> Tetrahedron:
     """Draw a random member of the null space as a tetrahedron.
 
@@ -215,10 +206,9 @@ def sample_tetrahedron(
     projection of the rotated result matches the projection of the result
     itself under the canonical permutation of the class.
     """
-    config_dimension(q, perm_class, rel_tol)  # rejects the identity rotation
+    if classify_rotation(q, angle_abs)[0] is AxisClass.NO_AXIS:
+        raise ValueError("the identity rotation is excluded from dimension analysis")
     basis = null_space_basis(build_config_matrix(q, perm_class), rel_tol)
-    if basis.shape[0] == 0:
-        raise ValueError("the null space is empty, nothing to sample")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     coeffs = rng.standard_normal(basis.shape[0])
     norm = np.linalg.norm(coeffs)
@@ -282,19 +272,22 @@ def verify_fourcycle_relations(
     return residual <= tol
 
 
-def fourcycle_lambda(tetra: Tetrahedron, q: UnitQuaternion) -> tuple[float, float]:
+def fourcycle_lambda(
+    tetra: Tetrahedron, q: UnitQuaternion, angle_abs: float = DEFAULT_TOLERANCES.angle_abs
+) -> tuple[float, float]:
     """Measured and predicted offset of the projected n3 midpoint.
 
     For a genuine four-cycle member with an oblique axis and angle in
     (0, pi), the image of n3 under the parallel projection along +z onto
     the plane through the origin orthogonal to the axis has norm
     ||proj(c3)|| * tan(alpha/2), where c3 is the orthogonal projection of
-    n3 onto the axis line.  Returns (measured, predicted).
+    n3 onto the axis line.  Axis class and angle are decided within
+    angle_abs.  Returns (measured, predicted).
     """
-    axis_class, alpha = classify_rotation(q)
+    axis_class, alpha = classify_rotation(q, angle_abs)
     if axis_class is not AxisClass.OBLIQUE:
         raise ValueError("the offset scalar is defined for oblique axes only")
-    if not alpha < HALF_TURN - DEFAULT_TOLERANCES.angle_abs:
+    if not alpha < HALF_TURN - angle_abs:
         raise ValueError("the offset scalar requires an angle strictly below a half turn")
     w = quat_to_axis_angle(q).axis
     n3 = midpoint_frame(tetra).n3
@@ -314,13 +307,19 @@ class CaseCell:
     """One sampling cell of the dimension table.
 
     `angle` is either an exact special angle in radians or a (lo, hi)
-    sampling range; `expected_dim` is the table value for the cell.
+    sampling range of generic angles.
     """
 
     perm_class: PermClass
     axis_class: AxisClass
     angle: float | tuple[float, float]
-    expected_dim: int
+
+    @property
+    def expected_dim(self) -> int:
+        """The table value for the cell; a range cell is generic."""
+        if isinstance(self.angle, tuple):
+            return _table_dimension(self.perm_class, self.axis_class, None)
+        return predicted_dimension(self.perm_class, self.axis_class, self.angle)
 
     def label(self) -> str:
         if isinstance(self.angle, tuple):
@@ -334,27 +333,27 @@ _GENERIC = (0.1, 3.0)        # clear of 0 and of the half-turn
 _FULL_RANGE = (0.1, math.pi)  # classes whose horizontal cell does not split
 
 CLASSIFICATION_CELLS: tuple[CaseCell, ...] = (
-    CaseCell(PermClass.IDENTITY, AxisClass.OBLIQUE, _GENERIC, 3),
-    CaseCell(PermClass.IDENTITY, AxisClass.HORIZONTAL, _FULL_RANGE, 6),
-    CaseCell(PermClass.TWO_CYCLE, AxisClass.OBLIQUE, _GENERIC, 3),
-    CaseCell(PermClass.TWO_CYCLE, AxisClass.HORIZONTAL, _GENERIC, 5),
-    CaseCell(PermClass.TWO_CYCLE, AxisClass.HORIZONTAL, HALF_TURN, 6),
-    CaseCell(PermClass.TWO_CYCLE, AxisClass.VERTICAL, HALF_TURN, 5),
-    CaseCell(PermClass.TWO_CYCLE, AxisClass.OBLIQUE, HALF_TURN, 4),
-    CaseCell(PermClass.DOUBLE_TWO_CYCLE, AxisClass.OBLIQUE, _GENERIC, 3),
-    CaseCell(PermClass.DOUBLE_TWO_CYCLE, AxisClass.HORIZONTAL, _GENERIC, 4),
-    CaseCell(PermClass.DOUBLE_TWO_CYCLE, AxisClass.HORIZONTAL, HALF_TURN, 6),
-    CaseCell(PermClass.DOUBLE_TWO_CYCLE, AxisClass.VERTICAL, HALF_TURN, 7),
-    CaseCell(PermClass.DOUBLE_TWO_CYCLE, AxisClass.OBLIQUE, HALF_TURN, 5),
-    CaseCell(PermClass.THREE_CYCLE, AxisClass.OBLIQUE, _GENERIC, 3),
-    CaseCell(PermClass.THREE_CYCLE, AxisClass.HORIZONTAL, _FULL_RANGE, 4),
-    CaseCell(PermClass.THREE_CYCLE, AxisClass.VERTICAL, THIRD_TURN, 5),
-    CaseCell(PermClass.FOUR_CYCLE, AxisClass.OBLIQUE, _GENERIC, 3),
-    CaseCell(PermClass.FOUR_CYCLE, AxisClass.VERTICAL, QUARTER_TURN, 5),
-    CaseCell(PermClass.FOUR_CYCLE, AxisClass.VERTICAL, HALF_TURN, 5),
-    CaseCell(PermClass.FOUR_CYCLE, AxisClass.OBLIQUE, HALF_TURN, 4),
-    CaseCell(PermClass.FOUR_CYCLE, AxisClass.HORIZONTAL, _GENERIC, 3),
-    CaseCell(PermClass.FOUR_CYCLE, AxisClass.HORIZONTAL, HALF_TURN, 4),
+    CaseCell(PermClass.IDENTITY, AxisClass.OBLIQUE, _GENERIC),
+    CaseCell(PermClass.IDENTITY, AxisClass.HORIZONTAL, _FULL_RANGE),
+    CaseCell(PermClass.TWO_CYCLE, AxisClass.OBLIQUE, _GENERIC),
+    CaseCell(PermClass.TWO_CYCLE, AxisClass.HORIZONTAL, _GENERIC),
+    CaseCell(PermClass.TWO_CYCLE, AxisClass.HORIZONTAL, HALF_TURN),
+    CaseCell(PermClass.TWO_CYCLE, AxisClass.VERTICAL, HALF_TURN),
+    CaseCell(PermClass.TWO_CYCLE, AxisClass.OBLIQUE, HALF_TURN),
+    CaseCell(PermClass.DOUBLE_TWO_CYCLE, AxisClass.OBLIQUE, _GENERIC),
+    CaseCell(PermClass.DOUBLE_TWO_CYCLE, AxisClass.HORIZONTAL, _GENERIC),
+    CaseCell(PermClass.DOUBLE_TWO_CYCLE, AxisClass.HORIZONTAL, HALF_TURN),
+    CaseCell(PermClass.DOUBLE_TWO_CYCLE, AxisClass.VERTICAL, HALF_TURN),
+    CaseCell(PermClass.DOUBLE_TWO_CYCLE, AxisClass.OBLIQUE, HALF_TURN),
+    CaseCell(PermClass.THREE_CYCLE, AxisClass.OBLIQUE, _GENERIC),
+    CaseCell(PermClass.THREE_CYCLE, AxisClass.HORIZONTAL, _FULL_RANGE),
+    CaseCell(PermClass.THREE_CYCLE, AxisClass.VERTICAL, THIRD_TURN),
+    CaseCell(PermClass.FOUR_CYCLE, AxisClass.OBLIQUE, _GENERIC),
+    CaseCell(PermClass.FOUR_CYCLE, AxisClass.VERTICAL, QUARTER_TURN),
+    CaseCell(PermClass.FOUR_CYCLE, AxisClass.VERTICAL, HALF_TURN),
+    CaseCell(PermClass.FOUR_CYCLE, AxisClass.OBLIQUE, HALF_TURN),
+    CaseCell(PermClass.FOUR_CYCLE, AxisClass.HORIZONTAL, _GENERIC),
+    CaseCell(PermClass.FOUR_CYCLE, AxisClass.HORIZONTAL, HALF_TURN),
 )
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "coplanarity_det",
     "project",
     "quad_match",
-    "recentre",
 ]
 
 
@@ -185,11 +184,6 @@ class ProjectionQuad:
     def multiset_match(self, other: "ProjectionQuad", tol: float = DEFAULT_TOLERANCES.geom_abs) -> bool:
         """True when the two quads agree as multisets within tol."""
         return any(quad_match(self, other, sigma, tol) for sigma in ALL_PERMUTATIONS)
-
-
-def recentre(vertices) -> Tetrahedron:
-    """Subtract the centroid from four points and wrap them as a Tetrahedron."""
-    return Tetrahedron(vertices)
 
 
 def project(tetra: Tetrahedron) -> ProjectionQuad:

@@ -183,7 +183,7 @@ def labeled_solve(
         cand = _candidate(tetra, quad, m, planar, tol)
         if cand is not None:
             out.append(cand)
-    return _merge_close(out, tol.dedupe)
+    return dedupe_rotations(out, tol.dedupe)
 
 
 def _planar_completions(
@@ -386,7 +386,7 @@ def reconstruct_geometric(
         cand = _candidate(tetra, quad, r, planar=False, tol=tol)
         if cand is not None:
             out.append(cand)
-    return _merge_close(out, tol.dedupe)
+    return dedupe_rotations(out, tol.dedupe)
 
 
 def prune_permutations(
@@ -453,11 +453,3 @@ def dedupe_rotations(
                 kept.append(cand)
         merged.extend(kept)
     return merged
-
-
-def _merge_close(candidates: list[SolveCandidate], dedupe_tol: float) -> list[SolveCandidate]:
-    kept: list[SolveCandidate] = []
-    for cand in sorted(candidates, key=lambda c: c.residual):
-        if all(np.linalg.norm(cand.matrix - k.matrix) >= dedupe_tol for k in kept):
-            kept.append(cand)
-    return kept

@@ -65,6 +65,15 @@ class TestSolveCommand:
         capsys.readouterr()
         assert code == 2
 
+    def test_deeply_nested_input_exits_two(self, capsys, tmp_path, four_cycle_files):
+        _, proj = four_cycle_files
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        code = main(["solve", "--tetrahedron", str(deep), "--projection", proj])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_missing_file_exits_two(self, capsys, four_cycle_files):
         _, proj = four_cycle_files
         code = main(["solve", "--tetrahedron", "/nonexistent.json", "--projection", proj])
@@ -111,6 +120,50 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--rotation", str(rot), "--perm-class", "two-cycle"])
         capsys.readouterr()
         assert code == 2
+
+
+class TestNonNumericInput:
+    @pytest.mark.parametrize("field, content", [
+        ("quaternion", {"quaternion": 5}),
+        ("quaternion", {"quaternion": ["0", "0", "0", "1"]}),
+        ("quaternion", {"quaternion": [0, 0, 0, True]}),
+        ("quaternion", {"quaternion": [0, 0, 0, 10**400]}),
+        ("axis", {"axis": [0, "0", 1], "angle_rad": math.pi}),
+        ("angle_rad", {"axis": [1, 0, 0], "angle_rad": None}),
+        ("angle_rad", {"axis": [1, 0, 0], "angle_rad": [1.0]}),
+        ("vertices", {"vertices": [[2, 0, 0], [0, 2, 0], [0, 0, 2], [0, 0, False]]}),
+        ("points", {"points": [[0, 0], [1, 0], [0, 1], ["0", 0]]}),
+    ])
+    def test_exits_two_without_traceback(self, capsys, tmp_path, four_cycle_files, field, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        tet, proj = four_cycle_files
+        if field == "vertices":
+            argv = ["solve", "--tetrahedron", str(bad), "--projection", proj]
+        elif field == "points":
+            argv = ["solve", "--tetrahedron", tet, "--projection", str(bad)]
+        else:
+            argv = ["analyze", "--rotation", str(bad), "--perm-class", "double-two-cycle"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {field} ")
+        assert "Traceback" not in err
+
+
+class TestAngleTolerance:
+    def test_sample_rejects_a_rotation_within_tol_angle_of_identity(self, capsys, tmp_path):
+        rot = tmp_path / "rot.json"
+        rot.write_text(json.dumps({"axis": [0, 0, 1], "angle_rad": 1e-8}))
+        for command in ("analyze", "sample"):
+            code = main([command, "--rotation", str(rot), "--perm-class", "two-cycle", "--tol-angle", "1e-6"])
+            assert code == 2, command
+            assert "identity" in capsys.readouterr().err
+
+    def test_verify_dims_rejects_cell_rotations_within_tol_angle(self, capsys):
+        code = main(["verify-dims", "--trials", "20", "--tol-angle", "0.5"])
+        assert code == 2
+        assert "identity" in capsys.readouterr().err
 
 
 class TestSampleCommand:

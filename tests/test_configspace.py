@@ -7,12 +7,12 @@ from tetrot import (
     CANONICAL_PERMUTATION,
     CLASSIFICATION_CELLS,
     AxisClass,
+    CaseCell,
     PermClass,
     ProjectionQuad,
     Tetrahedron,
     UnitQuaternion,
     apply,
-    block_A,
     build_config_matrix,
     classify_rotation,
     config_dimension,
@@ -61,22 +61,16 @@ def equation_matrix(q: UnitQuaternion, perm_class: PermClass) -> np.ndarray:
     return np.column_stack([residual(e) for e in np.eye(9)])
 
 
-class TestBlockA:
-    def test_identity(self):
-        np.testing.assert_array_equal(
-            block_A(UnitQuaternion(1, 0, 0, 0)), [[1, 0, 0], [0, 1, 0]]
-        )
-
-    def test_horizontal_half_turn(self):
-        np.testing.assert_array_equal(block_A(Q_HORIZ_PI), [[1, 0, 0], [0, -1, 0]])
-
+class TestBuildConfigMatrix:
     def test_oblique_sixth_turn(self):
+        # the projected rotation A of the four-cycle instance, which the
+        # identity-class system carries as A - I on its diagonal blocks
         inst = four_cycle_instance()
         expected = np.array([[0.75, -SQ38, 0.25], [SQ38, 0.5, -SQ38]])
-        np.testing.assert_allclose(block_A(inst.rotation), expected, atol=1e-15)
+        np.testing.assert_allclose(quat_to_matrix(inst.rotation)[:2], expected, atol=1e-15)
+        m = build_config_matrix(inst.rotation, PermClass.IDENTITY)
+        np.testing.assert_allclose(m[2:4, 3:6], expected - np.eye(2, 3), atol=1e-15)
 
-
-class TestBuildConfigMatrix:
     def test_identity_rotation_gives_zero_matrix(self):
         m = build_config_matrix(UnitQuaternion(1, 0, 0, 0), PermClass.IDENTITY)
         np.testing.assert_allclose(m, np.zeros((6, 9)), atol=1e-15)
@@ -176,6 +170,24 @@ class TestPredictedDimension:
                 predicted = predicted_dimension(cell.perm_class, axis_class, alpha)
                 assert predicted == cell.expected_dim
                 assert config_dimension(q, cell.perm_class) == predicted, cell.label()
+
+    def test_table_matches_rank_on_all_sixty_cells(self):
+        # every class x axis class x {generic, half, quarter, third}; the
+        # classification cells sweep only 21 of these
+        angles = ((0.1, 3.0), math.pi, math.pi / 2, 2 * math.pi / 3)
+        axes = (AxisClass.HORIZONTAL, AxisClass.VERTICAL, AxisClass.OBLIQUE)
+        cells = [CaseCell(p, a, t) for p in PermClass for a in axes for t in angles]
+        assert len(cells) == 60
+        mismatches = []
+        for index, cell in enumerate(cells):
+            for trial in range(10):
+                q = sample_cell_rotation(cell, np.random.default_rng([26, index, trial]))
+                axis_class, alpha = classify_rotation(q)
+                assert axis_class is cell.axis_class
+                predicted = predicted_dimension(cell.perm_class, axis_class, alpha)
+                if predicted != config_dimension(q, cell.perm_class) or predicted != cell.expected_dim:
+                    mismatches.append((cell.label(), trial))
+        assert mismatches == []
 
     def test_four_cycle_horizontal_half_turn_is_special(self):
         # the half-turn family exists for horizontal axes as well; the rank

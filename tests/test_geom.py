@@ -17,7 +17,6 @@ from tetrot import (
     coplanarity_det,
     project,
     quad_match,
-    recentre,
 )
 from tetrot.instances import four_cycle_instance, planar_instance
 
@@ -31,29 +30,29 @@ vertex_sets = st.lists(st.tuples(coord, coord, coord), min_size=4, max_size=4)
 
 class TestRecentre:
     def test_off_centre_input_is_shifted(self):
-        tetra = recentre([[1, 0, 0], [1, 1, 0], [2, 1, 2], [4, -2, -2]])
+        tetra = Tetrahedron([[1, 0, 0], [1, 1, 0], [2, 1, 2], [4, -2, -2]])
         expected = np.array([[-1, 0, 0], [-1, 1, 0], [0, 1, 2], [2, -2, -2]], dtype=float)
         np.testing.assert_allclose(tetra.vertices, expected, atol=1e-15)
         np.testing.assert_allclose(tetra.vertices.sum(axis=0), 0.0, atol=1e-12)
 
     def test_centred_input_is_unchanged(self):
         inst = four_cycle_instance()
-        again = recentre(inst.tetrahedron.vertices)
+        again = Tetrahedron(inst.tetrahedron.vertices)
         np.testing.assert_allclose(again.vertices, inst.tetrahedron.vertices, atol=1e-13)
 
     def test_all_zero(self):
-        tetra = recentre(np.zeros((4, 3)))
+        tetra = Tetrahedron(np.zeros((4, 3)))
         np.testing.assert_array_equal(tetra.vertices, np.zeros((4, 3)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            recentre([[np.nan, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]])
+            Tetrahedron([[np.nan, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]])
 
     @settings(max_examples=50, deadline=None)
     @given(vertex_sets)
     def test_idempotent(self, vertices):
-        once = recentre(vertices)
-        twice = recentre(once.vertices)
+        once = Tetrahedron(vertices)
+        twice = Tetrahedron(once.vertices)
         np.testing.assert_allclose(twice.vertices, once.vertices, atol=1e-9)
 
 
