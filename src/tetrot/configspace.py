@@ -272,22 +272,19 @@ def verify_fourcycle_relations(
     return residual <= tol
 
 
-def fourcycle_lambda(
-    tetra: Tetrahedron, q: UnitQuaternion, angle_abs: float = DEFAULT_TOLERANCES.angle_abs
-) -> tuple[float, float]:
+def fourcycle_lambda(tetra: Tetrahedron, q: UnitQuaternion) -> tuple[float, float]:
     """Measured and predicted offset of the projected n3 midpoint.
 
     For a genuine four-cycle member with an oblique axis and angle in
     (0, pi), the image of n3 under the parallel projection along +z onto
     the plane through the origin orthogonal to the axis has norm
     ||proj(c3)|| * tan(alpha/2), where c3 is the orthogonal projection of
-    n3 onto the axis line.  Axis class and angle are decided within
-    angle_abs.  Returns (measured, predicted).
+    n3 onto the axis line.  Returns (measured, predicted).
     """
-    axis_class, alpha = classify_rotation(q, angle_abs)
+    axis_class, alpha = classify_rotation(q)
     if axis_class is not AxisClass.OBLIQUE:
         raise ValueError("the offset scalar is defined for oblique axes only")
-    if not alpha < HALF_TURN - angle_abs:
+    if not alpha < HALF_TURN - DEFAULT_TOLERANCES.angle_abs:
         raise ValueError("the offset scalar requires an angle strictly below a half turn")
     w = quat_to_axis_angle(q).axis
     n3 = midpoint_frame(tetra).n3

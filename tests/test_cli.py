@@ -114,6 +114,20 @@ class TestAnalyzeCommand:
         assert report["case"] == "oblique"
         assert report["computed_dim"] == 3
 
+    def test_overlapping_angle_windows_take_the_first_special_angle(self, capsys, tmp_path):
+        # with --tol-angle 0.3, 1.85 rad lies within both the quarter-turn and
+        # the third-turn window; the label and the prediction both take the
+        # first match in the order half, quarter, third
+        rot = tmp_path / "rot.json"
+        rot.write_text(json.dumps({"axis": [0, 0, 1], "angle_rad": 1.85}))
+        code, report = run(capsys, [
+            "analyze", "--rotation", str(rot), "--perm-class", "three-cycle", "--tol-angle", "0.3",
+        ])
+        assert code == 0
+        assert report["case"] == "vertical-quarter-turn"
+        assert report["predicted_dim"] == 3
+        assert report["computed_dim"] == 3
+
     def test_identity_rotation_exits_two(self, capsys, tmp_path):
         rot = tmp_path / "rot.json"
         rot.write_text(json.dumps({"quaternion": [1, 0, 0, 0]}))
@@ -161,7 +175,9 @@ class TestAngleTolerance:
             assert "identity" in capsys.readouterr().err
 
     def test_verify_dims_rejects_cell_rotations_within_tol_angle(self, capsys):
-        code = main(["verify-dims", "--trials", "20", "--tol-angle", "0.5"])
+        # every rotation angle lies in [0, pi], so a tolerance above pi makes
+        # every cell rotation count as the identity, whatever the draws
+        code = main(["verify-dims", "--trials", "1", "--tol-angle", "3.5"])
         assert code == 2
         assert "identity" in capsys.readouterr().err
 

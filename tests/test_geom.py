@@ -29,6 +29,8 @@ vertex_sets = st.lists(st.tuples(coord, coord, coord), min_size=4, max_size=4)
 
 
 class TestRecentre:
+    """The Tetrahedron constructor recentres its vertices on the centroid."""
+
     def test_off_centre_input_is_shifted(self):
         tetra = Tetrahedron([[1, 0, 0], [1, 1, 0], [2, 1, 2], [4, -2, -2]])
         expected = np.array([[-1, 0, 0], [-1, 1, 0], [0, 1, 2], [2, -2, -2]], dtype=float)
