@@ -30,6 +30,8 @@ __all__ = [
 
 _UNIT_NORM_ATOL = 1e-12
 _ROTATION_ATOL = 1e-9
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
 
 
 class AxisClass(enum.Enum):
@@ -136,7 +138,7 @@ def matrix_to_quat(r, atol: float = _ROTATION_ATOL) -> UnitQuaternion:
     Raises ValueError unless r.T @ r = I and det r = 1 within atol.
     """
     m = as_finite_array(r, (3, 3), "rotation matrix")
-    if not np.allclose(m.T @ m, np.eye(3), atol=atol, rtol=0.0):
+    if not np.abs(m.T @ m - _EYE3).max() <= atol:
         raise ValueError("matrix is not orthogonal within tolerance")
     if abs(np.linalg.det(m) - 1.0) > atol:
         raise ValueError("matrix determinant is not 1 within tolerance")

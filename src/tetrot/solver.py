@@ -5,15 +5,20 @@ route exploits that the first two rows of the rotation matrix satisfy
 r1 . p_i = x_i and r2 . p_i = y_i for the first three vertices (the fourth
 equation is implied by the centroid condition).  The geometric route
 reconstructs the projected circumcircle of the first three vertices as an
-ellipse through six constructible points and lifts it back to space.  The
-unlabeled solver enumerates the surviving vertex relabelings and runs the
-labeled solver on each.
+ellipse through six constructible points and lifts it back to space.
+
+The linear route is one core shared by both problems: the labeled solver
+fits the identity relabeling, the unlabeled solver every relabeling that
+survives the norm test.  The core factors the vertex matrix once per
+tetrahedron and fits all relabelings in one batch, then gates each branch
+three times: orthonormal rows, a snap to an exact rotation, and the
+residual against the observed projection.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +56,12 @@ __all__ = [
 # residual check against the observed projection is the final gate.
 _ORTHO_ATOL = 1e-7
 _SNAP_ATOL = 1e-6
+
+# Zero-based images of every relabeling, one row per entry of
+# ALL_PERMUTATIONS, and the row of each relabeling.
+_PERM_INDEX = np.array([sigma.zero_based() for sigma in ALL_PERMUTATIONS])
+_PERM_INDEX.flags.writeable = False
+_PERM_ROW = {sigma: row for row, sigma in enumerate(ALL_PERMUTATIONS)}
 
 
 class DegenerateTetrahedronError(ValueError):
@@ -123,10 +134,18 @@ def _projection_residual(vertices: np.ndarray, r: np.ndarray, points: np.ndarray
     return float(np.max(np.linalg.norm(proj - points, axis=1)))
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b for two 3-vectors: the same bits as np.cross, without its overhead."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _candidate(
-    tetra: Tetrahedron,
-    target: ProjectionQuad,
+    vertices: np.ndarray,
+    points: np.ndarray,
     r: np.ndarray,
+    sigma: Permutation4,
     planar: bool,
     tol: Tolerances,
 ) -> SolveCandidate | None:
@@ -136,11 +155,69 @@ def _candidate(
     except ValueError:
         return None
     snapped = quat_to_matrix(q)
-    residual = _projection_residual(tetra.vertices, snapped, target.points)
+    residual = _projection_residual(vertices, snapped, points)
     if residual > tol.geom_abs:
         return None
     snapped.flags.writeable = False
-    return SolveCandidate(IDENTITY_PERMUTATION, q, snapped, residual, planar)
+    return SolveCandidate(sigma, q, snapped, residual, planar)
+
+
+def _fit_relabelings(
+    tetra: Tetrahedron,
+    quad: ProjectionQuad,
+    sigmas: list[Permutation4],
+    tol: Tolerances,
+) -> list[SolveCandidate]:
+    """Rotations mapping vertex i onto point sigma(i), for each sigma given.
+
+    P3 = vertices[:3] is factored once, and a P3 spanning less than a
+    plane is rejected even when sigmas is empty.  A full-dimensional P3
+    gets the 2k row systems of all branches in one stacked solve; a planar
+    one gets the row completions of each branch.
+    """
+    p3 = tetra.vertices[:3]
+    _, s, vt = np.linalg.svd(p3)
+    if s[0] == 0.0 or s[1] <= tol.rank_rel * s[0]:
+        raise DegenerateTetrahedronError("vertices span less than a plane")
+    if not sigmas:
+        return []
+    k = len(sigmas)
+    points = quad.points[_PERM_INDEX[[_PERM_ROW[sigma] for sigma in sigmas]]]
+
+    if s[2] > tol.rank_rel * s[0]:
+        # Rows 2j and 2j+1 are the first two matrix rows of branch j.  Stacked
+        # one-vector solves and vecdot give the bits of a separate
+        # np.linalg.solve(p3, x) and np.linalg.norm per row; a multi-column
+        # solve or einsum would not.
+        rhs = points[:, :3].transpose(0, 2, 1).reshape(2 * k, 3)
+        rows = np.linalg.solve(np.broadcast_to(p3, (2 * k, 3, 3)), rhs[..., None])[..., 0]
+        r1, r2 = rows[0::2], rows[1::2]
+        norms = np.sqrt(np.vecdot(rows, rows))
+        rejected = (
+            (np.abs(norms[0::2] - 1.0) > _ORTHO_ATOL)
+            | (np.abs(norms[1::2] - 1.0) > _ORTHO_ATOL)
+            | (np.abs(np.vecdot(r1, r2)) > _ORTHO_ATOL)
+        )
+        branches = [
+            (j, [np.vstack([r1[j], r2[j], _cross(r1[j], r2[j])])]) for j in np.flatnonzero(~rejected)
+        ]
+        planar = False
+    else:
+        basis = vt[:2]
+        coords = p3 @ basis.T
+        branches = [
+            (j, _planar_completions(coords, basis, vt[2], points[j, :3, 0], points[j, :3, 1], tol))
+            for j in range(k)
+        ]
+        planar = True
+
+    out = []
+    for j, matrices in branches:
+        for m in matrices:
+            cand = _candidate(tetra.vertices, points[j], m, sigmas[j], planar, tol)
+            if cand is not None:
+                out.append(cand)
+    return dedupe_rotations(out, tol.dedupe)
 
 
 def labeled_solve(
@@ -156,49 +233,25 @@ def labeled_solve(
     quad is not realizable.  Vertex sets spanning less than a plane are
     rejected.
     """
-    p3 = tetra.vertices[:3]
-    _, s, vt = np.linalg.svd(p3)
-    if s[0] == 0.0 or s[1] <= tol.rank_rel * s[0]:
-        raise DegenerateTetrahedronError("vertices span less than a plane")
-    x = quad.points[:3, 0]
-    y = quad.points[:3, 1]
-
-    if s[2] > tol.rank_rel * s[0]:
-        r1 = np.linalg.solve(p3, x)
-        r2 = np.linalg.solve(p3, y)
-        if (
-            abs(np.linalg.norm(r1) - 1.0) > _ORTHO_ATOL
-            or abs(np.linalg.norm(r2) - 1.0) > _ORTHO_ATOL
-            or abs(float(r1 @ r2)) > _ORTHO_ATOL
-        ):
-            return []
-        matrices = [np.vstack([r1, r2, np.cross(r1, r2)])]
-        planar = False
-    else:
-        matrices = _planar_completions(p3, vt, x, y, tol)
-        planar = True
-
-    out = []
-    for m in matrices:
-        cand = _candidate(tetra, quad, m, planar, tol)
-        if cand is not None:
-            out.append(cand)
-    return dedupe_rotations(out, tol.dedupe)
+    return _fit_relabelings(tetra, quad, [IDENTITY_PERMUTATION], tol)
 
 
 def _planar_completions(
-    p3: np.ndarray, vt: np.ndarray, x: np.ndarray, y: np.ndarray, tol: Tolerances
+    coords: np.ndarray,
+    basis: np.ndarray,
+    normal: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    tol: Tolerances,
 ) -> list[np.ndarray]:
     """Row completions for a planar vertex set.
 
-    The in-plane components v1, v2 of the first two matrix rows are fixed
-    by the data; the out-of-plane components (s, t) satisfy s^2 = 1-|v1|^2,
-    t^2 = 1-|v2|^2 and v1.v2 + s t = 0, which leaves at most two sign
-    choices.
+    coords are the vertices in the orthonormal in-plane basis.  The
+    in-plane components v1, v2 of the first two matrix rows are fixed by
+    the data; the out-of-plane components (s, t) along the normal satisfy
+    s^2 = 1-|v1|^2, t^2 = 1-|v2|^2 and v1.v2 + s t = 0, which leaves at
+    most two sign choices.
     """
-    basis = vt[:2]
-    normal = vt[2]
-    coords = p3 @ basis.T
     v1b, *_ = np.linalg.lstsq(coords, x, rcond=None)
     v2b, *_ = np.linalg.lstsq(coords, y, rcond=None)
     v1 = v1b @ basis
@@ -218,7 +271,7 @@ def _planar_completions(
                 continue
             r1 = v1 + s * normal
             r2 = v2 + t * normal
-            m = np.vstack([r1, r2, np.cross(r1, r2)])
+            m = np.vstack([r1, r2, _cross(r1, r2)])
             if all(np.linalg.norm(m - seen) > tol.dedupe for seen in matrices):
                 matrices.append(m)
     return matrices
@@ -231,7 +284,7 @@ def circumcircle3(p, q, r, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> Circ
     c = as_finite_array(r, (3,), "r")
     d1 = b - a
     d2 = c - a
-    normal = np.cross(d1, d2)
+    normal = _cross(d1, d2)
     scale = max(float(np.linalg.norm(d1)), float(np.linalg.norm(d2)))
     area = float(np.linalg.norm(normal))
     if scale == 0.0 or area <= rel_tol * scale * scale:
@@ -312,7 +365,7 @@ def _frame(points: np.ndarray) -> np.ndarray:
     e2 = points[2] - points[0]
     e2 = e2 - (e2 @ e1) * e1
     e2 = e2 / np.linalg.norm(e2)
-    return np.column_stack([e1, e2, np.cross(e1, e2)])
+    return np.column_stack([e1, e2, _cross(e1, e2)])
 
 
 def reconstruct_geometric(
@@ -383,7 +436,7 @@ def reconstruct_geometric(
         images = np.vstack([lifted, image4])
         images = images - images.mean(axis=0)
         r = np.linalg.solve(p3, images[:3]).T
-        cand = _candidate(tetra, quad, r, planar=False, tol=tol)
+        cand = _candidate(tetra.vertices, quad.points, r, IDENTITY_PERMUTATION, False, tol)
         if cand is not None:
             out.append(cand)
     return dedupe_rotations(out, tol.dedupe)
@@ -404,12 +457,8 @@ def prune_permutations(
     vertex_norms = np.linalg.norm(v, axis=1)
     point_norms = np.linalg.norm(quad.points, axis=1)
     allowed = point_norms[None, :] <= vertex_norms[:, None] + tol_abs
-    survivors = []
-    for sigma in ALL_PERMUTATIONS:
-        idx = sigma.zero_based()
-        if all(allowed[i, idx[i]] for i in range(4)):
-            survivors.append(sigma)
-    return survivors
+    survives = allowed[np.arange(4), _PERM_INDEX].all(axis=1)
+    return [ALL_PERMUTATIONS[row] for row in np.flatnonzero(survives)]
 
 
 def unlabeled_solve(
@@ -419,17 +468,16 @@ def unlabeled_solve(
 ) -> list[SolveCandidate]:
     """All rotations compatible with the projection under some relabeling.
 
-    Runs the labeled solver on every relabeling that survives the norm
-    pruning, so at most 24 branches contribute.  Near-identical rotations
-    are merged per relabeling; the result is ordered by relabeling and
-    residual.  An empty list means no rotation is compatible.
+    One factorization of the tetrahedron and one batched fit over the
+    relabelings that survive the norm pruning (at most 24), each branch
+    gated like a labeled solve: orthonormal rows, snap to a rotation,
+    residual.  Each candidate equals what labeled_solve gives on the
+    relabeled projection.  Near-identical rotations are merged per
+    relabeling; the result is ordered by relabeling and residual.  An
+    empty list means no rotation is compatible.  Vertex sets spanning less
+    than a plane are rejected, even when no relabeling survives.
     """
-    out: list[SolveCandidate] = []
-    for sigma in prune_permutations(tetra.vertices, quad, tol.geom_abs):
-        reordered = ProjectionQuad(quad.points[list(sigma.zero_based())])
-        for cand in labeled_solve(tetra, reordered, tol):
-            out.append(replace(cand, sigma=sigma))
-    return dedupe_rotations(out, tol.dedupe)
+    return _fit_relabelings(tetra, quad, prune_permutations(tetra.vertices, quad, tol.geom_abs), tol)
 
 
 def dedupe_rotations(

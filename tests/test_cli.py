@@ -57,6 +57,20 @@ class TestSolveCommand:
         assert code == 1
         assert report["candidates"] == []
 
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("scale", [50.0, 0.1])
+    def test_collinear_vertices_exit_two(self, capsys, tmp_path, scale, labeled):
+        tet = tmp_path / "tet.json"
+        proj = tmp_path / "proj.json"
+        tet.write_text(json.dumps({"vertices": [[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]]}))
+        proj.write_text(json.dumps({"points": [[scale, scale], [-scale, scale], [-scale, -scale], [scale, -scale]]}))
+        argv = ["solve", "--tetrahedron", str(tet), "--projection", str(proj)] + ["--labeled"] * labeled
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: vertices span less than a plane\n"
+
     def test_malformed_input_exits_two(self, capsys, tmp_path, four_cycle_files):
         _, proj = four_cycle_files
         bad = tmp_path / "bad.json"

@@ -130,6 +130,21 @@ class TestAxisAngleRoundTrips:
         with pytest.raises(ValueError):
             matrix_to_quat(2.0 * np.eye(3))
 
+    @staticmethod
+    def _shear(e):
+        # m.T @ m differs from I by exactly e in two entries; det m is 1
+        m = np.eye(3)
+        m[0, 1] = e
+        return m
+
+    def test_matrix_to_quat_accepts_orthogonality_error_just_below_atol(self):
+        q = matrix_to_quat(self._shear(0.99e-6), atol=1e-6)
+        assert q.a > 0.99
+
+    def test_matrix_to_quat_rejects_orthogonality_error_just_above_atol(self):
+        with pytest.raises(ValueError, match="orthogonal"):
+            matrix_to_quat(self._shear(1.01e-6), atol=1e-6)
+
     @settings(max_examples=100, deadline=None)
     @given(quat_components)
     def test_matrix_round_trip(self, comps):

@@ -287,6 +287,15 @@ class TestUnlabeledSolve:
         stretched = ProjectionQuad(project(tetra).points * 3.0)
         assert unlabeled_solve(tetra, stretched) == []
 
+    @pytest.mark.parametrize("scale", [50.0, 0.1])
+    def test_collinear_vertices_rejected_whatever_survives_pruning(self, scale):
+        # at scale 50 no relabeling survives the norm test, at 0.1 all do
+        tetra = Tetrahedron([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]])
+        quad = ProjectionQuad(scale * np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]))
+        assert len(prune_permutations(tetra.vertices, quad)) == (0 if scale > 1 else 24)
+        with pytest.raises(DegenerateTetrahedronError):
+            unlabeled_solve(tetra, quad)
+
 
 class TestDedupeRotations:
     @staticmethod
