@@ -356,7 +356,9 @@ def _add_common(parser: argparse.ArgumentParser, trials_default: int | None = No
     parser.add_argument("--tol-geom", type=float, default=Tolerances().geom_abs,
                         help="absolute tolerance for projected-point matches")
     parser.add_argument("--tol-angle", type=float, default=Tolerances().angle_abs,
-                        help="tolerance for axis components and special angles")
+                        help="tolerance for axis components and special angles; above pi/12 "
+                             "the half-, quarter- and third-turn windows overlap, and the first "
+                             "match in that order decides")
     parser.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
     if trials_default is not None:
         parser.add_argument("--trials", type=int, default=trials_default,

@@ -58,20 +58,19 @@ class UnitQuaternion:
     d: float
 
     def __post_init__(self) -> None:
-        comps = tuple(float(x) for x in (self.a, self.b, self.c, self.d))
-        if not all(math.isfinite(x) for x in comps):
+        a, b, c, d = float(self.a), float(self.b), float(self.c), float(self.d)
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
             raise ValueError("quaternion components must be finite")
-        norm2 = sum(x * x for x in comps)
+        norm2 = a * a + b * b + c * c + d * d
         if abs(norm2 - 1.0) > _UNIT_NORM_ATOL:
             raise ValueError(f"quaternion norm^2 is {norm2!r}, expected 1")
-        for x in comps:
-            if x > 0.0:
-                break
-            if x < 0.0:
-                comps = tuple(-y for y in comps)
-                break
-        for name, value in zip("abcd", comps):
-            object.__setattr__(self, name, value)
+        # The first nonzero component decides the sign; -0.0 counts as zero.
+        if a < 0.0 or a == 0.0 and (b < 0.0 or b == 0.0 and (c < 0.0 or c == 0.0 and d < 0.0)):
+            a, b, c, d = -a, -b, -c, -d
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     @classmethod
     def normalized(cls, a: float, b: float, c: float, d: float) -> "UnitQuaternion":
@@ -95,13 +94,14 @@ class AxisAngle:
     angle: float
 
 
-def _matrix_from_components(a: float, b: float, c: float, d: float) -> np.ndarray:
+def _rotation_rows(a: float, b: float, c: float, d: float) -> list[list[float]]:
+    """Rows of the rotation matrix of a + b i + c j + d k, scaled by 1/|q|^2."""
     n2 = a * a + b * b + c * c + d * d
-    return np.array([
-        [a * a + b * b - c * c - d * d, 2 * b * c - 2 * a * d, 2 * b * d + 2 * a * c],
-        [2 * b * c + 2 * a * d, a * a - b * b + c * c - d * d, 2 * c * d - 2 * a * b],
-        [2 * b * d - 2 * a * c, 2 * c * d + 2 * a * b, a * a - b * b - c * c + d * d],
-    ]) / n2
+    return [
+        [(a * a + b * b - c * c - d * d) / n2, (2 * b * c - 2 * a * d) / n2, (2 * b * d + 2 * a * c) / n2],
+        [(2 * b * c + 2 * a * d) / n2, (a * a - b * b + c * c - d * d) / n2, (2 * c * d - 2 * a * b) / n2],
+        [(2 * b * d - 2 * a * c) / n2, (2 * c * d + 2 * a * b) / n2, (a * a - b * b - c * c + d * d) / n2],
+    ]
 
 
 def quat_from_axis_angle(axis, angle: float, axis_atol: float = 1e-9) -> UnitQuaternion:
@@ -119,7 +119,7 @@ def quat_from_axis_angle(axis, angle: float, axis_atol: float = 1e-9) -> UnitQua
 
 def quat_to_matrix(q: UnitQuaternion) -> np.ndarray:
     """The 3x3 rotation matrix of q.  Same matrix for q and -q."""
-    return _matrix_from_components(q.a, q.b, q.c, q.d)
+    return np.array(_rotation_rows(q.a, q.b, q.c, q.d))
 
 
 def quat_to_axis_angle(q: UnitQuaternion) -> AxisAngle:
@@ -142,30 +142,41 @@ def matrix_to_quat(r, atol: float = _ROTATION_ATOL) -> UnitQuaternion:
         raise ValueError("matrix is not orthogonal within tolerance")
     if abs(np.linalg.det(m) - 1.0) > atol:
         raise ValueError("matrix determinant is not 1 within tolerance")
-    trace = m[0, 0] + m[1, 1] + m[2, 2]
+    return _quat_from_rows(m.tolist())
+
+
+def _quat_from_rows(rows: list[list[float]]) -> UnitQuaternion:
+    """Canonical quaternion of an orthogonal matrix given as nested lists.
+
+    Shepperd's extraction: the pivot is the largest of the trace and the
+    diagonal entries, which keeps the square root away from zero.  Callers
+    check orthogonality and the determinant first.
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
+    trace = m00 + m11 + m22
     if trace > 0:
         s = 2.0 * math.sqrt(trace + 1.0)
         a = 0.25 * s
-        b = (m[2, 1] - m[1, 2]) / s
-        c = (m[0, 2] - m[2, 0]) / s
-        d = (m[1, 0] - m[0, 1]) / s
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = 2.0 * math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2])
-        a = (m[2, 1] - m[1, 2]) / s
+        b = (m21 - m12) / s
+        c = (m02 - m20) / s
+        d = (m10 - m01) / s
+    elif m00 > m11 and m00 > m22:
+        s = 2.0 * math.sqrt(1.0 + m00 - m11 - m22)
+        a = (m21 - m12) / s
         b = 0.25 * s
-        c = (m[0, 1] + m[1, 0]) / s
-        d = (m[0, 2] + m[2, 0]) / s
-    elif m[1, 1] > m[2, 2]:
-        s = 2.0 * math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2])
-        a = (m[0, 2] - m[2, 0]) / s
-        b = (m[0, 1] + m[1, 0]) / s
+        c = (m01 + m10) / s
+        d = (m02 + m20) / s
+    elif m11 > m22:
+        s = 2.0 * math.sqrt(1.0 + m11 - m00 - m22)
+        a = (m02 - m20) / s
+        b = (m01 + m10) / s
         c = 0.25 * s
-        d = (m[1, 2] + m[2, 1]) / s
+        d = (m12 + m21) / s
     else:
-        s = 2.0 * math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1])
-        a = (m[1, 0] - m[0, 1]) / s
-        b = (m[0, 2] + m[2, 0]) / s
-        c = (m[1, 2] + m[2, 1]) / s
+        s = 2.0 * math.sqrt(1.0 + m22 - m00 - m11)
+        a = (m10 - m01) / s
+        b = (m02 + m20) / s
+        c = (m12 + m21) / s
         d = 0.25 * s
     return UnitQuaternion.normalized(a, b, c, d)
 

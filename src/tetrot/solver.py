@@ -10,9 +10,12 @@ ellipse through six constructible points and lifts it back to space.
 The linear route is one core shared by both problems: the labeled solver
 fits the identity relabeling, the unlabeled solver every relabeling that
 survives the norm test.  The core factors the vertex matrix once per
-tetrahedron and fits all relabelings in one batch, then gates each branch
-three times: orthonormal rows, a snap to an exact rotation, and the
-residual against the observed projection.
+tetrahedron and fits all relabelings in one batch: one stacked solve for
+a full-dimensional tetrahedron, one least-squares solve for the in-plane
+rows of a planar one.  Each branch passes three tests: orthonormal rows,
+a snap to an exact rotation, and the residual against the observed
+projection.  The last two run in one gate call per tetrahedron, which
+the geometric route shares for its two lifts.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .geom import (
     Tolerances,
     as_finite_array,
 )
-from .rotation import UnitQuaternion, matrix_to_quat, quat_to_matrix
+from .rotation import _EYE3, UnitQuaternion, _quat_from_rows, _rotation_rows
 
 __all__ = [
     "Circle3D",
@@ -129,37 +132,50 @@ class Conic:
         return bool(b * b - 4.0 * a * c < 0.0)
 
 
-def _projection_residual(vertices: np.ndarray, r: np.ndarray, points: np.ndarray) -> float:
-    proj = (vertices @ r.T)[:, :2]
-    return float(np.max(np.linalg.norm(proj - points, axis=1)))
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cross(a: list[float], b: list[float]) -> list[float]:
     """a x b for two 3-vectors: the same bits as np.cross, without its overhead."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
-def _candidate(
+def _gate(
     vertices: np.ndarray,
     points: np.ndarray,
-    r: np.ndarray,
-    sigma: Permutation4,
+    sigmas: list[Permutation4],
+    owner: list[int],
+    matrices: list[list[list[float]]],
     planar: bool,
     tol: Tolerances,
-) -> SolveCandidate | None:
-    """Snap a near-rotation to an exact one and gate it on the residual."""
-    try:
-        q = matrix_to_quat(r, atol=_SNAP_ATOL)
-    except ValueError:
-        return None
-    snapped = quat_to_matrix(q)
-    residual = _projection_residual(vertices, snapped, points)
-    if residual > tol.geom_abs:
-        return None
+) -> list[SolveCandidate]:
+    """Snap near-rotations to exact ones and keep those that fit their shadow.
+
+    Matrix i, given as nested lists, was fitted under relabeling
+    sigmas[owner[i]] to the shadow points[owner[i]].  All matrices are
+    tested as one (n, 3, 3) stack.  A matrix is snapped when it is
+    orthogonal with determinant 1 within _SNAP_ATOL, and a NaN or inf
+    entry fails that test.  A snapped rotation is kept when it projects
+    every vertex within geom_abs of its shadow point.
+    """
+    if not matrices:
+        return []
+    stack = np.array(matrices)
+    ortho = np.abs(stack.mT @ stack - _EYE3).max(axis=(1, 2))
+    error = np.maximum(ortho, np.abs(np.linalg.det(stack) - 1.0))
+    kept = [i for i, ok in enumerate((error <= _SNAP_ATOL).tolist()) if ok]
+    if not kept:
+        return []
+    quats = [_quat_from_rows(matrices[i]) for i in kept]
+    snapped = np.array([_rotation_rows(q.a, q.b, q.c, q.d) for q in quats])
     snapped.flags.writeable = False
-    return SolveCandidate(sigma, q, snapped, residual, planar)
+    branch = [owner[i] for i in kept]
+    diff = (vertices @ snapped.mT)[..., :2] - points[branch]
+    residuals = np.sqrt(np.add.reduce(diff * diff, axis=-1)).max(axis=-1).tolist()
+    return [
+        SolveCandidate(sigmas[j], q, m, residual, planar)
+        for j, q, m, residual in zip(branch, quats, snapped, residuals)
+        if residual <= tol.geom_abs
+    ]
 
 
 def _fit_relabelings(
@@ -173,7 +189,9 @@ def _fit_relabelings(
     P3 = vertices[:3] is factored once, and a P3 spanning less than a
     plane is rejected even when sigmas is empty.  A full-dimensional P3
     gets the 2k row systems of all branches in one stacked solve; a planar
-    one gets the row completions of each branch.
+    one gets the in-plane rows of all branches from one least-squares
+    solve, then the row completions of each branch.  One gate call takes
+    every matrix of the tetrahedron.
     """
     p3 = tetra.vertices[:3]
     _, s, vt = np.linalg.svd(p3)
@@ -198,25 +216,31 @@ def _fit_relabelings(
             | (np.abs(norms[1::2] - 1.0) > _ORTHO_ATOL)
             | (np.abs(np.vecdot(r1, r2)) > _ORTHO_ATOL)
         )
-        branches = [
-            (j, [np.vstack([r1[j], r2[j], _cross(r1[j], r2[j])])]) for j in np.flatnonzero(~rejected)
-        ]
+        owner = [j for j, bad in enumerate(rejected.tolist()) if not bad]
+        pairs = rows.reshape(k, 2, 3).tolist()
+        matrices = [[*pairs[j], _cross(*pairs[j])] for j in owner]
         planar = False
     else:
+        # Columns 2j and 2j+1 of the right-hand side are the x and y
+        # coordinates of branch j; one multi-column lstsq gives each column
+        # the bits of its own solve, and vecdot those of a separate v @ v.
         basis = vt[:2]
-        coords = p3 @ basis.T
-        branches = [
-            (j, _planar_completions(coords, basis, vt[2], points[j, :3, 0], points[j, :3, 1], tol))
-            for j in range(k)
-        ]
+        rhs = points[:, :3].transpose(1, 0, 2).reshape(3, 2 * k)
+        sol, *_ = np.linalg.lstsq(p3 @ basis.T, rhs, rcond=None)
+        rows = sol.T @ basis
+        v1, v2 = rows[0::2], rows[1::2]
+        s2 = (1.0 - np.vecdot(v1, v1)).tolist()
+        t2 = (1.0 - np.vecdot(v2, v2)).tolist()
+        dots = np.vecdot(v1, v2).tolist()
+        v1, v2, normal = v1.tolist(), v2.tolist(), vt[2].tolist()
+        owner, matrices = [], []
+        for j in range(k):
+            for m in _planar_completions(v1[j], v2[j], normal, s2[j], t2[j], dots[j], tol):
+                owner.append(j)
+                matrices.append(m)
         planar = True
 
-    out = []
-    for j, matrices in branches:
-        for m in matrices:
-            cand = _candidate(tetra.vertices, points[j], m, sigmas[j], planar, tol)
-            if cand is not None:
-                out.append(cand)
+    out = _gate(tetra.vertices, points, sigmas, owner, matrices, planar, tol)
     return dedupe_rotations(out, tol.dedupe)
 
 
@@ -237,42 +261,36 @@ def labeled_solve(
 
 
 def _planar_completions(
-    coords: np.ndarray,
-    basis: np.ndarray,
-    normal: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
+    v1: list[float],
+    v2: list[float],
+    normal: list[float],
+    s2: float,
+    t2: float,
+    cross: float,
     tol: Tolerances,
-) -> list[np.ndarray]:
-    """Row completions for a planar vertex set.
+) -> list[list[list[float]]]:
+    """Row completions of one branch on a planar vertex set, as nested lists.
 
-    coords are the vertices in the orthonormal in-plane basis.  The
-    in-plane components v1, v2 of the first two matrix rows are fixed by
-    the data; the out-of-plane components (s, t) along the normal satisfy
-    s^2 = 1-|v1|^2, t^2 = 1-|v2|^2 and v1.v2 + s t = 0, which leaves at
-    most two sign choices.
+    v1, v2 are the in-plane components of the first two matrix rows, fixed
+    by the data, with s2 = 1-|v1|^2, t2 = 1-|v2|^2 and cross = v1.v2.  The
+    out-of-plane components (s, t) along the unit plane normal satisfy
+    s^2 = s2, t^2 = t2 and cross + s t = 0, which leaves at most two sign
+    choices.
     """
-    v1b, *_ = np.linalg.lstsq(coords, x, rcond=None)
-    v2b, *_ = np.linalg.lstsq(coords, y, rcond=None)
-    v1 = v1b @ basis
-    v2 = v2b @ basis
-    s2 = 1.0 - float(v1 @ v1)
-    t2 = 1.0 - float(v2 @ v2)
     if s2 < -_ORTHO_ATOL or t2 < -_ORTHO_ATOL:
         return []
     s0 = math.sqrt(max(s2, 0.0))
     t0 = math.sqrt(max(t2, 0.0))
-    cross = float(v1 @ v2)
-    matrices = []
+    matrices: list[list[list[float]]] = []
     for sgn_s in (1.0, -1.0):
         for sgn_t in (1.0, -1.0):
             s, t = sgn_s * s0, sgn_t * t0
             if abs(cross + s * t) > _ORTHO_ATOL:
                 continue
-            r1 = v1 + s * normal
-            r2 = v2 + t * normal
-            m = np.vstack([r1, r2, _cross(r1, r2)])
-            if all(np.linalg.norm(m - seen) > tol.dedupe for seen in matrices):
+            r1 = [v + s * n for v, n in zip(v1, normal)]
+            r2 = [v + t * n for v, n in zip(v2, normal)]
+            m = [r1, r2, _cross(r1, r2)]
+            if all(np.linalg.norm(np.subtract(m, seen)) > tol.dedupe for seen in matrices):
                 matrices.append(m)
     return matrices
 
@@ -284,7 +302,7 @@ def circumcircle3(p, q, r, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> Circ
     c = as_finite_array(r, (3,), "r")
     d1 = b - a
     d2 = c - a
-    normal = _cross(d1, d2)
+    normal = np.array(_cross(d1.tolist(), d2.tolist()))
     scale = max(float(np.linalg.norm(d1)), float(np.linalg.norm(d2)))
     area = float(np.linalg.norm(normal))
     if scale == 0.0 or area <= rel_tol * scale * scale:
@@ -365,7 +383,7 @@ def _frame(points: np.ndarray) -> np.ndarray:
     e2 = points[2] - points[0]
     e2 = e2 - (e2 @ e1) * e1
     e2 = e2 / np.linalg.norm(e2)
-    return np.column_stack([e1, e2, _cross(e1, e2)])
+    return np.column_stack([e1, e2, _cross(e1.tolist(), e2.tolist())])
 
 
 def reconstruct_geometric(
@@ -424,21 +442,20 @@ def reconstruct_geometric(
     minor_dir = np.array([-dir_major[1], dir_major[0]])
     horiz = math.sqrt(max(1.0 - tilt * tilt, 0.0))
 
-    out: list[SolveCandidate] = []
+    frame3 = _frame(p3).T
+    lifts = []
     for sign in (1.0, -1.0):
         normal = np.array([sign * horiz * minor_dir[0], sign * horiz * minor_dir[1], tilt])
         # lift each projected vertex to the plane through (center2, 0)
         lifted = np.empty((3, 3))
         lifted[:, :2] = u3
         lifted[:, 2] = (center2 - u3) @ normal[:2] / normal[2]
-        rigid = _frame(lifted) @ _frame(p3).T
+        rigid = _frame(lifted) @ frame3
         image4 = lifted[0] + rigid @ (p4 - p3[0])
         images = np.vstack([lifted, image4])
         images = images - images.mean(axis=0)
-        r = np.linalg.solve(p3, images[:3]).T
-        cand = _candidate(tetra.vertices, quad.points, r, IDENTITY_PERMUTATION, False, tol)
-        if cand is not None:
-            out.append(cand)
+        lifts.append(np.linalg.solve(p3, images[:3]).T.tolist())
+    out = _gate(tetra.vertices, quad.points[None], [IDENTITY_PERMUTATION], [0, 0], lifts, False, tol)
     return dedupe_rotations(out, tol.dedupe)
 
 
@@ -468,10 +485,10 @@ def unlabeled_solve(
 ) -> list[SolveCandidate]:
     """All rotations compatible with the projection under some relabeling.
 
-    One factorization of the tetrahedron and one batched fit over the
-    relabelings that survive the norm pruning (at most 24), each branch
-    gated like a labeled solve: orthonormal rows, snap to a rotation,
-    residual.  Each candidate equals what labeled_solve gives on the
+    One factorization of the tetrahedron, one batched fit over the
+    relabelings that survive the norm pruning (at most 24) and one gate
+    call for all of them, each branch tested like a labeled solve:
+    orthonormal rows, snap to a rotation, residual.  Each candidate equals what labeled_solve gives on the
     relabeled projection.  Near-identical rotations are merged per
     relabeling; the result is ordered by relabeling and residual.  An
     empty list means no rotation is compatible.  Vertex sets spanning less

@@ -1,30 +1,43 @@
 """Pins of the batched relabeling fit behind unlabeled_solve.
 
-The definition test spells out what unlabeled_solve means: the labeled
+The definition tests spell out what unlabeled_solve means: the labeled
 solve of every relabeling that survives the norm test, merged by
-dedupe_rotations.  The golden test fixes the exact bits of its output on
+dedupe_rotations; on a planar tetrahedron, each branch completed from two
+least-squares solves of its own.  The golden tests fix the exact bits of
+the output of unlabeled_solve, labeled_solve and reconstruct_geometric on
 five instances, so that a change in the last bits of any candidate fails.
+The gate tests feed the shared snap-and-residual gate matrices on either
+side of each of its tolerances.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tetrot import (
+    ALL_PERMUTATIONS,
     CLASSIFICATION_CELLS,
+    DEFAULT_TOLERANCES,
+    DegenerateTetrahedronError,
     ProjectionQuad,
+    SolveCandidate,
     Tetrahedron,
     apply,
     dedupe_rotations,
     labeled_solve,
+    matrix_to_quat,
     project,
     prune_permutations,
+    quat_to_matrix,
+    reconstruct_geometric,
     sample_cell_rotation,
     sample_tetrahedron,
     unlabeled_solve,
 )
 from tetrot.instances import four_cycle_instance, planar_instance
+from tetrot.solver import _ORTHO_ATOL, _SNAP_ATOL, _gate
 
 from conftest import random_full_dim_tetrahedron, random_unit_quaternion
 
@@ -74,6 +87,136 @@ class TestDefinition:
             same_bits(unlabeled_solve(tetra, quad), per_relabeling_solve(tetra, quad))
             count += 1
         assert count >= 80
+
+
+def per_branch_planar_solve(tetra, quad):
+    """unlabeled_solve on a planar tetrahedron, one branch at a time.
+
+    Each surviving relabeling gets two least-squares solves of its own for
+    the in-plane rows, its sign completions along the plane normal, and
+    for each completion a snap by matrix_to_quat and a residual test.
+    """
+    p3 = tetra.vertices[:3]
+    _, _, vt = np.linalg.svd(p3)
+    basis, normal = vt[:2], vt[2]
+    coords = p3 @ basis.T
+    out = []
+    for sigma in prune_permutations(tetra.vertices, quad):
+        points = quad.points[list(sigma.zero_based())]
+        v1b, *_ = np.linalg.lstsq(coords, points[:3, 0], rcond=None)
+        v2b, *_ = np.linalg.lstsq(coords, points[:3, 1], rcond=None)
+        v1 = v1b @ basis
+        v2 = v2b @ basis
+        s2 = 1.0 - float(v1 @ v1)
+        t2 = 1.0 - float(v2 @ v2)
+        if s2 < -_ORTHO_ATOL or t2 < -_ORTHO_ATOL:
+            continue
+        s0, t0 = math.sqrt(max(s2, 0.0)), math.sqrt(max(t2, 0.0))
+        matrices = []
+        for s in (s0, -s0):
+            for t in (t0, -t0):
+                if abs(float(v1 @ v2) + s * t) > _ORTHO_ATOL:
+                    continue
+                r1, r2 = v1 + s * normal, v2 + t * normal
+                m = np.vstack([r1, r2, np.cross(r1, r2)])
+                if all(np.linalg.norm(m - seen) > DEFAULT_TOLERANCES.dedupe for seen in matrices):
+                    matrices.append(m)
+        for m in matrices:
+            try:
+                q = matrix_to_quat(m, atol=_SNAP_ATOL)
+            except ValueError:
+                continue
+            snapped = quat_to_matrix(q)
+            residual = float(np.max(np.linalg.norm((tetra.vertices @ snapped.T)[:, :2] - points, axis=1)))
+            if residual <= DEFAULT_TOLERANCES.geom_abs:
+                out.append(SolveCandidate(sigma, q, snapped, residual, True))
+    return dedupe_rotations(out)
+
+
+def planar_instances():
+    rng = np.random.default_rng(47)
+    inst = planar_instance()
+    yield inst.tetrahedron, inst.projection
+    for cell in CLASSIFICATION_CELLS:
+        for _ in range(3):
+            q = sample_cell_rotation(cell, rng)
+            tetra = sample_tetrahedron(q, cell.perm_class, rng)
+            s = np.linalg.svd(tetra.vertices[:3], compute_uv=False)
+            if s[1] > 1e-9 * s[0] >= s[2]:
+                shadow = project(tetra).points
+                yield tetra, ProjectionQuad(shadow)
+                yield tetra, ProjectionQuad(shadow + rng.normal(0.0, 1e-10, (4, 2)))
+
+
+class TestPlanarDefinition:
+    def test_one_least_squares_solve_equals_two_per_branch(self):
+        count = branches = 0
+        for tetra, quad in planar_instances():
+            got = unlabeled_solve(tetra, quad)
+            same_bits(got, per_branch_planar_solve(tetra, quad))
+            count += 1
+            branches += len(got)
+        assert count >= 40
+        assert branches >= 200
+
+
+class TestGate:
+    """_gate on one stack with a row on either side of each tolerance."""
+
+    @staticmethod
+    def shear(e):
+        # m.T @ m differs from I by exactly e in two entries; det m is 1
+        m = np.eye(3)
+        m[0, 1] = e
+        return m
+
+    def test_only_rows_within_every_tolerance_come_back(self):
+        tetra = four_cycle_instance().tetrahedron
+        vertices = tetra.vertices
+        shadow = vertices[:, :2]
+        nan = np.eye(3)
+        nan[1, 2] = np.nan
+        inf = np.eye(3)
+        inf[2, 0] = np.inf
+
+        def shifted(d):
+            points = shadow.copy()
+            points[3, 0] += d
+            return points
+
+        def own_shadow(m):
+            # the shadow of the rotation m snaps to, so that only the tested
+            # tolerance can reject the row
+            snapped = quat_to_matrix(matrix_to_quat(m, atol=1.0))
+            return (vertices @ snapped.T)[:, :2]
+
+        rows = [
+            ("exact", np.eye(3), shadow, True),
+            ("nan", nan, shadow, False),
+            ("inf", inf, shadow, False),
+            ("ortho below", self.shear(0.99e-6), own_shadow(self.shear(0.99e-6)), True),
+            ("ortho above", self.shear(1.01e-6), own_shadow(self.shear(1.01e-6)), False),
+            ("det -1", np.diag([1.0, 1.0, -1.0]), shadow, False),
+            ("residual below", np.eye(3), shifted(0.99e-8), True),
+            ("residual above", np.eye(3), shifted(1.01e-8), False),
+        ]
+        sigmas = list(ALL_PERMUTATIONS[: len(rows)])
+        # The NaN and inf rows make NaN products, which numpy warns about.
+        with np.errstate(invalid="ignore"):
+            out = _gate(
+                vertices,
+                np.array([points for _, _, points, _ in rows]),
+                sigmas,
+                list(range(len(rows))),
+                [m.tolist() for _, m, _, _ in rows],
+                False,
+                DEFAULT_TOLERANCES,
+            )
+        kept = [name for (name, *_), sigma in zip(rows, sigmas) if sigma in {c.sigma for c in out}]
+        assert kept == [name for name, _, _, ok in rows if ok]
+        for cand in out:
+            assert cand.residual <= DEFAULT_TOLERANCES.geom_abs
+            assert not cand.matrix.flags.writeable
 
 
 # Inputs as float.hex: centred vertices (4x3) and shadow points (4x2),
@@ -264,6 +407,36 @@ EXPECTED = {
 }
 
 
+# Output of reconstruct_geometric per instance, in the format of EXPECTED,
+# or the error it raises.  labeled_solve is pinned by the identity-relabeling
+# entries of EXPECTED.
+EXPECTED_GEOMETRIC = {
+    "relabeled": [],
+    "noisy": [
+        ((1, 2, 3, 4), False, """
+            0x1.019e432a0044cp-2 0x1.3a0235d5a3b04p-1 0x1.625cf24da6542p-1
+            0x1.246bf118a0d5cp-2
+            -0x1.f03655f5a2548p-4 0x1.6917c759ea819p-1 0x1.65a4a6d2380ddp-1
+            0x1.fc3a598a4ae53p-1 0x1.5aa7c851053c2p-4 0x1.63245caa8ea4dp-4
+            0x1.0a453c411d681p-9 0x1.6862e3601dcbbp-1 -0x1.6bae9bf2c55c5p-1
+            0x1.b738d40345ae6p-32
+            """),
+    ],
+    "ambiguous": DegenerateTetrahedronError,
+    "four-cycle": [
+        ((1, 2, 3, 4), False, """
+            0x1.0000000000000p+0 -0x1.e7bbb5909a6fap-51 0x1.cefd44e8bf486p-51
+            0x1.697720b61688ep-51
+            0x1.0000000000000p+0 -0x1.697720b616895p-50 0x1.cefd44e8bf481p-50
+            0x1.697720b616887p-50 0x1.0000000000000p+0 0x1.e7bbb5909a6ffp-50
+            -0x1.cefd44e8bf48bp-50 -0x1.e7bbb5909a6f5p-50 0x1.0000000000000p+0
+            0x1.800bffd0017ffp-46
+            """),
+    ],
+    "planar": DegenerateTetrahedronError,
+}
+
+
 def hex_floats(text):
     return [float.fromhex(token) for token in text.split()]
 
@@ -283,14 +456,31 @@ class TestGolden:
             ProjectionQuad(np.reshape(hex_floats(points), (4, 2))),
         )
 
-    @pytest.mark.parametrize("name", sorted(EXPECTED))
-    def test_unlabeled_solve_bits(self, name):
-        candidates = unlabeled_solve(*self.instance(name))
-        assert len(candidates) == len(EXPECTED[name])
-        for cand, (images, planar, values) in zip(candidates, EXPECTED[name]):
-            expected = hex_floats(values)
+    @staticmethod
+    def assert_bits(candidates, expected):
+        assert len(candidates) == len(expected)
+        for cand, (images, planar, values) in zip(candidates, expected):
+            want = hex_floats(values)
             assert cand.sigma.images == images
             assert cand.planar_ambiguous is planar
-            assert [float(x).hex() for x in cand.rotation.as_array()] == [x.hex() for x in expected[:4]]
-            assert [float(x).hex() for x in cand.matrix.ravel()] == [x.hex() for x in expected[4:13]]
-            assert float(cand.residual).hex() == expected[13].hex()
+            assert [float(x).hex() for x in cand.rotation.as_array()] == [x.hex() for x in want[:4]]
+            assert [float(x).hex() for x in cand.matrix.ravel()] == [x.hex() for x in want[4:13]]
+            assert float(cand.residual).hex() == want[13].hex()
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_unlabeled_solve_bits(self, name):
+        self.assert_bits(unlabeled_solve(*self.instance(name)), EXPECTED[name])
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_labeled_solve_bits(self, name):
+        identity = [entry for entry in EXPECTED[name] if entry[0] == (1, 2, 3, 4)]
+        self.assert_bits(labeled_solve(*self.instance(name)), identity)
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_GEOMETRIC))
+    def test_reconstruct_geometric_bits(self, name):
+        expected = EXPECTED_GEOMETRIC[name]
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                reconstruct_geometric(*self.instance(name))
+        else:
+            self.assert_bits(reconstruct_geometric(*self.instance(name)), expected)

@@ -15,7 +15,7 @@ from tetrot import (
     quat_to_axis_angle,
     quat_to_matrix,
 )
-from tetrot.rotation import _matrix_from_components
+from tetrot.rotation import _rotation_rows
 from tetrot.instances import four_cycle_instance
 
 from conftest import random_unit_quaternion
@@ -47,6 +47,23 @@ class TestUnitQuaternion:
     def test_canonical_sign_at_zero_scalar(self):
         q = UnitQuaternion(0.0, -1.0, 0.0, 0.0)
         assert (q.a, q.b, q.c, q.d) == (0.0, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "comps, canonical",
+        [
+            ((-0.0, 0, -1, 0), "0x0.0p+0 -0x0.0p+0 0x1.0000000000000p+0 -0x0.0p+0"),
+            ((-1, -0.0, 0, 0), "0x1.0000000000000p+0 0x0.0p+0 -0x0.0p+0 -0x0.0p+0"),
+            ((-0.0, -0.0, 0.0, 1.0), "-0x0.0p+0 -0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0"),
+            ((0.0, 0.0, 0.0, -1.0), "-0x0.0p+0 -0x0.0p+0 -0x0.0p+0 0x1.0000000000000p+0"),
+            ((0.0, -0.0, -0.6, 0.8), "-0x0.0p+0 0x0.0p+0 0x1.3333333333333p-1 -0x1.999999999999ap-1"),
+        ],
+    )
+    def test_canonical_bytes_with_signed_zeros(self, comps, canonical):
+        # -0.0 counts as zero when the first nonzero component picks the sign,
+        # and a flip negates the zeros too.
+        q = UnitQuaternion(*comps)
+        assert [float(x).hex() for x in q.as_array()] == canonical.split()
+        assert all(type(x) is float for x in (q.a, q.b, q.c, q.d))
 
     @settings(max_examples=100, deadline=None)
     @given(quat_components)
@@ -101,7 +118,7 @@ class TestQuatToMatrix:
             v = rng.standard_normal(4)
             v /= np.linalg.norm(v)
             np.testing.assert_allclose(
-                _matrix_from_components(*v), _matrix_from_components(*(-v)), atol=1e-14
+                _rotation_rows(*v), _rotation_rows(*(-v)), atol=1e-14
             )
 
 
