@@ -10,6 +10,11 @@ Commands
 Exit codes: 0 success / match, 1 semantic failure (no solution or mismatch),
 2 usage or parse error.  Identical arguments, including the seed, produce
 byte-identical reports.
+
+A command adds its options to its parser when it is parsed, so a run pays
+only for the options of the command it runs; the top-level help and the
+command list come from the names and help strings alone.  `sample` computes
+the null space once per command and draws every trial from it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ from .configspace import (
     build_config_matrix,
     predicted_dimension,
     sample_cell_rotation,
-    sample_tetrahedron,
+    sample_tetrahedron,  # noqa: F401  kept in this namespace for bench/spans.py, which wraps it here
+    _draw,
+    _null_space,
 )
 from .geom import (
     CANONICAL_PERMUTATION,
@@ -73,6 +80,8 @@ def _load_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{'<stdin>' if path == '-' else path}: {exc}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
@@ -153,6 +162,8 @@ def _emit(report: dict) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     config = _config(args)
+    if args.tetrahedron == "-" and args.projection == "-":
+        raise ValueError("stdin can feed only one input, but --tetrahedron and --projection are both -")
     tetra = parse_tetrahedron(_load_json(args.tetrahedron))
     quad = parse_projection(_load_json(args.projection))
     if args.labeled:
@@ -195,17 +206,15 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     rotation = parse_rotation(_load_json(args.rotation))
     perm_class = PermClass(args.perm_class)
     sigma = CANONICAL_PERMUTATION[perm_class]
+    # sample_tetrahedron per trial, with the null space computed once
+    basis = _null_space(rotation, perm_class, config.tolerances.rank_rel, config.tolerances.angle_abs)
     samples = []
     all_ok = True
     for trial in range(config.trials):
-        rng = np.random.default_rng([config.seed, trial])
-        tetra = sample_tetrahedron(
-            rotation, perm_class, rng, config.tolerances.rank_rel, config.tolerances.angle_abs
-        )
-        shadow = project(tetra)
-        rotated = ProjectionQuad(apply(rotation, tetra.vertices)[:, :2])
-        reordered = shadow.points[list(sigma.zero_based())]
-        residual = float(np.max(np.linalg.norm(rotated.points - reordered, axis=1)))
+        tetra = _draw(basis, np.random.default_rng([config.seed, trial]))
+        rotated = apply(rotation, tetra.vertices)[:, :2]
+        reordered = project(tetra).points[list(sigma.zero_based())]
+        residual = float(np.max(np.linalg.norm(rotated - reordered, axis=1)))
         ok = residual <= config.tolerances.geom_abs
         all_ok = all_ok and ok
         samples.append({
@@ -365,44 +374,76 @@ def _add_common(parser: argparse.ArgumentParser, trials_default: int | None = No
                             help="number of random trials or samples")
 
 
+def _solve_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tetrahedron", required=True, help='JSON file {"vertices": ...} or -')
+    parser.add_argument("--projection", required=True, help='JSON file {"points": ...} or -')
+    parser.add_argument("--labeled", action="store_true",
+                        help="match projection point i to vertex i instead of trying all relabelings")
+    _add_common(parser)
+    parser.set_defaults(func=_cmd_solve)
+
+
+def _analyze_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--rotation", required=True,
+                        help='JSON file {"quaternion": ...} or {"axis": ..., "angle_rad": ...} or -')
+    parser.add_argument("--perm-class", required=True, choices=[c.value for c in PermClass])
+    _add_common(parser)
+    parser.set_defaults(func=_cmd_analyze)
+
+
+def _sample_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--rotation", required=True)
+    parser.add_argument("--perm-class", required=True, choices=[c.value for c in PermClass])
+    _add_common(parser, trials_default=1)
+    parser.set_defaults(func=_cmd_sample)
+
+
+def _verify_dims_options(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser, trials_default=100)
+    parser.set_defaults(func=_cmd_verify_dims)
+
+
+def _reproduce_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("name", choices=_REPRODUCE_NAMES)
+    _add_common(parser, trials_default=100)
+    parser.set_defaults(func=_cmd_reproduce)
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """Parser of one command that adds the command's options when it first parses.
+
+    The top-level parser hands the command's arguments to this parser's
+    parse_known_args, so only the command that runs pays for its options.
+    """
+
+    def __init__(self, *args, add_options=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._add_options = add_options
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_options is not None:
+            add_options, self._add_options = self._add_options, None
+            add_options(self)
+        return super().parse_known_args(args, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tetrot",
         description="Recover tetrahedron rotations from orthographic projections "
                     "and analyze the relabeling ambiguities.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    solve = sub.add_parser("solve", help="recover rotations from tetrahedron and projection files")
-    solve.add_argument("--tetrahedron", required=True, help='JSON file {"vertices": ...} or -')
-    solve.add_argument("--projection", required=True, help='JSON file {"points": ...} or -')
-    solve.add_argument("--labeled", action="store_true",
-                       help="match projection point i to vertex i instead of trying all relabelings")
-    _add_common(solve)
-    solve.set_defaults(func=_cmd_solve)
-
-    analyze = sub.add_parser("analyze", help="rank and dimension report for one rotation")
-    analyze.add_argument("--rotation", required=True,
-                         help='JSON file {"quaternion": ...} or {"axis": ..., "angle_rad": ...} or -')
-    analyze.add_argument("--perm-class", required=True, choices=[c.value for c in PermClass])
-    _add_common(analyze)
-    analyze.set_defaults(func=_cmd_analyze)
-
-    sample = sub.add_parser("sample", help="draw ambiguous tetrahedra for a rotation and class")
-    sample.add_argument("--rotation", required=True)
-    sample.add_argument("--perm-class", required=True, choices=[c.value for c in PermClass])
-    _add_common(sample, trials_default=1)
-    sample.set_defaults(func=_cmd_sample)
-
-    verify = sub.add_parser("verify-dims", help="sweep the dimension table with random rotations")
-    _add_common(verify, trials_default=100)
-    verify.set_defaults(func=_cmd_verify_dims)
-
-    reproduce = sub.add_parser("reproduce", help="replay a bundled worked instance")
-    reproduce.add_argument("name", choices=_REPRODUCE_NAMES)
-    _add_common(reproduce, trials_default=100)
-    reproduce.set_defaults(func=_cmd_reproduce)
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub.add_parser("solve", help="recover rotations from tetrahedron and projection files",
+                   add_options=_solve_options)
+    sub.add_parser("analyze", help="rank and dimension report for one rotation",
+                   add_options=_analyze_options)
+    sub.add_parser("sample", help="draw ambiguous tetrahedra for a rotation and class",
+                   add_options=_sample_options)
+    sub.add_parser("verify-dims", help="sweep the dimension table with random rotations",
+                   add_options=_verify_dims_options)
+    sub.add_parser("reproduce", help="replay a bundled worked instance",
+                   add_options=_reproduce_options)
     return parser
 
 

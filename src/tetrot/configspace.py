@@ -206,10 +206,20 @@ def sample_tetrahedron(
     projection of the rotated result matches the projection of the result
     itself under the canonical permutation of the class.
     """
+    basis = _null_space(q, perm_class, rel_tol, angle_abs)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return _draw(basis, rng)
+
+
+def _null_space(q: UnitQuaternion, perm_class: PermClass, rel_tol: float, angle_abs: float) -> np.ndarray:
+    """Null-space basis of the class's system, one vector per row; q must not be the identity."""
     if classify_rotation(q, angle_abs)[0] is AxisClass.NO_AXIS:
         raise ValueError("the identity rotation is excluded from dimension analysis")
-    basis = null_space_basis(build_config_matrix(q, perm_class), rel_tol)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return null_space_basis(build_config_matrix(q, perm_class), rel_tol)
+
+
+def _draw(basis: np.ndarray, rng: np.random.Generator) -> Tetrahedron:
+    """One tetrahedron from a uniform direction in the span of the basis rows, at unit RMS vertex norm."""
     coeffs = rng.standard_normal(basis.shape[0])
     norm = np.linalg.norm(coeffs)
     while norm == 0.0:

@@ -1,11 +1,18 @@
+import argparse
+import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from tetrot import cli
 from tetrot.cli import main, parse_projection, parse_rotation, parse_tetrahedron
+from tetrot.configspace import CLASSIFICATION_CELLS, sample_cell_rotation, sample_tetrahedron
+from tetrot.geom import CANONICAL_PERMUTATION, ProjectionQuad, project
 from tetrot.instances import four_cycle_instance, planar_instance
+from tetrot.rotation import apply
 
 
 @pytest.fixture
@@ -275,3 +282,393 @@ class TestParsers:
         report = {"points": inst.projection.points.tolist()}
         again = parse_projection(json.loads(json.dumps(report)))
         np.testing.assert_array_equal(again.points, inst.projection.points)
+
+
+class TestJsonErrors:
+    BAD = '{"vertices": [[0, 0, 0] [1, 0, 0]]}'
+
+    def decoder_message(self) -> str:
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(self.BAD)
+        return str(exc.value)
+
+    def test_decoder_error_names_the_file(self, capsys, tmp_path, four_cycle_files):
+        _, proj = four_cycle_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(self.BAD)
+        code = main(["solve", "--tetrahedron", str(bad), "--projection", proj])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: {self.decoder_message()}\n"
+
+    def test_decoder_error_names_stdin(self, capsys, monkeypatch, four_cycle_files):
+        _, proj = four_cycle_files
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.BAD))
+        code = main(["solve", "--tetrahedron", "-", "--projection", proj])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: <stdin>: {self.decoder_message()}\n"
+
+    def test_stdin_feeds_one_input(self, capsys, monkeypatch, four_cycle_files):
+        tet, _ = four_cycle_files
+        with open(tet) as handle:
+            monkeypatch.setattr("sys.stdin", io.StringIO(handle.read()))
+        code = main(["solve", "--tetrahedron", "-", "--projection", "-"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: stdin can feed only one input, but --tetrahedron and --projection are both -\n"
+        )
+
+
+# stdout, stderr and exit code of each case, captured under Python 3.11 with
+# COLUMNS=80 while every command still added all of its options up front
+GOLDEN_ARGV = {
+    "help": ["-h"],
+    "solve-help": ["solve", "-h"],
+    "analyze-help": ["analyze", "-h"],
+    "sample-help": ["sample", "-h"],
+    "verify-dims-help": ["verify-dims", "-h"],
+    "reproduce-help": ["reproduce", "-h"],
+    "no-command": [],
+    "unknown-command": ["frobnicate"],
+    "missing-required": ["solve", "--tetrahedron", "TET"],
+    "bad-perm-class": ["analyze", "--rotation", "ROT", "--perm-class", "five-cycle"],
+    "non-float-tol-geom": ["verify-dims", "--tol-geom", "abc"],
+    "abbreviated-tetr": ["solve", "--tetr", "TET", "--projection", "PROJ"],
+    "extra-positional": ["reproduce", "four-cycle", "extra"],
+}
+
+GOLDEN = {
+    "help": (
+        0,
+        (
+            "usage: tetrot [-h] {solve,analyze,sample,verify-dims,reproduce} ...\n"
+            "\n"
+            "Recover tetrahedron rotations from orthographic projections and analyze the\n"
+            "relabeling ambiguities.\n"
+            "\n"
+            "positional arguments:\n"
+            "  {solve,analyze,sample,verify-dims,reproduce}\n"
+            "    solve               recover rotations from tetrahedron and projection\n"
+            "                        files\n"
+            "    analyze             rank and dimension report for one rotation\n"
+            "    sample              draw ambiguous tetrahedra for a rotation and class\n"
+            "    verify-dims         sweep the dimension table with random rotations\n"
+            "    reproduce           replay a bundled worked instance\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        ),
+        "",
+    ),
+    "solve-help": (
+        0,
+        (
+            "usage: tetrot solve [-h] --tetrahedron TETRAHEDRON --projection PROJECTION\n"
+            "                    [--labeled] [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
+            "                    [--tol-angle TOL_ANGLE] [--seed SEED]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --tetrahedron TETRAHEDRON\n"
+            '                        JSON file {"vertices": ...} or -\n'
+            "  --projection PROJECTION\n"
+            '                        JSON file {"points": ...} or -\n'
+            "  --labeled             match projection point i to vertex i instead of trying\n"
+            "                        all relabelings\n"
+            "  --tol-rank TOL_RANK   relative singular-value cutoff for rank decisions\n"
+            "  --tol-geom TOL_GEOM   absolute tolerance for projected-point matches\n"
+            "  --tol-angle TOL_ANGLE\n"
+            "                        tolerance for axis components and special angles;\n"
+            "                        above pi/12 the half-, quarter- and third-turn windows\n"
+            "                        overlap, and the first match in that order decides\n"
+            "  --seed SEED           base seed for all randomness\n"
+        ),
+        "",
+    ),
+    "analyze-help": (
+        0,
+        (
+            "usage: tetrot analyze [-h] --rotation ROTATION --perm-class\n"
+            "                      {identity,two-cycle,double-two-cycle,three-cycle,four-cycle}\n"
+            "                      [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
+            "                      [--tol-angle TOL_ANGLE] [--seed SEED]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            '  --rotation ROTATION   JSON file {"quaternion": ...} or {"axis": ...,\n'
+            '                        "angle_rad": ...} or -\n'
+            "  --perm-class {identity,two-cycle,double-two-cycle,three-cycle,four-cycle}\n"
+            "  --tol-rank TOL_RANK   relative singular-value cutoff for rank decisions\n"
+            "  --tol-geom TOL_GEOM   absolute tolerance for projected-point matches\n"
+            "  --tol-angle TOL_ANGLE\n"
+            "                        tolerance for axis components and special angles;\n"
+            "                        above pi/12 the half-, quarter- and third-turn windows\n"
+            "                        overlap, and the first match in that order decides\n"
+            "  --seed SEED           base seed for all randomness\n"
+        ),
+        "",
+    ),
+    "sample-help": (
+        0,
+        (
+            "usage: tetrot sample [-h] --rotation ROTATION --perm-class\n"
+            "                     {identity,two-cycle,double-two-cycle,three-cycle,four-cycle}\n"
+            "                     [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
+            "                     [--tol-angle TOL_ANGLE] [--seed SEED] [--trials TRIALS]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --rotation ROTATION\n"
+            "  --perm-class {identity,two-cycle,double-two-cycle,three-cycle,four-cycle}\n"
+            "  --tol-rank TOL_RANK   relative singular-value cutoff for rank decisions\n"
+            "  --tol-geom TOL_GEOM   absolute tolerance for projected-point matches\n"
+            "  --tol-angle TOL_ANGLE\n"
+            "                        tolerance for axis components and special angles;\n"
+            "                        above pi/12 the half-, quarter- and third-turn windows\n"
+            "                        overlap, and the first match in that order decides\n"
+            "  --seed SEED           base seed for all randomness\n"
+            "  --trials TRIALS       number of random trials or samples\n"
+        ),
+        "",
+    ),
+    "verify-dims-help": (
+        0,
+        (
+            "usage: tetrot verify-dims [-h] [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
+            "                          [--tol-angle TOL_ANGLE] [--seed SEED]\n"
+            "                          [--trials TRIALS]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --tol-rank TOL_RANK   relative singular-value cutoff for rank decisions\n"
+            "  --tol-geom TOL_GEOM   absolute tolerance for projected-point matches\n"
+            "  --tol-angle TOL_ANGLE\n"
+            "                        tolerance for axis components and special angles;\n"
+            "                        above pi/12 the half-, quarter- and third-turn windows\n"
+            "                        overlap, and the first match in that order decides\n"
+            "  --seed SEED           base seed for all randomness\n"
+            "  --trials TRIALS       number of random trials or samples\n"
+        ),
+        "",
+    ),
+    "reproduce-help": (
+        0,
+        (
+            "usage: tetrot reproduce [-h] [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
+            "                        [--tol-angle TOL_ANGLE] [--seed SEED]\n"
+            "                        [--trials TRIALS]\n"
+            "                        {four-cycle,norm-prune,planar,uniqueness-sweep}\n"
+            "\n"
+            "positional arguments:\n"
+            "  {four-cycle,norm-prune,planar,uniqueness-sweep}\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --tol-rank TOL_RANK   relative singular-value cutoff for rank decisions\n"
+            "  --tol-geom TOL_GEOM   absolute tolerance for projected-point matches\n"
+            "  --tol-angle TOL_ANGLE\n"
+            "                        tolerance for axis components and special angles;\n"
+            "                        above pi/12 the half-, quarter- and third-turn windows\n"
+            "                        overlap, and the first match in that order decides\n"
+            "  --seed SEED           base seed for all randomness\n"
+            "  --trials TRIALS       number of random trials or samples\n"
+        ),
+        "",
+    ),
+    "no-command": (
+        2,
+        "",
+        (
+            "usage: tetrot [-h] {solve,analyze,sample,verify-dims,reproduce} ...\n"
+            "tetrot: error: the following arguments are required: command\n"
+        ),
+    ),
+    "unknown-command": (
+        2,
+        "",
+        (
+            "usage: tetrot [-h] {solve,analyze,sample,verify-dims,reproduce} ...\n"
+            "tetrot: error: argument command: invalid choice: 'frobnicate' (choose from 'solve', 'analyze', 'sample', 'verify-dims', 'reproduce')\n"
+        ),
+    ),
+    "missing-required": (
+        2,
+        "",
+        (
+            "usage: tetrot solve [-h] --tetrahedron TETRAHEDRON --projection PROJECTION\n"
+            "                    [--labeled] [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
+            "                    [--tol-angle TOL_ANGLE] [--seed SEED]\n"
+            "tetrot solve: error: the following arguments are required: --projection\n"
+        ),
+    ),
+    "bad-perm-class": (
+        2,
+        "",
+        (
+            "usage: tetrot analyze [-h] --rotation ROTATION --perm-class\n"
+            "                      {identity,two-cycle,double-two-cycle,three-cycle,four-cycle}\n"
+            "                      [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
+            "                      [--tol-angle TOL_ANGLE] [--seed SEED]\n"
+            "tetrot analyze: error: argument --perm-class: invalid choice: 'five-cycle' (choose from 'identity', 'two-cycle', 'double-two-cycle', 'three-cycle', 'four-cycle')\n"
+        ),
+    ),
+    "non-float-tol-geom": (
+        2,
+        "",
+        (
+            "usage: tetrot verify-dims [-h] [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
+            "                          [--tol-angle TOL_ANGLE] [--seed SEED]\n"
+            "                          [--trials TRIALS]\n"
+            "tetrot verify-dims: error: argument --tol-geom: invalid float value: 'abc'\n"
+        ),
+    ),
+    "abbreviated-tetr": (
+        1,
+        (
+            "{\n"
+            '  "command": "solve",\n'
+            '  "labeled": false,\n'
+            '  "candidates": []\n'
+            "}\n"
+        ),
+        "",
+    ),
+    "extra-positional": (
+        2,
+        "",
+        (
+            "usage: tetrot [-h] {solve,analyze,sample,verify-dims,reproduce} ...\n"
+            "tetrot: error: unrecognized arguments: extra\n"
+        ),
+    ),
+}
+
+
+@pytest.fixture
+def golden_files(tmp_path):
+    """TET and PROJ: the four-cycle tetrahedron and its projection scaled by 5
+    (no rotation matches it); ROT: a vertical half-turn."""
+    inst = four_cycle_instance()
+    files = {"TET": tmp_path / "tet.json", "PROJ": tmp_path / "proj.json", "ROT": tmp_path / "rot.json"}
+    files["TET"].write_text(json.dumps({"vertices": inst.tetrahedron.vertices.tolist()}))
+    files["PROJ"].write_text(json.dumps({"points": (inst.projection.points * 5.0).tolist()}))
+    files["ROT"].write_text(json.dumps({"axis": [0, 0, 1], "angle_rad": math.pi}))
+    return {key: str(path) for key, path in files.items()}
+
+
+def invoke(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of one main() call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class _EagerCommandParser(cli._CommandParser):
+    """A command parser that adds its options when it is built."""
+
+    def __init__(self, *args, add_options=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        if add_options is not None:
+            add_options(self)
+
+
+class TestGoldenText:
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11),
+        reason="argparse wording and layout vary between Python versions; the pins come from 3.11",
+    )
+    @pytest.mark.parametrize("case", sorted(GOLDEN_ARGV))
+    def test_pinned(self, capsys, monkeypatch, golden_files, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [golden_files.get(arg, arg) for arg in GOLDEN_ARGV[case]]
+        assert invoke(capsys, argv) == GOLDEN[case]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_ARGV))
+    def test_same_as_options_added_up_front(self, capsys, monkeypatch, golden_files, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [golden_files.get(arg, arg) for arg in GOLDEN_ARGV[case]]
+        lazy = invoke(capsys, argv)
+        monkeypatch.setattr(cli, "_CommandParser", _EagerCommandParser)
+        assert invoke(capsys, argv) == lazy
+
+
+COMMON_OPTIONS = {"--tol-rank", "--tol-geom", "--tol-angle", "--seed"}
+
+
+class TestLazyOptions:
+    @pytest.mark.parametrize("argv, own", [
+        (["solve", "--tetrahedron", "TET", "--projection", "PROJ"],
+         {"--tetrahedron", "--projection", "--labeled"} | COMMON_OPTIONS),
+        (["analyze", "--rotation", "ROT", "--perm-class", "double-two-cycle"],
+         {"--rotation", "--perm-class"} | COMMON_OPTIONS),
+        (["sample", "--rotation", "ROT", "--perm-class", "two-cycle"],
+         {"--rotation", "--perm-class", "--trials"} | COMMON_OPTIONS),
+        (["verify-dims", "--trials", "1"], {"--trials"} | COMMON_OPTIONS),
+        (["reproduce", "four-cycle"], {"name", "--trials"} | COMMON_OPTIONS),
+    ])
+    def test_only_the_command_options_are_added(self, capsys, monkeypatch, golden_files, argv, own):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def recording(self, *args, **kwargs):
+            added.extend(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+        code, _, err = invoke(capsys, [golden_files.get(arg, arg) for arg in argv])
+        assert err == ""
+        assert code in (0, 1)
+        assert set(added) == {"-h", "--help"} | own
+
+
+class TestSampleDefinition:
+    SEED = 31
+
+    def rotation_file(self, tmp_path, index):
+        """One cell rotation as a file, and the rotation the CLI reads back from it."""
+        q = sample_cell_rotation(CLASSIFICATION_CELLS[index], np.random.default_rng([17, index]))
+        text = json.dumps({"quaternion": list(q.as_array())})
+        path = tmp_path / f"rot{index}.json"
+        path.write_text(text)
+        return str(path), parse_rotation(json.loads(text))
+
+    @pytest.mark.parametrize("index", range(len(CLASSIFICATION_CELLS)))
+    def test_report_is_sample_tetrahedron_per_trial(self, capsys, tmp_path, index):
+        perm_class = CLASSIFICATION_CELLS[index].perm_class
+        sigma = CANONICAL_PERMUTATION[perm_class]
+        path, q = self.rotation_file(tmp_path, index)
+        code, report = run(capsys, [
+            "sample", "--rotation", path, "--perm-class", perm_class.value,
+            "--trials", "5", "--seed", str(self.SEED),
+        ])
+        assert code == 0
+        assert len(report["samples"]) == 5
+        for t, sample in enumerate(report["samples"]):
+            tetra = sample_tetrahedron(q, perm_class, np.random.default_rng([self.SEED, t]))
+            rotated = ProjectionQuad(apply(q, tetra.vertices)[:, :2])
+            reordered = project(tetra).points[list(sigma.zero_based())]
+            residual = float(np.max(np.linalg.norm(rotated.points - reordered, axis=1)))
+            assert sample["vertices"] == tetra.vertices.tolist()
+            assert sample["match_residual"] == residual
+
+    def test_one_svd_per_command(self, capsys, monkeypatch, tmp_path):
+        path, _ = self.rotation_file(tmp_path, 0)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        code, report = run(capsys, [
+            "sample", "--rotation", path, "--perm-class", CLASSIFICATION_CELLS[0].perm_class.value,
+            "--trials", "5",
+        ])
+        assert code == 0
+        assert len(report["samples"]) == 5
+        assert len(calls) == 1
