@@ -75,34 +75,32 @@ class RunConfig:
 
 
 def _load_json(path: str):
+    name = "<stdin>" if path == "-" else path
     try:
         if path == "-":
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{'<stdin>' if path == '-' else path}: {exc}") from None
+    except ValueError as exc:  # a decoder error, bytes that are not UTF-8, an integer too long
+        raise ValueError(f"{name}: {exc}") from None
     except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply") from None
+        raise ValueError(f"{name}: JSON nested too deeply") from None
 
 
 def _numbers(obj: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     """obj[key] as a finite float array of the given shape.
 
     Every entry must be a JSON number: numpy alone would read true, "1" and
-    null as numbers, or fail on them with a TypeError.
+    null as numbers, or fail on them with a TypeError.  Its magnitude must be
+    at most 1e150, so that the squared norms the solver takes stay finite.
     """
     pending = [obj[key]]
     while pending:
         value = pending.pop()
         if isinstance(value, list):
             pending.extend(value)
-        elif (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or abs(value) > sys.float_info.max  # an integer too large for a float
-        ):
-            raise ValueError(f"{key} must hold only finite JSON numbers, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= 1e150:
+            raise ValueError(f"{key} must hold only finite JSON numbers up to 1e150 in magnitude, got {value!r}")
     return as_finite_array(obj[key], shape, key)
 
 

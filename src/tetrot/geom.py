@@ -45,7 +45,7 @@ def as_finite_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
 class Tolerances:
     """Shared numeric thresholds.
 
-    rank_rel  -- relative singular-value cutoff for rank decisions
+    rank_rel  -- relative singular-value cutoff for rank decisions, below 1
     geom_abs  -- absolute tolerance when matching projected points
     angle_abs -- tolerance for axis components and special angles
     dedupe    -- Frobenius distance below which rotations are merged
@@ -61,6 +61,8 @@ class Tolerances:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
+        if not self.rank_rel < 1.0:  # a cutoff at or above 1 drops every singular value
+            raise ValueError(f"rank_rel must be below 1, got {self.rank_rel!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()

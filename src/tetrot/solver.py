@@ -9,13 +9,13 @@ ellipse through six constructible points and lifts it back to space.
 
 The linear route is one core shared by both problems: the labeled solver
 fits the identity relabeling, the unlabeled solver every relabeling that
-survives the norm test.  The core factors the vertex matrix once per
-tetrahedron and fits all relabelings in one batch: one stacked solve for
-a full-dimensional tetrahedron, one least-squares solve for the in-plane
-rows of a planar one.  Each branch passes three tests: orthonormal rows,
-a snap to an exact rotation, and the residual against the observed
-projection.  The last two run in one gate call per tetrahedron, which
-the geometric route shares for its two lifts.
+survives the norm test.  It fits the rotation whose shadow is nearest the
+points (orthographic Procrustes; Elden and Park, Numer. Math. 1999) for
+all relabelings at once and either rank of the vertex matrix: one
+least-squares solve gives two rows, the completions along the plane
+normal (Huttenlocher and Ullman, IJCV 1990) add what it leaves open, and
+Gauss-Newton steps on SO(3) refine starts that noise moved.  The one
+acceptance test, shared with the geometric route, is the shadow residual.
 """
 
 from __future__ import annotations
@@ -54,17 +54,15 @@ __all__ = [
     "unlabeled_solve",
 ]
 
-# Orthonormality acceptance for solved matrix rows; looser than machine
-# precision to absorb the conditioning of near-planar tetrahedra.  The
-# residual check against the observed projection is the final gate.
-_ORTHO_ATOL = 1e-7
-_SNAP_ATOL = 1e-6
-
 # Zero-based images of every relabeling, one row per entry of
 # ALL_PERMUTATIONS, and the row of each relabeling.
 _PERM_INDEX = np.array([sigma.zero_based() for sigma in ALL_PERMUTATIONS])
 _PERM_INDEX.flags.writeable = False
 _PERM_ROW = {sigma: row for row, sigma in enumerate(ALL_PERMUTATIONS)}
+# w @ _CROSS_MATRIX is [w]x, the matrix of v -> w x v, row by row.
+_CROSS_MATRIX = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0], [0, 0, 1, 0, 0, 0, -1, 0, 0], [0, -1, 0, 1, 0, 0, 0, 0, 0]],
+                         dtype=float)
+_CROSS_MATRIX.flags.writeable = False
 
 
 class DegenerateTetrahedronError(ValueError):
@@ -139,41 +137,101 @@ def _cross(a: list[float], b: list[float]) -> list[float]:
     return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
+def _noise_bounds(s: np.ndarray, s_min: float, tol: Tolerances) -> tuple[float, float]:
+    """Row bound and residual screen for P3 with singular values s.
+
+    Noise g = geom_abs moves the fitted rows by at most sqrt(3) x, x = g/s_min,
+    and I - A A^T by less than bound = 4x(1 + x).  A start is then within about
+    sqrt(bound) of a rotation and, as no vertex is longer than 2 s[0], misses
+    its shadow by less than screen.
+    """
+    x = tol.geom_abs / float(s_min)
+    bound = 4.0 * x * (1.0 + x)
+    return bound, tol.geom_abs + 8.0 * math.sqrt(bound) * float(s[0])
+
+
+def _starts(rows: list, normal: list[float], bound: float) -> tuple[list[int], list]:
+    """Starts (pairs of rows) of the Procrustes fit, and the branch of each.
+
+    Rows of a rotation make I - A A^T = c c^T, c their components along the
+    normal, which A leaves out.  A branch further from that form than bound
+    is dropped; one whose c is within bound of zero starts from A, any other
+    from its two completions A + c n^T and A - c n^T.
+    """
+    owner, starts = [], []
+    for j, (r1, r2) in enumerate(rows):
+        m00 = 1.0 - (r1[0] * r1[0] + r1[1] * r1[1] + r1[2] * r1[2])
+        m11 = 1.0 - (r2[0] * r2[0] + r2[1] * r2[1] + r2[2] * r2[2])
+        m01 = -(r1[0] * r2[0] + r1[1] * r2[1] + r1[2] * r2[2])
+        # I - A A^T has eigenvalues mean + rad and mean - rad
+        mean, half = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
+        rad = math.sqrt(half * half + m01 * m01)
+        if abs(mean - rad) > bound:
+            continue
+        pairs = [[r1, r2]]
+        if mean + rad > bound:
+            # c is the eigenvector of mean + rad, scaled to its square root
+            e0, e1 = (rad + half, m01) if half >= 0.0 else (m01, rad - half)
+            scale = math.sqrt((mean + rad) / (e0 * e0 + e1 * e1))
+            pairs = [[[a + sign * e * n for a, n in zip(r, normal)] for r, e in ((r1, e0), (r2, e1))]
+                     for sign in (scale, -scale)]
+        owner += [j] * len(pairs)
+        starts += pairs
+    return owner, starts
+
+
+def _gauss_newton(vertices: np.ndarray, matrices: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Three pseudo-inverse Gauss-Newton steps R <- exp([w]x) R on sum_i |(R p_i)[:2] - u_i|^2."""
+    for _ in range(3):
+        q = vertices @ matrices.mT
+        # q + w x q = q - [q]x w: the shadow's Jacobian in w is the top of -[q]x
+        jac = -(q @ _CROSS_MATRIX).reshape(-1, 4, 3, 3)[..., :2, :].reshape(-1, 8, 3)
+        w = -(np.linalg.pinv(jac) @ (q[..., :2] - points).reshape(-1, 8, 1))[..., 0]
+        # exp([w]x) = I + sin(t)/t [w]x + (1 - cos t)/t^2 [w]x^2, t = |w|
+        cross = (w @ _CROSS_MATRIX).reshape(-1, 3, 3)
+        t = np.sqrt(np.vecdot(w, w))[:, None, None]
+        step = np.sinc(t / np.pi) * cross + 0.5 * np.sinc(t / (2.0 * np.pi)) ** 2 * (cross @ cross)
+        matrices = (_EYE3 + step) @ matrices
+    return matrices
+
+
 def _gate(
     vertices: np.ndarray,
-    points: np.ndarray,
+    starts: list,
     sigmas: list[Permutation4],
-    owner: list[int],
-    matrices: list[list[list[float]]],
+    points: np.ndarray,
+    screen: float,
     planar: bool,
     tol: Tolerances,
 ) -> list[SolveCandidate]:
-    """Snap near-rotations to exact ones and keep those that fit their shadow.
+    """Snap starts to rotations, refine them, and keep those that fit their shadow.
 
-    Matrix i, given as nested lists, was fitted under relabeling
-    sigmas[owner[i]] to the shadow points[owner[i]].  All matrices are
-    tested as one (n, 3, 3) stack.  A matrix is snapped when it is
-    orthogonal with determinant 1 within _SNAP_ATOL, and a NaN or inf
-    entry fails that test.  A snapped rotation is kept when it projects
-    every vertex within geom_abs of its shadow point.
+    Start i, two rows fitted under sigmas[i] to the shadow points[i], gets
+    their cross product as third row and is snapped to a quaternion, unless
+    it is not finite.  A rotation missing by more than geom_abs but at most
+    screen takes Gauss-Newton steps; one within geom_abs at every vertex is kept.
     """
-    if not matrices:
-        return []
-    stack = np.array(matrices)
-    ortho = np.abs(stack.mT @ stack - _EYE3).max(axis=(1, 2))
-    error = np.maximum(ortho, np.abs(np.linalg.det(stack) - 1.0))
-    kept = [i for i, ok in enumerate((error <= _SNAP_ATOL).tolist()) if ok]
-    if not kept:
-        return []
-    quats = [_quat_from_rows(matrices[i]) for i in kept]
-    snapped = np.array([_rotation_rows(q.a, q.b, q.c, q.d) for q in quats])
-    snapped.flags.writeable = False
-    branch = [owner[i] for i in kept]
-    diff = (vertices @ snapped.mT)[..., :2] - points[branch]
-    residuals = np.sqrt(np.add.reduce(diff * diff, axis=-1)).max(axis=-1).tolist()
+    quats, kept = [], []
+    for i, (r1, r2) in enumerate(starts):
+        try:
+            quats.append(_quat_from_rows([r1, r2, _cross(r1, r2)]))
+        except ValueError:  # a NaN or inf row
+            continue
+        kept.append(i)
+    points = points[kept]
+    for attempt in range(2):
+        matrices = np.array([_rotation_rows(q.a, q.b, q.c, q.d) for q in quats]).reshape(-1, 3, 3)
+        diff = (vertices @ matrices.mT)[..., :2] - points
+        residuals = np.sqrt(np.add.reduce(diff * diff, axis=-1)).max(axis=-1).tolist()
+        refine = [i for i, r in enumerate(residuals) if tol.geom_abs < r <= screen]
+        if attempt or not refine:
+            break
+        for i, rows in zip(refine, _gauss_newton(vertices, matrices[refine], points[refine]).tolist()):
+            quats[i] = _quat_from_rows(rows)
+    matrices.flags.writeable = False
     return [
-        SolveCandidate(sigmas[j], q, m, residual, planar)
-        for j, q, m, residual in zip(branch, quats, snapped, residuals)
+        SolveCandidate(sigmas[i], q, m, residual, planar)
+        for i, q, m, residual in zip(kept, quats, matrices, residuals)
         if residual <= tol.geom_abs
     ]
 
@@ -186,12 +244,10 @@ def _fit_relabelings(
 ) -> list[SolveCandidate]:
     """Rotations mapping vertex i onto point sigma(i), for each sigma given.
 
-    P3 = vertices[:3] is factored once, and a P3 spanning less than a
-    plane is rejected even when sigmas is empty.  A full-dimensional P3
-    gets the 2k row systems of all branches in one stacked solve; a planar
-    one gets the in-plane rows of all branches from one least-squares
-    solve, then the row completions of each branch.  One gate call takes
-    every matrix of the tetrahedron.
+    P3 = vertices[:3] is factored once, and a P3 spanning less than a plane
+    is rejected even when sigmas is empty.  One least-squares solve at
+    rcond = rank_rel gives the first two rows of every branch, whatever the
+    rank of P3, and one gate call takes the starts of every branch.
     """
     p3 = tetra.vertices[:3]
     _, s, vt = np.linalg.svd(p3)
@@ -199,48 +255,19 @@ def _fit_relabelings(
         raise DegenerateTetrahedronError("vertices span less than a plane")
     if not sigmas:
         return []
-    k = len(sigmas)
+    planar = bool(s[2] <= tol.rank_rel * s[0])
+    # Noise tilts the rows along n by up to sqrt(3) geom_abs / s[2]; past 1e-2 three
+    # Gauss-Newton steps may not recover, so keep the in-plane part and complete it.
+    in_plane = planar or s[2] <= 100.0 * tol.geom_abs
+    bound, screen = _noise_bounds(s, s[1] if in_plane else s[2], tol)
     points = quad.points[_PERM_INDEX[[_PERM_ROW[sigma] for sigma in sigmas]]]
-
-    if s[2] > tol.rank_rel * s[0]:
-        # Rows 2j and 2j+1 are the first two matrix rows of branch j.  Stacked
-        # one-vector solves and vecdot give the bits of a separate
-        # np.linalg.solve(p3, x) and np.linalg.norm per row; a multi-column
-        # solve or einsum would not.
-        rhs = points[:, :3].transpose(0, 2, 1).reshape(2 * k, 3)
-        rows = np.linalg.solve(np.broadcast_to(p3, (2 * k, 3, 3)), rhs[..., None])[..., 0]
-        r1, r2 = rows[0::2], rows[1::2]
-        norms = np.sqrt(np.vecdot(rows, rows))
-        rejected = (
-            (np.abs(norms[0::2] - 1.0) > _ORTHO_ATOL)
-            | (np.abs(norms[1::2] - 1.0) > _ORTHO_ATOL)
-            | (np.abs(np.vecdot(r1, r2)) > _ORTHO_ATOL)
-        )
-        owner = [j for j, bad in enumerate(rejected.tolist()) if not bad]
-        pairs = rows.reshape(k, 2, 3).tolist()
-        matrices = [[*pairs[j], _cross(*pairs[j])] for j in owner]
-        planar = False
-    else:
-        # Columns 2j and 2j+1 of the right-hand side are the x and y
-        # coordinates of branch j; one multi-column lstsq gives each column
-        # the bits of its own solve, and vecdot those of a separate v @ v.
-        basis = vt[:2]
-        rhs = points[:, :3].transpose(1, 0, 2).reshape(3, 2 * k)
-        sol, *_ = np.linalg.lstsq(p3 @ basis.T, rhs, rcond=None)
-        rows = sol.T @ basis
-        v1, v2 = rows[0::2], rows[1::2]
-        s2 = (1.0 - np.vecdot(v1, v1)).tolist()
-        t2 = (1.0 - np.vecdot(v2, v2)).tolist()
-        dots = np.vecdot(v1, v2).tolist()
-        v1, v2, normal = v1.tolist(), v2.tolist(), vt[2].tolist()
-        owner, matrices = [], []
-        for j in range(k):
-            for m in _planar_completions(v1[j], v2[j], normal, s2[j], t2[j], dots[j], tol):
-                owner.append(j)
-                matrices.append(m)
-        planar = True
-
-    out = _gate(tetra.vertices, points, sigmas, owner, matrices, planar, tol)
+    # columns 2j and 2j+1 of the right-hand side are the x and y of branch j
+    rhs = points[:, :3].transpose(1, 0, 2).reshape(3, -1)
+    rows = np.linalg.lstsq(p3, rhs, rcond=tol.rank_rel)[0].T.reshape(-1, 2, 3)
+    if in_plane:
+        rows -= (rows @ vt[2])[..., None] * vt[2]
+    owner, starts = _starts(rows.tolist(), vt[2].tolist(), bound)
+    out = _gate(tetra.vertices, starts, [sigmas[j] for j in owner], points[owner], screen, planar, tol)
     return dedupe_rotations(out, tol.dedupe)
 
 
@@ -252,47 +279,12 @@ def labeled_solve(
     """Rotations mapping vertex i onto projection point i, for all i.
 
     A full-dimensional tetrahedron admits at most one candidate; a planar
-    one admits up to two (completions of the in-plane row components along
-    the plane normal), flagged planar_ambiguous.  An empty list means the
-    quad is not realizable.  Vertex sets spanning less than a plane are
-    rejected.
+    one admits up to two (the completions of the fitted rows along the
+    plane normal), flagged planar_ambiguous.  A candidate is kept when its
+    shadow lies within geom_abs of the quad; an empty list means no
+    rotation does.  Vertex sets spanning less than a plane are rejected.
     """
     return _fit_relabelings(tetra, quad, [IDENTITY_PERMUTATION], tol)
-
-
-def _planar_completions(
-    v1: list[float],
-    v2: list[float],
-    normal: list[float],
-    s2: float,
-    t2: float,
-    cross: float,
-    tol: Tolerances,
-) -> list[list[list[float]]]:
-    """Row completions of one branch on a planar vertex set, as nested lists.
-
-    v1, v2 are the in-plane components of the first two matrix rows, fixed
-    by the data, with s2 = 1-|v1|^2, t2 = 1-|v2|^2 and cross = v1.v2.  The
-    out-of-plane components (s, t) along the unit plane normal satisfy
-    s^2 = s2, t^2 = t2 and cross + s t = 0, which leaves at most two sign
-    choices.
-    """
-    if s2 < -_ORTHO_ATOL or t2 < -_ORTHO_ATOL:
-        return []
-    s0 = math.sqrt(max(s2, 0.0))
-    t0 = math.sqrt(max(t2, 0.0))
-    matrices: list[list[list[float]]] = []
-    for sgn_s in (1.0, -1.0):
-        for sgn_t in (1.0, -1.0):
-            s, t = sgn_s * s0, sgn_t * t0
-            if abs(cross + s * t) > _ORTHO_ATOL:
-                continue
-            r1 = [v + s * n for v, n in zip(v1, normal)]
-            r2 = [v + t * n for v, n in zip(v2, normal)]
-            m = [r1, r2, _cross(r1, r2)]
-            if all(np.linalg.norm(np.subtract(m, seen)) > tol.dedupe for seen in matrices):
-                matrices.append(m)
-    return matrices
 
 
 def circumcircle3(p, q, r, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> Circle3D:
@@ -398,15 +390,16 @@ def reconstruct_geometric(
     the six points to the projection by the invariant chord ratio; fit the
     ellipse they span; lift it to the two circle planes that project onto
     it (mirror images in the projection plane); extend each lift to a
-    rigid image of the whole tetrahedron and keep the lifts whose induced
-    linear map is a rotation reproducing the observed projection.
+    rigid image of the whole tetrahedron, and pass the first two rows of
+    each induced linear map through the gate of the linear route.
 
     Requires a full-dimensional tetrahedron and a non-degenerate view.
     Agrees with labeled_solve where both apply.
     """
-    if not tetra.full_dimensional(tol.rank_rel):
-        raise DegenerateTetrahedronError("geometric reconstruction needs a full-dimensional tetrahedron")
     p3 = tetra.vertices[:3]
+    s = np.linalg.svd(p3, compute_uv=False)
+    if not (s[0] > 0.0 and s[2] > tol.rank_rel * s[0]):
+        raise DegenerateTetrahedronError("geometric reconstruction needs a full-dimensional tetrahedron")
     p4 = tetra.vertices[3]
     circle = circumcircle3(*p3, rel_tol=tol.rank_rel)
 
@@ -454,8 +447,9 @@ def reconstruct_geometric(
         image4 = lifted[0] + rigid @ (p4 - p3[0])
         images = np.vstack([lifted, image4])
         images = images - images.mean(axis=0)
-        lifts.append(np.linalg.solve(p3, images[:3]).T.tolist())
-    out = _gate(tetra.vertices, quad.points[None], [IDENTITY_PERMUTATION], [0, 0], lifts, False, tol)
+        lifts.append(np.linalg.solve(p3, images[:3]).T[:2].tolist())
+    _, screen = _noise_bounds(s, s[2], tol)
+    out = _gate(tetra.vertices, lifts, [IDENTITY_PERMUTATION] * 2, np.array([quad.points] * 2), screen, False, tol)
     return dedupe_rotations(out, tol.dedupe)
 
 
@@ -487,9 +481,9 @@ def unlabeled_solve(
 
     One factorization of the tetrahedron, one batched fit over the
     relabelings that survive the norm pruning (at most 24) and one gate
-    call for all of them, each branch tested like a labeled solve:
-    orthonormal rows, snap to a rotation, residual.  Each candidate equals what labeled_solve gives on the
-    relabeled projection.  Near-identical rotations are merged per
+    call for all of them, each branch fitted and accepted like a labeled
+    solve.  Each candidate is one labeled_solve gives on the relabeled
+    projection.  Near-identical rotations are merged per
     relabeling; the result is ordered by relabeling and residual.  An
     empty list means no rotation is compatible.  Vertex sets spanning less
     than a plane are rejected, even when no relabeling survives.
@@ -504,17 +498,22 @@ def dedupe_rotations(
     """Merge candidates with the same relabeling and nearly equal matrices.
 
     Within each relabeling, matrices closer than dedupe_tol in Frobenius
-    norm collapse to the representative with the smallest residual.  The
-    output is sorted by relabeling images, then residual.
+    norm collapse to the representative with the smallest residual, taking
+    the distances of a relabeling from one stacked pairwise computation.
+    The output is sorted by relabeling images, then residual.
     """
     by_sigma: dict[tuple[int, int, int, int], list[SolveCandidate]] = {}
     for cand in candidates:
         by_sigma.setdefault(cand.sigma.images, []).append(cand)
     merged: list[SolveCandidate] = []
     for images in sorted(by_sigma):
-        kept: list[SolveCandidate] = []
-        for cand in sorted(by_sigma[images], key=lambda c: c.residual):
-            if all(np.linalg.norm(cand.matrix - k.matrix) >= dedupe_tol for k in kept):
-                kept.append(cand)
-        merged.extend(kept)
+        group = sorted(by_sigma[images], key=lambda c: c.residual)
+        flat = np.array([cand.matrix.ravel() for cand in group])
+        diff = flat[:, None] - flat[None]
+        near = np.sqrt(np.vecdot(diff, diff)) < dedupe_tol
+        kept: list[int] = []
+        for i in range(len(group)):
+            if not near[i, kept].any():
+                kept.append(i)
+        merged.extend(group[i] for i in kept)
     return merged

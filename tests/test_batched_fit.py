@@ -2,12 +2,12 @@
 
 The definition tests spell out what unlabeled_solve means: the labeled
 solve of every relabeling that survives the norm test, merged by
-dedupe_rotations; on a planar tetrahedron, each branch completed from two
-least-squares solves of its own.  The golden tests fix the exact bits of
-the output of unlabeled_solve, labeled_solve and reconstruct_geometric on
-five instances, so that a change in the last bits of any candidate fails.
-The gate tests feed the shared snap-and-residual gate matrices on either
-side of each of its tolerances.
+dedupe_rotations; and the fit itself, written out one relabeling and one
+start at a time.  The golden tests fix the exact bits of the output of
+unlabeled_solve, labeled_solve and reconstruct_geometric on five
+instances, so that a change in the last bits of any candidate fails.
+The gate tests feed the shared gate rows on either side of its one
+tolerance.
 """
 
 import math
@@ -24,6 +24,7 @@ from tetrot import (
     ProjectionQuad,
     SolveCandidate,
     Tetrahedron,
+    UnitQuaternion,
     apply,
     dedupe_rotations,
     labeled_solve,
@@ -37,7 +38,8 @@ from tetrot import (
     unlabeled_solve,
 )
 from tetrot.instances import four_cycle_instance, planar_instance
-from tetrot.solver import _ORTHO_ATOL, _SNAP_ATOL, _gate
+from tetrot import solver
+from tetrot.solver import _gate
 
 from conftest import random_full_dim_tetrahedron, random_unit_quaternion
 
@@ -89,48 +91,79 @@ class TestDefinition:
         assert count >= 80
 
 
-def per_branch_planar_solve(tetra, quad):
-    """unlabeled_solve on a planar tetrahedron, one branch at a time.
+def gauss_newton(vertices, matrix, points):
+    """Three steps R <- exp([w]x) R on sum_i |(R p_i)[:2] - u_i|^2."""
+    for _ in range(3):
+        x, y, z = (vertices @ matrix.T).T
+        # the shadow of R p moves by w x (R p): rows (0, z, -y) and (-z, 0, x)
+        jac = np.array([row for i in range(4) for row in ([0.0, z[i], -y[i]], [-z[i], 0.0, x[i]])])
+        miss = (np.column_stack([x, y]) - points).reshape(8, 1)
+        w = -(np.linalg.pinv(jac) @ miss)[:, 0]
+        cross = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+        t = np.sqrt(np.vecdot(w, w))
+        step = np.sinc(t / np.pi) * cross + 0.5 * np.sinc(t / (2.0 * np.pi)) ** 2 * (cross @ cross)
+        matrix = (np.eye(3) + step) @ matrix
+    return matrix
 
-    Each surviving relabeling gets two least-squares solves of its own for
-    the in-plane rows, its sign completions along the plane normal, and
-    for each completion a snap by matrix_to_quat and a residual test.
+
+def written_out_fit(tetra, quad, tol=DEFAULT_TOLERANCES):
+    """unlabeled_solve written out one relabeling and one start at a time.
+
+    For each surviving relabeling, two least-squares solves at rcond =
+    rank_rel give the rows r1, r2.  The 2x2 matrix I - A A^T, which is
+    c c^T for the rows of a rotation, screens the branch against bound.
+    It then picks one start A, or the two completions A + c n^T and
+    A - c n^T along the least singular vector n of P3.  Each start,
+    completed by r1 x r2, is snapped by matrix_to_quat.  A start whose
+    shadow misses by more than geom_abs but at most screen takes three
+    Gauss-Newton steps.  A rotation is kept when its residual is at most
+    geom_abs.
     """
-    p3 = tetra.vertices[:3]
-    _, _, vt = np.linalg.svd(p3)
-    basis, normal = vt[:2], vt[2]
-    coords = p3 @ basis.T
+    vertices = tetra.vertices
+    p3 = vertices[:3]
+    _, s, vt = np.linalg.svd(p3)
+    planar = bool(s[2] <= tol.rank_rel * s[0])
+    # rows tilted along n by noise past 1e-2 keep only their in-plane part
+    in_plane = planar or s[2] <= 100.0 * tol.geom_abs
+    ratio = tol.geom_abs / (s[1] if in_plane else s[2])
+    bound = 4.0 * ratio * (1.0 + ratio)
+    screen = tol.geom_abs + 8.0 * math.sqrt(bound) * s[0]
+    normal = vt[2]
+
+    def residual(q, points):
+        matrix = quat_to_matrix(q)
+        return matrix, float(np.linalg.norm((vertices @ matrix.T)[:, :2] - points, axis=1).max())
+
     out = []
-    for sigma in prune_permutations(tetra.vertices, quad):
+    for sigma in prune_permutations(vertices, quad, tol.geom_abs):
         points = quad.points[list(sigma.zero_based())]
-        v1b, *_ = np.linalg.lstsq(coords, points[:3, 0], rcond=None)
-        v2b, *_ = np.linalg.lstsq(coords, points[:3, 1], rcond=None)
-        v1 = v1b @ basis
-        v2 = v2b @ basis
-        s2 = 1.0 - float(v1 @ v1)
-        t2 = 1.0 - float(v2 @ v2)
-        if s2 < -_ORTHO_ATOL or t2 < -_ORTHO_ATOL:
+        r1 = np.linalg.lstsq(p3, points[:3, 0], rcond=tol.rank_rel)[0]
+        r2 = np.linalg.lstsq(p3, points[:3, 1], rcond=tol.rank_rel)[0]
+        if in_plane:
+            r1, r2 = r1 - (r1 @ normal) * normal, r2 - (r2 @ normal) * normal
+        m00 = 1.0 - (r1[0] * r1[0] + r1[1] * r1[1] + r1[2] * r1[2])
+        m11 = 1.0 - (r2[0] * r2[0] + r2[1] * r2[1] + r2[2] * r2[2])
+        m01 = -(r1[0] * r2[0] + r1[1] * r2[1] + r1[2] * r2[2])
+        mean, half = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
+        rad = math.sqrt(half * half + m01 * m01)
+        if abs(mean - rad) > bound:
             continue
-        s0, t0 = math.sqrt(max(s2, 0.0)), math.sqrt(max(t2, 0.0))
-        matrices = []
-        for s in (s0, -s0):
-            for t in (t0, -t0):
-                if abs(float(v1 @ v2) + s * t) > _ORTHO_ATOL:
-                    continue
-                r1, r2 = v1 + s * normal, v2 + t * normal
-                m = np.vstack([r1, r2, np.cross(r1, r2)])
-                if all(np.linalg.norm(m - seen) > DEFAULT_TOLERANCES.dedupe for seen in matrices):
-                    matrices.append(m)
-        for m in matrices:
-            try:
-                q = matrix_to_quat(m, atol=_SNAP_ATOL)
-            except ValueError:
-                continue
-            snapped = quat_to_matrix(q)
-            residual = float(np.max(np.linalg.norm((tetra.vertices @ snapped.T)[:, :2] - points, axis=1)))
-            if residual <= DEFAULT_TOLERANCES.geom_abs:
-                out.append(SolveCandidate(sigma, q, snapped, residual, True))
-    return dedupe_rotations(out)
+        if mean + rad <= bound:
+            starts = [(r1, r2)]
+        else:
+            # eigenvector of the larger eigenvalue mean + rad, scaled to its square root
+            e = np.array([rad + half, m01] if half >= 0.0 else [m01, rad - half])
+            c = e * math.sqrt((mean + rad) / (e[0] * e[0] + e[1] * e[1]))
+            starts = [(r1 + c[0] * normal, r2 + c[1] * normal), (r1 - c[0] * normal, r2 - c[1] * normal)]
+        for row1, row2 in starts:
+            q = matrix_to_quat(np.vstack([row1, row2, np.cross(row1, row2)]), atol=math.inf)
+            matrix, res = residual(q, points)
+            if tol.geom_abs < res <= screen:
+                q = matrix_to_quat(gauss_newton(vertices, matrix, points), atol=math.inf)
+                matrix, res = residual(q, points)
+            if res <= tol.geom_abs:
+                out.append(SolveCandidate(sigma, q, matrix, res, planar))
+    return dedupe_rotations(out, tol.dedupe)
 
 
 def planar_instances():
@@ -153,70 +186,89 @@ class TestPlanarDefinition:
         count = branches = 0
         for tetra, quad in planar_instances():
             got = unlabeled_solve(tetra, quad)
-            same_bits(got, per_branch_planar_solve(tetra, quad))
+            same_bits(got, written_out_fit(tetra, quad))
             count += 1
             branches += len(got)
         assert count >= 40
         assert branches >= 200
 
 
-class TestGate:
-    """_gate on one stack with a row on either side of each tolerance."""
+class TestFitDefinition:
+    def test_written_out_fit_holds_where_gauss_newton_runs(self, monkeypatch):
+        refined = []
+        refine = solver._gauss_newton
+        monkeypatch.setattr(solver, "_gauss_newton", lambda *args: refined.extend(args[1]) or refine(*args))
+        rng = np.random.default_rng(53)
+        for i in range(60):
+            if i % 3 == 0:
+                tetra, noise = random_full_dim_tetrahedron(rng), 1e-9
+            else:
+                # near-planar: a random plane, lifted off it by 1e-6 or 1e-8
+                basis = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+                lift = (1e-6, 1e-8)[i % 3 - 1] * rng.standard_normal((4, 1)) * basis[:, 2]
+                tetra, noise = Tetrahedron(rng.standard_normal((4, 2)) @ basis[:, :2].T + lift), 1e-10
+            shadow = apply(random_unit_quaternion(rng), tetra.vertices)[:, :2]
+            quad = ProjectionQuad(shadow + rng.normal(0.0, noise, (4, 2)))
+            same_bits(unlabeled_solve(tetra, quad), written_out_fit(tetra, quad))
+        assert len(refined) >= 30
 
-    @staticmethod
-    def shear(e):
-        # m.T @ m differs from I by exactly e in two entries; det m is 1
-        m = np.eye(3)
-        m[0, 1] = e
-        return m
+
+class TestGate:
+    """_gate on one batch of starts with a row on either side of its tolerance."""
 
     def test_only_rows_within_every_tolerance_come_back(self):
         tetra = four_cycle_instance().tetrahedron
         vertices = tetra.vertices
         shadow = vertices[:, :2]
-        nan = np.eye(3)
+        eye = np.eye(3)[:2]
+        nan = eye.copy()
         nan[1, 2] = np.nan
-        inf = np.eye(3)
-        inf[2, 0] = np.inf
+        inf = eye.copy()
+        inf[0, 0] = np.inf
 
         def shifted(d):
             points = shadow.copy()
             points[3, 0] += d
             return points
 
-        def own_shadow(m):
-            # the shadow of the rotation m snaps to, so that only the tested
-            # tolerance can reject the row
-            snapped = quat_to_matrix(matrix_to_quat(m, atol=1.0))
-            return (vertices @ snapped.T)[:, :2]
-
         rows = [
-            ("exact", np.eye(3), shadow, True),
+            ("exact", eye, shadow, True),
             ("nan", nan, shadow, False),
             ("inf", inf, shadow, False),
-            ("ortho below", self.shear(0.99e-6), own_shadow(self.shear(0.99e-6)), True),
-            ("ortho above", self.shear(1.01e-6), own_shadow(self.shear(1.01e-6)), False),
-            ("det -1", np.diag([1.0, 1.0, -1.0]), shadow, False),
-            ("residual below", np.eye(3), shifted(0.99e-8), True),
-            ("residual above", np.eye(3), shifted(1.01e-8), False),
+            # the first two rows of diag(1, 1, -1) complete to the identity
+            ("det -1 rows", np.diag([1.0, 1.0, -1.0])[:2], shadow, True),
+            ("residual below", eye, shifted(0.99e-8), True),
+            ("residual above", eye, shifted(1.01e-8), False),
         ]
         sigmas = list(ALL_PERMUTATIONS[: len(rows)])
-        # The NaN and inf rows make NaN products, which numpy warns about.
-        with np.errstate(invalid="ignore"):
-            out = _gate(
-                vertices,
-                np.array([points for _, _, points, _ in rows]),
-                sigmas,
-                list(range(len(rows))),
-                [m.tolist() for _, m, _, _ in rows],
-                False,
-                DEFAULT_TOLERANCES,
-            )
+        out = _gate(
+            vertices,
+            [m.tolist() for _, m, _, _ in rows],
+            sigmas,
+            np.array([points for _, _, points, _ in rows]),
+            0.0,  # no start is refined
+            False,
+            DEFAULT_TOLERANCES,
+        )
         kept = [name for (name, *_), sigma in zip(rows, sigmas) if sigma in {c.sigma for c in out}]
         assert kept == [name for name, _, _, ok in rows if ok]
         for cand in out:
             assert cand.residual <= DEFAULT_TOLERANCES.geom_abs
             assert not cand.matrix.flags.writeable
+            assert np.abs(cand.matrix.T @ cand.matrix - np.eye(3)).max() <= 1e-12
+            assert abs(np.linalg.det(cand.matrix) - 1.0) <= 1e-12
+
+    def test_a_start_inside_the_screen_is_refined(self):
+        tetra = four_cycle_instance().tetrahedron
+        truth = quat_to_matrix(random_unit_quaternion(np.random.default_rng(59)))
+        shadow = (tetra.vertices @ truth.T)[:, :2]
+        off = quat_to_matrix(UnitQuaternion.normalized(1.0, 3e-6, -2e-6, 4e-6)) @ truth
+        start = [off[:2].tolist()]
+        args = (tetra.vertices, start, [ALL_PERMUTATIONS[0]], shadow[None])
+        (cand,) = _gate(*args, 1e-3, False, DEFAULT_TOLERANCES)
+        assert np.linalg.norm(cand.matrix - truth) <= 1e-12
+        assert cand.residual <= 1e-13
+        assert _gate(*args, 1e-6, False, DEFAULT_TOLERANCES) == []
 
 
 # Inputs as float.hex: centred vertices (4x3) and shadow points (4x2),
@@ -268,140 +320,140 @@ INPUTS = {
 EXPECTED = {
     "relabeled": [
         ((3, 4, 2, 1), False, """
-            0x1.3ebfe450919e4p-1 0x1.db36c5f4a13b2p-2 0x1.409235890c59bp-1
-            0x1.22a15f254e6c6p-4
-            0x1.a5a97a8c810fbp-3 0x1.f89c4c9d0c178p-2 0x1.b0dde3224d669p-1
-            0x1.56c5b9c0e73acp-1 0x1.1e4f246660024p-1 -0x1.f4b652a6706ebp-2
-            -0x1.6d6defd847383p-1 0x1.55571642b14fep-1 -0x1.b7dbb3b0d428cp-3
-            0x1.6a09e667f3bcdp-52
+            0x1.3ebfe450919e1p-1 0x1.db36c5f4a13b5p-2 0x1.409235890c59dp-1
+            0x1.22a15f254e6d8p-4
+            0x1.a5a97a8c810e5p-3 0x1.f89c4c9d0c179p-2 0x1.b0dde3224d668p-1
+            0x1.56c5b9c0e73b2p-1 0x1.1e4f246660020p-1 -0x1.f4b652a6706e1p-2
+            -0x1.6d6defd84737fp-1 0x1.55571642b14ffp-1 -0x1.b7dbb3b0d42a7p-3
+            0x1.2d24fce07d7a7p-50
             """),
     ],
     "noisy": [
         ((1, 2, 3, 4), False, """
-            0x1.019e4328972fdp-2 0x1.3a0235d524fe1p-1 0x1.625cf24ef83dfp-1
-            0x1.246bf115992c8p-2
-            -0x1.f03656050643cp-4 0x1.6917c75c03ddfp-1 0x1.65a4a6cfc418ap-1
-            0x1.fc3a598a0fbf5p-1 0x1.5aa7c86893c74p-4 0x1.63245ca8b96acp-4
-            0x1.0a453a6ceda80p-9 0x1.6862e35da8be6p-1 -0x1.6bae9bf5360cep-1
-            0x1.7a8658fe58c17p-32
+            0x1.019e4328972fap-2 0x1.3a0235d524fe2p-1 0x1.625cf24ef83dep-1
+            0x1.246bf115992ccp-2
+            -0x1.f036560506435p-4 0x1.6917c75c03ddep-1 0x1.65a4a6cfc418ap-1
+            0x1.fc3a598a0fbf6p-1 0x1.5aa7c86893c4bp-4 0x1.63245ca8b96ccp-4
+            0x1.0a453a6cee000p-9 0x1.6862e35da8be8p-1 -0x1.6bae9bf5360cep-1
+            0x1.7a8679c791addp-32
             """),
     ],
     "ambiguous": [
         ((1, 2, 3, 4), True, """
-            0x1.13be66f531523p-2 -0x1.ad9207674adb0p-1 0x1.e42aef7b4cd56p-2
-            -0x1.311f98db81e8ep-54
-            0x1.1b1367d0943f2p-1 -0x1.963810e75dbc6p-1 0x1.04c11cec036b4p-2
-            -0x1.963810e75dbc6p-1 -0x1.a1a5803945d44p-2 0x1.ceb35d191289ep-2
-            -0x1.04c11cec036b0p-2 -0x1.ceb35d19128a0p-2 -0x1.b5bf584c0eab0p-1
-            0x1.94c583ada5b53p-52
+            0x1.0000000000000p+0 -0x1.ffffffffffffcp-55 -0x1.7ffffffffffffp-55
+            -0x1.ffffffffffffcp-56
+            0x1.0000000000000p+0 0x1.ffffffffffffdp-55 -0x1.7ffffffffffffp-54
+            -0x1.ffffffffffffbp-55 0x1.0000000000000p+0 0x1.ffffffffffffcp-54
+            0x1.7ffffffffffffp-54 -0x1.ffffffffffffcp-54 0x1.0000000000000p+0
+            0x1.176d9090c79a8p-52
             """),
         ((1, 2, 3, 4), True, """
-            0x1.0000000000000p+0 -0x0.0p+0 -0x1.c000000000001p-54
-            -0x1.3000000000000p-52
-            0x1.0000000000000p+0 0x1.3000000000000p-51 -0x1.c000000000001p-53
-            -0x1.3000000000000p-51 0x1.0000000000000p+0 0x1.0a00000000001p-104
-            0x1.c000000000001p-53 0x1.0a00000000001p-104 0x1.0000000000000p+0
-            0x1.99ccc999fff00p-52
+            0x1.13be66f531526p-2 -0x1.ad9207674adb1p-1 0x1.e42aef7b4cd53p-2
+            0x1.311f98db81e8dp-55
+            0x1.1b1367d0943f5p-1 -0x1.963810e75dbc2p-1 0x1.04c11cec036b1p-2
+            -0x1.963810e75dbc2p-1 -0x1.a1a5803945d47p-2 0x1.ceb35d19128a4p-2
+            -0x1.04c11cec036b3p-2 -0x1.ceb35d19128a2p-2 -0x1.b5bf584c0eaaep-1
+            0x1.ad5336963eefcp-52
             """),
         ((2, 1, 4, 3), True, """
-            0x1.804976652387ep-56 -0x1.4b44f1404dc6ep-1 0x1.8663efc604795p-1
-            -0x1.252c9b6a916a1p-52
-            -0x1.4d52964aa5714p-3 -0x1.f92c5976dcb2cp-1 0x1.a000000000001p-52
-            -0x1.f92c5976dcb2cp-1 0x1.4d52964aa5714p-3 -0x1.a000000000000p-52
-            0x1.56bf422969b63p-52 -0x1.de28cf37bcec4p-52 -0x1.0000000000000p+0
-            0x1.1e3779b97f4a8p-51
+            0x1.df126d8e9684ap-56 -0x1.4b44f1404dc6ep-1 0x1.8663efc604794p-1
+            -0x1.617090b27249cp-54
+            -0x1.4d52964aa5710p-3 -0x1.f92c5976dcb2ap-1 0x1.3ffffffffffffp-53
+            -0x1.f92c5976dcb2ap-1 0x1.4d52964aa5710p-3 -0x1.8000000000001p-54
+            0x1.12b77421d1d2cp-54 -0x1.5afb760149724p-53 -0x1.0000000000000p+0
+            0x1.c000000000000p-52
             """),
         ((2, 1, 4, 3), True, """
-            0x1.ce855a523559ap-1 0x1.64d1718de2338p-3 -0x1.a47fb5bf66290p-3
-            -0x1.55d1356ecb28dp-2
-            0x1.62bb0a6a856b5p-1 0x1.1027346393968p-1 -0x1.f2f867c8c1d2ap-2
-            -0x1.596a685472a4ap-1 0x1.6ed0cc38cf9b1p-1 -0x1.6bf0f9126387fp-3
-            0x1.04c11cec036a7p-2 0x1.ceb35d191289ep-2 0x1.b5bf584c0eab0p-1
-            0x1.617398f2aaa48p-51
+            0x1.ce855a5235599p-1 0x1.64d1718de2337p-3 -0x1.a47fb5bf66294p-3
+            -0x1.55d1356ecb28bp-2
+            0x1.62bb0a6a856b5p-1 0x1.1027346393967p-1 -0x1.f2f867c8c1d30p-2
+            -0x1.596a685472a4bp-1 0x1.6ed0cc38cf9b3p-1 -0x1.6bf0f9126387cp-3
+            0x1.04c11cec036adp-2 0x1.ceb35d19128a0p-2 0x1.b5bf584c0eab2p-1
+            0x1.cd82b446159f3p-52
             """),
     ],
     "four-cycle": [
         ((1, 2, 3, 4), False, """
-            0x1.0000000000000p+0 -0x1.eae584a8a45e7p-55 0x0.0p+0
-            0x1.119dc7afdb7b4p-53
-            0x1.0000000000000p+0 -0x1.119dc7afdb7b4p-52 -0x1.0656a811ea4c8p-106
-            0x1.119dc7afdb7b4p-52 0x1.0000000000000p+0 0x1.eae584a8a45e7p-54
-            -0x1.0656a811ea4c8p-106 -0x1.eae584a8a45e7p-54 0x1.0000000000000p+0
-            0x1.01fe03f61bad0p-49
+            0x1.0000000000000p+0 0x1.ccfaf75b5be96p-53 -0x1.811342272e8e0p-55
+            -0x1.20d1769ae253ap-51
+            0x1.0000000000000p+0 0x1.20d1769ae253ap-50 -0x1.811342272e8f0p-54
+            -0x1.20d1769ae253ap-50 0x1.0000000000000p+0 -0x1.ccfaf75b5be95p-52
+            0x1.811342272e8d0p-54 0x1.ccfaf75b5be97p-52 0x1.0000000000000p+0
+            0x1.e87573f6c42c5p-48
             """),
         ((2, 3, 4, 1), False, """
-            0x1.bb67ae8584caap-1 0x1.6a09e667f3bcap-2 0x0.0p+0
-            0x1.6a09e667f3bd3p-2
-            0x1.7fffffffffffcp-1 -0x1.3988e14092134p-1 0x1.0000000000003p-2
-            0x1.3988e14092134p-1 0x1.ffffffffffffcp-2 -0x1.3988e1409212cp-1
-            0x1.0000000000003p-2 0x1.3988e1409212cp-1 0x1.8000000000002p-1
-            0x1.d1ed52076fbe9p-49
+            0x1.bb67ae8584cacp-1 0x1.6a09e667f3bcdp-2 0x1.279a74590331bp-54
+            0x1.6a09e667f3bc6p-2
+            0x1.8000000000005p-1 -0x1.3988e1409212ap-1 0x1.ffffffffffffbp-3
+            0x1.3988e1409212ap-1 0x1.0000000000005p-1 -0x1.3988e14092130p-1
+            0x1.ffffffffffff3p-3 0x1.3988e14092130p-1 0x1.8000000000001p-1
+            0x1.09eeacab398f3p-48
             """),
     ],
     "planar": [
         ((1, 2, 3, 4), True, """
             0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
-            0x1.21e418f4f37bcp-55
-            0x1.0000000000000p+0 0x0.0p+0 0x1.21e418f4f37bcp-54
+            0x1.2a46c6ca29b50p-55
+            0x1.0000000000000p+0 0x0.0p+0 0x1.2a46c6ca29b50p-54
             0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0
-            0x1.21e418f4f37bcp-54 0x0.0p+0 -0x1.0000000000000p+0
-            0x1.21e418f4f37bcp-53
+            0x1.2a46c6ca29b50p-54 0x0.0p+0 -0x1.0000000000000p+0
+            0x1.2a46c6ca29b50p-53
             """),
         ((1, 2, 3, 4), True, """
-            0x1.0000000000000p+0 0x0.0p+0 0x1.21e418f4f37bcp-55
+            0x1.0000000000000p+0 0x0.0p+0 0x1.2a46c6ca29b52p-55
             0x0.0p+0
-            0x1.0000000000000p+0 0x0.0p+0 0x1.21e418f4f37bcp-54
+            0x1.0000000000000p+0 0x0.0p+0 0x1.2a46c6ca29b52p-54
             0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
-            -0x1.21e418f4f37bcp-54 0x0.0p+0 0x1.0000000000000p+0
-            0x1.21e418f4f37bcp-53
+            -0x1.2a46c6ca29b52p-54 0x0.0p+0 0x1.0000000000000p+0
+            0x1.2a46c6ca29b52p-53
             """),
         ((1, 3, 2, 4), True, """
             0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
-            0x1.21e418f4f37bcp-55
-            0x1.0000000000000p+0 0x0.0p+0 0x1.21e418f4f37bcp-54
+            0x1.2a46c6ca29b50p-55
+            0x1.0000000000000p+0 0x0.0p+0 0x1.2a46c6ca29b50p-54
             0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0
-            0x1.21e418f4f37bcp-54 0x0.0p+0 -0x1.0000000000000p+0
-            0x1.21e418f4f37bcp-53
+            0x1.2a46c6ca29b50p-54 0x0.0p+0 -0x1.0000000000000p+0
+            0x1.2a46c6ca29b50p-53
             """),
         ((1, 3, 2, 4), True, """
-            0x1.0000000000000p+0 0x0.0p+0 0x1.21e418f4f37bcp-55
+            0x1.0000000000000p+0 0x0.0p+0 0x1.2a46c6ca29b52p-55
             0x0.0p+0
-            0x1.0000000000000p+0 0x0.0p+0 0x1.21e418f4f37bcp-54
+            0x1.0000000000000p+0 0x0.0p+0 0x1.2a46c6ca29b52p-54
             0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
-            -0x1.21e418f4f37bcp-54 0x0.0p+0 0x1.0000000000000p+0
-            0x1.21e418f4f37bcp-53
+            -0x1.2a46c6ca29b52p-54 0x0.0p+0 0x1.0000000000000p+0
+            0x1.2a46c6ca29b52p-53
             """),
         ((4, 2, 3, 1), True, """
-            -0x0.0p+0 0x1.21e418f4f37bcp-55 -0x0.0p+0
-            -0x1.0000000000000p+0
-            -0x1.0000000000000p+0 -0x0.0p+0 -0x1.21e418f4f37bcp-54
-            0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0
-            -0x1.21e418f4f37bcp-54 0x0.0p+0 0x1.0000000000000p+0
-            0x1.21e418f4f37bcp-53
+            0x1.2a46c6ca29b50p-55 -0x0.0p+0 -0x1.0000000000000p+0
+            -0x0.0p+0
+            -0x1.0000000000000p+0 0x0.0p+0 -0x1.2a46c6ca29b50p-54
+            0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
+            0x1.2a46c6ca29b50p-54 0x0.0p+0 -0x1.0000000000000p+0
+            0x1.2a46c6ca29b50p-53
             """),
         ((4, 2, 3, 1), True, """
-            0x1.21e418f4f37bcp-55 -0x0.0p+0 -0x1.0000000000000p+0
-            -0x0.0p+0
-            -0x1.0000000000000p+0 0x0.0p+0 -0x1.21e418f4f37bcp-54
-            0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
-            0x1.21e418f4f37bcp-54 0x0.0p+0 -0x1.0000000000000p+0
-            0x1.21e418f4f37bcp-53
-            """),
-        ((4, 3, 2, 1), True, """
-            -0x0.0p+0 0x1.21e418f4f37bcp-55 -0x0.0p+0
+            -0x0.0p+0 0x1.2a46c6ca29b52p-55 -0x0.0p+0
             -0x1.0000000000000p+0
-            -0x1.0000000000000p+0 -0x0.0p+0 -0x1.21e418f4f37bcp-54
+            -0x1.0000000000000p+0 -0x0.0p+0 -0x1.2a46c6ca29b52p-54
             0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0
-            -0x1.21e418f4f37bcp-54 0x0.0p+0 0x1.0000000000000p+0
-            0x1.21e418f4f37bcp-53
+            -0x1.2a46c6ca29b52p-54 0x0.0p+0 0x1.0000000000000p+0
+            0x1.2a46c6ca29b52p-53
             """),
         ((4, 3, 2, 1), True, """
-            0x1.21e418f4f37bcp-55 -0x0.0p+0 -0x1.0000000000000p+0
+            0x1.2a46c6ca29b50p-55 -0x0.0p+0 -0x1.0000000000000p+0
             -0x0.0p+0
-            -0x1.0000000000000p+0 0x0.0p+0 -0x1.21e418f4f37bcp-54
+            -0x1.0000000000000p+0 0x0.0p+0 -0x1.2a46c6ca29b50p-54
             0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
-            0x1.21e418f4f37bcp-54 0x0.0p+0 -0x1.0000000000000p+0
-            0x1.21e418f4f37bcp-53
+            0x1.2a46c6ca29b50p-54 0x0.0p+0 -0x1.0000000000000p+0
+            0x1.2a46c6ca29b50p-53
+            """),
+        ((4, 3, 2, 1), True, """
+            -0x0.0p+0 0x1.2a46c6ca29b52p-55 -0x0.0p+0
+            -0x1.0000000000000p+0
+            -0x1.0000000000000p+0 -0x0.0p+0 -0x1.2a46c6ca29b52p-54
+            0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0
+            -0x1.2a46c6ca29b52p-54 0x0.0p+0 0x1.0000000000000p+0
+            0x1.2a46c6ca29b52p-53
             """),
     ],
 }
@@ -414,23 +466,23 @@ EXPECTED_GEOMETRIC = {
     "relabeled": [],
     "noisy": [
         ((1, 2, 3, 4), False, """
-            0x1.019e432a0044cp-2 0x1.3a0235d5a3b04p-1 0x1.625cf24da6542p-1
-            0x1.246bf118a0d5cp-2
-            -0x1.f03655f5a2548p-4 0x1.6917c759ea819p-1 0x1.65a4a6d2380ddp-1
-            0x1.fc3a598a4ae53p-1 0x1.5aa7c851053c2p-4 0x1.63245caa8ea4dp-4
-            0x1.0a453c411d681p-9 0x1.6862e3601dcbbp-1 -0x1.6bae9bf2c55c5p-1
-            0x1.b738d40345ae6p-32
+            0x1.019e43284ccaep-2 0x1.3a0235d5312d2p-1 0x1.625cf24e4da5ep-1
+            0x1.246bf118e14d1p-2
+            -0x1.f0365605429cap-4 0x1.6917c75a855dfp-1 0x1.65a4a6d144fa3p-1
+            0x1.fc3a598a0d7a2p-1 0x1.5aa7c858a60d3p-4 0x1.63245cb915a43p-4
+            0x1.0a453d0075fffp-9 0x1.6862e35f6547dp-1 -0x1.6bae9bf37ba7fp-1
+            0x1.25a62cd22fe47p-31
             """),
     ],
     "ambiguous": DegenerateTetrahedronError,
     "four-cycle": [
         ((1, 2, 3, 4), False, """
-            0x1.0000000000000p+0 -0x1.e7bbb5909a6fap-51 0x1.cefd44e8bf486p-51
-            0x1.697720b61688ep-51
-            0x1.0000000000000p+0 -0x1.697720b616895p-50 0x1.cefd44e8bf481p-50
-            0x1.697720b616887p-50 0x1.0000000000000p+0 0x1.e7bbb5909a6ffp-50
-            -0x1.cefd44e8bf48bp-50 -0x1.e7bbb5909a6f5p-50 0x1.0000000000000p+0
-            0x1.800bffd0017ffp-46
+            0x1.0000000000000p+0 -0x1.1e0f76c692389p-52 0x1.0638d78b5b5e8p-52
+            0x1.697720b61688ap-51
+            0x1.0000000000000p+0 -0x1.697720b61688bp-50 0x1.0638d78b5b5e5p-51
+            0x1.697720b616889p-50 0x1.0000000000000p+0 0x1.1e0f76c69238cp-51
+            -0x1.0638d78b5b5ebp-51 -0x1.1e0f76c692386p-51 0x1.0000000000000p+0
+            0x1.bc8ee6b2865b9p-48
             """),
     ],
     "planar": DegenerateTetrahedronError,

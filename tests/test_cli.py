@@ -1,11 +1,17 @@
 import argparse
+import contextlib
 import io
 import json
 import math
+import os
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tetrot import cli
 from tetrot.cli import main, parse_projection, parse_rotation, parse_tetrahedron
@@ -306,6 +312,23 @@ class TestJsonErrors:
         code = main(["solve", "--tetrahedron", "-", "--projection", proj])
         assert code == 2
         assert capsys.readouterr().err == f"error: <stdin>: {self.decoder_message()}\n"
+
+    def test_undecodable_file_is_named(self, capsys, tmp_path, four_cycle_files):
+        _, proj = four_cycle_files
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b"\xff{}")
+        code = main(["solve", "--tetrahedron", str(bad), "--projection", proj])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+
+    def test_too_deep_stdin_is_named(self, capsys, monkeypatch, four_cycle_files):
+        _, proj = four_cycle_files
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000 + "]" * 100_000))
+        code = main(["solve", "--tetrahedron", "-", "--projection", proj])
+        assert code == 2
+        assert capsys.readouterr().err == "error: <stdin>: JSON nested too deeply\n"
 
     def test_stdin_feeds_one_input(self, capsys, monkeypatch, four_cycle_files):
         tet, _ = four_cycle_files
@@ -672,3 +695,92 @@ class TestSampleDefinition:
         assert code == 0
         assert len(report["samples"]) == 5
         assert len(calls) == 1
+
+
+# Leaves of the fuzzed JSON documents: every JSON type, plus numbers at the
+# edges of float range and integers too long for a float.
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400)])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4)
+)
+_KEYS = st.sampled_from(["vertices", "points", "quaternion", "axis", "angle_rad", "other"])
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=24,
+)
+
+
+def _grid(rows, cols):
+    numbers = st.floats(allow_nan=False) | st.floats(-3.0, 3.0) | st.integers(-3, 3)
+    return st.lists(st.lists(numbers, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+# Documents that pass the schema, so the fuzz reaches the numerics.
+_SHAPED = (
+    st.builds(dict, vertices=_grid(4, 3))
+    | st.builds(dict, points=_grid(4, 2))
+    | st.builds(dict, quaternion=_grid(1, 4).map(lambda rows: rows[0]))
+    | st.builds(dict, axis=_grid(1, 3).map(lambda rows: rows[0]), angle_rad=st.floats(allow_nan=False))
+)
+# Files that are not JSON at all: an integer too long for int(), nesting too
+# deep for the decoder, bytes that are not UTF-8, nothing, a cut-off document.
+_RAW = st.sampled_from([b"9" * 5000, b"[" * 100_000, b"\xff{}", b"", b'{"vertices": [['])
+_VALUES = st.sampled_from(
+    ["0", "1", "2", "-1", "1e-9", "1e-3", "1e300", "5e-324", "nan", "inf", "abc", "18446744073709551616"]
+)
+
+
+@st.composite
+def _argv(draw):
+    """Arguments for one of the five commands: mostly well formed, with fuzzed values."""
+    files = st.sampled_from(["A", "B", "-", "missing.json"])
+    command = draw(st.sampled_from(["solve", "analyze", "sample", "verify-dims", "reproduce"]))
+    argv = [command]
+    if command == "solve":
+        argv += ["--tetrahedron", draw(files), "--projection", draw(files)]
+        argv += draw(st.sampled_from([[], ["--labeled"]]))
+    elif command in ("analyze", "sample"):
+        perm_class = draw(st.sampled_from(["identity", "two-cycle", "four-cycle", "five-cycle"]))
+        argv += ["--rotation", draw(files), "--perm-class", perm_class]
+    elif command == "reproduce":
+        argv += [draw(st.sampled_from(["four-cycle", "norm-prune", "planar", "uniqueness-sweep", "other"]))]
+    for option in ("--tol-rank", "--tol-geom", "--tol-angle", "--seed"):
+        if draw(st.booleans()):
+            argv += [option, draw(_VALUES)]
+    if command in ("sample", "verify-dims", "reproduce"):
+        argv += ["--trials", draw(st.sampled_from(["-1", "0", "1", "2", "x"]))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--labeled", "-x", "extra", "--seed"])))
+    return argv
+
+
+class TestFuzz:
+    """Any JSON input and any argument list exit with 0, 1 or 2, never a traceback."""
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(first=_DOCUMENTS | _SHAPED | _RAW, second=_DOCUMENTS | _SHAPED | _RAW, argv=_argv())
+    def test_exit_code_contract(self, first, second, argv):
+        raw = {
+            name: doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+            for name, doc in (("A", first), ("B", second))
+        }
+        with tempfile.TemporaryDirectory() as workdir:
+            paths = {name: os.path.join(workdir, f"{name}.json") for name in raw}
+            for name, data in raw.items():
+                with open(paths[name], "wb") as handle:
+                    handle.write(data)
+            argv = [paths.get(arg, os.path.join(workdir, arg) if arg == "missing.json" else arg) for arg in argv]
+            out, err = io.StringIO(), io.StringIO()
+            stdin = io.TextIOWrapper(io.BytesIO(raw["A"]), encoding="utf-8")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch("sys.stdin", stdin):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse: -h or a usage error
+                    code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -163,3 +163,8 @@ class TestTolerances:
     def test_rejects_non_positive(self, field):
         with pytest.raises(ValueError):
             Tolerances(**{field: 0.0})
+
+    @pytest.mark.parametrize("rank_rel", [1.0, 2.0])
+    def test_rejects_a_rank_cutoff_that_drops_every_singular_value(self, rank_rel):
+        with pytest.raises(ValueError, match="rank_rel must be below 1"):
+            Tolerances(rank_rel=rank_rel)

@@ -5,6 +5,7 @@ import pytest
 
 from tetrot import (
     ALL_PERMUTATIONS,
+    DEFAULT_TOLERANCES,
     CollinearPointsError,
     DegenerateTetrahedronError,
     DegenerateViewError,
@@ -22,6 +23,7 @@ from tetrot import (
     project,
     prune_permutations,
     quad_match,
+    quat_from_axis_angle,
     quat_to_matrix,
     reconstruct_geometric,
     unlabeled_solve,
@@ -297,6 +299,38 @@ class TestUnlabeledSolve:
             unlabeled_solve(tetra, quad)
 
 
+class TestShadowsWithinTolerance:
+    """A shadow within geom_abs of a true one gives back the true rotation."""
+
+    @pytest.mark.parametrize("noise", [1e-10, 1e-9])
+    def test_noisy_generic_shadows_keep_the_truth(self, noise):
+        rng = np.random.default_rng(61)
+        for _ in range(500):
+            tetra = random_full_dim_tetrahedron(rng)
+            truth = quat_to_matrix(random_unit_quaternion(rng))
+            quad = ProjectionQuad((tetra.vertices @ truth.T)[:, :2] + rng.normal(0.0, noise, (4, 2)))
+            candidates = unlabeled_solve(tetra, quad)
+            assert all(c.residual <= DEFAULT_TOLERANCES.geom_abs for c in candidates)
+            assert any(
+                c.sigma == IDENTITY_PERMUTATION and np.linalg.norm(c.matrix - truth) <= 1e-6 for c in candidates
+            )
+
+    @pytest.mark.parametrize("lift", [1e-6, 1e-8, 0.0])
+    def test_near_planar_vertex_sets_keep_a_candidate(self, lift):
+        rng = np.random.default_rng(67)
+        for _ in range(300):
+            # four points of a random plane, lifted off it by about `lift`
+            basis = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            offsets = lift * rng.standard_normal((4, 1)) * basis[:, 2]
+            tetra = Tetrahedron(rng.standard_normal((4, 2)) @ basis[:, :2].T + offsets)
+            truth = quat_to_matrix(random_unit_quaternion(rng))
+            quad = ProjectionQuad((tetra.vertices @ truth.T)[:, :2] + rng.normal(0.0, 1e-10, (4, 2)))
+            identity = [c for c in unlabeled_solve(tetra, quad) if c.sigma == IDENTITY_PERMUTATION]
+            assert identity
+            if lift == 1e-6:
+                assert min(np.linalg.norm(c.matrix - truth) for c in identity) <= 1e-6
+
+
 class TestDedupeRotations:
     @staticmethod
     def _candidate(sigma, quat, residual):
@@ -331,6 +365,41 @@ class TestDedupeRotations:
         a = self._candidate(sigma, UnitQuaternion.normalized(1, 0, 0, 0), 0.0)
         b = self._candidate(sigma, UnitQuaternion.normalized(0.96, 0.28, 0, 0), 0.0)
         assert len(dedupe_rotations([a, b])) == 2
+
+    def test_stacked_distances_decide_like_the_pairwise_loop(self):
+        def pairwise(candidates, dedupe_tol):
+            merged = []
+            for images in sorted({c.sigma.images for c in candidates}):
+                kept = []
+                for cand in sorted((c for c in candidates if c.sigma.images == images), key=lambda c: c.residual):
+                    if all(np.linalg.norm(cand.matrix - k.matrix) >= dedupe_tol for k in kept):
+                        kept.append(cand)
+                merged.extend(kept)
+            return merged
+
+        def turned(matrix, axis, distance):
+            # a turn by t moves a rotation by 2 sqrt(2) sin(t/2) in Frobenius norm
+            q = quat_from_axis_angle(axis / np.linalg.norm(axis), 2.0 * math.asin(distance / (2.0 * math.sqrt(2.0))))
+            return quat_to_matrix(q) @ matrix
+
+        rng = np.random.default_rng(42)
+        sigmas = [IDENTITY_PERMUTATION, Permutation4((2, 1, 3, 4))]
+        distances = []
+        for _ in range(100):
+            base = quat_to_matrix(random_unit_quaternion(rng))
+            matrices = [base]
+            for _ in range(int(rng.integers(2, 7))):
+                distance = float(rng.choice([0.99e-6, 1.01e-6]))
+                matrices.append(turned(matrices[int(rng.integers(len(matrices)))], rng.standard_normal(3), distance))
+            candidates = [
+                SolveCandidate(sigmas[int(rng.integers(2))], UnitQuaternion(1.0, 0.0, 0.0, 0.0), m, residual, False)
+                for m, residual in zip(matrices, rng.uniform(0.0, 1e-9, len(matrices)).tolist())
+            ]
+            got = dedupe_rotations(candidates)
+            assert [id(c) for c in got] == [id(c) for c in pairwise(candidates, 1e-6)]
+            distances.extend(np.linalg.norm(a.matrix - b.matrix) for a in candidates for b in candidates)
+        assert any(0.989e-6 < d < 1e-6 for d in distances)
+        assert any(1e-6 <= d < 1.011e-6 for d in distances)
 
     def test_same_rotation_under_different_relabelings_is_kept(self):
         a = self._candidate(IDENTITY_PERMUTATION, UnitQuaternion.normalized(0, 1, 0, 0), 0.0)
