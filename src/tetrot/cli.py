@@ -42,6 +42,7 @@ from .configspace import (
 from .geom import (
     CANONICAL_PERMUTATION,
     IDENTITY_PERMUTATION,
+    MAX_MAGNITUDE,
     PermClass,
     ProjectionQuad,
     Tetrahedron,
@@ -56,7 +57,8 @@ from .solver import SolveCandidate, labeled_solve, prune_permutations, unlabeled
 
 __all__ = ["RunConfig", "main"]
 
-_REPRODUCE_NAMES = ("four-cycle", "norm-prune", "planar", "uniqueness-sweep")
+# Redraws of one uniqueness-sweep trial before --tol-rank counts as admitting no tetrahedron.
+_MAX_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -92,15 +94,16 @@ def _numbers(obj: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
 
     Every entry must be a JSON number: numpy alone would read true, "1" and
     null as numbers, or fail on them with a TypeError.  Its magnitude must be
-    at most 1e150, so that the squared norms the solver takes stay finite.
+    at most MAX_MAGNITUDE, the bound of as_finite_array.
     """
     pending = [obj[key]]
     while pending:
         value = pending.pop()
         if isinstance(value, list):
             pending.extend(value)
-        elif isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= 1e150:
-            raise ValueError(f"{key} must hold only finite JSON numbers up to 1e150 in magnitude, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= MAX_MAGNITUDE:
+            bound = f"{MAX_MAGNITUDE:.0e}".replace("e+", "e")
+            raise ValueError(f"{key} must hold only finite JSON numbers up to {bound} in magnitude, got {value!r}")
     return as_finite_array(obj[key], shape, key)
 
 
@@ -128,17 +131,9 @@ def parse_rotation(obj) -> UnitQuaternion:
     raise ValueError('rotation input must carry "quaternion" or "axis" + "angle_rad"')
 
 
-def _tolerances(args: argparse.Namespace) -> Tolerances:
-    return Tolerances(
-        rank_rel=args.tol_rank,
-        geom_abs=args.tol_geom,
-        angle_abs=args.tol_angle,
-    )
-
-
 def _config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
-        tolerances=_tolerances(args),
+        tolerances=Tolerances(rank_rel=args.tol_rank, geom_abs=args.tol_geom, angle_abs=args.tol_angle),
         trials=getattr(args, "trials", 1),
         seed=args.seed,
     )
@@ -263,16 +258,7 @@ def _cmd_verify_dims(args: argparse.Namespace) -> int:
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     config = _config(args)
-    name = args.name
-    if name == "four-cycle":
-        return _reproduce_four_cycle(config)
-    if name == "norm-prune":
-        return _reproduce_norm_prune(config)
-    if name == "planar":
-        return _reproduce_planar(config)
-    if name == "uniqueness-sweep":
-        return _reproduce_uniqueness_sweep(config)
-    raise ValueError(f"unknown instance name {name!r}")
+    return _REPRODUCE[args.name](config)
 
 
 def _reproduce_four_cycle(config: RunConfig) -> int:
@@ -340,9 +326,13 @@ def _reproduce_uniqueness_sweep(config: RunConfig) -> int:
     identity = np.eye(3)
     for trial in range(config.trials):
         rng = np.random.default_rng([config.seed, trial])
-        tetra = Tetrahedron(rng.standard_normal((4, 3)))
-        while not tetra.full_dimensional(config.tolerances.rank_rel):
+        for _ in range(_MAX_DRAWS):
             tetra = Tetrahedron(rng.standard_normal((4, 3)))
+            if tetra.full_dimensional(config.tolerances.rank_rel):
+                break
+        else:
+            raise ValueError(f"no full-dimensional tetrahedron in {_MAX_DRAWS} draws at --tol-rank "
+                             f"{config.tolerances.rank_rel!r}; choose a smaller --tol-rank")
         candidates = unlabeled_solve(tetra, project(tetra), config.tolerances)
         for cand in candidates:
             if cand.residual <= 1e-8 and float(np.linalg.norm(cand.matrix - identity)) > 1e-6:
@@ -355,6 +345,14 @@ def _reproduce_uniqueness_sweep(config: RunConfig) -> int:
         "ok": spurious == 0,
     })
     return 0 if spurious == 0 else 1
+
+
+_REPRODUCE = {
+    "four-cycle": _reproduce_four_cycle,
+    "norm-prune": _reproduce_norm_prune,
+    "planar": _reproduce_planar,
+    "uniqueness-sweep": _reproduce_uniqueness_sweep,
+}
 
 
 def _add_common(parser: argparse.ArgumentParser, trials_default: int | None = None) -> None:
@@ -402,7 +400,7 @@ def _verify_dims_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _reproduce_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("name", choices=_REPRODUCE_NAMES)
+    parser.add_argument("name", choices=_REPRODUCE)
     _add_common(parser, trials_default=100)
     parser.set_defaults(func=_cmd_reproduce)
 

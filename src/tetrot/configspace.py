@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import CANONICAL_PERMUTATION, DEFAULT_TOLERANCES, PermClass, Permutation4, Tetrahedron
+from .geom import CANONICAL_PERMUTATION, DEFAULT_TOLERANCES, PermClass, Permutation4, Tetrahedron, _rank
 from .rotation import (
     AxisClass,
     UnitQuaternion,
@@ -122,13 +122,6 @@ def build_config_matrix(q: UnitQuaternion, perm_class: PermClass) -> np.ndarray:
     for i in range(3):
         m[2 * i : 2 * i + 2, 3 * i : 3 * i + 3] += a
     return m
-
-
-def _rank(s: np.ndarray, rel_tol: float) -> int:
-    """Count of singular values s (descending) above rel_tol times the largest."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
 def numeric_rank(m, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> int:

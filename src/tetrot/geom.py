@@ -31,14 +31,26 @@ __all__ = [
 ]
 
 
+# Largest magnitude of an input value: squared norms of such coordinates stay finite.
+MAX_MAGNITUDE = 1e150
+
+
 def as_finite_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """Coerce to a float array of the given shape, rejecting NaN/inf."""
+    """Coerce to a float array of the given shape, rejecting NaN/inf and magnitudes above MAX_MAGNITUDE."""
     arr = np.array(values, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must contain only finite values")
+    if not np.all(np.abs(arr) <= MAX_MAGNITUDE):  # false for NaN and inf as well
+        raise ValueError(f"{name} must contain only finite values up to {MAX_MAGNITUDE:g} in magnitude")
     return arr
+
+
+def _rank(s: np.ndarray, rel_tol: float) -> int:
+    """Count of singular values s (descending) above rel_tol times the largest:
+    the one rank rule, behind every singular-value rank decision of the package."""
+    if s.size == 0:
+        return 0
+    return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
 @dataclass(frozen=True)
@@ -163,8 +175,7 @@ class Tetrahedron:
         centroid at the origin this is equivalent to affine independence of
         all four.
         """
-        s = np.linalg.svd(self.vertices[:3], compute_uv=False)
-        return bool(s[0] > 0 and s[2] > rank_rel * s[0])
+        return _rank(np.linalg.svd(self.vertices[:3], compute_uv=False), rank_rel) == 3
 
 
 @dataclass(frozen=True, eq=False)

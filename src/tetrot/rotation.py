@@ -30,6 +30,7 @@ __all__ = [
 
 _UNIT_NORM_ATOL = 1e-12
 _ROTATION_ATOL = 1e-9
+_AXIS_NORM_ATOL = 1e-9
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
 
@@ -82,9 +83,6 @@ class UnitQuaternion:
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c, self.d])
 
-    def is_identity(self, angle_abs: float = DEFAULT_TOLERANCES.angle_abs) -> bool:
-        return quat_to_axis_angle(self).angle <= angle_abs
-
 
 @dataclass(frozen=True, eq=False)
 class AxisAngle:
@@ -104,11 +102,11 @@ def _rotation_rows(a: float, b: float, c: float, d: float) -> list[list[float]]:
     ]
 
 
-def quat_from_axis_angle(axis, angle: float, axis_atol: float = 1e-9) -> UnitQuaternion:
+def quat_from_axis_angle(axis, angle: float) -> UnitQuaternion:
     """Quaternion of the rotation by `angle` radians about unit vector `axis`."""
     w = as_finite_array(axis, (3,), "axis")
     norm = float(np.linalg.norm(w))
-    if abs(norm - 1.0) > axis_atol:
+    if abs(norm - 1.0) > _AXIS_NORM_ATOL:
         raise ValueError(f"axis must be a unit vector, got norm {norm!r}")
     if not math.isfinite(angle):
         raise ValueError("angle must be finite")

@@ -11,11 +11,12 @@ The linear route is one core shared by both problems: the labeled solver
 fits the identity relabeling, the unlabeled solver every relabeling that
 survives the norm test.  It fits the rotation whose shadow is nearest the
 points (orthographic Procrustes; Elden and Park, Numer. Math. 1999) for
-all relabelings at once and either rank of the vertex matrix: one
-least-squares solve gives two rows, the completions along the plane
+all relabelings at once and either rank of the vertex matrix: its one SVD,
+truncated at its rank, gives two rows, the completions along the plane
 normal (Huttenlocher and Ullman, IJCV 1990) add what it leaves open, and
 Gauss-Newton steps on SO(3) refine starts that noise moved.  The one
 acceptance test, shared with the geometric route, is the shadow residual.
+Every singular-value rank decision is geom._rank at rank_rel.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .geom import (
     ProjectionQuad,
     Tetrahedron,
     Tolerances,
+    _rank,
     as_finite_array,
 )
 from .rotation import _EYE3, UnitQuaternion, _quat_from_rows, _rotation_rows
@@ -137,15 +139,15 @@ def _cross(a: list[float], b: list[float]) -> list[float]:
     return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
-def _noise_bounds(s: np.ndarray, s_min: float, tol: Tolerances) -> tuple[float, float]:
-    """Row bound and residual screen for P3 with singular values s.
+def _noise_bounds(s: np.ndarray, tol: Tolerances) -> tuple[float, float]:
+    """Row bound and residual screen for rows fitted on the kept singular values s of P3.
 
-    Noise g = geom_abs moves the fitted rows by at most sqrt(3) x, x = g/s_min,
+    Noise g = geom_abs moves the fitted rows by at most sqrt(3) x, x = g/s[-1],
     and I - A A^T by less than bound = 4x(1 + x).  A start is then within about
     sqrt(bound) of a rotation and, as no vertex is longer than 2 s[0], misses
     its shadow by less than screen.
     """
-    x = tol.geom_abs / float(s_min)
+    x = tol.geom_abs / float(s[-1])
     bound = 4.0 * x * (1.0 + x)
     return bound, tol.geom_abs + 8.0 * math.sqrt(bound) * float(s[0])
 
@@ -244,28 +246,29 @@ def _fit_relabelings(
 ) -> list[SolveCandidate]:
     """Rotations mapping vertex i onto point sigma(i), for each sigma given.
 
-    P3 = vertices[:3] is factored once, and a P3 spanning less than a plane
-    is rejected even when sigmas is empty.  One least-squares solve at
-    rcond = rank_rel gives the first two rows of every branch, whatever the
-    rank of P3, and one gate call takes the starts of every branch.
+    P3 = vertices[:3] is factored once, by one SVD, and a P3 spanning less
+    than a plane is rejected even when sigmas is empty.  The SVD truncated at
+    k, the rank of P3, gives the first two rows of every branch as the
+    pseudo-inverse solution of P3 r = u; one gate call takes the starts of
+    every branch.
     """
     p3 = tetra.vertices[:3]
-    _, s, vt = np.linalg.svd(p3)
-    if s[0] == 0.0 or s[1] <= tol.rank_rel * s[0]:
+    u, s, vt = np.linalg.svd(p3)
+    k = _rank(s, tol.rank_rel)
+    if k < 2:
         raise DegenerateTetrahedronError("vertices span less than a plane")
     if not sigmas:
         return []
-    planar = bool(s[2] <= tol.rank_rel * s[0])
+    planar = k == 2
     # Noise tilts the rows along n by up to sqrt(3) geom_abs / s[2]; past 1e-2 three
     # Gauss-Newton steps may not recover, so keep the in-plane part and complete it.
-    in_plane = planar or s[2] <= 100.0 * tol.geom_abs
-    bound, screen = _noise_bounds(s, s[1] if in_plane else s[2], tol)
+    if s[2] <= 100.0 * tol.geom_abs:
+        k = 2
+    bound, screen = _noise_bounds(s[:k], tol)
     points = quad.points[_PERM_INDEX[[_PERM_ROW[sigma] for sigma in sigmas]]]
     # columns 2j and 2j+1 of the right-hand side are the x and y of branch j
     rhs = points[:, :3].transpose(1, 0, 2).reshape(3, -1)
-    rows = np.linalg.lstsq(p3, rhs, rcond=tol.rank_rel)[0].T.reshape(-1, 2, 3)
-    if in_plane:
-        rows -= (rows @ vt[2])[..., None] * vt[2]
+    rows = (vt[:k].T @ (u[:, :k].T @ rhs / s[:k, None])).T.reshape(-1, 2, 3)
     owner, starts = _starts(rows.tolist(), vt[2].tolist(), bound)
     out = _gate(tetra.vertices, starts, [sigmas[j] for j in owner], points[owner], screen, planar, tol)
     return dedupe_rotations(out, tol.dedupe)
@@ -332,7 +335,7 @@ def fit_conic(points, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> Conic:
     xs, ys = norm_pts[:, 0], norm_pts[:, 1]
     design = np.column_stack([xs * xs, xs * ys, ys * ys, xs, ys, np.ones_like(xs)])
     _, s, vh = np.linalg.svd(design)
-    if s[-2] <= rel_tol * s[0]:
+    if _rank(s, rel_tol) < 5:
         raise CollinearPointsError("points in degenerate position, conic is not unique")
     a, b, c, d, e, f = vh[-1]
     # undo the normalization x = (X - mx)/w, y = (Y - my)/w
@@ -391,16 +394,15 @@ def reconstruct_geometric(
     ellipse they span; lift it to the two circle planes that project onto
     it (mirror images in the projection plane); extend each lift to a
     rigid image of the whole tetrahedron, and pass the first two rows of
-    each induced linear map through the gate of the linear route.
+    each rigid lift through the gate of the linear route.
 
     Requires a full-dimensional tetrahedron and a non-degenerate view.
     Agrees with labeled_solve where both apply.
     """
     p3 = tetra.vertices[:3]
     s = np.linalg.svd(p3, compute_uv=False)
-    if not (s[0] > 0.0 and s[2] > tol.rank_rel * s[0]):
+    if _rank(s, tol.rank_rel) < 3:
         raise DegenerateTetrahedronError("geometric reconstruction needs a full-dimensional tetrahedron")
-    p4 = tetra.vertices[3]
     circle = circumcircle3(*p3, rel_tol=tol.rank_rel)
 
     u3 = quad.points[:3]
@@ -443,12 +445,8 @@ def reconstruct_geometric(
         lifted = np.empty((3, 3))
         lifted[:, :2] = u3
         lifted[:, 2] = (center2 - u3) @ normal[:2] / normal[2]
-        rigid = _frame(lifted) @ frame3
-        image4 = lifted[0] + rigid @ (p4 - p3[0])
-        images = np.vstack([lifted, image4])
-        images = images - images.mean(axis=0)
-        lifts.append(np.linalg.solve(p3, images[:3]).T[:2].tolist())
-    _, screen = _noise_bounds(s, s[2], tol)
+        lifts.append((_frame(lifted) @ frame3)[:2].tolist())
+    _, screen = _noise_bounds(s, tol)
     out = _gate(tetra.vertices, lifts, [IDENTITY_PERMUTATION] * 2, np.array([quad.points] * 2), screen, False, tol)
     return dedupe_rotations(out, tol.dedupe)
 

@@ -7,7 +7,9 @@ start at a time.  The golden tests fix the exact bits of the output of
 unlabeled_solve, labeled_solve and reconstruct_geometric on five
 instances, so that a change in the last bits of any candidate fails.
 The gate tests feed the shared gate rows on either side of its one
-tolerance.
+tolerance.  The factorization tests count the linear-algebra calls of a
+solve: one SVD of P3, no least-squares solve, and no system solved in P3
+by the geometric route.
 """
 
 import math
@@ -106,26 +108,42 @@ def gauss_newton(vertices, matrix, points):
     return matrix
 
 
+def lstsq_rows(p3, u3, normal, in_plane, rank_rel):
+    """Rows r1, r2 as two least-squares solves at rcond = rank_rel, less
+    their component along normal when in_plane: the fit before the
+    truncated SVD, kept as its reference."""
+    r1 = np.linalg.lstsq(p3, u3[:, 0], rcond=rank_rel)[0]
+    r2 = np.linalg.lstsq(p3, u3[:, 1], rcond=rank_rel)[0]
+    if in_plane:
+        r1, r2 = r1 - (r1 @ normal) * normal, r2 - (r2 @ normal) * normal
+    return r1, r2
+
+
 def written_out_fit(tetra, quad, tol=DEFAULT_TOLERANCES):
     """unlabeled_solve written out one relabeling and one start at a time.
 
-    For each surviving relabeling, two least-squares solves at rcond =
-    rank_rel give the rows r1, r2.  The 2x2 matrix I - A A^T, which is
-    c c^T for the rows of a rotation, screens the branch against bound.
-    It then picks one start A, or the two completions A + c n^T and
-    A - c n^T along the least singular vector n of P3.  Each start,
-    completed by r1 x r2, is snapped by matrix_to_quat.  A start whose
-    shadow misses by more than geom_abs but at most screen takes three
-    Gauss-Newton steps.  A rotation is kept when its residual is at most
-    geom_abs.
+    The rank of P3 = U diag(s) V^T is the count of s above rank_rel s[0];
+    the fit keeps k = rank singular values, or 2 when s[2] <= 100 geom_abs.
+    For each surviving relabeling the rows r1, r2 solve P3 r = u by the SVD
+    truncated at k, r = V_k diag(1/s_k) U_k^T u.  They match the rows of
+    lstsq_rows to 1e-12 relative, times the condition number s[0]/s[rank-1]
+    of the solve lstsq makes.  The 2x2 matrix I - A A^T, which is c c^T for
+    the rows of a rotation, screens the branch against bound.  It then
+    picks one start A, or the two completions A + c n^T and A - c n^T along
+    the least singular vector n of P3.  Each start, completed by r1 x r2,
+    is snapped by matrix_to_quat.  A start whose shadow misses by more than
+    geom_abs but at most screen takes three Gauss-Newton steps.  A rotation
+    is kept when its residual is at most geom_abs.
     """
     vertices = tetra.vertices
     p3 = vertices[:3]
-    _, s, vt = np.linalg.svd(p3)
-    planar = bool(s[2] <= tol.rank_rel * s[0])
+    u, s, vt = np.linalg.svd(p3)
+    rank = int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    planar = rank == 2
     # rows tilted along n by noise past 1e-2 keep only their in-plane part
     in_plane = planar or s[2] <= 100.0 * tol.geom_abs
-    ratio = tol.geom_abs / (s[1] if in_plane else s[2])
+    k = 2 if in_plane else 3
+    ratio = tol.geom_abs / s[k - 1]
     bound = 4.0 * ratio * (1.0 + ratio)
     screen = tol.geom_abs + 8.0 * math.sqrt(bound) * s[0]
     normal = vt[2]
@@ -137,10 +155,10 @@ def written_out_fit(tetra, quad, tol=DEFAULT_TOLERANCES):
     out = []
     for sigma in prune_permutations(vertices, quad, tol.geom_abs):
         points = quad.points[list(sigma.zero_based())]
-        r1 = np.linalg.lstsq(p3, points[:3, 0], rcond=tol.rank_rel)[0]
-        r2 = np.linalg.lstsq(p3, points[:3, 1], rcond=tol.rank_rel)[0]
-        if in_plane:
-            r1, r2 = r1 - (r1 @ normal) * normal, r2 - (r2 @ normal) * normal
+        r1, r2 = (vt[:k].T @ (u[:, :k].T @ points[:3] / s[:k, None])).T
+        reference = np.array(lstsq_rows(p3, points[:3], normal, in_plane, tol.rank_rel))
+        gap = np.abs(np.array([r1, r2]) - reference).max()
+        assert gap <= 1e-12 * (s[0] / s[rank - 1]) * np.abs(reference).max()
         m00 = 1.0 - (r1[0] * r1[0] + r1[1] * r1[1] + r1[2] * r1[2])
         m11 = 1.0 - (r2[0] * r2[0] + r2[1] * r2[1] + r2[2] * r2[2])
         m01 = -(r1[0] * r2[0] + r1[1] * r2[1] + r1[2] * r2[2])
@@ -320,140 +338,140 @@ INPUTS = {
 EXPECTED = {
     "relabeled": [
         ((3, 4, 2, 1), False, """
-            0x1.3ebfe450919e1p-1 0x1.db36c5f4a13b5p-2 0x1.409235890c59dp-1
-            0x1.22a15f254e6d8p-4
-            0x1.a5a97a8c810e5p-3 0x1.f89c4c9d0c179p-2 0x1.b0dde3224d668p-1
-            0x1.56c5b9c0e73b2p-1 0x1.1e4f246660020p-1 -0x1.f4b652a6706e1p-2
-            -0x1.6d6defd84737fp-1 0x1.55571642b14ffp-1 -0x1.b7dbb3b0d42a7p-3
-            0x1.2d24fce07d7a7p-50
+            0x1.3ebfe450919e4p-1 0x1.db36c5f4a13b2p-2 0x1.409235890c59cp-1
+            0x1.22a15f254e6c4p-4
+            0x1.a5a97a8c810f3p-3 0x1.f89c4c9d0c178p-2 0x1.b0dde3224d667p-1
+            0x1.56c5b9c0e73acp-1 0x1.1e4f246660025p-1 -0x1.f4b652a6706eap-2
+            -0x1.6d6defd847384p-1 0x1.55571642b14fdp-1 -0x1.b7dbb3b0d4290p-3
+            0x1.c000000000000p-52
             """),
     ],
     "noisy": [
         ((1, 2, 3, 4), False, """
-            0x1.019e4328972fap-2 0x1.3a0235d524fe2p-1 0x1.625cf24ef83dep-1
-            0x1.246bf115992ccp-2
-            -0x1.f036560506435p-4 0x1.6917c75c03ddep-1 0x1.65a4a6cfc418ap-1
-            0x1.fc3a598a0fbf6p-1 0x1.5aa7c86893c4bp-4 0x1.63245ca8b96ccp-4
-            0x1.0a453a6cee000p-9 0x1.6862e35da8be8p-1 -0x1.6bae9bf5360cep-1
-            0x1.7a8679c791addp-32
+            0x1.019e432897301p-2 0x1.3a0235d524fe1p-1 0x1.625cf24ef83dep-1
+            0x1.246bf115992cfp-2
+            -0x1.f036560506438p-4 0x1.6917c75c03ddbp-1 0x1.65a4a6cfc4190p-1
+            0x1.fc3a598a0fbf7p-1 0x1.5aa7c86893c60p-4 0x1.63245ca8b96c0p-4
+            0x1.0a453a6cedc80p-9 0x1.6862e35da8bedp-1 -0x1.6bae9bf5360cap-1
+            0x1.7a865ce109a92p-32
             """),
     ],
     "ambiguous": [
         ((1, 2, 3, 4), True, """
-            0x1.0000000000000p+0 -0x1.ffffffffffffcp-55 -0x1.7ffffffffffffp-55
-            -0x1.ffffffffffffcp-56
-            0x1.0000000000000p+0 0x1.ffffffffffffdp-55 -0x1.7ffffffffffffp-54
-            -0x1.ffffffffffffbp-55 0x1.0000000000000p+0 0x1.ffffffffffffcp-54
-            0x1.7ffffffffffffp-54 -0x1.ffffffffffffcp-54 0x1.0000000000000p+0
-            0x1.176d9090c79a8p-52
+            0x1.0000000000000p+0 -0x1.0000000000002p-55 -0x1.0000000000002p-55
+            -0x1.0000000000002p-55
+            0x1.0000000000000p+0 0x1.0000000000002p-54 -0x1.0000000000002p-54
+            -0x1.0000000000002p-54 0x1.0000000000000p+0 0x1.0000000000002p-54
+            0x1.0000000000002p-54 -0x1.0000000000002p-54 0x1.0000000000000p+0
+            0x1.1e3779b97f4a8p-53
             """),
         ((1, 2, 3, 4), True, """
-            0x1.13be66f531526p-2 -0x1.ad9207674adb1p-1 0x1.e42aef7b4cd53p-2
-            0x1.311f98db81e8dp-55
-            0x1.1b1367d0943f5p-1 -0x1.963810e75dbc2p-1 0x1.04c11cec036b1p-2
-            -0x1.963810e75dbc2p-1 -0x1.a1a5803945d47p-2 0x1.ceb35d19128a4p-2
-            -0x1.04c11cec036b3p-2 -0x1.ceb35d19128a2p-2 -0x1.b5bf584c0eaaep-1
-            0x1.ad5336963eefcp-52
+            0x1.13be66f531524p-2 -0x1.ad9207674adb1p-1 0x1.e42aef7b4cd54p-2
+            0x1.311f98db81e8fp-56
+            0x1.1b1367d0943f5p-1 -0x1.963810e75dbc3p-1 0x1.04c11cec036b0p-2
+            -0x1.963810e75dbc3p-1 -0x1.a1a5803945d46p-2 0x1.ceb35d191289fp-2
+            -0x1.04c11cec036b2p-2 -0x1.ceb35d191289fp-2 -0x1.b5bf584c0eaaep-1
+            0x1.2de32c6628741p-51
             """),
         ((2, 1, 4, 3), True, """
-            0x1.df126d8e9684ap-56 -0x1.4b44f1404dc6ep-1 0x1.8663efc604794p-1
-            -0x1.617090b27249cp-54
-            -0x1.4d52964aa5710p-3 -0x1.f92c5976dcb2ap-1 0x1.3ffffffffffffp-53
-            -0x1.f92c5976dcb2ap-1 0x1.4d52964aa5710p-3 -0x1.8000000000001p-54
-            0x1.12b77421d1d2cp-54 -0x1.5afb760149724p-53 -0x1.0000000000000p+0
-            0x1.c000000000000p-52
+            0x1.043d85db501ebp-54 -0x1.4b44f1404dc6dp-1 0x1.8663efc604794p-1
+            -0x1.553d71344225ep-53
+            -0x1.4d52964aa5717p-3 -0x1.f92c5976dcb2bp-1 0x1.3fffffffffffep-52
+            -0x1.f92c5976dcb2bp-1 0x1.4d52964aa5717p-3 -0x1.6000000000001p-53
+            0x1.e6495d14c80eep-54 -0x1.5860d0d4b4275p-52 -0x1.0000000000000p+0
+            0x1.07e0f66afed07p-52
             """),
         ((2, 1, 4, 3), True, """
-            0x1.ce855a5235599p-1 0x1.64d1718de2337p-3 -0x1.a47fb5bf66294p-3
-            -0x1.55d1356ecb28bp-2
-            0x1.62bb0a6a856b5p-1 0x1.1027346393967p-1 -0x1.f2f867c8c1d30p-2
-            -0x1.596a685472a4bp-1 0x1.6ed0cc38cf9b3p-1 -0x1.6bf0f9126387cp-3
-            0x1.04c11cec036adp-2 0x1.ceb35d19128a0p-2 0x1.b5bf584c0eab2p-1
-            0x1.cd82b446159f3p-52
+            0x1.ce855a5235598p-1 0x1.64d1718de2337p-3 -0x1.a47fb5bf66293p-3
+            -0x1.55d1356ecb28cp-2
+            0x1.62bb0a6a856b3p-1 0x1.1027346393968p-1 -0x1.f2f867c8c1d2fp-2
+            -0x1.596a685472a4cp-1 0x1.6ed0cc38cf9b1p-1 -0x1.6bf0f9126387cp-3
+            0x1.04c11cec036acp-2 0x1.ceb35d19128a2p-2 0x1.b5bf584c0eab2p-1
+            0x1.11687a8ae14a3p-51
             """),
     ],
     "four-cycle": [
         ((1, 2, 3, 4), False, """
-            0x1.0000000000000p+0 0x1.ccfaf75b5be96p-53 -0x1.811342272e8e0p-55
-            -0x1.20d1769ae253ap-51
-            0x1.0000000000000p+0 0x1.20d1769ae253ap-50 -0x1.811342272e8f0p-54
-            -0x1.20d1769ae253ap-50 0x1.0000000000000p+0 -0x1.ccfaf75b5be95p-52
-            0x1.811342272e8d0p-54 0x1.ccfaf75b5be97p-52 0x1.0000000000000p+0
-            0x1.e87573f6c42c5p-48
+            0x1.0000000000000p+0 0x1.a6b5a86b10c0ap-53 -0x1.d7e45c4a915a5p-54
+            -0x1.c6484cba09b3ap-52
+            0x1.0000000000000p+0 0x1.c6484cba09b3ap-51 -0x1.d7e45c4a915abp-53
+            -0x1.c6484cba09b3ap-51 0x1.0000000000000p+0 -0x1.a6b5a86b10c08p-52
+            0x1.d7e45c4a9159fp-53 0x1.a6b5a86b10c0cp-52 0x1.0000000000000p+0
+            0x1.4ef363dec1355p-48
             """),
         ((2, 3, 4, 1), False, """
-            0x1.bb67ae8584cacp-1 0x1.6a09e667f3bcdp-2 0x1.279a74590331bp-54
-            0x1.6a09e667f3bc6p-2
-            0x1.8000000000005p-1 -0x1.3988e1409212ap-1 0x1.ffffffffffffbp-3
-            0x1.3988e1409212ap-1 0x1.0000000000005p-1 -0x1.3988e14092130p-1
-            0x1.ffffffffffff3p-3 0x1.3988e14092130p-1 0x1.8000000000001p-1
-            0x1.09eeacab398f3p-48
+            0x1.bb67ae8584cacp-1 0x1.6a09e667f3bcdp-2 0x1.bb67ae8584ca9p-55
+            0x1.6a09e667f3bc4p-2
+            0x1.8000000000006p-1 -0x1.3988e14092128p-1 0x1.ffffffffffff8p-3
+            0x1.3988e14092128p-1 0x1.0000000000006p-1 -0x1.3988e14092130p-1
+            0x1.ffffffffffff2p-3 0x1.3988e14092130p-1 0x1.8000000000000p-1
+            0x1.6da506e12f87ep-48
             """),
     ],
     "planar": [
         ((1, 2, 3, 4), True, """
             0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
-            0x1.2a46c6ca29b50p-55
-            0x1.0000000000000p+0 0x0.0p+0 0x1.2a46c6ca29b50p-54
+            0x1.81fb256af7236p-56
+            0x1.0000000000000p+0 0x0.0p+0 0x1.81fb256af7236p-55
             0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0
-            0x1.2a46c6ca29b50p-54 0x0.0p+0 -0x1.0000000000000p+0
-            0x1.2a46c6ca29b50p-53
+            0x1.81fb256af7236p-55 0x0.0p+0 -0x1.0000000000000p+0
+            0x1.81fb256af7236p-54
             """),
         ((1, 2, 3, 4), True, """
-            0x1.0000000000000p+0 0x0.0p+0 0x1.2a46c6ca29b52p-55
+            0x1.0000000000000p+0 0x0.0p+0 0x1.81fb256af7238p-56
             0x0.0p+0
-            0x1.0000000000000p+0 0x0.0p+0 0x1.2a46c6ca29b52p-54
+            0x1.0000000000000p+0 0x0.0p+0 0x1.81fb256af7238p-55
             0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
-            -0x1.2a46c6ca29b52p-54 0x0.0p+0 0x1.0000000000000p+0
-            0x1.2a46c6ca29b52p-53
+            -0x1.81fb256af7238p-55 0x0.0p+0 0x1.0000000000000p+0
+            0x1.81fb256af7238p-54
             """),
         ((1, 3, 2, 4), True, """
             0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
-            0x1.2a46c6ca29b50p-55
-            0x1.0000000000000p+0 0x0.0p+0 0x1.2a46c6ca29b50p-54
+            0x1.81fb256af7236p-56
+            0x1.0000000000000p+0 0x0.0p+0 0x1.81fb256af7236p-55
             0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0
-            0x1.2a46c6ca29b50p-54 0x0.0p+0 -0x1.0000000000000p+0
-            0x1.2a46c6ca29b50p-53
+            0x1.81fb256af7236p-55 0x0.0p+0 -0x1.0000000000000p+0
+            0x1.81fb256af7236p-54
             """),
         ((1, 3, 2, 4), True, """
-            0x1.0000000000000p+0 0x0.0p+0 0x1.2a46c6ca29b52p-55
+            0x1.0000000000000p+0 0x0.0p+0 0x1.81fb256af7238p-56
             0x0.0p+0
-            0x1.0000000000000p+0 0x0.0p+0 0x1.2a46c6ca29b52p-54
+            0x1.0000000000000p+0 0x0.0p+0 0x1.81fb256af7238p-55
             0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
-            -0x1.2a46c6ca29b52p-54 0x0.0p+0 0x1.0000000000000p+0
-            0x1.2a46c6ca29b52p-53
+            -0x1.81fb256af7238p-55 0x0.0p+0 0x1.0000000000000p+0
+            0x1.81fb256af7238p-54
             """),
         ((4, 2, 3, 1), True, """
-            0x1.2a46c6ca29b50p-55 -0x0.0p+0 -0x1.0000000000000p+0
+            0x1.81fb256af7236p-56 -0x0.0p+0 -0x1.0000000000000p+0
             -0x0.0p+0
-            -0x1.0000000000000p+0 0x0.0p+0 -0x1.2a46c6ca29b50p-54
+            -0x1.0000000000000p+0 0x0.0p+0 -0x1.81fb256af7236p-55
             0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
-            0x1.2a46c6ca29b50p-54 0x0.0p+0 -0x1.0000000000000p+0
-            0x1.2a46c6ca29b50p-53
+            0x1.81fb256af7236p-55 0x0.0p+0 -0x1.0000000000000p+0
+            0x1.81fb256af7236p-54
             """),
         ((4, 2, 3, 1), True, """
-            -0x0.0p+0 0x1.2a46c6ca29b52p-55 -0x0.0p+0
+            -0x0.0p+0 0x1.81fb256af7238p-56 -0x0.0p+0
             -0x1.0000000000000p+0
-            -0x1.0000000000000p+0 -0x0.0p+0 -0x1.2a46c6ca29b52p-54
+            -0x1.0000000000000p+0 -0x0.0p+0 -0x1.81fb256af7238p-55
             0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0
-            -0x1.2a46c6ca29b52p-54 0x0.0p+0 0x1.0000000000000p+0
-            0x1.2a46c6ca29b52p-53
+            -0x1.81fb256af7238p-55 0x0.0p+0 0x1.0000000000000p+0
+            0x1.81fb256af7238p-54
             """),
         ((4, 3, 2, 1), True, """
-            0x1.2a46c6ca29b50p-55 -0x0.0p+0 -0x1.0000000000000p+0
+            0x1.81fb256af7236p-56 -0x0.0p+0 -0x1.0000000000000p+0
             -0x0.0p+0
-            -0x1.0000000000000p+0 0x0.0p+0 -0x1.2a46c6ca29b50p-54
+            -0x1.0000000000000p+0 0x0.0p+0 -0x1.81fb256af7236p-55
             0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
-            0x1.2a46c6ca29b50p-54 0x0.0p+0 -0x1.0000000000000p+0
-            0x1.2a46c6ca29b50p-53
+            0x1.81fb256af7236p-55 0x0.0p+0 -0x1.0000000000000p+0
+            0x1.81fb256af7236p-54
             """),
         ((4, 3, 2, 1), True, """
-            -0x0.0p+0 0x1.2a46c6ca29b52p-55 -0x0.0p+0
+            -0x0.0p+0 0x1.81fb256af7238p-56 -0x0.0p+0
             -0x1.0000000000000p+0
-            -0x1.0000000000000p+0 -0x0.0p+0 -0x1.2a46c6ca29b52p-54
+            -0x1.0000000000000p+0 -0x0.0p+0 -0x1.81fb256af7238p-55
             0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0
-            -0x1.2a46c6ca29b52p-54 0x0.0p+0 0x1.0000000000000p+0
-            0x1.2a46c6ca29b52p-53
+            -0x1.81fb256af7238p-55 0x0.0p+0 0x1.0000000000000p+0
+            0x1.81fb256af7238p-54
             """),
     ],
 }
@@ -466,23 +484,23 @@ EXPECTED_GEOMETRIC = {
     "relabeled": [],
     "noisy": [
         ((1, 2, 3, 4), False, """
-            0x1.019e43284ccaep-2 0x1.3a0235d5312d2p-1 0x1.625cf24e4da5ep-1
-            0x1.246bf118e14d1p-2
-            -0x1.f0365605429cap-4 0x1.6917c75a855dfp-1 0x1.65a4a6d144fa3p-1
-            0x1.fc3a598a0d7a2p-1 0x1.5aa7c858a60d3p-4 0x1.63245cb915a43p-4
-            0x1.0a453d0075fffp-9 0x1.6862e35f6547dp-1 -0x1.6bae9bf37ba7fp-1
-            0x1.25a62cd22fe47p-31
+            0x1.019e432b411ffp-2 0x1.3a0235d4e76e0p-1 0x1.625cf24e64284p-1
+            0x1.246bf11716a3ap-2
+            -0x1.f03655ff05799p-4 0x1.6917c759d64cfp-1 0x1.65a4a6d2185b4p-1
+            0x1.fc3a598a27994p-1 0x1.5aa7c8667d08cp-4 0x1.63245ca23ae83p-4
+            0x1.0a4539a6400ffp-9 0x1.6862e35fdf70bp-1 -0x1.6bae9bf3050edp-1
+            0x1.1affee8cb5c41p-32
             """),
     ],
     "ambiguous": DegenerateTetrahedronError,
     "four-cycle": [
         ((1, 2, 3, 4), False, """
-            0x1.0000000000000p+0 -0x1.1e0f76c692389p-52 0x1.0638d78b5b5e8p-52
-            0x1.697720b61688ap-51
-            0x1.0000000000000p+0 -0x1.697720b61688bp-50 0x1.0638d78b5b5e5p-51
-            0x1.697720b616889p-50 0x1.0000000000000p+0 0x1.1e0f76c69238cp-51
-            -0x1.0638d78b5b5ebp-51 -0x1.1e0f76c692386p-51 0x1.0000000000000p+0
-            0x1.bc8ee6b2865b9p-48
+            0x1.0000000000000p+0 -0x1.c27654b41dad6p-52 0x1.d249e2c8037a0p-55
+            0x1.9fc13d4737078p-52
+            0x1.0000000000000p+0 -0x1.9fc13d4737078p-51 0x1.d249e2c803789p-54
+            0x1.9fc13d4737078p-51 0x1.0000000000000p+0 0x1.c27654b41dad6p-51
+            -0x1.d249e2c8037b7p-54 -0x1.c27654b41dad6p-51 0x1.0000000000000p+0
+            0x1.3e7f18837d425p-47
             """),
     ],
     "planar": DegenerateTetrahedronError,
@@ -536,3 +554,50 @@ class TestGolden:
                 reconstruct_geometric(*self.instance(name))
         else:
             self.assert_bits(reconstruct_geometric(*self.instance(name)), expected)
+
+
+class TestOneFactorization:
+    """P3 is factored by one SVD per solve, and no solve repeats that work."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        for name in ("svd", "lstsq", "solve"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_one_svd_and_no_lstsq_per_linear_solve(self, monkeypatch, name):
+        tetra, quad = TestGolden.instance(name)
+        calls = self.counting(monkeypatch)
+        for solve in (labeled_solve, unlabeled_solve):
+            calls.clear()
+            solve(tetra, quad)
+            assert calls == [("svd", (3, 3))]
+
+    def test_one_svd_and_no_lstsq_where_gauss_newton_runs(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        tetra = random_full_dim_tetrahedron(rng)
+        quad = ProjectionQuad(apply(random_unit_quaternion(rng), tetra.vertices)[:, :2] + 3e-9)
+        refined = []
+        refine = solver._gauss_newton
+        monkeypatch.setattr(solver, "_gauss_newton", lambda *args: refined.append(None) or refine(*args))
+        calls = self.counting(monkeypatch)
+        assert unlabeled_solve(tetra, quad)
+        assert refined
+        assert calls == [("svd", (3, 3))]
+
+    @pytest.mark.parametrize("name", ["four-cycle", "noisy"])
+    def test_geometric_route_solves_no_system_in_p3(self, monkeypatch, name):
+        tetra, quad = TestGolden.instance(name)
+        calls = self.counting(monkeypatch)
+        assert reconstruct_geometric(tetra, quad)
+        assert [call for call in calls if call[1] == (3, 3)] == [("svd", (3, 3))]
+        assert all(shape == (2, 2) for fn, shape in calls if fn == "solve")
+        assert "lstsq" not in {fn for fn, _ in calls}

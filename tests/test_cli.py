@@ -263,6 +263,15 @@ class TestReproduceCommand:
         assert code == 0
         assert report["spurious_non_identity"] == 0
 
+    def test_a_tol_rank_no_draw_meets_exits_two(self, capsys):
+        # a random tetrahedron almost never has s[2] > 0.9 s[0]; the redraws stop at a cap
+        code = main(["reproduce", "uniqueness-sweep", "--trials", "1", "--tol-rank", "0.9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--tol-rank" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_unknown_name_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["reproduce", "no-such-instance"])

@@ -16,8 +16,10 @@ from tetrot import (
     Tolerances,
     coplanarity_det,
     project,
+    prune_permutations,
     quad_match,
 )
+from tetrot.geom import MAX_MAGNITUDE
 from tetrot.instances import four_cycle_instance, planar_instance
 
 from conftest import random_full_dim_tetrahedron
@@ -49,6 +51,26 @@ class TestRecentre:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Tetrahedron([[np.nan, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rejects_a_magnitude_whose_square_overflows(self, sign):
+        vertices = np.eye(4, 3)
+        vertices[2, 1] = sign * 1e160
+        points = np.eye(4, 2)
+        points[3, 0] = sign * 1e160
+        with pytest.raises(ValueError, match="magnitude"):
+            Tetrahedron(vertices)
+        with pytest.raises(ValueError, match="magnitude"):
+            ProjectionQuad(points)
+        with pytest.raises(ValueError, match="magnitude"):
+            prune_permutations(vertices, ProjectionQuad(np.eye(4, 2)))
+
+    def test_admits_the_bound_itself(self):
+        vertices = np.eye(4, 3) * MAX_MAGNITUDE
+        quad = ProjectionQuad(np.eye(4, 2) * MAX_MAGNITUDE)
+        Tetrahedron(vertices)
+        # the norm test squares every coordinate; at the bound none overflows
+        assert prune_permutations(vertices, quad)
 
     @settings(max_examples=50, deadline=None)
     @given(vertex_sets)

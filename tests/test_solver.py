@@ -14,12 +14,14 @@ from tetrot import (
     ProjectionQuad,
     SolveCandidate,
     Tetrahedron,
+    Tolerances,
     UnitQuaternion,
     apply,
     circumcircle3,
     dedupe_rotations,
     fit_conic,
     labeled_solve,
+    numeric_rank,
     project,
     prune_permutations,
     quad_match,
@@ -103,6 +105,11 @@ class TestFitConic:
         with pytest.raises(ValueError):
             fit_conic([(0, 0), (1, 0), (0, 1), (1, 1)])
 
+    def test_five_points_with_four_on_a_line_rejected(self):
+        # every pair of lines y = 0 and one through (0, 1) passes through them: rank 4
+        with pytest.raises(CollinearPointsError):
+            fit_conic([(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)])
+
 
 class TestLabeledSolve:
     def test_four_cycle_instance_under_its_relabeling(self):
@@ -160,6 +167,58 @@ class TestLabeledSolve:
         tetra = Tetrahedron([[1, 0, 0], [2, 0, 0], [3, 0, 0], [-6, 0, 0]])
         with pytest.raises(DegenerateTetrahedronError):
             labeled_solve(tetra, project(tetra))
+
+
+def singular_tetrahedron(values):
+    """Centred tetrahedron whose first three vertices have singular values
+    `values` and right singular vectors x, y, z: its own shadow is fitted
+    exactly by the identity at any rank."""
+    u = np.linalg.qr(np.random.default_rng(61).standard_normal((3, 3)))[0]
+    p3 = u * values
+    return Tetrahedron(np.vstack([p3, -p3.sum(axis=0)]))
+
+
+class TestOneRankRule:
+    """Every rank decision on P3 flips at the same cut, rank_rel times s[0]."""
+
+    @pytest.mark.parametrize("rank_rel", [DEFAULT_TOLERANCES.rank_rel, 1e-3])
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_third_singular_value_at_the_cut(self, rank_rel, factor):
+        tol = Tolerances(rank_rel=rank_rel)
+        tetra = singular_tetrahedron([1.0, 0.5, factor * rank_rel])
+        quad = project(tetra)
+        full = factor > 1.0
+        assert tetra.full_dimensional(rank_rel) is full
+        assert numeric_rank(tetra.vertices[:3], rank_rel) == (3 if full else 2)
+        candidates = labeled_solve(tetra, quad, tol)
+        assert candidates
+        assert all(c.planar_ambiguous is not full for c in candidates)
+        if full:
+            reconstruct_geometric(tetra, quad, tol)
+        else:
+            with pytest.raises(DegenerateTetrahedronError):
+                reconstruct_geometric(tetra, quad, tol)
+
+    @pytest.mark.parametrize("rank_rel", [DEFAULT_TOLERANCES.rank_rel, 1e-3])
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_second_singular_value_at_the_cut(self, rank_rel, factor):
+        tol = Tolerances(rank_rel=rank_rel)
+        tetra = singular_tetrahedron([1.0, factor * rank_rel, 0.0])
+        quad = project(tetra)
+        spans_a_plane = factor > 1.0
+        assert not tetra.full_dimensional(rank_rel)
+        assert numeric_rank(tetra.vertices[:3], rank_rel) == (2 if spans_a_plane else 1)
+        with pytest.raises(DegenerateTetrahedronError):
+            reconstruct_geometric(tetra, quad, tol)
+        if spans_a_plane:
+            candidates = labeled_solve(tetra, quad, tol)
+            assert candidates
+            assert all(c.planar_ambiguous for c in candidates)
+        else:
+            with pytest.raises(DegenerateTetrahedronError):
+                labeled_solve(tetra, quad, tol)
+            with pytest.raises(DegenerateTetrahedronError):
+                unlabeled_solve(tetra, quad, tol)
 
 
 class TestReconstructGeometric:
