@@ -128,8 +128,10 @@ class Conic:
         object.__setattr__(self, "coefficients", v)
 
     def is_ellipse(self) -> bool:
-        a, b, c = self.coefficients[:3]
-        return bool(b * b - 4.0 * a * c < 0.0)
+        # divided by the largest, so the squares of tiny a, b, c do not underflow
+        a, b, c = self.coefficients[:3].tolist()
+        top = max(abs(a), abs(b), abs(c))
+        return top > 0.0 and (b / top) ** 2 - 4.0 * (a / top) * (c / top) < 0.0
 
 
 def _cross(a: list[float], b: list[float]) -> list[float]:
@@ -290,29 +292,71 @@ def labeled_solve(
     return _fit_relabelings(tetra, quad, [IDENTITY_PERMUTATION], tol)
 
 
+def _circumcircle(p: list[float], q: list[float], r: list[float], rel_tol: float):
+    """Center, radius and unit normal of the circle through three points in space, as floats.
+
+    The edges d1, d2 from p are divided by the power of two at or above the
+    longer one before any square is formed, so nothing overflows for
+    admitted coordinates and the division is exact.
+    """
+    d1 = [b - a for a, b in zip(p, q)]
+    d2 = [b - a for a, b in zip(p, r)]
+    longest = max(math.hypot(*d1), math.hypot(*d2))
+    if longest == 0.0:
+        raise CollinearPointsError("circumcircle needs three non-collinear points")
+    scale = math.ldexp(1.0, math.frexp(longest)[1])
+    longest /= scale
+    u1 = [x / scale for x in d1]
+    u2 = [x / scale for x in d2]
+    normal = _cross(u1, u2)
+    area = math.hypot(*normal)
+    if area <= rel_tol * longest * longest:
+        raise CollinearPointsError("circumcircle needs three non-collinear points")
+    # center - p = (|u1|^2 u2 - |u2|^2 u1) x (u1 x u2) / (2 |u1 x u2|^2), times scale
+    g11 = u1[0] * u1[0] + u1[1] * u1[1] + u1[2] * u1[2]
+    g22 = u2[0] * u2[0] + u2[1] * u2[1] + u2[2] * u2[2]
+    twice = 2.0 * area * area
+    offset = [x / twice for x in _cross([g11 * b - g22 * a for a, b in zip(u1, u2)], normal)]
+    normal = [x / area for x in normal]
+    for x in normal:
+        if abs(x) > 1e-12:
+            if x < 0:
+                normal = [-y for y in normal]
+            break
+    return [a + scale * x for a, x in zip(p, offset)], scale * math.hypot(*offset), normal
+
+
 def circumcircle3(p, q, r, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> Circle3D:
     """Circle through three non-collinear points in space."""
     a = as_finite_array(p, (3,), "p")
     b = as_finite_array(q, (3,), "q")
     c = as_finite_array(r, (3,), "r")
-    d1 = b - a
-    d2 = c - a
-    normal = np.array(_cross(d1.tolist(), d2.tolist()))
-    scale = max(float(np.linalg.norm(d1)), float(np.linalg.norm(d2)))
-    area = float(np.linalg.norm(normal))
-    if scale == 0.0 or area <= rel_tol * scale * scale:
-        raise CollinearPointsError("circumcircle needs three non-collinear points")
-    gram = np.array([[d1 @ d1, d1 @ d2], [d1 @ d2, d2 @ d2]])
-    rhs = 0.5 * np.array([d1 @ d1, d2 @ d2])
-    alpha, beta = np.linalg.solve(gram, rhs)
-    offset = alpha * d1 + beta * d2
-    normal = normal / area
-    for x in normal:
-        if abs(x) > 1e-12:
-            if x < 0:
-                normal = -normal
-            break
-    return Circle3D(center=a + offset, radius=float(np.linalg.norm(offset)), normal=normal)
+    center, radius, normal = _circumcircle(a.tolist(), b.tolist(), c.tolist(), rel_tol)
+    return Circle3D(center=np.array(center), radius=radius, normal=np.array(normal))
+
+
+def _unit_conic(points: list[list[float]], rel_tol: float) -> tuple[float, float, float, list[float]]:
+    """Mean (mx, my), spread w and conic of plane points in their unit frame.
+
+    The unit frame maps X to (X - m)/w, where w is the root mean square
+    distance of the points from their mean m; the conic is the unit null
+    vector of the design matrix with rows (x^2, xy, y^2, x, y, 1) there.
+    """
+    n = len(points)
+    mx = sum(x for x, _ in points) / n
+    my = sum(y for _, y in points) / n
+    dev = [(x - mx, y - my) for x, y in points]
+    spread = math.hypot(*(t for pair in dev for t in pair)) / math.sqrt(n)
+    if spread == 0.0:
+        raise CollinearPointsError("coincident points do not determine a conic")
+    rows = []
+    for dx, dy in dev:
+        x, y = dx / spread, dy / spread
+        rows.append([x * x, x * y, y * y, x, y, 1.0])
+    _, s, vh = np.linalg.svd(np.array(rows))
+    if _rank(s, rel_tol) < 5:
+        raise CollinearPointsError("points in degenerate position, conic is not unique")
+    return mx, my, spread, vh[-1].tolist()
 
 
 def fit_conic(points, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> Conic:
@@ -327,58 +371,61 @@ def fit_conic(points, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> Conic:
         raise ValueError("need at least five plane points")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    mean = pts.mean(axis=0)
-    spread = float(np.sqrt(np.mean(np.sum((pts - mean) ** 2, axis=1))))
-    if spread == 0.0:
-        raise CollinearPointsError("coincident points do not determine a conic")
-    norm_pts = (pts - mean) / spread
-    xs, ys = norm_pts[:, 0], norm_pts[:, 1]
-    design = np.column_stack([xs * xs, xs * ys, ys * ys, xs, ys, np.ones_like(xs)])
-    _, s, vh = np.linalg.svd(design)
-    if _rank(s, rel_tol) < 5:
-        raise CollinearPointsError("points in degenerate position, conic is not unique")
-    a, b, c, d, e, f = vh[-1]
-    # undo the normalization x = (X - mx)/w, y = (Y - my)/w
-    w = spread
-    mx, my = mean
-    coeffs = np.array([
-        a,
-        b,
-        c,
-        w * d - 2 * a * mx - b * my,
-        w * e - 2 * c * my - b * mx,
+    mx, my, w, (a, b, c, d, e, f) = _unit_conic(pts.tolist(), rel_tol)
+    # undo x = (X - mx)/w in units of k, the largest of 1, |mx|, |my| and w:
+    # the conic times w^2 / k^2, whose terms stay finite
+    k = max(1.0, abs(mx), abs(my), w)
+    mx, my, w = mx / k, my / k, w / k
+    coeffs = [
+        a / k / k,
+        b / k / k,
+        c / k / k,
+        (w * d - 2 * a * mx - b * my) / k,
+        (w * e - 2 * c * my - b * mx) / k,
         a * mx * mx + b * mx * my + c * my * my - w * d * mx - w * e * my + w * w * f,
-    ])
-    return Conic(coeffs)
+    ]
+    top = max(abs(x) for x in coeffs)
+    return Conic(np.array([x / top for x in coeffs]))
 
 
-def _ellipse_geometry(conic: Conic) -> tuple[np.ndarray, float, float, np.ndarray]:
-    """Center, semi-major, semi-minor and major-axis direction of an ellipse."""
-    if not conic.is_ellipse():
+def _ellipse_geometry(coefficients: list[float]) -> tuple[tuple[float, float], float, float, tuple[float, float]]:
+    """Center, semi-major, semi-minor and major-axis direction of the ellipse
+    a x^2 + b xy + c y^2 + d x + e y + f = 0, closed form on floats."""
+    a, b, c, d, e, f = coefficients
+    disc = b * b - 4.0 * a * c
+    if not disc < 0.0:
         raise DegenerateViewError("fitted conic is not an ellipse")
-    a, b, c, d, e, f = conic.coefficients
     if a + c < 0:
-        a, b, c, d, e, f = -conic.coefficients
-    center = np.linalg.solve(np.array([[2 * a, b], [b, 2 * c]]), np.array([-d, -e]))
-    cx, cy = center
+        a, b, c, d, e, f = -a, -b, -c, -d, -e, -f
+    # the center zeroes the gradient: [[2a, b], [b, 2c]] (cx, cy) = -(d, e)
+    cx, cy = (2.0 * c * d - b * e) / disc, (2.0 * a * e - b * d) / disc
     level = -(a * cx * cx + b * cx * cy + c * cy * cy + d * cx + e * cy + f)
     if level <= 0:
         raise DegenerateViewError("conic has no real ellipse points")
-    quad = np.array([[a, b / 2], [b / 2, c]])
-    eigvals, eigvecs = np.linalg.eigh(quad)
-    r_major = math.sqrt(level / eigvals[0])
-    r_minor = math.sqrt(level / eigvals[1])
-    return center, r_major, r_minor, eigvecs[:, 0]
+    # eigenvalues big >= small > 0 of [[a, h], [h, c]], h = b/2, whose
+    # determinant is -disc/4, and the eigenvector of small
+    mean, half, h = 0.5 * (a + c), 0.5 * (a - c), 0.5 * b
+    rad = math.hypot(half, h)
+    big = mean + rad
+    small = -0.25 * disc / big
+    vx, vy = (h, -half - rad) if half >= 0.0 else (half - rad, h)
+    length = math.hypot(vx, vy)
+    direction = (vx / length, vy / length) if length else (1.0, 0.0)
+    return (cx, cy), math.sqrt(level / small), math.sqrt(level / big), direction
 
 
-def _frame(points: np.ndarray) -> np.ndarray:
-    """Right-handed orthonormal frame adapted to three non-collinear points."""
-    e1 = points[1] - points[0]
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = points[2] - points[0]
-    e2 = e2 - (e2 @ e1) * e1
-    e2 = e2 / np.linalg.norm(e2)
-    return np.column_stack([e1, e2, _cross(e1.tolist(), e2.tolist())])
+def _frame(points: list[list[float]]) -> list[list[float]]:
+    """Right-handed orthonormal frame adapted to three non-collinear points, as rows e1, e2, e3."""
+    p0, p1, p2 = points
+    e1 = [b - a for a, b in zip(p0, p1)]
+    length = math.hypot(*e1)
+    e1 = [x / length for x in e1]
+    e2 = [b - a for a, b in zip(p0, p2)]
+    along = e2[0] * e1[0] + e2[1] * e1[1] + e2[2] * e1[2]
+    e2 = [x - along * y for x, y in zip(e2, e1)]
+    length = math.hypot(*e2)
+    e2 = [x / length for x in e2]
+    return [e1, e2, _cross(e1, e2)]
 
 
 def reconstruct_geometric(
@@ -391,10 +438,12 @@ def reconstruct_geometric(
     Steps: circumscribe the first three vertices; transfer each vertex
     chord through its opposite edge midpoint to a second circle point; map
     the six points to the projection by the invariant chord ratio; fit the
-    ellipse they span; lift it to the two circle planes that project onto
-    it (mirror images in the projection plane); extend each lift to a
-    rigid image of the whole tetrahedron, and pass the first two rows of
-    each rigid lift through the gate of the linear route.
+    ellipse they span, in their unit frame; lift it to the two circle
+    planes that project onto it (mirror images in the projection plane);
+    extend each lift to a rigid image of the whole tetrahedron, and pass
+    the first two rows of each rigid lift through the gate of the linear
+    route.  Two SVDs are taken, of P3 and of the conic's design matrix;
+    every other step is closed form on floats.
 
     Requires a full-dimensional tetrahedron and a non-degenerate view.
     Agrees with labeled_solve where both apply.
@@ -403,49 +452,53 @@ def reconstruct_geometric(
     s = np.linalg.svd(p3, compute_uv=False)
     if _rank(s, tol.rank_rel) < 3:
         raise DegenerateTetrahedronError("geometric reconstruction needs a full-dimensional tetrahedron")
-    circle = circumcircle3(*p3, rel_tol=tol.rank_rel)
+    p = p3.tolist()
+    center, radius, _ = _circumcircle(*p, tol.rank_rel)
 
-    u3 = quad.points[:3]
-    e1, e2 = u3[1] - u3[0], u3[2] - u3[0]
-    area2 = abs(float(e1[0] * e2[1] - e1[1] * e2[0]))
-    uscale = max(float(np.linalg.norm(u3[1] - u3[0])), float(np.linalg.norm(u3[2] - u3[0])))
+    u = quad.points.tolist()
+    (x0, y0), (x1, y1), (x2, y2) = u[:3]
+    area2 = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+    uscale = max(math.hypot(x1 - x0, y1 - y0), math.hypot(x2 - x0, y2 - y0))
     if uscale == 0.0 or area2 <= tol.rank_rel * uscale * uscale:
         raise CollinearPointsError("projected points are collinear")
 
-    six = [u3[0], u3[1], u3[2]]
-    for i in range(3):
-        j, k = [m for m in range(3) if m != i]
-        mid3 = 0.5 * (p3[j] + p3[k])
-        chord = mid3 - p3[i]
-        chord_len = float(np.linalg.norm(chord))
-        if chord_len <= tol.rank_rel * circle.radius:
+    six = u[:3]
+    for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        chord = [0.5 * (a + b) - c for a, b, c in zip(p[j], p[k], p[i])]
+        chord_len = math.hypot(*chord)
+        if chord_len <= tol.rank_rel * radius:
             raise DegenerateChordError("vertex coincides with the opposite edge midpoint")
         # second intersection of the chord line with the circle, as the
         # affine parameter along p_i -> mid; parameters transfer to the
-        # projection unchanged
-        ratio = -2.0 * float((p3[i] - circle.center) @ chord) / (chord_len * chord_len)
-        mid2 = 0.5 * (quad.points[j] + quad.points[k])
-        if float(np.linalg.norm(mid2 - quad.points[i])) <= tol.rank_rel * uscale:
+        # projection unchanged.  Taken along the unit chord, whose product
+        # with p_i - center cannot overflow.
+        along = sum((a - c) * b for a, c, b in zip(p[i], center, chord)) / chord_len
+        ratio = -2.0 * along / chord_len
+        (xi, yi), (xj, yj), (xk, yk) = u[i], u[j], u[k]
+        dx, dy = 0.5 * (xj + xk) - xi, 0.5 * (yj + yk) - yi
+        if math.hypot(dx, dy) <= tol.rank_rel * uscale:
             raise DegenerateChordError("projected chord collapses to a point")
-        six.append(quad.points[i] + ratio * (mid2 - quad.points[i]))
+        six.append([xi + ratio * dx, yi + ratio * dy])
 
-    conic = fit_conic(six, rel_tol=tol.rank_rel)
-    center2, r_major, r_minor, dir_major = _ellipse_geometry(conic)
+    mx, my, spread, coefficients = _unit_conic(six, tol.rank_rel)
+    (cx, cy), r_major, r_minor, (ax, ay) = _ellipse_geometry(coefficients)
     tilt = min(r_minor / r_major, 1.0)
     if tilt <= 1e-6:
         raise DegenerateViewError("projected circumcircle is seen edge on")
-    minor_dir = np.array([-dir_major[1], dir_major[0]])
     horiz = math.sqrt(max(1.0 - tilt * tilt, 0.0))
+    cx, cy = mx + spread * cx, my + spread * cy
 
-    frame3 = _frame(p3).T
+    f3 = _frame(p)
     lifts = []
-    for sign in (1.0, -1.0):
-        normal = np.array([sign * horiz * minor_dir[0], sign * horiz * minor_dir[1], tilt])
-        # lift each projected vertex to the plane through (center2, 0)
-        lifted = np.empty((3, 3))
-        lifted[:, :2] = u3
-        lifted[:, 2] = (center2 - u3) @ normal[:2] / normal[2]
-        lifts.append((_frame(lifted) @ frame3)[:2].tolist())
+    for lean in (horiz, -horiz):
+        # lift each projected vertex to the circle plane through (cx, cy, 0)
+        # with normal (-lean ay, lean ax, tilt), (ax, ay) the major axis; the
+        # rows of the lift are the first two of F_lift F_3^T, each F the frame
+        # as columns
+        nx, ny = -lean * ay, lean * ax
+        fl = _frame([[x, y, ((cx - x) * nx + (cy - y) * ny) / tilt] for x, y in u[:3]])
+        lifts.append([[fl[0][i] * f3[0][j] + fl[1][i] * f3[1][j] + fl[2][i] * f3[2][j] for j in range(3)]
+                      for i in range(2)])
     _, screen = _noise_bounds(s, tol)
     out = _gate(tetra.vertices, lifts, [IDENTITY_PERMUTATION] * 2, np.array([quad.points] * 2), screen, False, tol)
     return dedupe_rotations(out, tol.dedupe)
@@ -462,9 +515,13 @@ def prune_permutations(
     only match when ||u_sigma(i)|| <= ||p_i|| for every i.  Operates on the
     coordinates as given, without recentring.
     """
-    v = as_finite_array(vertices, (4, 3), "vertices")
-    vertex_norms = np.linalg.norm(v, axis=1)
-    point_norms = np.linalg.norm(quad.points, axis=1)
+    return _prune(as_finite_array(vertices, (4, 3), "vertices"), quad.points, tol_abs)
+
+
+def _prune(vertices: np.ndarray, points: np.ndarray, tol_abs: float) -> list[Permutation4]:
+    """prune_permutations on a checked (4, 3) vertex array."""
+    vertex_norms = np.linalg.norm(vertices, axis=1)
+    point_norms = np.linalg.norm(points, axis=1)
     allowed = point_norms[None, :] <= vertex_norms[:, None] + tol_abs
     survives = allowed[np.arange(4), _PERM_INDEX].all(axis=1)
     return [ALL_PERMUTATIONS[row] for row in np.flatnonzero(survives)]
@@ -486,7 +543,7 @@ def unlabeled_solve(
     empty list means no rotation is compatible.  Vertex sets spanning less
     than a plane are rejected, even when no relabeling survives.
     """
-    return _fit_relabelings(tetra, quad, prune_permutations(tetra.vertices, quad, tol.geom_abs), tol)
+    return _fit_relabelings(tetra, quad, _prune(tetra.vertices, quad.points, tol.geom_abs), tol)
 
 
 def dedupe_rotations(
@@ -497,15 +554,20 @@ def dedupe_rotations(
 
     Within each relabeling, matrices closer than dedupe_tol in Frobenius
     norm collapse to the representative with the smallest residual, taking
-    the distances of a relabeling from one stacked pairwise computation.
-    The output is sorted by relabeling images, then residual.
+    the distances of a relabeling from one stacked pairwise computation;
+    a relabeling with one candidate keeps it as it is.  The output is
+    sorted by relabeling images, then residual.
     """
     by_sigma: dict[tuple[int, int, int, int], list[SolveCandidate]] = {}
     for cand in candidates:
         by_sigma.setdefault(cand.sigma.images, []).append(cand)
     merged: list[SolveCandidate] = []
     for images in sorted(by_sigma):
-        group = sorted(by_sigma[images], key=lambda c: c.residual)
+        group = by_sigma[images]
+        if len(group) == 1:
+            merged.append(group[0])
+            continue
+        group.sort(key=lambda c: c.residual)
         flat = np.array([cand.matrix.ravel() for cand in group])
         diff = flat[:, None] - flat[None]
         near = np.sqrt(np.vecdot(diff, diff)) < dedupe_tol

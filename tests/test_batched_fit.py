@@ -8,8 +8,10 @@ unlabeled_solve, labeled_solve and reconstruct_geometric on five
 instances, so that a change in the last bits of any candidate fails.
 The gate tests feed the shared gate rows on either side of its one
 tolerance.  The factorization tests count the linear-algebra calls of a
-solve: one SVD of P3, no least-squares solve, and no system solved in P3
-by the geometric route.
+solve: one SVD of P3 and no least-squares solve per linear solve; two
+SVDs, of P3 and of the conic's design matrix, and nothing else per
+geometric solve; nothing for a dedupe with one candidate per relabeling,
+and no second check of a Tetrahedron's or ProjectionQuad's arrays.
 """
 
 import math
@@ -40,7 +42,7 @@ from tetrot import (
     unlabeled_solve,
 )
 from tetrot.instances import four_cycle_instance, planar_instance
-from tetrot import solver
+from tetrot import geom, rotation, solver
 from tetrot.solver import _gate
 
 from conftest import random_full_dim_tetrahedron, random_unit_quaternion
@@ -484,23 +486,23 @@ EXPECTED_GEOMETRIC = {
     "relabeled": [],
     "noisy": [
         ((1, 2, 3, 4), False, """
-            0x1.019e432b411ffp-2 0x1.3a0235d4e76e0p-1 0x1.625cf24e64284p-1
-            0x1.246bf11716a3ap-2
-            -0x1.f03655ff05799p-4 0x1.6917c759d64cfp-1 0x1.65a4a6d2185b4p-1
-            0x1.fc3a598a27994p-1 0x1.5aa7c8667d08cp-4 0x1.63245ca23ae83p-4
-            0x1.0a4539a6400ffp-9 0x1.6862e35fdf70bp-1 -0x1.6bae9bf3050edp-1
-            0x1.1affee8cb5c41p-32
+            0x1.019e432b4121ep-2 0x1.3a0235d4e76dap-1 0x1.625cf24e64284p-1
+            0x1.246bf11716a35p-2
+            -0x1.f03655ff0578fp-4 0x1.6917c759d64c1p-1 0x1.65a4a6d2185c4p-1
+            0x1.fc3a598a27995p-1 0x1.5aa7c8667d111p-4 0x1.63245ca23ade8p-4
+            0x1.0a4539a63e500p-9 0x1.6862e35fdf719p-1 -0x1.6bae9bf3050e0p-1
+            0x1.1aff8841eb54fp-32
             """),
     ],
     "ambiguous": DegenerateTetrahedronError,
     "four-cycle": [
         ((1, 2, 3, 4), False, """
-            0x1.0000000000000p+0 -0x1.c27654b41dad6p-52 0x1.d249e2c8037a0p-55
-            0x1.9fc13d4737078p-52
-            0x1.0000000000000p+0 -0x1.9fc13d4737078p-51 0x1.d249e2c803789p-54
-            0x1.9fc13d4737078p-51 0x1.0000000000000p+0 0x1.c27654b41dad6p-51
-            -0x1.d249e2c8037b7p-54 -0x1.c27654b41dad6p-51 0x1.0000000000000p+0
-            0x1.3e7f18837d425p-47
+            0x1.0000000000000p+0 -0x1.d000000000000p-52 -0x1.fffffffffff9ap-57
+            0x1.b000000000000p-52
+            0x1.0000000000000p+0 -0x1.b000000000000p-51 -0x1.ffffffffffffcp-56
+            0x1.b000000000000p-51 0x1.0000000000000p+0 0x1.d000000000000p-51
+            0x1.fffffffffff38p-56 -0x1.d000000000000p-51 0x1.0000000000000p+0
+            0x1.752e50db3a3a2p-47
             """),
     ],
     "planar": DegenerateTetrahedronError,
@@ -560,9 +562,9 @@ class TestOneFactorization:
     """P3 is factored by one SVD per solve, and no solve repeats that work."""
 
     @staticmethod
-    def counting(monkeypatch):
+    def counting(monkeypatch, names=("svd", "lstsq", "solve")):
         calls = []
-        for name in ("svd", "lstsq", "solve"):
+        for name in names:
             original = getattr(np.linalg, name)
 
             def counted(a, *args, _name=name, _original=original, **kwargs):
@@ -601,3 +603,32 @@ class TestOneFactorization:
         assert [call for call in calls if call[1] == (3, 3)] == [("svd", (3, 3))]
         assert all(shape == (2, 2) for fn, shape in calls if fn == "solve")
         assert "lstsq" not in {fn for fn, _ in calls}
+
+    @pytest.mark.parametrize("name", ["four-cycle", "noisy"])
+    def test_geometric_route_takes_two_svds_and_nothing_else(self, monkeypatch, name):
+        tetra, quad = TestGolden.instance(name)
+        calls = self.counting(monkeypatch, ("svd", "lstsq", "solve", "eigh", "norm", "det", "pinv"))
+        assert reconstruct_geometric(tetra, quad)
+        assert calls == [("svd", (3, 3)), ("svd", (6, 6))]
+
+    @pytest.mark.parametrize("name", ["four-cycle", "noisy", "relabeled"])
+    def test_dedupe_builds_nothing_for_one_candidate_per_relabeling(self, monkeypatch, name):
+        candidates = unlabeled_solve(*TestGolden.instance(name))
+        assert candidates and len({c.sigma for c in candidates}) == len(candidates)
+        calls = self.counting(monkeypatch, ("svd", "lstsq", "solve", "eigh", "norm", "det"))
+        for fn in ("array", "vecdot"):
+            monkeypatch.setattr(np, fn, lambda *args, _fn=fn, **kwargs: calls.append(_fn))
+        merged = dedupe_rotations(candidates[::-1])
+        assert calls == []
+        assert [id(c) for c in merged] == [id(c) for c in candidates]
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_unlabeled_solve_checks_no_input_again(self, monkeypatch, name):
+        tetra, quad = TestGolden.instance(name)
+        checked = []
+        for module in (geom, solver, rotation):
+            original = module.as_finite_array
+            monkeypatch.setattr(module, "as_finite_array", lambda *args, _f=original: checked.append(args) or _f(*args))
+        unlabeled_solve(tetra, quad)
+        assert checked == []
+

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from tetrot import (
     ALL_PERMUTATIONS,
     DEFAULT_TOLERANCES,
     CollinearPointsError,
+    DegenerateChordError,
     DegenerateTetrahedronError,
     DegenerateViewError,
     IDENTITY_PERMUTATION,
@@ -72,6 +74,25 @@ class TestCircumcircle:
         with pytest.raises(CollinearPointsError):
             circumcircle3([0, 0, 0], [1, 1, 1], [2, 2, 2])
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 3e-9])
+    def test_nearly_collinear_points(self, eps):
+        # the circle through (0, eps), (-1, 0) and (1, 0) has radius (1 + eps^2) / (2 eps)
+        circle = circumcircle3([0, eps, 0], [-1, 0, 0], [1, 0, 0])
+        radius = (1.0 + eps * eps) / (2.0 * eps)
+        assert circle.radius == pytest.approx(radius, rel=1e-12)
+        np.testing.assert_allclose(circle.center, [0.0, eps - radius, 0.0], rtol=0, atol=1e-12 * radius)
+
+    @pytest.mark.parametrize("scale", [1e80, 1e100, 1e150])
+    def test_no_overflow_at_admitted_magnitudes(self, scale):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            pts = rng.standard_normal((3, 3))
+            pts = np.clip(pts * (scale / np.abs(pts).max()), -scale, scale)
+            circle = circumcircle3(*pts)
+            dist = [math.hypot(*((circle.center - p) / scale)) for p in pts]
+            assert max(dist) - min(dist) <= 1e-12 * max(dist)
+            assert abs(circle.radius / scale - dist[0]) <= 1e-12 * dist[0]
+
 
 class TestFitConic:
     def test_unit_circle(self):
@@ -109,6 +130,21 @@ class TestFitConic:
         # every pair of lines y = 0 and one through (0, 1) passes through them: rank 4
         with pytest.raises(CollinearPointsError):
             fit_conic([(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)])
+
+    def test_coincident_points_rejected(self):
+        with pytest.raises(CollinearPointsError, match="^coincident points do not determine a conic$"):
+            fit_conic([(1.5, -2.0)] * 6)
+
+    @pytest.mark.parametrize("scale", [1e80, 1e140, 1e150])
+    def test_scaled_points_give_the_scaled_conic(self, scale):
+        # points X = s x lie on A X^2 + B XY + C Y^2 + D s X + E s Y + F s^2 = 0
+        pts = np.array([(3 * math.cos(t) + 1, 2 * math.sin(t) - 4) for t in (0.0, 0.9, 1.7, 2.8, 4.0, 5.5)])
+        conic = fit_conic(pts * scale)
+        assert conic.is_ellipse()
+        mapped = conic.coefficients * [1, 1, 1, 1 / scale, 1 / scale, 1 / scale / scale]
+        mapped /= np.abs(mapped).max()  # no square of the unscaled entries underflows
+        mapped /= np.linalg.norm(mapped) * np.sign(mapped[np.abs(mapped) > 1e-12][0])
+        np.testing.assert_allclose(mapped, fit_conic(pts).coefficients, rtol=0, atol=1e-12)
 
 
 class TestLabeledSolve:
@@ -265,6 +301,119 @@ class TestReconstructGeometric:
         tetra = Tetrahedron(base @ tilt.T)
         with pytest.raises((DegenerateViewError, CollinearPointsError)):
             reconstruct_geometric(tetra, project(tetra))
+
+    @staticmethod
+    def near_midpoint(eps):
+        """Vertex 1 within eps of the midpoint of vertices 2 and 3, on a circle of radius about 1/(2 eps)."""
+        return Tetrahedron([[0, eps, 0.3], [-1, 0, 0.3], [1, 0, 0.3], [0, 0, -0.9]])
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-7])
+    def test_vertex_at_its_opposite_edge_midpoint_rejected(self, eps):
+        tetra = self.near_midpoint(eps)
+        for q in (UnitQuaternion(1.0, 0.0, 0.0, 0.0), random_unit_quaternion(np.random.default_rng(43))):
+            message = "^vertex coincides with the opposite edge midpoint$"
+            with pytest.raises(DegenerateChordError, match=message):
+                reconstruct_geometric(tetra, labeled_shadow(tetra, q))
+
+    def test_six_points_on_a_short_arc_rejected_by_the_conic_rank(self):
+        tetra = self.near_midpoint(1e-4)
+        for q in (UnitQuaternion(1.0, 0.0, 0.0, 0.0), random_unit_quaternion(np.random.default_rng(47))):
+            message = "^" + re.escape("points in degenerate position, conic is not unique") + "$"
+            with pytest.raises(CollinearPointsError, match=message):
+                reconstruct_geometric(tetra, labeled_shadow(tetra, q))
+
+    def test_first_three_vertices_on_a_line_at_the_circle_cut_rejected(self):
+        # s[2] / s[0] of P3 is just above rank_rel; the triangle's area over
+        # its longest edge squared, the circumcircle's cut, is just below
+        vertices = """
+            -0x1.1ebb8d107ac14p+0 0x1.f74872ccc9a2cp-14 0x1.a41d6ec327713p-30
+            0x1.20e1104d311a9p+0 0x1.f746bb8fe5f0ap-14 0x1.816dd49e28c5dp-30
+            -0x1.0f1c7927e3234p-5 0x1.f747e0c994e09p-14 -0x1.167a0e5a03c6fp-31
+            0x1.94d823222ff28p-6 -0x1.7975c3c9911d0p-12 -0x1.4d271e1a2729cp-29
+            """
+        tetra = Tetrahedron(np.reshape([float.fromhex(token) for token in vertices.split()], (4, 3)))
+        assert tetra.full_dimensional()
+        with pytest.raises(CollinearPointsError, match="^circumcircle needs three non-collinear points$"):
+            reconstruct_geometric(tetra, project(tetra))
+
+    @pytest.mark.parametrize("offset", [7e-10, 1e-9])
+    def test_projected_chord_collapse_rejected(self, offset):
+        # point 1 within 1e-9 of the midpoint of points 2 and 3, yet not collinear with them at rank_rel
+        tetra = Tetrahedron([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+        quad = ProjectionQuad([[0, offset], [-1, 0], [1, 0], [0.3, 0.7]])
+        with pytest.raises(DegenerateChordError, match="^projected chord collapses to a point$"):
+            reconstruct_geometric(tetra, quad)
+
+    def test_near_edge_on_views_raise_only_documented_errors(self):
+        # circumcircle planes within 1e-12 to 1e-2 of vertical, where the
+        # fitted ellipse degenerates to a segment
+        rng = np.random.default_rng(49)
+        documented = (CollinearPointsError, DegenerateViewError)
+        raised = set()
+        for _ in range(300):
+            base = np.column_stack([rng.standard_normal((4, 2)), [0, 0, 0, rng.uniform(0.5, 2)]])
+            theta = math.pi / 2 - 10 ** rng.uniform(-12, -2)
+            c, s = math.cos(theta), math.sin(theta)
+            spin = quat_to_matrix(UnitQuaternion.normalized(1.0, 0.0, 0.0, rng.standard_normal()))
+            tetra = Tetrahedron(base @ np.array([[1, 0, 0], [0, c, -s], [0, s, c]]).T @ spin.T)
+            try:
+                assert len(reconstruct_geometric(tetra, project(tetra))) <= 1
+            except documented as exc:
+                raised.add(str(exc))
+        assert "projected circumcircle is seen edge on" in raised
+        assert raised <= {
+            "projected points are collinear",
+            "points in degenerate position, conic is not unique",
+            "projected circumcircle is seen edge on",
+            "fitted conic is not an ellipse",
+            "conic has no real ellipse points",
+        }
+
+    # Near-edge-on views, as float.hex, where an LU solve of the ellipse's
+    # center system meets an exact zero pivot or eigh gives its smaller
+    # eigenvalue as exactly 0, though the discriminant is negative
+    EXACTLY_DEGENERATE_VIEWS = {
+        "zero-eigenvalue-a": """
+            -0x1.decd7508d318bp-2 -0x1.9127ed11edbddp-2 -0x1.7b7f916524573p-3
+            -0x1.0564e4f2d1235p-4 -0x1.b6021f238b311p-5 0x1.cdc1b1ca35255p+0
+            -0x1.f3ec0e41643eap-4 -0x1.a2d9c01c1c323p-4 -0x1.3ff084703a7f8p-2
+            0x1.be20fcd200368p-3 -0x1.74bc0d8196f3dp-1 -0x1.f27b561c411a2p-1
+            """,
+        "zero-eigenvalue-b": """
+            -0x1.a28e61df04b99p-4 -0x1.4b3b6a7d17b5cp-2 0x1.031f7a0eccc87p+0
+            -0x1.f5c4909174f1dp-4 -0x1.8d154d3c65409p-2 -0x1.7ad65f45d4062p+0
+            -0x1.034538692aee5p-1 -0x1.9a5b546f4b9c6p+0 0x1.6d1bd9f2beaa3p+0
+            0x1.5fd2d9246df93p-1 -0x1.2504280b1beb7p-1 -0x1.362f900527741p+0
+            """,
+        "singular-center": """
+            -0x1.11e9a3e3d7915p-1 -0x1.1fe8c975a3c18p+0 -0x1.46317048e3d90p-1
+            0x1.c199457d112e3p-2 0x1.d892a027f008cp-1 0x1.83b10d72f23cep-4
+            0x1.7dbc534007d44p-4 0x1.913de8a2723d7p-3 -0x1.0e5a80079502ep+0
+            0x1.9db4ba30e86d6p-1 0x1.62f6212713fe4p-2 0x1.e9eba4288adb9p-2
+            """,
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXACTLY_DEGENERATE_VIEWS))
+    def test_an_exactly_degenerate_ellipse_raises_a_view_error(self, name):
+        values = [float.fromhex(token) for token in self.EXACTLY_DEGENERATE_VIEWS[name].split()]
+        tetra = Tetrahedron(np.reshape(values, (4, 3)))
+        with pytest.raises(DegenerateViewError):
+            reconstruct_geometric(tetra, project(tetra))
+
+    @pytest.mark.parametrize("scale", [1e80, 1e100, 1e150])
+    def test_no_overflow_at_admitted_magnitudes(self, scale):
+        rng = np.random.default_rng(53)
+        documented = (CollinearPointsError, DegenerateChordError, DegenerateViewError)
+        for _ in range(20):
+            vertices = rng.standard_normal((4, 3))
+            vertices -= vertices.mean(axis=0)
+            tetra = Tetrahedron(np.clip(vertices * (scale / np.abs(vertices).max()), -scale, scale))
+            shadow = apply(random_unit_quaternion(rng), tetra.vertices)[:, :2]
+            quad = ProjectionQuad(np.clip(shadow, -scale, scale))
+            try:
+                assert isinstance(reconstruct_geometric(tetra, quad), list)
+            except documented:
+                pass
 
 
 class TestPrunePermutations:
