@@ -20,6 +20,7 @@ from .geom import CANONICAL_PERMUTATION, DEFAULT_TOLERANCES, PermClass, Permutat
 from .rotation import (
     AxisClass,
     UnitQuaternion,
+    _rotation_rows,
     classify_rotation,
     quat_from_axis_angle,
     quat_to_axis_angle,
@@ -106,6 +107,9 @@ def _coupling(sigma: Permutation4) -> np.ndarray:
 
 
 _COUPLING = {perm_class: _coupling(sigma) for perm_class, sigma in CANONICAL_PERMUTATION.items()}
+# Flat indices of the three 2x3 diagonal blocks, block by block and row by row
+_DIAGONAL = np.array([9 * (2 * i + r) + 3 * i + c for i in range(3) for r in range(2) for c in range(3)])
+_DIAGONAL.flags.writeable = False
 
 
 def build_config_matrix(q: UnitQuaternion, perm_class: PermClass) -> np.ndarray:
@@ -115,12 +119,12 @@ def build_config_matrix(q: UnitQuaternion, perm_class: PermClass) -> np.ndarray:
     rows of the rotation matrix of q, the system is A p_i = proj(p_sigma(i))
     for i = 1, 2, 3, with p4 = -(p1 + p2 + p3) by the centroid condition.
     Variables are ordered p1_x, p1_y, p1_z, p2_x, ..., p3_z; rows 2i-1 and
-    2i carry the x and y equation of block i.
+    2i carry the x and y equation of block i.  One flat-index add puts A on
+    the diagonal blocks, with the bits of adding quat_to_matrix(q)[:2] to each.
     """
     m = _COUPLING[perm_class].copy()
-    a = quat_to_matrix(q)[:2]
-    for i in range(3):
-        m[2 * i : 2 * i + 2, 3 * i : 3 * i + 3] += a
+    top, middle, _ = _rotation_rows(q.a, q.b, q.c, q.d)
+    m.reshape(-1)[_DIAGONAL] += np.array((top + middle) * 3)
     return m
 
 
@@ -212,17 +216,21 @@ def _null_space(q: UnitQuaternion, perm_class: PermClass, rel_tol: float, angle_
 
 
 def _draw(basis: np.ndarray, rng: np.random.Generator) -> Tetrahedron:
-    """One tetrahedron from a uniform direction in the span of the basis rows, at unit RMS vertex norm."""
+    """One tetrahedron from a uniform direction in the span of the basis rows, at unit RMS vertex norm.
+
+    Bit for bit the np.linalg.norm, np.vstack and np.mean definition; the
+    coefficients' norm is sqrt(x.dot(x)), as np.linalg.norm takes it."""
     coeffs = rng.standard_normal(basis.shape[0])
-    norm = np.linalg.norm(coeffs)
+    norm = math.sqrt(coeffs.dot(coeffs))
     while norm == 0.0:
         coeffs = rng.standard_normal(basis.shape[0])
-        norm = np.linalg.norm(coeffs)
-    vec = (coeffs / norm) @ basis
-    p123 = vec.reshape(3, 3)
-    verts = np.vstack([p123, -p123.sum(axis=0)])
-    rms = math.sqrt(float(np.mean(np.sum(verts * verts, axis=1))))
-    return Tetrahedron(verts / rms)
+        norm = math.sqrt(coeffs.dot(coeffs))
+    verts = np.empty((4, 3))
+    verts[:3] = ((coeffs / norm) @ basis).reshape(3, 3)
+    verts[3] = -verts[:3].sum(axis=0)
+    # left to right, as np.mean(np.sum(verts * verts, axis=1)) adds; sum() would compensate
+    n0, n1, n2, n3 = [x * x + y * y + z * z for x, y, z in verts.tolist()]
+    return Tetrahedron(verts / math.sqrt((n0 + n1 + n2 + n3) / 4.0))
 
 
 @dataclass(frozen=True, eq=False)

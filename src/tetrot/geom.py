@@ -40,7 +40,7 @@ def as_finite_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.abs(arr) <= MAX_MAGNITUDE):  # false for NaN and inf as well
+    if not (np.abs(arr) <= MAX_MAGNITUDE).all():  # false for NaN and inf as well
         raise ValueError(f"{name} must contain only finite values up to {MAX_MAGNITUDE:g} in magnitude")
     return arr
 
@@ -164,7 +164,7 @@ class Tetrahedron:
 
     def __post_init__(self) -> None:
         v = as_finite_array(self.vertices, (4, 3), "vertices")
-        v = v - v.mean(axis=0)
+        v = v - v.sum(axis=0) / 4.0  # the bits of v.mean(axis=0)
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
 

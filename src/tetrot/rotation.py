@@ -120,14 +120,20 @@ def quat_to_matrix(q: UnitQuaternion) -> np.ndarray:
     return np.array(_rotation_rows(q.a, q.b, q.c, q.d))
 
 
+def _angle_axis(q: UnitQuaternion) -> tuple[float, float, float, float]:
+    """Angle and axis of q as floats, (0, 0, 0, 1) for the identity: |v| of v = (b, c, d)
+    is sqrt(v.dot(v)), the bits of np.linalg.norm(v), and the axis is v / |v| by component."""
+    vec = np.array([q.b, q.c, q.d])
+    s = math.sqrt(vec.dot(vec))
+    if s == 0.0:
+        return 0.0, 0.0, 0.0, 1.0
+    return 2.0 * math.atan2(s, q.a), q.b / s, q.c / s, q.d / s
+
+
 def quat_to_axis_angle(q: UnitQuaternion) -> AxisAngle:
     """Axis and angle of q; the identity reports axis (0,0,1) and angle 0."""
-    vec = np.array([q.b, q.c, q.d])
-    s = float(np.linalg.norm(vec))
-    angle = 2.0 * math.atan2(s, q.a)
-    if s == 0.0:
-        return AxisAngle(np.array([0.0, 0.0, 1.0]), 0.0)
-    return AxisAngle(vec / s, angle)
+    angle, *axis = _angle_axis(q)
+    return AxisAngle(np.array(axis), angle)
 
 
 def matrix_to_quat(r, atol: float = _ROTATION_ATOL) -> UnitQuaternion:
@@ -185,17 +191,17 @@ def classify_rotation(
     """Axis class and rotation angle of q.
 
     The identity is classified NO_AXIS with angle 0.  Horizontal means
-    |w3| <= angle_abs, vertical means |w1|, |w2| <= angle_abs.
+    |w3| <= angle_abs, vertical means |w1|, |w2| <= angle_abs.  Reads the
+    floats behind quat_to_axis_angle, so it builds no AxisAngle.
     """
-    aa = quat_to_axis_angle(q)
-    if aa.angle <= angle_abs:
+    angle, w1, w2, w3 = _angle_axis(q)
+    if angle <= angle_abs:
         return AxisClass.NO_AXIS, 0.0
-    w1, w2, w3 = aa.axis
     if abs(w3) <= angle_abs:
-        return AxisClass.HORIZONTAL, aa.angle
+        return AxisClass.HORIZONTAL, angle
     if abs(w1) <= angle_abs and abs(w2) <= angle_abs:
-        return AxisClass.VERTICAL, aa.angle
-    return AxisClass.OBLIQUE, aa.angle
+        return AxisClass.VERTICAL, angle
+    return AxisClass.OBLIQUE, angle
 
 
 def apply(q: UnitQuaternion, p) -> np.ndarray:

@@ -65,6 +65,9 @@ _PERM_ROW = {sigma: row for row, sigma in enumerate(ALL_PERMUTATIONS)}
 _CROSS_MATRIX = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0], [0, 0, 1, 0, 0, 0, -1, 0, 0], [0, -1, 0, 1, 0, 0, 0, 0, 0]],
                          dtype=float)
 _CROSS_MATRIX.flags.writeable = False
+# Ratio of the projected circumcircle's minor to major axis at or below
+# which the geometric route refuses the view as edge on.
+_EDGE_ON_TILT = 1e-6
 
 
 class DegenerateTetrahedronError(ValueError):
@@ -388,30 +391,38 @@ def fit_conic(points, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> Conic:
     return Conic(np.array([x / top for x in coeffs]))
 
 
-def _ellipse_geometry(coefficients: list[float]) -> tuple[tuple[float, float], float, float, tuple[float, float]]:
-    """Center, semi-major, semi-minor and major-axis direction of the ellipse
-    a x^2 + b xy + c y^2 + d x + e y + f = 0, closed form on floats."""
+def _ellipse_geometry(coefficients: list[float]) -> tuple[tuple[float, float], float, tuple[float, float]]:
+    """Center, tilt and major-axis direction of the ellipse
+    a x^2 + b xy + c y^2 + d x + e y + f = 0, closed form on floats.
+
+    The tilt is the ratio of the minor to the major semi-axis,
+    sqrt(level / big) / sqrt(level / small) with big >= small the
+    eigenvalues of [[a, b/2], [b/2, c]].  Its square small / big is tested
+    first, before the conic's type and level: a parabola or hyperbola has
+    small <= 0, so every conic at or below the edge-on cut gets the one
+    edge-on error, whatever rounding made of its type or level.
+    """
     a, b, c, d, e, f = coefficients
-    disc = b * b - 4.0 * a * c
-    if not disc < 0.0:
-        raise DegenerateViewError("fitted conic is not an ellipse")
     if a + c < 0:
         a, b, c, d, e, f = -a, -b, -c, -d, -e, -f
+    disc = b * b - 4.0 * a * c
+    # big >= small are mean +- rad; their product, the determinant, is -disc/4
+    mean, half, h = 0.5 * (a + c), 0.5 * (a - c), 0.5 * b
+    rad = math.hypot(half, h)
+    big = mean + rad
+    det = -0.25 * disc
+    if not det > _EDGE_ON_TILT * _EDGE_ON_TILT * big * big:  # tilt^2 = small / big = det / big^2
+        raise DegenerateViewError("projected circumcircle is seen edge on")
     # the center zeroes the gradient: [[2a, b], [b, 2c]] (cx, cy) = -(d, e)
     cx, cy = (2.0 * c * d - b * e) / disc, (2.0 * a * e - b * d) / disc
     level = -(a * cx * cx + b * cx * cy + c * cy * cy + d * cx + e * cy + f)
     if level <= 0:
         raise DegenerateViewError("conic has no real ellipse points")
-    # eigenvalues big >= small > 0 of [[a, h], [h, c]], h = b/2, whose
-    # determinant is -disc/4, and the eigenvector of small
-    mean, half, h = 0.5 * (a + c), 0.5 * (a - c), 0.5 * b
-    rad = math.hypot(half, h)
-    big = mean + rad
-    small = -0.25 * disc / big
-    vx, vy = (h, -half - rad) if half >= 0.0 else (half - rad, h)
+    small = det / big
+    vx, vy = (h, -half - rad) if half >= 0.0 else (half - rad, h)  # the eigenvector of small
     length = math.hypot(vx, vy)
     direction = (vx / length, vy / length) if length else (1.0, 0.0)
-    return (cx, cy), math.sqrt(level / small), math.sqrt(level / big), direction
+    return (cx, cy), min(math.sqrt(level / big) / math.sqrt(level / small), 1.0), direction
 
 
 def _frame(points: list[list[float]]) -> list[list[float]]:
@@ -481,10 +492,7 @@ def reconstruct_geometric(
         six.append([xi + ratio * dx, yi + ratio * dy])
 
     mx, my, spread, coefficients = _unit_conic(six, tol.rank_rel)
-    (cx, cy), r_major, r_minor, (ax, ay) = _ellipse_geometry(coefficients)
-    tilt = min(r_minor / r_major, 1.0)
-    if tilt <= 1e-6:
-        raise DegenerateViewError("projected circumcircle is seen edge on")
+    (cx, cy), tilt, (ax, ay) = _ellipse_geometry(coefficients)
     horiz = math.sqrt(max(1.0 - tilt * tilt, 0.0))
     cx, cy = mx + spread * cx, my + spread * cy
 

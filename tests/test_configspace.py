@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,10 @@ from tetrot import (
     sample_tetrahedron,
     verify_fourcycle_relations,
 )
+from tetrot.configspace import _COUPLING, _DIAGONAL, _special_angle, _table_dimension
+from tetrot.geom import DEFAULT_TOLERANCES
 from tetrot.instances import four_cycle_instance
+from tetrot.rotation import _rotation_rows
 
 from conftest import random_full_dim_tetrahedron, random_unit_quaternion
 
@@ -210,6 +214,66 @@ class TestPredictedDimension:
         # four-cycle: 5 on the vertical quarter-turn cell, 3 just off it
         assert config_dimension(quat_from_axis_angle([0, 0, 1], math.pi / 2), PermClass.FOUR_CYCLE) == 5
         assert config_dimension(quat_from_axis_angle([0, 0, 1], math.pi / 2 + eps), PermClass.FOUR_CYCLE) == 3
+
+
+def exact_rank(rows: list[list[Fraction]]) -> int:
+    """Rank by Gaussian elimination over the rationals."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] / rows[rank][col]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def exact_config_matrix(quat: tuple[int, int, int, int], perm_class: PermClass) -> list[list[Fraction]]:
+    """The system of build_config_matrix over the rationals: the rotation rows
+    of an integer quaternion added to the exact entries of the coupling."""
+    top, middle, _ = _rotation_rows(*map(Fraction, quat))
+    flat = [Fraction(x) for x in _COUPLING[perm_class].ravel().tolist()]
+    for index, value in zip(_DIAGONAL.tolist(), (top + middle) * 3):
+        flat[index] += value
+    return [flat[9 * i : 9 * i + 9] for i in range(6)]
+
+
+class TestExactDimensionCertificate:
+    """The dimension table in exact arithmetic, at one integer quaternion per
+    axis class and special angle.  An integer quaternion has a rational
+    rotation matrix, so elimination over Fraction gives the exact rank.  The
+    horizontal and vertical third turns need Q(sqrt 3): 3a^2 = b^2 + c^2 has
+    no nonzero integer solution."""
+
+    REPRESENTATIVES = {
+        (3, 1, 2, 5): (AxisClass.OBLIQUE, None),
+        (3, 1, 2, 0): (AxisClass.HORIZONTAL, None),
+        (3, 0, 0, 1): (AxisClass.VERTICAL, None),
+        (0, 1, 2, 3): (AxisClass.OBLIQUE, "half"),
+        (0, 1, 2, 0): (AxisClass.HORIZONTAL, "half"),
+        (0, 0, 0, 1): (AxisClass.VERTICAL, "half"),
+        (3, 1, 2, 2): (AxisClass.OBLIQUE, "quarter"),
+        (1, 1, 0, 0): (AxisClass.HORIZONTAL, "quarter"),
+        (1, 0, 0, 1): (AxisClass.VERTICAL, "quarter"),
+        (1, 1, 1, 1): (AxisClass.OBLIQUE, "third"),
+    }
+
+    @pytest.mark.parametrize("quat", sorted(REPRESENTATIVES))
+    def test_representative_lies_in_its_cell(self, quat):
+        axis_class, alpha = classify_rotation(UnitQuaternion.normalized(*quat))
+        assert (axis_class, _special_angle(alpha, DEFAULT_TOLERANCES.angle_abs)) == self.REPRESENTATIVES[quat]
+
+    @pytest.mark.parametrize("perm_class", list(PermClass))
+    @pytest.mark.parametrize("quat", sorted(REPRESENTATIVES))
+    def test_exact_rank_gives_the_table_dimension(self, quat, perm_class):
+        axis_class, special = self.REPRESENTATIVES[quat]
+        rank = exact_rank(exact_config_matrix(quat, perm_class))
+        assert 9 - rank == _table_dimension(perm_class, axis_class, special)
+        assert numeric_rank(build_config_matrix(UnitQuaternion.normalized(*quat), perm_class)) == rank
 
 
 class TestNullSpaceBasis:

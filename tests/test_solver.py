@@ -344,6 +344,15 @@ class TestReconstructGeometric:
         with pytest.raises(DegenerateChordError, match="^projected chord collapses to a point$"):
             reconstruct_geometric(tetra, quad)
 
+    @staticmethod
+    def near_edge_on(rng, tilt_exponent):
+        """A tetrahedron whose first three vertices span a plane about 10**tilt_exponent rad off vertical."""
+        base = np.column_stack([rng.standard_normal((4, 2)), [0, 0, 0, rng.uniform(0.5, 2)]])
+        theta = math.pi / 2 - 10 ** tilt_exponent
+        c, s = math.cos(theta), math.sin(theta)
+        spin = quat_to_matrix(UnitQuaternion.normalized(1.0, 0.0, 0.0, rng.standard_normal()))
+        return Tetrahedron(base @ np.array([[1, 0, 0], [0, c, -s], [0, s, c]]).T @ spin.T)
+
     def test_near_edge_on_views_raise_only_documented_errors(self):
         # circumcircle planes within 1e-12 to 1e-2 of vertical, where the
         # fitted ellipse degenerates to a segment
@@ -351,11 +360,7 @@ class TestReconstructGeometric:
         documented = (CollinearPointsError, DegenerateViewError)
         raised = set()
         for _ in range(300):
-            base = np.column_stack([rng.standard_normal((4, 2)), [0, 0, 0, rng.uniform(0.5, 2)]])
-            theta = math.pi / 2 - 10 ** rng.uniform(-12, -2)
-            c, s = math.cos(theta), math.sin(theta)
-            spin = quat_to_matrix(UnitQuaternion.normalized(1.0, 0.0, 0.0, rng.standard_normal()))
-            tetra = Tetrahedron(base @ np.array([[1, 0, 0], [0, c, -s], [0, s, c]]).T @ spin.T)
+            tetra = self.near_edge_on(rng, rng.uniform(-12, -2))
             try:
                 assert len(reconstruct_geometric(tetra, project(tetra))) <= 1
             except documented as exc:
@@ -365,9 +370,30 @@ class TestReconstructGeometric:
             "projected points are collinear",
             "points in degenerate position, conic is not unique",
             "projected circumcircle is seen edge on",
-            "fitted conic is not an ellipse",
             "conic has no real ellipse points",
         }
+
+    def test_views_below_the_edge_on_cut_get_the_edge_on_error(self):
+        # a true circumcircle tilt of at most 1e-7, ten times below the cut:
+        # the six points are an affine image of concyclic points, so any
+        # other view error would describe rounding, not the view
+        rng = np.random.default_rng(59)
+        edge_on = 0
+        for _ in range(400):
+            tetra = self.near_edge_on(rng, rng.uniform(-12, -7))
+            p0, p1, p2 = tetra.vertices[:3]
+            normal = np.cross(p1 - p0, p2 - p0)
+            assert abs(normal[2]) <= 1e-7 * np.linalg.norm(normal)
+            try:
+                reconstruct_geometric(tetra, project(tetra))
+            except CollinearPointsError:
+                continue
+            except DegenerateViewError as exc:
+                assert str(exc) == "projected circumcircle is seen edge on"
+                edge_on += 1
+            else:
+                pytest.fail("a view below the edge-on cut was reconstructed")
+        assert edge_on >= 50
 
     # Near-edge-on views, as float.hex, where an LU solve of the ellipse's
     # center system meets an exact zero pivot or eigh gives its smaller
