@@ -33,11 +33,12 @@ from .configspace import (
     config_dimension,
     numeric_rank,
     build_config_matrix,
+    null_space_basis,
     predicted_dimension,
     sample_cell_rotation,
     sample_tetrahedron,  # noqa: F401  kept in this namespace for bench/spans.py, which wraps it here
     _draw,
-    _null_space,
+    _system,
 )
 from .geom import (
     CANONICAL_PERMUTATION,
@@ -49,7 +50,6 @@ from .geom import (
     Tolerances,
     as_finite_array,
     project,
-    quad_match,
 )
 from .instances import four_cycle_instance, norm_prune_instance, planar_instance
 from .rotation import AxisClass, UnitQuaternion, apply, classify_rotation, quat_from_axis_angle
@@ -200,7 +200,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     perm_class = PermClass(args.perm_class)
     sigma = CANONICAL_PERMUTATION[perm_class]
     # sample_tetrahedron per trial, with the null space computed once
-    basis = _null_space(rotation, perm_class, config.tolerances.rank_rel, config.tolerances.angle_abs)
+    basis = null_space_basis(_system(rotation, perm_class, config.tolerances.angle_abs), config.tolerances.rank_rel)
     samples = []
     all_ok = True
     for trial in range(config.trials):
@@ -323,7 +323,6 @@ def _reproduce_planar(config: RunConfig) -> int:
 
 def _reproduce_uniqueness_sweep(config: RunConfig) -> int:
     spurious = 0
-    identity = np.eye(3)
     for trial in range(config.trials):
         rng = np.random.default_rng([config.seed, trial])
         for _ in range(_MAX_DRAWS):
@@ -333,9 +332,10 @@ def _reproduce_uniqueness_sweep(config: RunConfig) -> int:
         else:
             raise ValueError(f"no full-dimensional tetrahedron in {_MAX_DRAWS} draws at --tol-rank "
                              f"{config.tolerances.rank_rel!r}; choose a smaller --tol-rank")
-        candidates = unlabeled_solve(tetra, project(tetra), config.tolerances)
-        for cand in candidates:
-            if cand.residual <= 1e-8 and float(np.linalg.norm(cand.matrix - identity)) > 1e-6:
+        # every candidate passed the solver's gate at --tol-geom; one farther than
+        # the dedupe distance from the identity is another rotation with the same shadow
+        for cand in unlabeled_solve(tetra, project(tetra), config.tolerances):
+            if float(np.linalg.norm(cand.matrix - np.eye(3))) > config.tolerances.dedupe:
                 spurious += 1
     _emit({
         "command": "reproduce",
@@ -448,7 +448,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -146,9 +146,14 @@ def config_dimension(
     angle_abs: float = DEFAULT_TOLERANCES.angle_abs,
 ) -> int:
     """Null-space dimension of the projection-match system, 9 - rank."""
+    return 9 - numeric_rank(_system(q, perm_class, angle_abs), rel_tol)
+
+
+def _system(q: UnitQuaternion, perm_class: PermClass, angle_abs: float) -> np.ndarray:
+    """The class's 6x9 system for q; the one refusal of a rotation within angle_abs of the identity."""
     if classify_rotation(q, angle_abs)[0] is AxisClass.NO_AXIS:
         raise ValueError("the identity rotation is excluded from dimension analysis")
-    return 9 - numeric_rank(build_config_matrix(q, perm_class), rel_tol)
+    return build_config_matrix(q, perm_class)
 
 
 def predicted_dimension(
@@ -203,16 +208,9 @@ def sample_tetrahedron(
     projection of the rotated result matches the projection of the result
     itself under the canonical permutation of the class.
     """
-    basis = _null_space(q, perm_class, rel_tol, angle_abs)
+    basis = null_space_basis(_system(q, perm_class, angle_abs), rel_tol)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return _draw(basis, rng)
-
-
-def _null_space(q: UnitQuaternion, perm_class: PermClass, rel_tol: float, angle_abs: float) -> np.ndarray:
-    """Null-space basis of the class's system, one vector per row; q must not be the identity."""
-    if classify_rotation(q, angle_abs)[0] is AxisClass.NO_AXIS:
-        raise ValueError("the identity rotation is excluded from dimension analysis")
-    return null_space_basis(build_config_matrix(q, perm_class), rel_tol)
 
 
 def _draw(basis: np.ndarray, rng: np.random.Generator) -> Tetrahedron:

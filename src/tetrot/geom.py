@@ -110,30 +110,16 @@ class Permutation4:
         return tuple(i - 1 for i in self.images)
 
     def perm_class(self) -> PermClass:
-        lengths = sorted(map(len, self._cycles()))
-        return {
-            (1, 1, 1, 1): PermClass.IDENTITY,
-            (1, 1, 2): PermClass.TWO_CYCLE,
-            (2, 2): PermClass.DOUBLE_TWO_CYCLE,
-            (1, 3): PermClass.THREE_CYCLE,
-            (4,): PermClass.FOUR_CYCLE,
-        }[tuple(lengths)]
+        """Cycle type of the relabeling, read off its fixed points.
 
-    def _cycles(self) -> list[tuple[int, ...]]:
-        seen: set[int] = set()
-        cycles = []
-        for start in (1, 2, 3, 4):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            j = self.image(start)
-            while j != start:
-                cycle.append(j)
-                seen.add(j)
-                j = self.image(j)
-            cycles.append(tuple(cycle))
-        return cycles
+        Four fixed points make the identity, two a two-cycle and one a
+        three-cycle.  With none, sigma(sigma(1)) = 1 makes a double
+        two-cycle, and otherwise sigma is a four-cycle.
+        """
+        fixed = sum(self.image(i) == i for i in (1, 2, 3, 4))
+        if fixed == 0:
+            return PermClass.DOUBLE_TWO_CYCLE if self.image(self.image(1)) == 1 else PermClass.FOUR_CYCLE
+        return {4: PermClass.IDENTITY, 2: PermClass.TWO_CYCLE, 1: PermClass.THREE_CYCLE}[fixed]
 
 
 IDENTITY_PERMUTATION = Permutation4((1, 2, 3, 4))

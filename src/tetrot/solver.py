@@ -122,11 +122,8 @@ class Conic:
         if norm == 0.0:
             raise ValueError("conic coefficients must not all vanish")
         v = v / norm
-        for x in v:
-            if abs(x) > 1e-12:
-                if x < 0:
-                    v = -v
-                break
+        if _leads_negative(v):
+            v = -v
         v.flags.writeable = False
         object.__setattr__(self, "coefficients", v)
 
@@ -135,6 +132,11 @@ class Conic:
         a, b, c = self.coefficients[:3].tolist()
         top = max(abs(a), abs(b), abs(c))
         return top > 0.0 and (b / top) ** 2 - 4.0 * (a / top) * (c / top) < 0.0
+
+
+def _leads_negative(v) -> bool:
+    """Whether the first entry of v above 1e-12 in magnitude is negative; the sign rule of conics and normals."""
+    return next((x < 0 for x in v if abs(x) > 1e-12), False)
 
 
 def _cross(a: list[float], b: list[float]) -> list[float]:
@@ -321,11 +323,8 @@ def _circumcircle(p: list[float], q: list[float], r: list[float], rel_tol: float
     twice = 2.0 * area * area
     offset = [x / twice for x in _cross([g11 * b - g22 * a for a, b in zip(u1, u2)], normal)]
     normal = [x / area for x in normal]
-    for x in normal:
-        if abs(x) > 1e-12:
-            if x < 0:
-                normal = [-y for y in normal]
-            break
+    if _leads_negative(normal):
+        normal = [-x for x in normal]
     return [a + scale * x for a, x in zip(p, offset)], scale * math.hypot(*offset), normal
 
 

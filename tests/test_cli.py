@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from tetrot import cli
 from tetrot.cli import main, parse_projection, parse_rotation, parse_tetrahedron
 from tetrot.configspace import CLASSIFICATION_CELLS, sample_cell_rotation, sample_tetrahedron
-from tetrot.geom import CANONICAL_PERMUTATION, ProjectionQuad, project
+from tetrot.geom import CANONICAL_PERMUTATION, ProjectionQuad, Tetrahedron, Tolerances, project
 from tetrot.instances import four_cycle_instance, planar_instance
 from tetrot.rotation import apply
+from tetrot.solver import unlabeled_solve
 
 
 @pytest.fixture
@@ -196,17 +197,25 @@ class TestAngleTolerance:
     def test_sample_rejects_a_rotation_within_tol_angle_of_identity(self, capsys, tmp_path):
         rot = tmp_path / "rot.json"
         rot.write_text(json.dumps({"axis": [0, 0, 1], "angle_rad": 1e-8}))
-        for command in ("analyze", "sample"):
-            code = main([command, "--rotation", str(rot), "--perm-class", "two-cycle", "--tol-angle", "1e-6"])
-            assert code == 2, command
-            assert "identity" in capsys.readouterr().err
+        messages = {
+            # analyze refuses on its own, since its report needs the class and the angle
+            "analyze": "error: the identity rotation cannot be analyzed\n",
+            "sample": "error: the identity rotation is excluded from dimension analysis\n",
+        }
+        for command, message in messages.items():
+            for perm_class in ("two-cycle", "four-cycle"):
+                code = main([command, "--rotation", str(rot), "--perm-class", perm_class, "--tol-angle", "1e-6"])
+                captured = capsys.readouterr()
+                assert code == 2, command
+                assert captured.out == ""
+                assert captured.err == message
 
     def test_verify_dims_rejects_cell_rotations_within_tol_angle(self, capsys):
         # every rotation angle lies in [0, pi], so a tolerance above pi makes
         # every cell rotation count as the identity, whatever the draws
         code = main(["verify-dims", "--trials", "1", "--tol-angle", "3.5"])
         assert code == 2
-        assert "identity" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: the identity rotation is excluded from dimension analysis\n"
 
 
 class TestSampleCommand:
@@ -262,6 +271,23 @@ class TestReproduceCommand:
         code, report = run(capsys, ["reproduce", "uniqueness-sweep", "--trials", "50"])
         assert code == 0
         assert report["spurious_non_identity"] == 0
+
+    def test_uniqueness_sweep_counts_every_candidate_the_solver_accepts(self, capsys):
+        # at a loose --tol-geom the solver accepts other rotations; the sweep counts
+        # each one farther than the dedupe distance from the identity, and fails
+        tol = Tolerances(geom_abs=1e-1)
+        expected = 0
+        for trial in range(50):
+            rng = np.random.default_rng([0, trial])
+            tetra = Tetrahedron(rng.standard_normal((4, 3)))
+            assert tetra.full_dimensional(tol.rank_rel)
+            for cand in unlabeled_solve(tetra, project(tetra), tol):
+                expected += float(np.linalg.norm(cand.matrix - np.eye(3))) > tol.dedupe
+        code, report = run(capsys, ["reproduce", "uniqueness-sweep", "--trials", "50", "--tol-geom", "1e-1"])
+        assert expected > 0
+        assert report["spurious_non_identity"] == expected
+        assert not report["ok"]
+        assert code == 1
 
     def test_a_tol_rank_no_draw_meets_exits_two(self, capsys):
         # a random tetrahedron almost never has s[2] > 0.9 s[0]; the redraws stop at a cap

@@ -45,6 +45,16 @@ SQ38 = math.sqrt(0.375)
 Q_VERT_PI = UnitQuaternion(0, 0, 0, 1)
 Q_HORIZ_PI = UnitQuaternion(0, 1, 0, 0)
 
+# The one message of the rank analysis for a rotation within angle_abs of the identity
+IDENTITY_REFUSAL = "^the identity rotation is excluded from dimension analysis$"
+# (rotation, angle_abs): the identity itself, and turns at or below the tolerance
+IDENTITY_CASES = (
+    (UnitQuaternion(1, 0, 0, 0), DEFAULT_TOLERANCES.angle_abs),
+    (quat_from_axis_angle(np.array([0.0, 0.6, 0.8]), 1e-10), DEFAULT_TOLERANCES.angle_abs),
+    (quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 1e-3), 1e-2),
+    (quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), 0.5), 0.5),
+)
+
 
 def equation_matrix(q: UnitQuaternion, perm_class: PermClass) -> np.ndarray:
     """Independent oracle: assemble the 6x9 system column by column straight
@@ -136,8 +146,10 @@ class TestConfigDimension:
             assert config_dimension(q, perm_class) == 3
 
     def test_rejects_identity_rotation(self):
-        with pytest.raises(ValueError):
-            config_dimension(UnitQuaternion(1, 0, 0, 0), PermClass.TWO_CYCLE)
+        for q, angle_abs in IDENTITY_CASES:
+            for perm_class in PermClass:
+                with pytest.raises(ValueError, match=IDENTITY_REFUSAL):
+                    config_dimension(q, perm_class, angle_abs=angle_abs)
 
     def test_lower_bound_three(self):
         rng = np.random.default_rng(13)
@@ -232,10 +244,69 @@ def exact_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def exact_config_matrix(quat: tuple[int, int, int, int], perm_class: PermClass) -> list[list[Fraction]]:
-    """The system of build_config_matrix over the rationals: the rotation rows
-    of an integer quaternion added to the exact entries of the coupling."""
-    top, middle, _ = _rotation_rows(*map(Fraction, quat))
+class QSqrt3:
+    """a + b sqrt(3) with rational a and b, the field of the horizontal and
+    vertical third turns.  Mixes with int and Fraction on either side."""
+
+    def __init__(self, a, b=0) -> None:
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    @staticmethod
+    def of(x) -> "QSqrt3":
+        return x if isinstance(x, QSqrt3) else QSqrt3(x)
+
+    def __add__(self, other):
+        other = QSqrt3.of(other)
+        return QSqrt3(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QSqrt3(-self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + -QSqrt3.of(other)
+
+    def __rsub__(self, other):
+        return QSqrt3.of(other) - self
+
+    def __mul__(self, other):
+        other = QSqrt3.of(other)
+        return QSqrt3(self.a * other.a + 3 * self.b * other.b, self.a * other.b + self.b * other.a)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        # times the conjugate over the rational norm a^2 - 3 b^2, which sqrt(3)'s
+        # irrationality keeps nonzero for every nonzero element
+        other = QSqrt3.of(other)
+        norm = other.a * other.a - 3 * other.b * other.b
+        return self * QSqrt3(other.a / norm, -other.b / norm)
+
+    def __rtruediv__(self, other):
+        return QSqrt3.of(other) / self
+
+    def __eq__(self, other):
+        if not isinstance(other, (int, Fraction, QSqrt3)):
+            return NotImplemented
+        other = QSqrt3.of(other)
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __float__(self) -> float:
+        return float(self.a) + float(self.b) * math.sqrt(3.0)
+
+
+ROOT3 = QSqrt3(0, 1)
+
+
+def exact_config_matrix(quat: tuple, perm_class: PermClass) -> list[list]:
+    """The system of build_config_matrix in exact arithmetic: the rotation rows
+    of a quaternion with integer or field entries added to the exact entries
+    of the coupling.  Integer entries are taken as Fractions."""
+    top, middle, _ = _rotation_rows(*(Fraction(x) if isinstance(x, int) else x for x in quat))
     flat = [Fraction(x) for x in _COUPLING[perm_class].ravel().tolist()]
     for index, value in zip(_DIAGONAL.tolist(), (top + middle) * 3):
         flat[index] += value
@@ -243,11 +314,12 @@ def exact_config_matrix(quat: tuple[int, int, int, int], perm_class: PermClass) 
 
 
 class TestExactDimensionCertificate:
-    """The dimension table in exact arithmetic, at one integer quaternion per
-    axis class and special angle.  An integer quaternion has a rational
-    rotation matrix, so elimination over Fraction gives the exact rank.  The
-    horizontal and vertical third turns need Q(sqrt 3): 3a^2 = b^2 + c^2 has
-    no nonzero integer solution."""
+    """The dimension table in exact arithmetic, at one quaternion per axis
+    class and special angle.  An integer quaternion has a rational rotation
+    matrix, so elimination over Fraction gives the exact rank.  The
+    horizontal and vertical third turns need Q(sqrt 3), since 3a^2 = b^2 + c^2
+    has no nonzero integer solution: (1, sqrt 3, 0, 0) and (1, 0, 0, sqrt 3)
+    are eliminated over QSqrt3."""
 
     REPRESENTATIVES = {
         (3, 1, 2, 5): (AxisClass.OBLIQUE, None),
@@ -260,20 +332,39 @@ class TestExactDimensionCertificate:
         (1, 1, 0, 0): (AxisClass.HORIZONTAL, "quarter"),
         (1, 0, 0, 1): (AxisClass.VERTICAL, "quarter"),
         (1, 1, 1, 1): (AxisClass.OBLIQUE, "third"),
+        (1, ROOT3, 0, 0): (AxisClass.HORIZONTAL, "third"),
+        (1, 0, 0, ROOT3): (AxisClass.VERTICAL, "third"),
     }
+    # the integer quaternions in order, then the two in Q(sqrt 3)
+    QUATS = sorted(q for q in REPRESENTATIVES if ROOT3 not in q) + [q for q in REPRESENTATIVES if ROOT3 in q]
 
-    @pytest.mark.parametrize("quat", sorted(REPRESENTATIVES))
+    @pytest.mark.parametrize("quat", QUATS)
     def test_representative_lies_in_its_cell(self, quat):
-        axis_class, alpha = classify_rotation(UnitQuaternion.normalized(*quat))
+        axis_class, alpha = classify_rotation(UnitQuaternion.normalized(*map(float, quat)))
         assert (axis_class, _special_angle(alpha, DEFAULT_TOLERANCES.angle_abs)) == self.REPRESENTATIVES[quat]
 
     @pytest.mark.parametrize("perm_class", list(PermClass))
-    @pytest.mark.parametrize("quat", sorted(REPRESENTATIVES))
+    @pytest.mark.parametrize("quat", QUATS)
     def test_exact_rank_gives_the_table_dimension(self, quat, perm_class):
         axis_class, special = self.REPRESENTATIVES[quat]
         rank = exact_rank(exact_config_matrix(quat, perm_class))
         assert 9 - rank == _table_dimension(perm_class, axis_class, special)
-        assert numeric_rank(build_config_matrix(UnitQuaternion.normalized(*quat), perm_class)) == rank
+        assert numeric_rank(build_config_matrix(UnitQuaternion.normalized(*map(float, quat)), perm_class)) == rank
+
+    def test_third_turns_in_q_sqrt3_give_their_dimensions(self):
+        # the table's values for identity, two-, double-two-, three- and four-cycle
+        for quat, dims in (((1, ROOT3, 0, 0), (6, 5, 4, 4, 3)), ((1, 0, 0, ROOT3), (3, 3, 3, 5, 3))):
+            assert tuple(9 - exact_rank(exact_config_matrix(quat, c)) for c in PermClass) == dims
+
+    def test_q_sqrt3_arithmetic(self):
+        x, y = QSqrt3(2, -1), QSqrt3(Fraction(1, 3), 5)
+        assert ROOT3 * ROOT3 == 3
+        assert (x * y) / y == x
+        assert 1 / x * x == 1
+        assert x - y + y == x
+        assert 2 - x == QSqrt3(0, 1)
+        assert x != 2 and ROOT3 != 0
+        assert float(x) == pytest.approx(2 - math.sqrt(3))
 
 
 class TestNullSpaceBasis:
@@ -371,8 +462,10 @@ class TestSampleTetrahedron:
         np.testing.assert_array_equal(a.vertices, b.vertices)
 
     def test_rejects_identity_rotation(self):
-        with pytest.raises(ValueError):
-            sample_tetrahedron(UnitQuaternion(1, 0, 0, 0), PermClass.TWO_CYCLE, 0)
+        for q, angle_abs in IDENTITY_CASES:
+            for perm_class in PermClass:
+                with pytest.raises(ValueError, match=IDENTITY_REFUSAL):
+                    sample_tetrahedron(q, perm_class, 0, angle_abs=angle_abs)
 
     def test_unit_rms_scale(self):
         q = four_cycle_instance().rotation

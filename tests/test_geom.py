@@ -164,6 +164,32 @@ class TestPermutation4:
             PermClass.FOUR_CYCLE: 6,
         }
 
+    def test_class_is_the_cycle_type(self):
+        # the written-out definition: walk each cycle of sigma and sort the lengths
+        def cycle_type(sigma):
+            seen, lengths = set(), []
+            for start in (1, 2, 3, 4):
+                if start in seen:
+                    continue
+                j, length = start, 0
+                while j not in seen:
+                    seen.add(j)
+                    j = sigma.image(j)
+                    length += 1
+                lengths.append(length)
+            return tuple(sorted(lengths))
+
+        by_type = {
+            (1, 1, 1, 1): PermClass.IDENTITY,
+            (1, 1, 2): PermClass.TWO_CYCLE,
+            (2, 2): PermClass.DOUBLE_TWO_CYCLE,
+            (1, 3): PermClass.THREE_CYCLE,
+            (4,): PermClass.FOUR_CYCLE,
+        }
+        assert len(ALL_PERMUTATIONS) == 24
+        for sigma in ALL_PERMUTATIONS:
+            assert sigma.perm_class() is by_type[cycle_type(sigma)], sigma.images
+
     def test_canonical_representatives(self):
         assert CANONICAL_PERMUTATION[PermClass.TWO_CYCLE].images == (2, 1, 3, 4)
         assert CANONICAL_PERMUTATION[PermClass.DOUBLE_TWO_CYCLE].images == (2, 1, 4, 3)

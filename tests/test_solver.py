@@ -147,6 +147,97 @@ class TestFitConic:
         np.testing.assert_allclose(mapped, fit_conic(pts).coefficients, rtol=0, atol=1e-12)
 
 
+def _on(f, xs=(1.0, 2.0, 3.0, -1.0, -2.0, 0.5)):
+    return tuple((x, f(x)) for x in xs)
+
+
+_ELLIPSE = ((2.0, 0.0), (0.0, 1.0), (-2.0, 0.0), (0.0, -1.0), (1.2, 0.8), (-1.6, -0.6))
+
+
+class TestSignRuleBits:
+    """Circle normals and conic coefficients take one sign rule: the first
+    entry above 1e-12 in magnitude is positive.  The inputs put that entry
+    at zero, just below and just above the cut, with either sign; the bits,
+    signed zeros included, are pinned from the two loops the rule replaced."""
+
+    CIRCLES = {
+        "unit-circle-in-xy": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0)),
+        "unit-circle-reversed": ((-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)),
+        "x-zero-y-positive": ((0.0, 0.0, 0.0), (0.0, 0.8, 0.6), (1.0, 0.0, 0.0)),
+        "x-zero-y-negative": ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.8, 0.6)),
+        "x-below-cut-y-positive": ((0.0, 0.0, 0.0), (0.0, 0.8, 0.6), (1.0, 0.0, -6.25e-13)),
+        "x-below-cut-y-negative": ((0.0, 0.0, 0.0), (1.0, 0.0, -6.25e-13), (0.0, 0.8, 0.6)),
+        "x-above-cut-negative": ((0.0, 0.0, 0.0), (0.0, 0.8, 0.6), (1.0, 0.0, -3.75e-12)),
+        "x-above-cut-positive": ((0.0, 0.0, 0.0), (1.0, 0.0, -3.75e-12), (0.0, 0.8, 0.6)),
+        "x-and-y-below-cut": ((0.0, 0.0, 0.0), (1.0, 0.0, 2e-13), (0.0, 1.0, -3e-13)),
+        "x-and-y-below-cut-reversed": ((0.0, 0.0, 0.0), (0.0, 1.0, -3e-13), (1.0, 0.0, 2e-13)),
+        "generic": ((0.3, -1.2, 0.7), (1.1, 0.4, -0.9), (-0.8, 0.6, 1.5)),
+        "generic-tiny": ((0.3e-100, -1.2e-100, 0.7e-100), (1.1e-100, 0.4e-100, -0.9e-100),
+                         (-0.8e-100, 0.6e-100, 1.5e-100)),
+        "generic-huge": ((0.3e100, -1.2e100, 0.7e100), (1.1e100, 0.4e100, -0.9e100),
+                         (-0.8e100, 0.6e100, 1.5e100)),
+    }
+    CIRCLE_NORMALS = {
+        "unit-circle-in-xy": "0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0",
+        "unit-circle-reversed": "-0x0.0p+0 -0x0.0p+0 0x1.0000000000000p+0",
+        "x-zero-y-positive": "0x0.0p+0 0x1.3333333333333p-1 -0x1.999999999999ap-1",
+        "x-zero-y-negative": "-0x0.0p+0 0x1.3333333333333p-1 -0x1.999999999999ap-1",
+        "x-below-cut-y-positive": "-0x1.19799812dea11p-41 0x1.3333333333333p-1 -0x1.999999999999ap-1",
+        "x-below-cut-y-negative": "-0x1.19799812dea11p-41 0x1.3333333333333p-1 -0x1.999999999999ap-1",
+        "x-above-cut-negative": "0x1.a636641c4df1ap-39 -0x1.3333333333333p-1 0x1.999999999999ap-1",
+        "x-above-cut-positive": "0x1.a636641c4df1ap-39 -0x1.3333333333333p-1 0x1.999999999999ap-1",
+        "x-and-y-below-cut": "-0x1.c25c268497682p-43 0x1.51c51ce3718e1p-42 0x1.0000000000000p+0",
+        "x-and-y-below-cut-reversed": "-0x1.c25c268497682p-43 0x1.51c51ce3718e1p-42 0x1.0000000000000p+0",
+        "generic": "0x1.8ce31cd843489p-1 0x1.ab6abc9a21132p-3 0x1.314c3d92a9e91p-1",
+        "generic-tiny": "0x1.8ce31cd843489p-1 0x1.ab6abc9a21130p-3 0x1.314c3d92a9e91p-1",
+        "generic-huge": "0x1.8ce31cd843489p-1 0x1.ab6abc9a21132p-3 0x1.314c3d92a9e91p-1",
+    }
+
+    CONICS = {
+        "ellipse": _ELLIPSE,
+        "parabola": _on(lambda x: x * x),
+        "hyperbola-a-zero": _on(lambda x: 1.0 / x),
+        "a-below-cut": _on(lambda x: (5e-13 * x * x + 1.0) / x),
+        "a-below-cut-negative": _on(lambda x: (-5e-13 * x * x + 1.0) / x),
+        "a-above-cut": _on(lambda x: (3e-12 * x * x + 1.0) / x),
+        "a-above-cut-negative": _on(lambda x: (-3e-12 * x * x + 1.0) / x),
+        "a-and-b-zero": tuple((-y * y, y) for y in (1.0, 2.0, 3.0, -1.0, -2.0, 0.5)),
+        "a-and-b-below-cut": tuple((-y * y - 4e-13 * y * y * y, y) for y in (1.0, 2.0, 3.0, -1.0, -2.0, 0.5)),
+        "ellipse-tiny": tuple((x * 1e-100, y * 1e-100) for x, y in _ELLIPSE),
+        "ellipse-huge": tuple((x * 1e100, y * 1e100) for x, y in _ELLIPSE),
+    }
+    CONIC_COEFFICIENTS = {
+        "ellipse": "0x1.6482d37a5a3cep-3 -0x1.a3754d4eb742ap-54 0x1.6482d37a5a3d3p-1 -0x1.1d1a11c572cf6p-53 0x1.3d0e7b6a4cd70p-53 -0x1.6482d37a5a3d0p-1",
+        "parabola": "0x1.6a09e667f3bcfp-1 0x1.6576824a09e43p-53 -0x1.c2684e90f6496p-54 -0x1.8f4187aa4a95fp-52 -0x1.6a09e667f3bcap-1 -0x1.bfcfed6bb8df3p-51",
+        "hyperbola-a-zero": "-0x0.0p+0 0x1.6a09e667f3bcep-1 -0x1.095aea8bc5a11p-53 -0x1.de38c8b028919p-53 0x1.7e93d3c020747p-54 -0x1.6a09e667f3bcbp-1",
+        "a-below-cut": "-0x1.8e07c6aa05fcfp-42 0x1.6a09e667f3bcdp-1 0x1.31800bca9c4d3p-54 -0x1.7e93d3c0208cbp-53 -0x1.7e93d3c0208cbp-53 -0x1.6a09e667f3bcbp-1",
+        "a-below-cut-negative": "0x1.8e0f1f619b881p-42 0x1.6a09e667f3bcfp-1 -0x1.68fb1b6d6e5eep-52 -0x1.4ec159481c50dp-52 0x1.de38c8b028738p-52 -0x1.6a09e667f3bc9p-1",
+        "a-above-cut": "0x1.2a8b774c1d549p-39 -0x1.6a09e667f3bcdp-1 0x1.1d30b6b3d7cdbp-54 0x1.7e93d3c02105fp-55 0x0.0p+0 0x1.6a09e667f3bccp-1",
+        "a-above-cut-negative": "0x1.2a92cb9f89e66p-39 0x1.6a09e667f3bcdp-1 0x1.880a0c32bb578p-54 -0x1.7e93d3c01fe2fp-52 -0x0.0p+0 -0x1.6a09e667f3bccp-1",
+        "a-and-b-zero": "-0x0.0p+0 0x1.1d2d682d2375dp-52 0x1.6a09e667f3bcbp-1 0x1.6a09e667f3bcdp-1 0x1.e9ff49919707dp-50 0x1.bfcfed6bb8deep-50",
+        "a-and-b-below-cut": "-0x0.0p+0 -0x1.3e4e628ae8301p-42 0x1.6a09e667f3bcdp-1 0x1.6a09e667f3bcbp-1 0x1.b336be9f98b12p-51 -0x1.05394a7ed85b8p-49",
+        "ellipse-tiny": "0x1.f0b6848d2af19p-3 0x1.1cb5afe292f2fp-53 0x1.f0b6848d2af1cp-1 0x1.694fe4886ef57p-386 -0x1.01f51ed4d7ccbp-384 -0x1.7c358d9f4a5acp-665",
+        "ellipse-huge": "-0x1.87e92154ef7aap-667 0x1.0f62626502dacp-717 -0x1.87e92154ef7aep-665 0x1.96a0c142c2d3ap-388 -0x1.a5c7a8ae07131p-388 0x1.0000000000000p+0",
+    }
+
+    @staticmethod
+    def assert_leads_positive(values):
+        lead = next((x for x in values if abs(x) > 1e-12), None)
+        assert lead is None or lead > 0
+
+    @pytest.mark.parametrize("name", list(CIRCLES))
+    def test_circle_normal_bits(self, name):
+        normal = circumcircle3(*self.CIRCLES[name]).normal
+        assert " ".join(float(x).hex() for x in normal) == self.CIRCLE_NORMALS[name]
+        self.assert_leads_positive(normal.tolist())
+
+    @pytest.mark.parametrize("name", list(CONICS))
+    def test_conic_coefficient_bits(self, name):
+        coefficients = fit_conic(self.CONICS[name]).coefficients
+        assert " ".join(float(x).hex() for x in coefficients) == self.CONIC_COEFFICIENTS[name]
+        self.assert_leads_positive(coefficients.tolist())
+
+
 class TestLabeledSolve:
     def test_four_cycle_instance_under_its_relabeling(self):
         inst = four_cycle_instance()
