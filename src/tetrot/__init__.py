@@ -52,14 +52,12 @@ from .configspace import (
 from .solver import (
     Circle3D,
     CollinearPointsError,
-    Conic,
     DegenerateChordError,
     DegenerateTetrahedronError,
     DegenerateViewError,
     SolveCandidate,
     circumcircle3,
     dedupe_rotations,
-    fit_conic,
     labeled_solve,
     prune_permutations,
     reconstruct_geometric,

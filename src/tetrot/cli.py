@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -42,6 +41,7 @@ from .configspace import (
 )
 from .geom import (
     CANONICAL_PERMUTATION,
+    DEFAULT_TOLERANCES,
     IDENTITY_PERMUTATION,
     MAX_MAGNITUDE,
     PermClass,
@@ -132,10 +132,15 @@ def parse_rotation(obj) -> UnitQuaternion:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
+    """The run a command's options resolve to; an option the command does not take keeps its default."""
     return RunConfig(
-        tolerances=Tolerances(rank_rel=args.tol_rank, geom_abs=args.tol_geom, angle_abs=args.tol_angle),
+        tolerances=Tolerances(
+            rank_rel=args.tol_rank,
+            geom_abs=getattr(args, "tol_geom", DEFAULT_TOLERANCES.geom_abs),
+            angle_abs=getattr(args, "tol_angle", DEFAULT_TOLERANCES.angle_abs),
+        ),
         trials=getattr(args, "trials", 1),
-        seed=args.seed,
+        seed=getattr(args, "seed", 0),
     )
 
 
@@ -150,7 +155,7 @@ def _candidate_json(cand: SolveCandidate) -> dict:
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -266,11 +271,12 @@ def _reproduce_four_cycle(config: RunConfig) -> int:
     rotated = apply(inst.rotation, inst.tetrahedron.vertices)
     vertex_err = float(np.max(np.abs(rotated - inst.rotated_vertices)))
     candidates = unlabeled_solve(inst.tetrahedron, inst.projection, config.tolerances)
-    matrix_err = math.inf
-    for cand in candidates:
-        if cand.sigma == inst.sigma:
-            matrix_err = min(matrix_err, float(np.linalg.norm(cand.matrix - inst.matrix)))
-    ok = vertex_err <= 1e-12 and matrix_err <= 1e-10
+    # null, not an infinite error, when no candidate has the expected relabeling
+    matrix_err = min(
+        (float(np.linalg.norm(c.matrix - inst.matrix)) for c in candidates if c.sigma == inst.sigma),
+        default=None,
+    )
+    ok = vertex_err <= 1e-12 and matrix_err is not None and matrix_err <= 1e-10
     _emit({
         "command": "reproduce",
         "name": "four-cycle",
@@ -302,14 +308,12 @@ def _reproduce_planar(config: RunConfig) -> int:
     inst = planar_instance()
     candidates = unlabeled_solve(inst.tetrahedron, inst.projection, config.tolerances)
     swap = [c for c in candidates if c.sigma == inst.swap_sigma]
-    errors = []
-    for expected in inst.matrices:
-        best = min(
-            (float(np.linalg.norm(c.matrix - expected)) for c in swap),
-            default=math.inf,
-        )
-        errors.append(best)
-    ok = len(swap) == 2 and max(errors, default=math.inf) <= 1e-10
+    # per expected matrix, the nearest swap candidate's distance, or null when there is none
+    errors = [
+        min((float(np.linalg.norm(c.matrix - expected)) for c in swap), default=None)
+        for expected in inst.matrices
+    ]
+    ok = len(swap) == 2 and max(errors) <= 1e-10
     _emit({
         "command": "reproduce",
         "name": "planar",
@@ -355,16 +359,22 @@ _REPRODUCE = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, trials_default: int | None = None) -> None:
-    parser.add_argument("--tol-rank", type=float, default=Tolerances().rank_rel,
-                        help="relative singular-value cutoff for rank decisions")
-    parser.add_argument("--tol-geom", type=float, default=Tolerances().geom_abs,
-                        help="absolute tolerance for projected-point matches")
-    parser.add_argument("--tol-angle", type=float, default=Tolerances().angle_abs,
-                        help="tolerance for axis components and special angles; above pi/12 "
-                             "the half-, quarter- and third-turn windows overlap, and the first "
-                             "match in that order decides")
-    parser.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
+# Options that several commands share, with their type, default and help.
+_SHARED_OPTIONS = {
+    "--tol-rank": (float, DEFAULT_TOLERANCES.rank_rel, "relative singular-value cutoff for rank decisions"),
+    "--tol-geom": (float, DEFAULT_TOLERANCES.geom_abs, "absolute tolerance for projected-point matches"),
+    "--tol-angle": (float, DEFAULT_TOLERANCES.angle_abs,
+                    "tolerance for axis components and special angles; above pi/12 the half-, quarter- and "
+                    "third-turn windows overlap, and the first match in that order decides"),
+    "--seed": (int, 0, "base seed for all randomness"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *options: str, trials_default: int | None = None) -> None:
+    """Add the shared options a command reads, and --trials when it takes a trial count."""
+    for option in options:
+        kind, default, text = _SHARED_OPTIONS[option]
+        parser.add_argument(option, type=kind, default=default, help=text)
     if trials_default is not None:
         parser.add_argument("--trials", type=int, default=trials_default,
                             help="number of random trials or samples")
@@ -375,7 +385,7 @@ def _solve_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--projection", required=True, help='JSON file {"points": ...} or -')
     parser.add_argument("--labeled", action="store_true",
                         help="match projection point i to vertex i instead of trying all relabelings")
-    _add_common(parser)
+    _add_common(parser, "--tol-rank", "--tol-geom")
     parser.set_defaults(func=_cmd_solve)
 
 
@@ -383,25 +393,26 @@ def _analyze_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rotation", required=True,
                         help='JSON file {"quaternion": ...} or {"axis": ..., "angle_rad": ...} or -')
     parser.add_argument("--perm-class", required=True, choices=[c.value for c in PermClass])
-    _add_common(parser)
+    _add_common(parser, "--tol-rank", "--tol-angle")
     parser.set_defaults(func=_cmd_analyze)
 
 
 def _sample_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rotation", required=True)
     parser.add_argument("--perm-class", required=True, choices=[c.value for c in PermClass])
-    _add_common(parser, trials_default=1)
+    _add_common(parser, "--tol-rank", "--tol-geom", "--tol-angle", "--seed", trials_default=1)
     parser.set_defaults(func=_cmd_sample)
 
 
 def _verify_dims_options(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser, trials_default=100)
+    _add_common(parser, "--tol-rank", "--tol-angle", "--seed", trials_default=100)
     parser.set_defaults(func=_cmd_verify_dims)
 
 
 def _reproduce_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("name", choices=_REPRODUCE)
-    _add_common(parser, trials_default=100)
+    # one parser serves every name; only uniqueness-sweep reads --seed and --trials
+    _add_common(parser, "--tol-rank", "--tol-geom", "--seed", trials_default=100)
     parser.set_defaults(func=_cmd_reproduce)
 
 

@@ -42,14 +42,12 @@ from .rotation import _EYE3, UnitQuaternion, _quat_from_rows, _rotation_rows
 __all__ = [
     "Circle3D",
     "CollinearPointsError",
-    "Conic",
     "DegenerateChordError",
     "DegenerateTetrahedronError",
     "DegenerateViewError",
     "SolveCandidate",
     "circumcircle3",
     "dedupe_rotations",
-    "fit_conic",
     "labeled_solve",
     "prune_permutations",
     "reconstruct_geometric",
@@ -106,36 +104,8 @@ class Circle3D:
     normal: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class Conic:
-    """Plane conic A x^2 + B xy + C y^2 + D x + E y + F = 0.
-
-    Coefficients are normalized to unit Euclidean norm with the first
-    nonzero coefficient positive.
-    """
-
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = as_finite_array(self.coefficients, (6,), "coefficients")
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            raise ValueError("conic coefficients must not all vanish")
-        v = v / norm
-        if _leads_negative(v):
-            v = -v
-        v.flags.writeable = False
-        object.__setattr__(self, "coefficients", v)
-
-    def is_ellipse(self) -> bool:
-        # divided by the largest, so the squares of tiny a, b, c do not underflow
-        a, b, c = self.coefficients[:3].tolist()
-        top = max(abs(a), abs(b), abs(c))
-        return top > 0.0 and (b / top) ** 2 - 4.0 * (a / top) * (c / top) < 0.0
-
-
 def _leads_negative(v) -> bool:
-    """Whether the first entry of v above 1e-12 in magnitude is negative; the sign rule of conics and normals."""
+    """Whether the first entry of v above 1e-12 in magnitude is negative; the sign rule of circle normals."""
     return next((x < 0 for x in v if abs(x) > 1e-12), False)
 
 
@@ -359,35 +329,6 @@ def _unit_conic(points: list[list[float]], rel_tol: float) -> tuple[float, float
     if _rank(s, rel_tol) < 5:
         raise CollinearPointsError("points in degenerate position, conic is not unique")
     return mx, my, spread, vh[-1].tolist()
-
-
-def fit_conic(points, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> Conic:
-    """Least-squares conic through five or more plane points.
-
-    The conic is the null vector of the design matrix with rows
-    (x^2, xy, y^2, x, y, 1).  Points are shifted and scaled internally for
-    conditioning; coefficients are returned in the original frame.
-    """
-    pts = np.array(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 5:
-        raise ValueError("need at least five plane points")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
-    mx, my, w, (a, b, c, d, e, f) = _unit_conic(pts.tolist(), rel_tol)
-    # undo x = (X - mx)/w in units of k, the largest of 1, |mx|, |my| and w:
-    # the conic times w^2 / k^2, whose terms stay finite
-    k = max(1.0, abs(mx), abs(my), w)
-    mx, my, w = mx / k, my / k, w / k
-    coeffs = [
-        a / k / k,
-        b / k / k,
-        c / k / k,
-        (w * d - 2 * a * mx - b * my) / k,
-        (w * e - 2 * c * my - b * mx) / k,
-        a * mx * mx + b * mx * my + c * my * my - w * d * mx - w * e * my + w * w * f,
-    ]
-    top = max(abs(x) for x in coeffs)
-    return Conic(np.array([x / top for x in coeffs]))
 
 
 def _ellipse_geometry(coefficients: list[float]) -> tuple[tuple[float, float], float, tuple[float, float]]:

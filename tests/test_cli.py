@@ -38,6 +38,24 @@ def run(capsys, argv):
     return code, json.loads(out) if out else None
 
 
+def strict_json(text: str):
+    """text parsed as RFC 8259 JSON, which has no NaN, Infinity or -Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# The shared options each command reads, and so takes.
+SHARED_OPTIONS = {
+    "solve": {"--tol-rank", "--tol-geom"},
+    "analyze": {"--tol-rank", "--tol-angle"},
+    "sample": {"--tol-rank", "--tol-geom", "--tol-angle", "--seed"},
+    "verify-dims": {"--tol-rank", "--tol-angle", "--seed"},
+    "reproduce": {"--tol-rank", "--tol-geom", "--seed"},
+}
+
+
 class TestSolveCommand:
     def test_four_cycle_unlabeled(self, capsys, four_cycle_files):
         tet, proj = four_cycle_files
@@ -304,6 +322,18 @@ class TestReproduceCommand:
         capsys.readouterr()
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("name, key, expected", [
+        ("four-cycle", "matrix_error", None),
+        ("planar", "matrix_errors", [None, None]),
+    ], ids=["four-cycle", "planar"])
+    def test_no_matching_candidate_reports_null(self, capsys, name, key, expected):
+        # at --tol-geom 1e-20 no candidate passes the gate, so no error can be measured
+        code = main(["reproduce", name, "--tol-geom", "1e-20"])
+        report = strict_json(capsys.readouterr().out)
+        assert code == 1
+        assert report[key] == expected
+        assert report["ok"] is False
+
 
 class TestParsers:
     def test_rotation_from_quaternion(self):
@@ -379,7 +409,8 @@ class TestJsonErrors:
 
 
 # stdout, stderr and exit code of each case, captured under Python 3.11 with
-# COLUMNS=80 while every command still added all of its options up front
+# COLUMNS=80; the help and usage text lists only the shared options each
+# command reads
 GOLDEN_ARGV = {
     "help": ["-h"],
     "solve-help": ["solve", "-h"],
@@ -391,7 +422,7 @@ GOLDEN_ARGV = {
     "unknown-command": ["frobnicate"],
     "missing-required": ["solve", "--tetrahedron", "TET"],
     "bad-perm-class": ["analyze", "--rotation", "ROT", "--perm-class", "five-cycle"],
-    "non-float-tol-geom": ["verify-dims", "--tol-geom", "abc"],
+    "non-float-tol-geom": ["reproduce", "four-cycle", "--tol-geom", "abc"],
     "abbreviated-tetr": ["solve", "--tetr", "TET", "--projection", "PROJ"],
     "extra-positional": ["reproduce", "four-cycle", "extra"],
 }
@@ -424,7 +455,6 @@ GOLDEN = {
         (
             "usage: tetrot solve [-h] --tetrahedron TETRAHEDRON --projection PROJECTION\n"
             "                    [--labeled] [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
-            "                    [--tol-angle TOL_ANGLE] [--seed SEED]\n"
             "\n"
             "options:\n"
             "  -h, --help            show this help message and exit\n"
@@ -436,11 +466,6 @@ GOLDEN = {
             "                        all relabelings\n"
             "  --tol-rank TOL_RANK   relative singular-value cutoff for rank decisions\n"
             "  --tol-geom TOL_GEOM   absolute tolerance for projected-point matches\n"
-            "  --tol-angle TOL_ANGLE\n"
-            "                        tolerance for axis components and special angles;\n"
-            "                        above pi/12 the half-, quarter- and third-turn windows\n"
-            "                        overlap, and the first match in that order decides\n"
-            "  --seed SEED           base seed for all randomness\n"
         ),
         "",
     ),
@@ -449,8 +474,7 @@ GOLDEN = {
         (
             "usage: tetrot analyze [-h] --rotation ROTATION --perm-class\n"
             "                      {identity,two-cycle,double-two-cycle,three-cycle,four-cycle}\n"
-            "                      [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
-            "                      [--tol-angle TOL_ANGLE] [--seed SEED]\n"
+            "                      [--tol-rank TOL_RANK] [--tol-angle TOL_ANGLE]\n"
             "\n"
             "options:\n"
             "  -h, --help            show this help message and exit\n"
@@ -458,12 +482,10 @@ GOLDEN = {
             '                        "angle_rad": ...} or -\n'
             "  --perm-class {identity,two-cycle,double-two-cycle,three-cycle,four-cycle}\n"
             "  --tol-rank TOL_RANK   relative singular-value cutoff for rank decisions\n"
-            "  --tol-geom TOL_GEOM   absolute tolerance for projected-point matches\n"
             "  --tol-angle TOL_ANGLE\n"
             "                        tolerance for axis components and special angles;\n"
             "                        above pi/12 the half-, quarter- and third-turn windows\n"
             "                        overlap, and the first match in that order decides\n"
-            "  --seed SEED           base seed for all randomness\n"
         ),
         "",
     ),
@@ -493,14 +515,12 @@ GOLDEN = {
     "verify-dims-help": (
         0,
         (
-            "usage: tetrot verify-dims [-h] [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
-            "                          [--tol-angle TOL_ANGLE] [--seed SEED]\n"
-            "                          [--trials TRIALS]\n"
+            "usage: tetrot verify-dims [-h] [--tol-rank TOL_RANK] [--tol-angle TOL_ANGLE]\n"
+            "                          [--seed SEED] [--trials TRIALS]\n"
             "\n"
             "options:\n"
             "  -h, --help            show this help message and exit\n"
             "  --tol-rank TOL_RANK   relative singular-value cutoff for rank decisions\n"
-            "  --tol-geom TOL_GEOM   absolute tolerance for projected-point matches\n"
             "  --tol-angle TOL_ANGLE\n"
             "                        tolerance for axis components and special angles;\n"
             "                        above pi/12 the half-, quarter- and third-turn windows\n"
@@ -514,8 +534,7 @@ GOLDEN = {
         0,
         (
             "usage: tetrot reproduce [-h] [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
-            "                        [--tol-angle TOL_ANGLE] [--seed SEED]\n"
-            "                        [--trials TRIALS]\n"
+            "                        [--seed SEED] [--trials TRIALS]\n"
             "                        {four-cycle,norm-prune,planar,uniqueness-sweep}\n"
             "\n"
             "positional arguments:\n"
@@ -525,10 +544,6 @@ GOLDEN = {
             "  -h, --help            show this help message and exit\n"
             "  --tol-rank TOL_RANK   relative singular-value cutoff for rank decisions\n"
             "  --tol-geom TOL_GEOM   absolute tolerance for projected-point matches\n"
-            "  --tol-angle TOL_ANGLE\n"
-            "                        tolerance for axis components and special angles;\n"
-            "                        above pi/12 the half-, quarter- and third-turn windows\n"
-            "                        overlap, and the first match in that order decides\n"
             "  --seed SEED           base seed for all randomness\n"
             "  --trials TRIALS       number of random trials or samples\n"
         ),
@@ -556,7 +571,6 @@ GOLDEN = {
         (
             "usage: tetrot solve [-h] --tetrahedron TETRAHEDRON --projection PROJECTION\n"
             "                    [--labeled] [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
-            "                    [--tol-angle TOL_ANGLE] [--seed SEED]\n"
             "tetrot solve: error: the following arguments are required: --projection\n"
         ),
     ),
@@ -566,8 +580,7 @@ GOLDEN = {
         (
             "usage: tetrot analyze [-h] --rotation ROTATION --perm-class\n"
             "                      {identity,two-cycle,double-two-cycle,three-cycle,four-cycle}\n"
-            "                      [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
-            "                      [--tol-angle TOL_ANGLE] [--seed SEED]\n"
+            "                      [--tol-rank TOL_RANK] [--tol-angle TOL_ANGLE]\n"
             "tetrot analyze: error: argument --perm-class: invalid choice: 'five-cycle' (choose from 'identity', 'two-cycle', 'double-two-cycle', 'three-cycle', 'four-cycle')\n"
         ),
     ),
@@ -575,10 +588,10 @@ GOLDEN = {
         2,
         "",
         (
-            "usage: tetrot verify-dims [-h] [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
-            "                          [--tol-angle TOL_ANGLE] [--seed SEED]\n"
-            "                          [--trials TRIALS]\n"
-            "tetrot verify-dims: error: argument --tol-geom: invalid float value: 'abc'\n"
+            "usage: tetrot reproduce [-h] [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
+            "                        [--seed SEED] [--trials TRIALS]\n"
+            "                        {four-cycle,norm-prune,planar,uniqueness-sweep}\n"
+            "tetrot reproduce: error: argument --tol-geom: invalid float value: 'abc'\n"
         ),
     ),
     "abbreviated-tetr": (
@@ -654,19 +667,16 @@ class TestGoldenText:
         assert invoke(capsys, argv) == lazy
 
 
-COMMON_OPTIONS = {"--tol-rank", "--tol-geom", "--tol-angle", "--seed"}
-
-
 class TestLazyOptions:
     @pytest.mark.parametrize("argv, own", [
         (["solve", "--tetrahedron", "TET", "--projection", "PROJ"],
-         {"--tetrahedron", "--projection", "--labeled"} | COMMON_OPTIONS),
+         {"--tetrahedron", "--projection", "--labeled"} | SHARED_OPTIONS["solve"]),
         (["analyze", "--rotation", "ROT", "--perm-class", "double-two-cycle"],
-         {"--rotation", "--perm-class"} | COMMON_OPTIONS),
+         {"--rotation", "--perm-class"} | SHARED_OPTIONS["analyze"]),
         (["sample", "--rotation", "ROT", "--perm-class", "two-cycle"],
-         {"--rotation", "--perm-class", "--trials"} | COMMON_OPTIONS),
-        (["verify-dims", "--trials", "1"], {"--trials"} | COMMON_OPTIONS),
-        (["reproduce", "four-cycle"], {"name", "--trials"} | COMMON_OPTIONS),
+         {"--rotation", "--perm-class", "--trials"} | SHARED_OPTIONS["sample"]),
+        (["verify-dims", "--trials", "1"], {"--trials"} | SHARED_OPTIONS["verify-dims"]),
+        (["reproduce", "four-cycle"], {"name", "--trials"} | SHARED_OPTIONS["reproduce"]),
     ])
     def test_only_the_command_options_are_added(self, capsys, monkeypatch, golden_files, argv, own):
         added = []
@@ -681,6 +691,22 @@ class TestLazyOptions:
         assert err == ""
         assert code in (0, 1)
         assert set(added) == {"-h", "--help"} | own
+
+
+class TestUnreadOptionsRefused:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--tetrahedron", "TET", "--projection", "PROJ", "--tol-angle", "0.1"],
+        ["solve", "--tetrahedron", "TET", "--projection", "PROJ", "--seed", "7"],
+        ["analyze", "--rotation", "ROT", "--perm-class", "double-two-cycle", "--tol-geom", "0.1"],
+        ["analyze", "--rotation", "ROT", "--perm-class", "double-two-cycle", "--seed", "7"],
+        ["verify-dims", "--trials", "1", "--tol-geom", "0.1"],
+        ["reproduce", "four-cycle", "--tol-angle", "0.1"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}")
+    def test_exits_two_as_unrecognized(self, capsys, golden_files, argv):
+        code, out, err = invoke(capsys, [golden_files.get(arg, arg) for arg in argv])
+        assert code == 2
+        assert out == ""
+        assert err.endswith(f"tetrot: error: unrecognized arguments: {argv[-2]} {argv[-1]}\n")
 
 
 class TestSampleDefinition:
@@ -772,7 +798,9 @@ _VALUES = st.sampled_from(
 
 @st.composite
 def _argv(draw):
-    """Arguments for one of the five commands: mostly well formed, with fuzzed values."""
+    """Arguments for one of the five commands: mostly well formed, with fuzzed
+    values; one in ten also carries an option the command does not take or a
+    stray word."""
     files = st.sampled_from(["A", "B", "-", "missing.json"])
     command = draw(st.sampled_from(["solve", "analyze", "sample", "verify-dims", "reproduce"]))
     argv = [command]
@@ -784,18 +812,21 @@ def _argv(draw):
         argv += ["--rotation", draw(files), "--perm-class", perm_class]
     elif command == "reproduce":
         argv += [draw(st.sampled_from(["four-cycle", "norm-prune", "planar", "uniqueness-sweep", "other"]))]
-    for option in ("--tol-rank", "--tol-geom", "--tol-angle", "--seed"):
+    for option in sorted(SHARED_OPTIONS[command]):
         if draw(st.booleans()):
             argv += [option, draw(_VALUES)]
     if command in ("sample", "verify-dims", "reproduce"):
         argv += ["--trials", draw(st.sampled_from(["-1", "0", "1", "2", "x"]))]
     if draw(st.integers(0, 9)) == 0:
-        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--labeled", "-x", "extra", "--seed"])))
+        foreign = sorted({"--tol-geom", "--tol-angle", "--seed"} - SHARED_OPTIONS[command])
+        foreign += ["--labeled"] * (command != "solve") + ["-x", "extra"]
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(foreign)))
     return argv
 
 
 class TestFuzz:
-    """Any JSON input and any argument list exit with 0, 1 or 2, never a traceback."""
+    """Any JSON input and any argument list exit with 0, 1 or 2, never a
+    traceback, and whatever reaches stdout is strict JSON."""
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(first=_DOCUMENTS | _SHAPED | _RAW, second=_DOCUMENTS | _SHAPED | _RAW, argv=_argv())
@@ -819,3 +850,5 @@ class TestFuzz:
                     code = exc.code
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        if out.getvalue():
+            strict_json(out.getvalue())

@@ -21,7 +21,6 @@ from tetrot import (
     apply,
     circumcircle3,
     dedupe_rotations,
-    fit_conic,
     labeled_solve,
     numeric_rank,
     project,
@@ -33,6 +32,7 @@ from tetrot import (
     unlabeled_solve,
 )
 from tetrot.instances import four_cycle_instance, norm_prune_instance, planar_instance
+from tetrot.solver import _ellipse_geometry, _unit_conic
 
 from conftest import random_full_dim_tetrahedron, random_unit_quaternion
 
@@ -94,71 +94,120 @@ class TestCircumcircle:
             assert abs(circle.radius / scale - dist[0]) <= 1e-12 * dist[0]
 
 
-class TestFitConic:
+def in_unit_frame(conic, mx, my, w):
+    """The unit coefficient vector of a conic after X = mx + w x, Y = my + w y."""
+    a, b, c, d, e, f = conic
+    mapped = np.array([
+        a * w * w,
+        b * w * w,
+        c * w * w,
+        w * (2 * a * mx + b * my + d),
+        w * (2 * c * my + b * mx + e),
+        a * mx * mx + b * mx * my + c * my * my + d * mx + e * my + f,
+    ])
+    return mapped / np.linalg.norm(mapped)
+
+
+def assert_same_conic(got, expected, atol):
+    """Unit coefficient vectors equal up to the sign, which a null vector leaves open."""
+    got = np.array(got)
+    np.testing.assert_allclose(got * np.sign(got @ expected), expected, rtol=0, atol=atol)
+
+
+class TestUnitConic:
+    RANK_REL = DEFAULT_TOLERANCES.rank_rel
+    SHIFTED_ELLIPSE = [(3 * math.cos(t) + 1, 2 * math.sin(t) - 4) for t in (0.0, 0.9, 1.7, 2.8, 4.0, 5.5)]
+
     def test_unit_circle(self):
         pts = [(math.cos(t), math.sin(t)) for t in (0.0, 1.0, 2.0, 2.5, 4.0, 5.0)]
-        conic = fit_conic(pts)
-        expected = np.array([1, 0, 1, 0, 0, -1]) / math.sqrt(3.0)
-        np.testing.assert_allclose(conic.coefficients, expected, atol=1e-10)
-        assert conic.is_ellipse()
+        mx, my, w, coefficients = _unit_conic(pts, self.RANK_REL)
+        mean = np.mean(pts, axis=0)
+        np.testing.assert_allclose([mx, my], mean, rtol=0, atol=1e-15)
+        assert w == pytest.approx(math.sqrt(np.mean(np.sum((np.array(pts) - mean) ** 2, axis=1))), rel=1e-15)
+        assert np.linalg.norm(coefficients) == pytest.approx(1.0, rel=1e-15)
+        assert_same_conic(coefficients, in_unit_frame([1, 0, 1, 0, 0, -1], mx, my, w), atol=1e-10)
 
     def test_axis_aligned_ellipse(self):
         pts = [(2 * math.cos(t), math.sin(t)) for t in (0.0, 0.9, 1.7, 2.8, 4.0, 5.5)]
-        conic = fit_conic(pts)
-        expected = np.array([1, 0, 4, 0, 0, -4], dtype=float)
-        expected /= np.linalg.norm(expected)
-        np.testing.assert_allclose(conic.coefficients, expected, atol=1e-10)
+        mx, my, w, coefficients = _unit_conic(pts, self.RANK_REL)
+        assert_same_conic(coefficients, in_unit_frame([1, 0, 4, 0, 0, -4], mx, my, w), atol=1e-10)
 
     def test_exact_points_have_tiny_residual(self):
         rng = np.random.default_rng(32)
         pts = np.array([(3 * math.cos(t) + 1, 2 * math.sin(t) - 4) for t in rng.uniform(0, 2 * math.pi, 8)])
-        a, b, c, d, e, f = fit_conic(pts).coefficients
-        xs, ys = pts[:, 0], pts[:, 1]
+        mx, my, w, (a, b, c, d, e, f) = _unit_conic(pts.tolist(), self.RANK_REL)
+        xs, ys = (pts[:, 0] - mx) / w, (pts[:, 1] - my) / w
         residual = a * xs**2 + b * xs * ys + c * ys**2 + d * xs + e * ys + f
         assert np.max(np.abs(residual)) <= 1e-10
 
-    def test_collinear_points_rejected(self):
-        pts = [(t, 2 * t + 1) for t in range(5)]
-        with pytest.raises(CollinearPointsError):
-            fit_conic(pts)
-
-    def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
-            fit_conic([(0, 0), (1, 0), (0, 1), (1, 1)])
-
-    def test_five_points_with_four_on_a_line_rejected(self):
+    @pytest.mark.parametrize("pts", [
+        # on one line: that line paired with any other passes through them
+        [(t, 2 * t + 1) for t in range(5)],
+        # four points: the design matrix has four rows
+        [(0, 0), (1, 0), (0, 1), (1, 1)],
         # every pair of lines y = 0 and one through (0, 1) passes through them: rank 4
-        with pytest.raises(CollinearPointsError):
-            fit_conic([(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)])
+        [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)],
+    ], ids=["collinear", "four-points", "four-on-a-line"])
+    def test_rank_below_five_rejected(self, pts):
+        with pytest.raises(CollinearPointsError, match="^points in degenerate position, conic is not unique$"):
+            _unit_conic(pts, self.RANK_REL)
 
     def test_coincident_points_rejected(self):
         with pytest.raises(CollinearPointsError, match="^coincident points do not determine a conic$"):
-            fit_conic([(1.5, -2.0)] * 6)
+            _unit_conic([(1.5, -2.0)] * 6, self.RANK_REL)
 
     @pytest.mark.parametrize("scale", [1e80, 1e140, 1e150])
-    def test_scaled_points_give_the_scaled_conic(self, scale):
-        # points X = s x lie on A X^2 + B XY + C Y^2 + D s X + E s Y + F s^2 = 0
-        pts = np.array([(3 * math.cos(t) + 1, 2 * math.sin(t) - 4) for t in (0.0, 0.9, 1.7, 2.8, 4.0, 5.5)])
-        conic = fit_conic(pts * scale)
-        assert conic.is_ellipse()
-        mapped = conic.coefficients * [1, 1, 1, 1 / scale, 1 / scale, 1 / scale / scale]
-        mapped /= np.abs(mapped).max()  # no square of the unscaled entries underflows
-        mapped /= np.linalg.norm(mapped) * np.sign(mapped[np.abs(mapped) > 1e-12][0])
-        np.testing.assert_allclose(mapped, fit_conic(pts).coefficients, rtol=0, atol=1e-12)
+    def test_scaling_moves_only_the_frame(self, scale):
+        # points X = s x have the mean s m and the spread s w, and the same unit-frame conic
+        mx, my, w, coefficients = _unit_conic(self.SHIFTED_ELLIPSE, self.RANK_REL)
+        scaled_pts = [(x * scale, y * scale) for x, y in self.SHIFTED_ELLIPSE]
+        smx, smy, sw, scaled = _unit_conic(scaled_pts, self.RANK_REL)
+        np.testing.assert_allclose([smx / scale, smy / scale, sw / scale], [mx, my, w], rtol=1e-14, atol=0)
+        assert_same_conic(scaled, np.array(coefficients), atol=1e-12)
 
 
-def _on(f, xs=(1.0, 2.0, 3.0, -1.0, -2.0, 0.5)):
-    return tuple((x, f(x)) for x in xs)
+class TestEllipseGeometry:
+    """The conic from _unit_conic is a null vector of either sign, so its
+    geometry must not depend on the sign; nor on the overall scale."""
 
+    # center, semi-axes major >= minor, angle of the major axis, scale of the coefficients
+    ELLIPSES = {
+        "major-along-x": ((0.0, 0.0), 2.0, 1.0, 0.0, 1.0),
+        "major-along-y": ((0.0, 0.0), 2.0, 1.0, math.pi / 2, 1.0),
+        "shifted-tilted": ((1.0, -4.0), 3.0, 2.0, 0.7, 1.0),
+        "shifted-tilted-tiny": ((1.0, -4.0), 3.0, 2.0, 0.7, 1e-100),
+        "shifted-tilted-huge": ((1.0, -4.0), 3.0, 2.0, 0.7, 1e100),
+    }
 
-_ELLIPSE = ((2.0, 0.0), (0.0, 1.0), (-2.0, 0.0), (0.0, -1.0), (1.2, 0.8), (-1.6, -0.6))
+    @staticmethod
+    def coefficients(center, major, minor, angle, scale):
+        ct, st = math.cos(angle), math.sin(angle)
+        q11 = ct * ct / major**2 + st * st / minor**2
+        q12 = ct * st * (1 / major**2 - 1 / minor**2)
+        q22 = st * st / major**2 + ct * ct / minor**2
+        cx, cy = center
+        conic = [q11, 2 * q12, q22, -2 * (q11 * cx + q12 * cy), -2 * (q12 * cx + q22 * cy),
+                 q11 * cx * cx + 2 * q12 * cx * cy + q22 * cy * cy - 1.0]
+        return [scale * x for x in conic]
+
+    @pytest.mark.parametrize("name", list(ELLIPSES))
+    def test_sign_and_scale_leave_the_geometry(self, name):
+        center, major, minor, angle, scale = self.ELLIPSES[name]
+        conic = self.coefficients(center, major, minor, angle, scale)
+        got = _ellipse_geometry(conic)
+        assert repr(_ellipse_geometry([-x for x in conic])) == repr(got)
+        (cx, cy), tilt, (ux, uy) = got
+        np.testing.assert_allclose([cx, cy], center, rtol=1e-12, atol=1e-12)
+        assert tilt == pytest.approx(minor / major, rel=1e-12)
+        assert math.hypot(ux, uy) == pytest.approx(1.0, rel=1e-15)
+        assert abs(ux * math.sin(angle) - uy * math.cos(angle)) <= 1e-12
 
 
 class TestSignRuleBits:
-    """Circle normals and conic coefficients take one sign rule: the first
-    entry above 1e-12 in magnitude is positive.  The inputs put that entry
-    at zero, just below and just above the cut, with either sign; the bits,
-    signed zeros included, are pinned from the two loops the rule replaced."""
+    """Circle normals take one sign rule: the first entry above 1e-12 in
+    magnitude is positive.  The inputs put that entry at zero, just below
+    and just above the cut, with either sign; the bits, signed zeros
+    included, are pinned from the loop the rule replaced."""
 
     CIRCLES = {
         "unit-circle-in-xy": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0)),
@@ -193,33 +242,6 @@ class TestSignRuleBits:
         "generic-huge": "0x1.8ce31cd843489p-1 0x1.ab6abc9a21132p-3 0x1.314c3d92a9e91p-1",
     }
 
-    CONICS = {
-        "ellipse": _ELLIPSE,
-        "parabola": _on(lambda x: x * x),
-        "hyperbola-a-zero": _on(lambda x: 1.0 / x),
-        "a-below-cut": _on(lambda x: (5e-13 * x * x + 1.0) / x),
-        "a-below-cut-negative": _on(lambda x: (-5e-13 * x * x + 1.0) / x),
-        "a-above-cut": _on(lambda x: (3e-12 * x * x + 1.0) / x),
-        "a-above-cut-negative": _on(lambda x: (-3e-12 * x * x + 1.0) / x),
-        "a-and-b-zero": tuple((-y * y, y) for y in (1.0, 2.0, 3.0, -1.0, -2.0, 0.5)),
-        "a-and-b-below-cut": tuple((-y * y - 4e-13 * y * y * y, y) for y in (1.0, 2.0, 3.0, -1.0, -2.0, 0.5)),
-        "ellipse-tiny": tuple((x * 1e-100, y * 1e-100) for x, y in _ELLIPSE),
-        "ellipse-huge": tuple((x * 1e100, y * 1e100) for x, y in _ELLIPSE),
-    }
-    CONIC_COEFFICIENTS = {
-        "ellipse": "0x1.6482d37a5a3cep-3 -0x1.a3754d4eb742ap-54 0x1.6482d37a5a3d3p-1 -0x1.1d1a11c572cf6p-53 0x1.3d0e7b6a4cd70p-53 -0x1.6482d37a5a3d0p-1",
-        "parabola": "0x1.6a09e667f3bcfp-1 0x1.6576824a09e43p-53 -0x1.c2684e90f6496p-54 -0x1.8f4187aa4a95fp-52 -0x1.6a09e667f3bcap-1 -0x1.bfcfed6bb8df3p-51",
-        "hyperbola-a-zero": "-0x0.0p+0 0x1.6a09e667f3bcep-1 -0x1.095aea8bc5a11p-53 -0x1.de38c8b028919p-53 0x1.7e93d3c020747p-54 -0x1.6a09e667f3bcbp-1",
-        "a-below-cut": "-0x1.8e07c6aa05fcfp-42 0x1.6a09e667f3bcdp-1 0x1.31800bca9c4d3p-54 -0x1.7e93d3c0208cbp-53 -0x1.7e93d3c0208cbp-53 -0x1.6a09e667f3bcbp-1",
-        "a-below-cut-negative": "0x1.8e0f1f619b881p-42 0x1.6a09e667f3bcfp-1 -0x1.68fb1b6d6e5eep-52 -0x1.4ec159481c50dp-52 0x1.de38c8b028738p-52 -0x1.6a09e667f3bc9p-1",
-        "a-above-cut": "0x1.2a8b774c1d549p-39 -0x1.6a09e667f3bcdp-1 0x1.1d30b6b3d7cdbp-54 0x1.7e93d3c02105fp-55 0x0.0p+0 0x1.6a09e667f3bccp-1",
-        "a-above-cut-negative": "0x1.2a92cb9f89e66p-39 0x1.6a09e667f3bcdp-1 0x1.880a0c32bb578p-54 -0x1.7e93d3c01fe2fp-52 -0x0.0p+0 -0x1.6a09e667f3bccp-1",
-        "a-and-b-zero": "-0x0.0p+0 0x1.1d2d682d2375dp-52 0x1.6a09e667f3bcbp-1 0x1.6a09e667f3bcdp-1 0x1.e9ff49919707dp-50 0x1.bfcfed6bb8deep-50",
-        "a-and-b-below-cut": "-0x0.0p+0 -0x1.3e4e628ae8301p-42 0x1.6a09e667f3bcdp-1 0x1.6a09e667f3bcbp-1 0x1.b336be9f98b12p-51 -0x1.05394a7ed85b8p-49",
-        "ellipse-tiny": "0x1.f0b6848d2af19p-3 0x1.1cb5afe292f2fp-53 0x1.f0b6848d2af1cp-1 0x1.694fe4886ef57p-386 -0x1.01f51ed4d7ccbp-384 -0x1.7c358d9f4a5acp-665",
-        "ellipse-huge": "-0x1.87e92154ef7aap-667 0x1.0f62626502dacp-717 -0x1.87e92154ef7aep-665 0x1.96a0c142c2d3ap-388 -0x1.a5c7a8ae07131p-388 0x1.0000000000000p+0",
-    }
-
     @staticmethod
     def assert_leads_positive(values):
         lead = next((x for x in values if abs(x) > 1e-12), None)
@@ -230,12 +252,6 @@ class TestSignRuleBits:
         normal = circumcircle3(*self.CIRCLES[name]).normal
         assert " ".join(float(x).hex() for x in normal) == self.CIRCLE_NORMALS[name]
         self.assert_leads_positive(normal.tolist())
-
-    @pytest.mark.parametrize("name", list(CONICS))
-    def test_conic_coefficient_bits(self, name):
-        coefficients = fit_conic(self.CONICS[name]).coefficients
-        assert " ".join(float(x).hex() for x in coefficients) == self.CONIC_COEFFICIENTS[name]
-        self.assert_leads_positive(coefficients.tolist())
 
 
 class TestLabeledSolve:
