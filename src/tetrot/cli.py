@@ -11,10 +11,12 @@ Exit codes: 0 success / match, 1 semantic failure (no solution or mismatch),
 2 usage or parse error.  Identical arguments, including the seed, produce
 byte-identical reports.
 
-A command adds its options to its parser when it is parsed, so a run pays
-only for the options of the command it runs; the top-level help and the
-command list come from the names and help strings alone.  `sample` computes
-the null space once per command and draws every trial from it.
+`reproduce` takes the name of a worked instance as a subcommand, and its
+flags follow the name.  A run builds only the parser of the command it runs,
+and that parser's options: a command parser does nothing until argparse hands
+it arguments, so the top-level help and the command lists come from the names
+and help strings alone.  `sample` computes the null space once per command and
+draws every trial from it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .geom import (
     IDENTITY_PERMUTATION,
     MAX_MAGNITUDE,
     PermClass,
+    Permutation4,
     ProjectionQuad,
     Tetrahedron,
     Tolerances,
@@ -135,7 +138,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
     """The run a command's options resolve to; an option the command does not take keeps its default."""
     return RunConfig(
         tolerances=Tolerances(
-            rank_rel=args.tol_rank,
+            rank_rel=getattr(args, "tol_rank", DEFAULT_TOLERANCES.rank_rel),
             geom_abs=getattr(args, "tol_geom", DEFAULT_TOLERANCES.geom_abs),
             angle_abs=getattr(args, "tol_angle", DEFAULT_TOLERANCES.angle_abs),
         ),
@@ -261,21 +264,20 @@ def _cmd_verify_dims(args: argparse.Namespace) -> int:
     return 0 if total_mismatches == 0 else 1
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> int:
+def _nearest_errors(candidates: list[SolveCandidate], sigma: Permutation4, expected) -> list[float | None]:
+    """Per expected matrix, the Frobenius distance of the nearest candidate with
+    relabeling sigma, or None (null, not an infinite error) when there is none."""
+    matrices = [c.matrix for c in candidates if c.sigma == sigma]
+    return [min((float(np.linalg.norm(m - e)) for m in matrices), default=None) for e in expected]
+
+
+def _reproduce_four_cycle(args: argparse.Namespace) -> int:
     config = _config(args)
-    return _REPRODUCE[args.name](config)
-
-
-def _reproduce_four_cycle(config: RunConfig) -> int:
     inst = four_cycle_instance()
     rotated = apply(inst.rotation, inst.tetrahedron.vertices)
     vertex_err = float(np.max(np.abs(rotated - inst.rotated_vertices)))
     candidates = unlabeled_solve(inst.tetrahedron, inst.projection, config.tolerances)
-    # null, not an infinite error, when no candidate has the expected relabeling
-    matrix_err = min(
-        (float(np.linalg.norm(c.matrix - inst.matrix)) for c in candidates if c.sigma == inst.sigma),
-        default=None,
-    )
+    (matrix_err,) = _nearest_errors(candidates, inst.sigma, [inst.matrix])
     ok = vertex_err <= 1e-12 and matrix_err is not None and matrix_err <= 1e-10
     _emit({
         "command": "reproduce",
@@ -291,7 +293,8 @@ def _reproduce_four_cycle(config: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _reproduce_norm_prune(config: RunConfig) -> int:
+def _reproduce_norm_prune(args: argparse.Namespace) -> int:
+    config = _config(args)
     inst = norm_prune_instance()
     survivors = prune_permutations(inst.vertices, inst.projection, config.tolerances.geom_abs)
     ok = survivors == [IDENTITY_PERMUTATION]
@@ -304,15 +307,12 @@ def _reproduce_norm_prune(config: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _reproduce_planar(config: RunConfig) -> int:
+def _reproduce_planar(args: argparse.Namespace) -> int:
+    config = _config(args)
     inst = planar_instance()
     candidates = unlabeled_solve(inst.tetrahedron, inst.projection, config.tolerances)
     swap = [c for c in candidates if c.sigma == inst.swap_sigma]
-    # per expected matrix, the nearest swap candidate's distance, or null when there is none
-    errors = [
-        min((float(np.linalg.norm(c.matrix - expected)) for c in swap), default=None)
-        for expected in inst.matrices
-    ]
+    errors = _nearest_errors(candidates, inst.swap_sigma, inst.matrices)
     ok = len(swap) == 2 and max(errors) <= 1e-10
     _emit({
         "command": "reproduce",
@@ -325,7 +325,8 @@ def _reproduce_planar(config: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _reproduce_uniqueness_sweep(config: RunConfig) -> int:
+def _reproduce_uniqueness_sweep(args: argparse.Namespace) -> int:
+    config = _config(args)
     spurious = 0
     for trial in range(config.trials):
         rng = np.random.default_rng([config.seed, trial])
@@ -349,14 +350,6 @@ def _reproduce_uniqueness_sweep(config: RunConfig) -> int:
         "ok": spurious == 0,
     })
     return 0 if spurious == 0 else 1
-
-
-_REPRODUCE = {
-    "four-cycle": _reproduce_four_cycle,
-    "norm-prune": _reproduce_norm_prune,
-    "planar": _reproduce_planar,
-    "uniqueness-sweep": _reproduce_uniqueness_sweep,
-}
 
 
 # Options that several commands share, with their type, default and help.
@@ -410,26 +403,54 @@ def _verify_dims_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _reproduce_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("name", choices=_REPRODUCE)
-    # one parser serves every name; only uniqueness-sweep reads --seed and --trials
+    sub = parser.add_subparsers(dest="name", required=True, parser_class=_CommandParser)
+    sub.add_parser("four-cycle", help="ambiguous instance, two rotations",
+                   add_options=_reproduce_four_cycle_options)
+    sub.add_parser("norm-prune", help="norm test leaves only the identity",
+                   add_options=_reproduce_norm_prune_options)
+    sub.add_parser("planar", help="coplanar instance with two solutions",
+                   add_options=_reproduce_planar_options)
+    sub.add_parser("uniqueness-sweep", help="random tetrahedra, identity only",
+                   add_options=_reproduce_uniqueness_sweep_options)
+
+
+def _reproduce_four_cycle_options(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser, "--tol-rank", "--tol-geom")
+    parser.set_defaults(func=_reproduce_four_cycle)
+
+
+def _reproduce_norm_prune_options(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser, "--tol-geom")
+    parser.set_defaults(func=_reproduce_norm_prune)
+
+
+def _reproduce_planar_options(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser, "--tol-rank", "--tol-geom")
+    parser.set_defaults(func=_reproduce_planar)
+
+
+def _reproduce_uniqueness_sweep_options(parser: argparse.ArgumentParser) -> None:
     _add_common(parser, "--tol-rank", "--tol-geom", "--seed", trials_default=100)
-    parser.set_defaults(func=_cmd_reproduce)
+    parser.set_defaults(func=_reproduce_uniqueness_sweep)
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """Parser of one command that adds the command's options when it first parses.
+    """Parser of one command that does nothing until argparse hands it arguments.
 
-    The top-level parser hands the command's arguments to this parser's
-    parse_known_args, so only the command that runs pays for its options.
+    The parser above keeps it under the command's name and hands it the
+    command's arguments through parse_known_args.  Only then is it built and
+    are the command's options added, so a run builds the parser of the command
+    it runs and of no other.
     """
 
-    def __init__(self, *args, add_options=None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._add_options = add_options
+    def __init__(self, *, add_options, **kwargs) -> None:
+        self._pending = (add_options, kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
-        if self._add_options is not None:
-            add_options, self._add_options = self._add_options, None
+        if self._pending is not None:
+            add_options, kwargs = self._pending
+            super().__init__(**kwargs)
+            self._pending = None
             add_options(self)
         return super().parse_known_args(args, namespace)
 

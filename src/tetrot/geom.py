@@ -97,9 +97,11 @@ class Permutation4:
     images: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        images = tuple(int(i) for i in self.images)
-        if sorted(images) != [1, 2, 3, 4]:
-            raise ValueError(f"images must be a permutation of 1..4, got {self.images}")
+        given = tuple(self.images)
+        images = tuple(int(i) for i in given)
+        # int() alone would truncate 1.9 to 1 and read "1" as 1
+        if images != given or sorted(images) != [1, 2, 3, 4]:
+            raise ValueError(f"images must be a permutation of 1..4, got {given}")
         object.__setattr__(self, "images", images)
 
     def image(self, i: int) -> int:

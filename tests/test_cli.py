@@ -4,8 +4,10 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -46,13 +48,17 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
-# The shared options each command reads, and so takes.
+# The shared options each runnable command reads, and so takes; README's flag
+# table lists the same.
 SHARED_OPTIONS = {
     "solve": {"--tol-rank", "--tol-geom"},
     "analyze": {"--tol-rank", "--tol-angle"},
-    "sample": {"--tol-rank", "--tol-geom", "--tol-angle", "--seed"},
-    "verify-dims": {"--tol-rank", "--tol-angle", "--seed"},
-    "reproduce": {"--tol-rank", "--tol-geom", "--seed"},
+    "sample": {"--tol-rank", "--tol-geom", "--tol-angle", "--seed", "--trials"},
+    "verify-dims": {"--tol-rank", "--tol-angle", "--seed", "--trials"},
+    "reproduce four-cycle": {"--tol-rank", "--tol-geom"},
+    "reproduce norm-prune": {"--tol-geom"},
+    "reproduce planar": {"--tol-rank", "--tol-geom"},
+    "reproduce uniqueness-sweep": {"--tol-rank", "--tol-geom", "--seed", "--trials"},
 }
 
 
@@ -533,19 +539,18 @@ GOLDEN = {
     "reproduce-help": (
         0,
         (
-            "usage: tetrot reproduce [-h] [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
-            "                        [--seed SEED] [--trials TRIALS]\n"
-            "                        {four-cycle,norm-prune,planar,uniqueness-sweep}\n"
+            "usage: tetrot reproduce [-h]\n"
+            "                        {four-cycle,norm-prune,planar,uniqueness-sweep} ...\n"
             "\n"
             "positional arguments:\n"
             "  {four-cycle,norm-prune,planar,uniqueness-sweep}\n"
+            "    four-cycle          ambiguous instance, two rotations\n"
+            "    norm-prune          norm test leaves only the identity\n"
+            "    planar              coplanar instance with two solutions\n"
+            "    uniqueness-sweep    random tetrahedra, identity only\n"
             "\n"
             "options:\n"
             "  -h, --help            show this help message and exit\n"
-            "  --tol-rank TOL_RANK   relative singular-value cutoff for rank decisions\n"
-            "  --tol-geom TOL_GEOM   absolute tolerance for projected-point matches\n"
-            "  --seed SEED           base seed for all randomness\n"
-            "  --trials TRIALS       number of random trials or samples\n"
         ),
         "",
     ),
@@ -588,10 +593,9 @@ GOLDEN = {
         2,
         "",
         (
-            "usage: tetrot reproduce [-h] [--tol-rank TOL_RANK] [--tol-geom TOL_GEOM]\n"
-            "                        [--seed SEED] [--trials TRIALS]\n"
-            "                        {four-cycle,norm-prune,planar,uniqueness-sweep}\n"
-            "tetrot reproduce: error: argument --tol-geom: invalid float value: 'abc'\n"
+            "usage: tetrot reproduce four-cycle [-h] [--tol-rank TOL_RANK]\n"
+            "                                   [--tol-geom TOL_GEOM]\n"
+            "tetrot reproduce four-cycle: error: argument --tol-geom: invalid float value: 'abc'\n"
         ),
     ),
     "abbreviated-tetr": (
@@ -619,13 +623,22 @@ GOLDEN = {
 @pytest.fixture
 def golden_files(tmp_path):
     """TET and PROJ: the four-cycle tetrahedron and its projection scaled by 5
-    (no rotation matches it); ROT: a vertical half-turn."""
+    (no rotation matches it); SHADOW: the projection itself; BIG: TET scaled
+    by 5, which PROJ matches; ROT: a vertical half-turn; TURN: a vertical
+    turn by 1.85 rad, which lies within 0.3 of both the quarter and the third
+    turn."""
     inst = four_cycle_instance()
-    files = {"TET": tmp_path / "tet.json", "PROJ": tmp_path / "proj.json", "ROT": tmp_path / "rot.json"}
-    files["TET"].write_text(json.dumps({"vertices": inst.tetrahedron.vertices.tolist()}))
-    files["PROJ"].write_text(json.dumps({"points": (inst.projection.points * 5.0).tolist()}))
-    files["ROT"].write_text(json.dumps({"axis": [0, 0, 1], "angle_rad": math.pi}))
-    return {key: str(path) for key, path in files.items()}
+    documents = {
+        "TET": {"vertices": inst.tetrahedron.vertices.tolist()},
+        "PROJ": {"points": (inst.projection.points * 5.0).tolist()},
+        "SHADOW": {"points": inst.projection.points.tolist()},
+        "BIG": {"vertices": (inst.tetrahedron.vertices * 5.0).tolist()},
+        "ROT": {"axis": [0, 0, 1], "angle_rad": math.pi},
+        "TURN": {"axis": [0, 0, 1], "angle_rad": 1.85},
+    }
+    for key, document in documents.items():
+        (tmp_path / f"{key.lower()}.json").write_text(json.dumps(document))
+    return {key: str(tmp_path / f"{key.lower()}.json") for key in documents}
 
 
 def invoke(capsys, argv) -> tuple:
@@ -638,13 +651,32 @@ def invoke(capsys, argv) -> tuple:
     return code, captured.out, captured.err
 
 
-class _EagerCommandParser(cli._CommandParser):
-    """A command parser that adds its options when it is built."""
+class _EagerCommandParser(argparse.ArgumentParser):
+    """A command parser that is built, with its options, when the parser above it is."""
 
-    def __init__(self, *args, add_options=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        if add_options is not None:
-            add_options(self)
+    def __init__(self, *, add_options, **kwargs):
+        super().__init__(**kwargs)
+        add_options(self)
+
+
+def runnable_parsers(monkeypatch) -> dict:
+    """Each command a user runs, as typed ("solve", "reproduce planar", ...),
+    and its parser, with every parser built up front."""
+    monkeypatch.setattr(cli, "_CommandParser", _EagerCommandParser)
+    parsers, pending = {}, [("", cli._build_parser())]
+    while pending:
+        command, parser = pending.pop()
+        subcommands = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if subcommands:
+            pending.extend((f"{command} {name}".strip(), sub) for name, sub in subcommands[0].items())
+        else:
+            parsers[command] = parser
+    return parsers
+
+
+def long_options(parser: argparse.ArgumentParser) -> set:
+    """The long options a parser takes, --help aside."""
+    return {s for action in parser._actions for s in action.option_strings if s.startswith("--")} - {"--help"}
 
 
 class TestGoldenText:
@@ -674,9 +706,12 @@ class TestLazyOptions:
         (["analyze", "--rotation", "ROT", "--perm-class", "double-two-cycle"],
          {"--rotation", "--perm-class"} | SHARED_OPTIONS["analyze"]),
         (["sample", "--rotation", "ROT", "--perm-class", "two-cycle"],
-         {"--rotation", "--perm-class", "--trials"} | SHARED_OPTIONS["sample"]),
-        (["verify-dims", "--trials", "1"], {"--trials"} | SHARED_OPTIONS["verify-dims"]),
-        (["reproduce", "four-cycle"], {"name", "--trials"} | SHARED_OPTIONS["reproduce"]),
+         {"--rotation", "--perm-class"} | SHARED_OPTIONS["sample"]),
+        (["verify-dims", "--trials", "1"], SHARED_OPTIONS["verify-dims"]),
+        (["reproduce", "four-cycle"], SHARED_OPTIONS["reproduce four-cycle"]),
+        (["reproduce", "norm-prune"], SHARED_OPTIONS["reproduce norm-prune"]),
+        (["reproduce", "planar"], SHARED_OPTIONS["reproduce planar"]),
+        (["reproduce", "uniqueness-sweep", "--trials", "1"], SHARED_OPTIONS["reproduce uniqueness-sweep"]),
     ])
     def test_only_the_command_options_are_added(self, capsys, monkeypatch, golden_files, argv, own):
         added = []
@@ -701,12 +736,124 @@ class TestUnreadOptionsRefused:
         ["analyze", "--rotation", "ROT", "--perm-class", "double-two-cycle", "--seed", "7"],
         ["verify-dims", "--trials", "1", "--tol-geom", "0.1"],
         ["reproduce", "four-cycle", "--tol-angle", "0.1"],
+        # each reproduce name has its own parser, which takes only what its replay reads
+        pytest.param(["reproduce", "four-cycle", "--seed", "7"], id="reproduce-four-cycle-seed"),
+        pytest.param(["reproduce", "four-cycle", "--trials", "3"], id="reproduce-four-cycle-trials"),
+        pytest.param(["reproduce", "planar", "--seed", "7"], id="reproduce-planar-seed"),
+        pytest.param(["reproduce", "planar", "--trials", "3"], id="reproduce-planar-trials"),
+        pytest.param(["reproduce", "norm-prune", "--tol-rank", "0.5"], id="reproduce-norm-prune-tol-rank"),
+        pytest.param(["reproduce", "norm-prune", "--seed", "7"], id="reproduce-norm-prune-seed"),
+        pytest.param(["reproduce", "norm-prune", "--trials", "3"], id="reproduce-norm-prune-trials"),
     ], ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}")
     def test_exits_two_as_unrecognized(self, capsys, golden_files, argv):
         code, out, err = invoke(capsys, [golden_files.get(arg, arg) for arg in argv])
         assert code == 2
         assert out == ""
         assert err.endswith(f"tetrot: error: unrecognized arguments: {argv[-2]} {argv[-1]}\n")
+
+
+# For each flag of each runnable command, arguments in which changing only
+# that flag's value changes the exit code or stdout: the command reads it.
+# The second entry is the other value, or None to leave the flag out.
+READ_FLAGS = {
+    ("solve", "--tetrahedron"): (["solve", "--tetrahedron", "TET", "--projection", "PROJ"], "BIG"),
+    ("solve", "--projection"): (["solve", "--tetrahedron", "TET", "--projection", "PROJ"], "SHADOW"),
+    ("solve", "--labeled"): (["solve", "--tetrahedron", "TET", "--projection", "SHADOW", "--labeled"], None),
+    # at 0.1 fewer singular values of the four-cycle tetrahedron count
+    ("solve", "--tol-rank"): (["solve", "--tetrahedron", "TET", "--projection", "SHADOW", "--tol-rank", "0.1"],
+                              "1e-9"),
+    ("solve", "--tol-geom"): (["solve", "--tetrahedron", "TET", "--projection", "SHADOW", "--tol-geom", "1e-20"],
+                              "1e-8"),
+    ("analyze", "--rotation"): (["analyze", "--rotation", "ROT", "--perm-class", "three-cycle"], "TURN"),
+    ("analyze", "--perm-class"): (["analyze", "--rotation", "ROT", "--perm-class", "three-cycle"], "two-cycle"),
+    ("analyze", "--tol-rank"): (["analyze", "--rotation", "ROT", "--perm-class", "three-cycle", "--tol-rank", "0.5"],
+                                "1e-9"),
+    ("analyze", "--tol-angle"): (["analyze", "--rotation", "TURN", "--perm-class", "three-cycle",
+                                  "--tol-angle", "0.3"], "1e-9"),
+    ("sample", "--rotation"): (["sample", "--rotation", "ROT", "--perm-class", "three-cycle"], "TURN"),
+    ("sample", "--perm-class"): (["sample", "--rotation", "ROT", "--perm-class", "three-cycle"], "two-cycle"),
+    ("sample", "--tol-rank"): (["sample", "--rotation", "TURN", "--perm-class", "three-cycle", "--tol-rank", "0.5"],
+                               "1e-9"),
+    ("sample", "--tol-geom"): (["sample", "--rotation", "TURN", "--perm-class", "three-cycle", "--tol-geom", "1e-20"],
+                               "1e-8"),
+    # above 1.85 rad every vertical turn by TURN's angle counts as the identity
+    ("sample", "--tol-angle"): (["sample", "--rotation", "TURN", "--perm-class", "three-cycle", "--tol-angle", "2"],
+                                "1e-9"),
+    ("sample", "--seed"): (["sample", "--rotation", "TURN", "--perm-class", "three-cycle", "--seed", "1"], "2"),
+    ("sample", "--trials"): (["sample", "--rotation", "TURN", "--perm-class", "three-cycle", "--trials", "1"], "2"),
+    ("verify-dims", "--tol-rank"): (["verify-dims", "--trials", "1", "--tol-rank", "0.5"], "1e-9"),
+    ("verify-dims", "--tol-angle"): (["verify-dims", "--trials", "1", "--tol-angle", "3.5"], "1e-9"),
+    ("verify-dims", "--seed"): (["verify-dims", "--trials", "1", "--seed", "1"], "2"),
+    ("verify-dims", "--trials"): (["verify-dims", "--trials", "1"], "2"),
+    ("reproduce four-cycle", "--tol-rank"): (["reproduce", "four-cycle", "--tol-rank", "0.1"], "1e-9"),
+    ("reproduce four-cycle", "--tol-geom"): (["reproduce", "four-cycle", "--tol-geom", "1e-20"], "1e-8"),
+    # at 10 the norm test admits more relabelings than the identity
+    ("reproduce norm-prune", "--tol-geom"): (["reproduce", "norm-prune", "--tol-geom", "10"], "1e-8"),
+    ("reproduce planar", "--tol-rank"): (["reproduce", "planar", "--tol-rank", "0.5"], "1e-9"),
+    ("reproduce planar", "--tol-geom"): (["reproduce", "planar", "--tol-geom", "1e-20"], "1e-8"),
+    ("reproduce uniqueness-sweep", "--tol-rank"): (["reproduce", "uniqueness-sweep", "--trials", "1",
+                                                    "--tol-rank", "0.9"], "1e-9"),
+    ("reproduce uniqueness-sweep", "--tol-geom"): (["reproduce", "uniqueness-sweep", "--trials", "10",
+                                                    "--tol-geom", "0.1"], "1e-8"),
+    # at a loose --tol-geom the spurious count depends on the draws
+    ("reproduce uniqueness-sweep", "--seed"): (["reproduce", "uniqueness-sweep", "--trials", "10",
+                                                "--tol-geom", "0.1", "--seed", "0"], "1"),
+    ("reproduce uniqueness-sweep", "--trials"): (["reproduce", "uniqueness-sweep", "--trials", "1"], "2"),
+}
+
+
+class TestEveryFlagIsRead:
+    def test_the_table_covers_every_flag_of_every_runnable_command(self, monkeypatch):
+        parsers = runnable_parsers(monkeypatch)
+        taken = {(command, flag) for command, parser in parsers.items() for flag in long_options(parser)}
+        assert taken == set(READ_FLAGS)
+
+    @pytest.mark.parametrize("command, flag", sorted(READ_FLAGS), ids=lambda value: value.replace(" ", "-"))
+    def test_changing_only_the_flag_changes_the_outcome(self, capsys, golden_files, command, flag):
+        argv, other = READ_FLAGS[command, flag]
+        at = argv.index(flag)
+        changed = argv[:at] + argv[at + 1:] if other is None else argv[:at + 1] + [other] + argv[at + 2:]
+        first, second = ([golden_files.get(arg, arg) for arg in words] for words in (argv, changed))
+        assert invoke(capsys, first)[:2] != invoke(capsys, second)[:2]
+
+    def test_shared_options_are_the_parsers(self, monkeypatch):
+        shared = {"--tol-rank", "--tol-geom", "--tol-angle", "--seed", "--trials"}
+        taken = {command: long_options(parser) & shared for command, parser in runnable_parsers(monkeypatch).items()}
+        assert taken == SHARED_OPTIONS
+
+    def test_readme_table_lists_the_shared_options(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = {}
+        for row in re.findall(r"^\| `([a-z -]+)` +\| (`--.*) \|$", readme, flags=re.MULTILINE):
+            table[row[0]] = set(re.findall(r"`(--[a-z-]+)`", row[1]))
+        assert table == SHARED_OPTIONS
+
+
+class TestParsersBuilt:
+    @pytest.mark.parametrize("argv, built", [
+        (["solve", "--tetrahedron", "TET", "--projection", "PROJ"], 2),
+        (["analyze", "--rotation", "ROT", "--perm-class", "double-two-cycle"], 2),
+        (["sample", "--rotation", "ROT", "--perm-class", "two-cycle"], 2),
+        (["verify-dims", "--trials", "1"], 2),
+        (["reproduce", "four-cycle"], 3),
+        (["reproduce", "norm-prune"], 3),
+        (["reproduce", "planar"], 3),
+        (["reproduce", "uniqueness-sweep", "--trials", "1"], 3),
+    ], ids=lambda value: "-".join(value[:1 + (value[0] == "reproduce")]) if isinstance(value, list) else str(value))
+    def test_only_the_parsers_of_the_command_run_are_built(self, capsys, monkeypatch, golden_files, argv, built):
+        # the top-level parser, and one per level of the command that runs
+        count = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            count.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        code, _, err = invoke(capsys, [golden_files.get(arg, arg) for arg in argv])
+        assert err == ""
+        assert code in (0, 1)
+        assert len(count) == built
 
 
 class TestSampleDefinition:
@@ -812,13 +959,14 @@ def _argv(draw):
         argv += ["--rotation", draw(files), "--perm-class", perm_class]
     elif command == "reproduce":
         argv += [draw(st.sampled_from(["four-cycle", "norm-prune", "planar", "uniqueness-sweep", "other"]))]
-    for option in sorted(SHARED_OPTIONS[command]):
+    taken = SHARED_OPTIONS.get(" ".join(argv[:2]) if command == "reproduce" else command, set())
+    for option in sorted(taken - {"--trials"}):
         if draw(st.booleans()):
             argv += [option, draw(_VALUES)]
-    if command in ("sample", "verify-dims", "reproduce"):
+    if "--trials" in taken:
         argv += ["--trials", draw(st.sampled_from(["-1", "0", "1", "2", "x"]))]
     if draw(st.integers(0, 9)) == 0:
-        foreign = sorted({"--tol-geom", "--tol-angle", "--seed"} - SHARED_OPTIONS[command])
+        foreign = sorted({"--tol-geom", "--tol-angle", "--seed"} - taken)
         foreign += ["--labeled"] * (command != "solve") + ["-x", "extra"]
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(foreign)))
     return argv

@@ -152,6 +152,15 @@ class TestPermutation4:
         with pytest.raises(ValueError):
             Permutation4((1, 1, 2, 3))
 
+    @pytest.mark.parametrize("images", [(1.9, 2, 3, 4.2), ("1", "2", "3", "4"), (2, 1, 3.5, 4)])
+    def test_rejects_images_that_are_not_integers(self, images):
+        # int() would read the first two as the identity and the third as (2, 1, 3, 4)
+        with pytest.raises(ValueError, match="permutation of 1..4"):
+            Permutation4(images)
+
+    def test_images_equal_to_integers_are_kept_as_integers(self):
+        assert Permutation4((2.0, 1, np.int64(3), 4)).images == (2, 1, 3, 4)
+
     def test_class_counts_match_conjugacy_sizes(self):
         counts = {cls: 0 for cls in PermClass}
         for sigma in ALL_PERMUTATIONS:
