@@ -8,11 +8,13 @@ Commands
     reproduce    replay a bundled worked instance and check the expected values
 
 Exit codes: 0 success / match, 1 semantic failure (no solution or mismatch),
-2 usage or parse error.  Identical arguments, including the seed, produce
-byte-identical reports.
+2 usage or parse error; a reader that closes stdout early changes none of
+them.  Identical arguments, including the seed, produce byte-identical
+reports.
 
 `reproduce` takes the name of a worked instance as a subcommand, and its
-flags follow the name.  A run builds only the parser of the command it runs,
+flags follow the name; a flag given before it is refused with that order
+shown.  A run builds only the parser of the command it runs,
 and that parser's options: a command parser does nothing until argparse hands
 it arguments, so the top-level help and the command lists come from the names
 and help strings alone.  `sample` computes the null space once per command and
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -158,7 +161,16 @@ def _candidate_json(cand: SolveCandidate) -> dict:
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, allow_nan=False))
+    """Print the report.  A reader that closed the pipe early gets nothing more,
+    and the command keeps its own exit code."""
+    try:
+        print(json.dumps(report, indent=2, allow_nan=False))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull, so that flush succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -445,6 +457,11 @@ class _CommandParser(argparse.ArgumentParser):
 
     def __init__(self, *, add_options, **kwargs) -> None:
         self._pending = (add_options, kwargs)
+        self._subcommands = self._args = None
+
+    def add_subparsers(self, **kwargs):
+        self._subcommands = super().add_subparsers(**kwargs)
+        return self._subcommands
 
     def parse_known_args(self, args=None, namespace=None):
         if self._pending is not None:
@@ -452,7 +469,20 @@ class _CommandParser(argparse.ArgumentParser):
             super().__init__(**kwargs)
             self._pending = None
             add_options(self)
+        self._args = args
         return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        """Exit 2 with a usage error.  When a flag comes before the subcommand's
+        name, argparse reads the flag's value as the name or finds no name, so
+        the message shows the order that works instead."""
+        args = list(self._args or ())
+        if self._subcommands is not None and args and args[0].startswith("-"):
+            name = next((arg for arg in args if arg in self._subcommands.choices), "NAME")
+            if name in args:
+                args.remove(name)
+            message = f"flags follow the instance name, as in: {self.prog} {' '.join([name, *args])}"
+        super().error(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -47,10 +47,13 @@ def as_finite_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 def _rank(s: np.ndarray, rel_tol: float) -> int:
     """Count of singular values s (descending) above rel_tol times the largest:
-    the one rank rule, behind every singular-value rank decision of the package."""
-    if s.size == 0:
+    the one rank rule, behind every singular-value rank decision of the package.
+    Counted on floats, with the comparisons of s > rel_tol * s[0]."""
+    values = s.tolist()
+    if not values:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    cut = rel_tol * values[0]
+    return sum(x > cut for x in values)
 
 
 @dataclass(frozen=True)

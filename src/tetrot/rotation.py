@@ -75,10 +75,7 @@ class UnitQuaternion:
 
     @classmethod
     def normalized(cls, a: float, b: float, c: float, d: float) -> "UnitQuaternion":
-        norm = math.sqrt(a * a + b * b + c * c + d * d)
-        if not (math.isfinite(norm) and norm > 0):
-            raise ValueError("cannot normalize a zero or non-finite quaternion")
-        return cls(a / norm, b / norm, c / norm, d / norm)
+        return cls(*_unit(a, b, c, d))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c, self.d])
@@ -92,8 +89,19 @@ class AxisAngle:
     angle: float
 
 
+def _unit(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
+    """Components of a + b i + c j + d k divided by its norm; a zero or non-finite one is refused."""
+    norm = math.sqrt(a * a + b * b + c * c + d * d)
+    if not (math.isfinite(norm) and norm > 0):
+        raise ValueError("cannot normalize a zero or non-finite quaternion")
+    return a / norm, b / norm, c / norm, d / norm
+
+
 def _rotation_rows(a: float, b: float, c: float, d: float) -> list[list[float]]:
-    """Rows of the rotation matrix of a + b i + c j + d k, scaled by 1/|q|^2."""
+    """Rows of the rotation matrix of a + b i + c j + d k, scaled by 1/|q|^2.
+
+    Every entry is a product of two components, so q and -q give the same bits.
+    """
     n2 = a * a + b * b + c * c + d * d
     return [
         [(a * a + b * b - c * c - d * d) / n2, (2 * b * c - 2 * a * d) / n2, (2 * b * d + 2 * a * c) / n2],
@@ -146,15 +154,17 @@ def matrix_to_quat(r, atol: float = _ROTATION_ATOL) -> UnitQuaternion:
         raise ValueError("matrix is not orthogonal within tolerance")
     if abs(np.linalg.det(m) - 1.0) > atol:
         raise ValueError("matrix determinant is not 1 within tolerance")
-    return _quat_from_rows(m.tolist())
+    return UnitQuaternion(*_quat_from_rows(m.tolist()))
 
 
-def _quat_from_rows(rows: list[list[float]]) -> UnitQuaternion:
-    """Canonical quaternion of an orthogonal matrix given as nested lists.
+def _quat_from_rows(rows: list[list[float]]) -> tuple[float, float, float, float]:
+    """Unit quaternion components of an orthogonal matrix given as nested lists.
 
     Shepperd's extraction: the pivot is the largest of the trace and the
-    diagonal entries, which keeps the square root away from zero.  Callers
-    check orthogonality and the determinant first.
+    diagonal entries, which keeps the square root away from zero.  The sign
+    is not made canonical: UnitQuaternion(*components) does that, and
+    _rotation_rows gives the same bits for either sign.  Callers check
+    orthogonality and the determinant first, or refuse a ValueError.
     """
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
     trace = m00 + m11 + m22
@@ -182,7 +192,7 @@ def _quat_from_rows(rows: list[list[float]]) -> UnitQuaternion:
         b = (m02 + m20) / s
         c = (m12 + m21) / s
         d = 0.25 * s
-    return UnitQuaternion.normalized(a, b, c, d)
+    return _unit(a, b, c, d)
 
 
 def classify_rotation(

@@ -59,6 +59,9 @@ __all__ = [
 _PERM_INDEX = np.array([sigma.zero_based() for sigma in ALL_PERMUTATIONS])
 _PERM_INDEX.flags.writeable = False
 _PERM_ROW = {sigma: row for row, sigma in enumerate(ALL_PERMUTATIONS)}
+# Bit r of _REACH[i][j] is set when relabeling r sends vertex i to point j.
+_REACH = [[sum(1 << r for r, images in enumerate(_PERM_INDEX.tolist()) if images[i] == j) for j in range(4)]
+          for i in range(4)]
 # w @ _CROSS_MATRIX is [w]x, the matrix of v -> w x v, row by row.
 _CROSS_MATRIX = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0], [0, 0, 1, 0, 0, 0, -1, 0, 0], [0, -1, 0, 1, 0, 0, 0, 0, 0]],
                          dtype=float)
@@ -186,9 +189,12 @@ def _gate(
     """Snap starts to rotations, refine them, and keep those that fit their shadow.
 
     Start i, two rows fitted under sigmas[i] to the shadow points[i], gets
-    their cross product as third row and is snapped to a quaternion, unless
-    it is not finite.  A rotation missing by more than geom_abs but at most
-    screen takes Gauss-Newton steps; one within geom_abs at every vertex is kept.
+    their cross product as third row and is snapped to the components of a
+    unit quaternion, as floats, unless it is not finite.  A rotation missing
+    by more than geom_abs but at most screen takes Gauss-Newton steps; one
+    within geom_abs at every vertex is kept, and only a kept one becomes a
+    UnitQuaternion.  The matrices and their shadows stay in numpy, whose
+    matmuls the bits of every residual depend on.
     """
     quats, kept = [], []
     for i, (r1, r2) in enumerate(starts):
@@ -199,7 +205,7 @@ def _gate(
         kept.append(i)
     points = points[kept]
     for attempt in range(2):
-        matrices = np.array([_rotation_rows(q.a, q.b, q.c, q.d) for q in quats]).reshape(-1, 3, 3)
+        matrices = np.array([_rotation_rows(*q) for q in quats]).reshape(-1, 3, 3)
         diff = (vertices @ matrices.mT)[..., :2] - points
         residuals = np.sqrt(np.add.reduce(diff * diff, axis=-1)).max(axis=-1).tolist()
         refine = [i for i, r in enumerate(residuals) if tol.geom_abs < r <= screen]
@@ -209,7 +215,7 @@ def _gate(
             quats[i] = _quat_from_rows(rows)
     matrices.flags.writeable = False
     return [
-        SolveCandidate(sigmas[i], q, m, residual, planar)
+        SolveCandidate(sigmas[i], UnitQuaternion(*q), m, residual, planar)
         for i, q, m, residual in zip(kept, quats, matrices, residuals)
         if residual <= tol.geom_abs
     ]
@@ -467,12 +473,23 @@ def prune_permutations(
 
 
 def _prune(vertices: np.ndarray, points: np.ndarray, tol_abs: float) -> list[Permutation4]:
-    """prune_permutations on a checked (4, 3) vertex array."""
-    vertex_norms = np.linalg.norm(vertices, axis=1)
-    point_norms = np.linalg.norm(points, axis=1)
-    allowed = point_norms[None, :] <= vertex_norms[:, None] + tol_abs
-    survives = allowed[np.arange(4), _PERM_INDEX].all(axis=1)
-    return [ALL_PERMUTATIONS[row] for row in np.flatnonzero(survives)]
+    """prune_permutations on a checked (4, 3) vertex array, on floats.
+
+    The norms are sqrt(x*x + y*y + z*z), the bits of np.linalg.norm along a
+    row.  The survivors are a 24-bit mask: for every vertex, the relabelings
+    sending it to a point it can reach; they come back in the order of
+    ALL_PERMUTATIONS.
+    """
+    point_norms = [math.sqrt(x * x + y * y) for x, y in points.tolist()]
+    survivors = (1 << len(ALL_PERMUTATIONS)) - 1
+    for (x, y, z), reach in zip(vertices.tolist(), _REACH):
+        bound = math.sqrt(x * x + y * y + z * z) + tol_abs
+        reachable = 0
+        for mask, norm in zip(reach, point_norms):
+            if norm <= bound:
+                reachable |= mask
+        survivors &= reachable
+    return [sigma for row, sigma in enumerate(ALL_PERMUTATIONS) if survivors >> row & 1]
 
 
 def unlabeled_solve(
@@ -501,10 +518,11 @@ def dedupe_rotations(
     """Merge candidates with the same relabeling and nearly equal matrices.
 
     Within each relabeling, matrices closer than dedupe_tol in Frobenius
-    norm collapse to the representative with the smallest residual, taking
-    the distances of a relabeling from one stacked pairwise computation;
-    a relabeling with one candidate keeps it as it is.  The output is
-    sorted by relabeling images, then residual.
+    norm collapse to the representative with the smallest residual.  Each
+    distance is math.dist of two matrices' entries as floats, taken only
+    against the representatives kept so far; a relabeling with one
+    candidate keeps it as it is.  The output is sorted by relabeling
+    images, then residual.
     """
     by_sigma: dict[tuple[int, int, int, int], list[SolveCandidate]] = {}
     for cand in candidates:
@@ -516,12 +534,10 @@ def dedupe_rotations(
             merged.append(group[0])
             continue
         group.sort(key=lambda c: c.residual)
-        flat = np.array([cand.matrix.ravel() for cand in group])
-        diff = flat[:, None] - flat[None]
-        near = np.sqrt(np.vecdot(diff, diff)) < dedupe_tol
-        kept: list[int] = []
-        for i in range(len(group)):
-            if not near[i, kept].any():
-                kept.append(i)
-        merged.extend(group[i] for i in kept)
+        kept: list[tuple[SolveCandidate, list[float]]] = []
+        for cand in group:
+            entries = cand.matrix.ravel().tolist()
+            if not any(math.dist(entries, other) < dedupe_tol for _, other in kept):
+                kept.append((cand, entries))
+        merged.extend(cand for cand, _ in kept)
     return merged

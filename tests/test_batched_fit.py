@@ -7,11 +7,13 @@ start at a time.  The golden tests fix the exact bits of the output of
 unlabeled_solve, labeled_solve and reconstruct_geometric on five
 instances, so that a change in the last bits of any candidate fails.
 The gate tests feed the shared gate rows on either side of its one
-tolerance.  The factorization tests count the linear-algebra calls of a
-solve: one SVD of P3 and no least-squares solve per linear solve; two
-SVDs, of P3 and of the conic's design matrix, and nothing else per
-geometric solve; nothing for a dedupe with one candidate per relabeling,
-and no second check of a Tetrahedron's or ProjectionQuad's arrays.
+tolerance; the prune and dedupe tests put the norm test and the merge on
+either side of theirs.  The factorization tests count the linear-algebra
+calls of a solve: one SVD of P3 and no least-squares solve per linear
+solve; two SVDs, of P3 and of the conic's design matrix, and nothing else
+per geometric solve; nothing for a dedupe with one candidate per
+relabeling, no second check of a Tetrahedron's or ProjectionQuad's
+arrays, and one UnitQuaternion per returned candidate.
 """
 
 import math
@@ -289,6 +291,73 @@ class TestGate:
         assert np.linalg.norm(cand.matrix - truth) <= 1e-12
         assert cand.residual <= 1e-13
         assert _gate(*args, 1e-6, False, DEFAULT_TOLERANCES) == []
+
+
+class TestPrune:
+    """_prune against its definition: sigma survives iff ||u_sigma(i)|| <= ||p_i|| + tol for every i."""
+
+    @staticmethod
+    def by_definition(vertices, points, tol):
+        def norm(row):
+            return math.sqrt(sum(x * x for x in row))
+
+        return [sigma for sigma in ALL_PERMUTATIONS
+                if all(norm(points[sigma.image(i) - 1]) <= norm(vertices[i - 1]) + tol for i in (1, 2, 3, 4))]
+
+    def test_random_sets(self):
+        rng = np.random.default_rng(71)
+        sizes = set()
+        for _ in range(300):
+            vertices = rng.standard_normal((4, 3)) * rng.uniform(0.2, 2.0, (4, 1))
+            points = rng.standard_normal((4, 2)) * rng.uniform(0.2, 2.0, (4, 1))
+            tol = float(rng.choice([1e-8, 0.1, 0.5]))
+            got = solver._prune(vertices, points, tol)
+            assert got == self.by_definition(vertices.tolist(), points.tolist(), tol)
+            assert prune_permutations(vertices, ProjectionQuad(points), tol) == got
+            sizes.add(len(got))
+        assert {0, 24} < sizes and len(sizes) >= 5
+
+    @pytest.mark.parametrize("excess, survivors", [(0.0, 4), (1.0, 0)], ids=["tie", "beyond"])
+    def test_a_point_at_a_vertex_norm_plus_tol(self, excess, survivors):
+        # norms are exact: the vertices have norm 5, 5, 1, 1 and point 0 has
+        # norm 5 + tol (+ tol beyond), all in binary; sigma must send vertices 3 and 4
+        # to points 3 and 4, and vertices 1 and 2 to points 1 and 2
+        tol = 2.0 ** -20
+        vertices = np.array([[3.0, 4.0, 0.0], [0.0, 3.0, 4.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        points = np.array([[5.0 + (1.0 + excess) * tol, 0.0], [0.0, 4.0], [1.0, 0.0], [0.0, 0.5]])
+        got = solver._prune(vertices, points, tol)
+        assert got == self.by_definition(vertices.tolist(), points.tolist(), tol)
+        assert len(got) == survivors
+        assert all(set(sigma.images[2:]) == {3, 4} for sigma in got)
+
+    def test_a_vertex_no_point_reaches_leaves_nothing(self):
+        vertices = np.array([[3.0, 4.0, 0.0], [0.0, 3.0, 4.0], [4.0, 0.0, 3.0], [1e-3, 0.0, 0.0]])
+        points = np.array([[1.0, 0.0], [0.0, 2.0], [1.5, 1.5], [0.0, -1.0]])
+        assert solver._prune(vertices, points, 1e-8) == [] == self.by_definition(vertices, points, 1e-8)
+
+
+class TestDedupe:
+    """dedupe_rotations on one relabeling's group, on either side of dedupe_tol."""
+
+    def test_merges_below_the_tolerance_and_orders_by_residual(self):
+        tol = DEFAULT_TOLERANCES.dedupe
+        sigma = ALL_PERMUTATIONS[7]
+
+        def candidate(entry, distance, residual):
+            matrix = np.zeros(9)
+            matrix[entry] = distance
+            return SolveCandidate(sigma, UnitQuaternion(1.0, 0.0, 0.0, 0.0), matrix.reshape(3, 3), residual, False)
+
+        # the offsets lie along different entries: each is at its distance from
+        # the representative, and more than tol from the far one
+        rep = candidate(0, 0.0, 2e-12)
+        half = candidate(0, 0.5 * tol, 3e-12)
+        inside = candidate(1, (1.0 - 1e-9) * tol, 4e-12)
+        far = candidate(2, 2.0 * tol, 1e-12)
+        for order in ([half, inside, far, rep], [rep, far, inside, half], [inside, rep, half, far]):
+            merged = dedupe_rotations(order, tol)
+            assert [id(c) for c in merged] == [id(far), id(rep)]
+        assert [id(c) for c in dedupe_rotations([rep, inside], (1.0 - 1e-9) * tol)] == [id(rep), id(inside)]
 
 
 # Inputs as float.hex: centred vertices (4x3) and shadow points (4x2),
@@ -621,6 +690,25 @@ class TestOneFactorization:
         merged = dedupe_rotations(candidates[::-1])
         assert calls == []
         assert [id(c) for c in merged] == [id(c) for c in candidates]
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_one_quaternion_per_candidate_and_no_stacked_norms(self, monkeypatch, name):
+        # pruning, snapping and dedupe run on floats; only a returned candidate gets a UnitQuaternion
+        tetra, quad = TestGolden.instance(name)
+        built, calls = [], []
+        post_init = UnitQuaternion.__post_init__
+        monkeypatch.setattr(UnitQuaternion, "__post_init__", lambda self: built.append(None) or post_init(self))
+        for module, fn in ((np.linalg, "norm"), (np, "flatnonzero"), (np, "vecdot")):
+            original = getattr(module, fn)
+
+            def counted(*args, _fn=fn, _original=original, **kwargs):
+                calls.append(_fn)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, fn, counted)
+        candidates = unlabeled_solve(tetra, quad)
+        assert len(built) == len(candidates)
+        assert calls == []
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
     def test_unlabeled_solve_checks_no_input_again(self, monkeypatch, name):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -328,6 +329,19 @@ class TestReproduceCommand:
         capsys.readouterr()
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv, order", [
+        (["--tol-geom", "1e-6", "four-cycle"], "four-cycle --tol-geom 1e-6"),
+        (["--seed", "3", "uniqueness-sweep", "--trials", "3"], "uniqueness-sweep --seed 3 --trials 3"),
+        (["--tol-geom", "1e-6"], "NAME --tol-geom 1e-6"),
+    ], ids=["four-cycle", "uniqueness-sweep", "no-name"])
+    def test_a_flag_before_the_name_is_shown_after_it(self, capsys, argv, order):
+        # argparse alone reads the flag's value as the name: "invalid choice: '1e-6'"
+        code, out, err = invoke(capsys, ["reproduce", *argv])
+        assert code == 2
+        assert out == ""
+        assert err.endswith(f"error: flags follow the instance name, as in: tetrot reproduce {order}\n")
+        assert "usage: tetrot reproduce [-h]" in err
+
     @pytest.mark.parametrize("name, key, expected", [
         ("four-cycle", "matrix_error", None),
         ("planar", "matrix_errors", [None, None]),
@@ -412,6 +426,28 @@ class TestJsonErrors:
         assert captured.err == (
             "error: stdin can feed only one input, but --tetrahedron and --projection are both -\n"
         )
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early is not a usage error: the command
+    keeps its own exit code, and nothing reaches stderr."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["reproduce", "four-cycle"], 0),
+        (["reproduce", "four-cycle", "--tol-geom", "1e-20"], 1),
+    ], ids=["match", "no-match"])
+    def test_exit_code_and_empty_stderr(self, argv, expected):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe now fails with EPIPE
+        try:
+            proc = subprocess.run([sys.executable, "-m", "tetrot.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == expected
+        assert proc.stderr == b""
 
 
 # stdout, stderr and exit code of each case, captured under Python 3.11 with
