@@ -14,11 +14,15 @@ reports.
 
 `reproduce` takes the name of a worked instance as a subcommand, and its
 flags follow the name; a flag given before it is refused with that order
-shown.  A run builds only the parser of the command it runs,
-and that parser's options: a command parser does nothing until argparse hands
-it arguments, so the top-level help and the command lists come from the names
-and help strings alone.  `sample` computes the null space once per command and
-draws every trial from it.
+shown.  `sample` computes the null space once per command and draws every
+trial from it.
+
+Each thread builds a parser once and reuses it.  Its first `main()` builds the
+top-level parser; a command parser, with its options, is built by the first
+run of that command, so a one-shot run builds only the parsers of the command
+it runs, and the top-level help and the command lists come from the names and
+help strings alone.  Threads share no parser, so `main()` may be called from
+several at once.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +63,7 @@ from .geom import (
     project,
 )
 from .instances import four_cycle_instance, norm_prune_instance, planar_instance
-from .rotation import AxisClass, UnitQuaternion, apply, classify_rotation, quat_from_axis_angle
+from .rotation import AxisClass, UnitQuaternion, _unit_axis, apply, classify_rotation, quat_from_axis_angle
 from .solver import SolveCandidate, labeled_solve, prune_permutations, unlabeled_solve
 
 __all__ = ["RunConfig", "main"]
@@ -129,11 +134,8 @@ def parse_rotation(obj) -> UnitQuaternion:
     if isinstance(obj, dict) and "quaternion" in obj:
         return UnitQuaternion.normalized(*_numbers(obj, "quaternion", (4,)).tolist())
     if isinstance(obj, dict) and "axis" in obj and "angle_rad" in obj:
-        axis = _numbers(obj, "axis", (3,))
-        norm = float(np.linalg.norm(axis))
-        if norm == 0.0:
-            raise ValueError("rotation axis must be nonzero")
-        return quat_from_axis_angle(axis / norm, float(_numbers(obj, "angle_rad", ())))
+        axis = _unit_axis(_numbers(obj, "axis", (3,)))
+        return quat_from_axis_angle(axis, float(_numbers(obj, "angle_rad", ())))
     raise ValueError('rotation input must carry "quaternion" or "axis" + "angle_rad"')
 
 
@@ -446,13 +448,19 @@ def _reproduce_uniqueness_sweep_options(parser: argparse.ArgumentParser) -> None
     parser.set_defaults(func=_reproduce_uniqueness_sweep)
 
 
+# The top-level parser of each thread, built by the thread's first main().  No
+# parser is shared between threads, so the arguments a parser keeps for its
+# usage error are those of the call it is parsing.
+_THREAD_PARSERS = threading.local()
+
+
 class _CommandParser(argparse.ArgumentParser):
     """Parser of one command that does nothing until argparse hands it arguments.
 
     The parser above keeps it under the command's name and hands it the
-    command's arguments through parse_known_args.  Only then is it built and
-    are the command's options added, so a run builds the parser of the command
-    it runs and of no other.
+    command's arguments through parse_known_args.  The first such call builds
+    it and adds the command's options, so a run builds the parser of the
+    command it runs and of no other; later calls in the thread reuse it.
     """
 
     def __init__(self, *, add_options, **kwargs) -> None:
@@ -505,9 +513,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parser() -> argparse.ArgumentParser:
+    """The calling thread's top-level parser, built by its first call."""
+    parser = getattr(_THREAD_PARSERS, "parser", None)
+    if parser is None:
+        parser = _THREAD_PARSERS.parser = _build_parser()
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

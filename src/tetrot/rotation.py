@@ -31,6 +31,11 @@ __all__ = [
 _UNIT_NORM_ATOL = 1e-12
 _ROTATION_ATOL = 1e-9
 _AXIS_NORM_ATOL = 1e-9
+# From this norm on the sum of squares is at least 2**-968, whose last bit is at
+# least 2**-1020, so a square below the smallest normal float, rounded to a
+# multiple of 2**-1074, is off by at most 2**-55 of that bit.  A smaller norm is
+# taken after _lifted.
+_TINY_NORM = 2.0**-484
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
 
@@ -89,12 +94,44 @@ class AxisAngle:
     angle: float
 
 
+def _lifted(*values: float) -> list[float]:
+    """values times the power of two at or above the largest magnitude.
+
+    A power of two keeps every bit, so the direction is the same, and the
+    largest magnitude lands in [0.5, 1), so the sum of squares of four
+    values lies in [0.25, 4).  A zero, an infinity or a NaN stays one.
+    """
+    shift = -math.frexp(max(abs(v) for v in values))[1]
+    return [math.ldexp(v, shift) for v in values]
+
+
 def _unit(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
-    """Components of a + b i + c j + d k divided by its norm; a zero or non-finite one is refused."""
+    """Components of a + b i + c j + d k divided by its norm; a zero or non-finite one is refused.
+
+    A norm below _TINY_NORM is taken after _lifted, so a tiny nonzero
+    quaternion has the bits of the same one at unit scale.
+    """
     norm = math.sqrt(a * a + b * b + c * c + d * d)
-    if not (math.isfinite(norm) and norm > 0):
-        raise ValueError("cannot normalize a zero or non-finite quaternion")
+    if not (math.isfinite(norm) and norm >= _TINY_NORM):
+        a, b, c, d = _lifted(a, b, c, d)
+        norm = math.sqrt(a * a + b * b + c * c + d * d)
+        if not (math.isfinite(norm) and norm > 0):
+            raise ValueError("cannot normalize a zero or non-finite quaternion")
     return a / norm, b / norm, c / norm, d / norm
+
+
+def _unit_axis(axis: np.ndarray) -> np.ndarray:
+    """A finite axis divided by its np.linalg.norm; a zero one is refused.
+
+    A norm below _TINY_NORM is taken after _lifted, as in _unit.
+    """
+    norm = float(np.linalg.norm(axis))
+    if norm < _TINY_NORM:
+        axis = np.array(_lifted(*axis.tolist()))
+        norm = float(np.linalg.norm(axis))
+        if norm == 0.0:
+            raise ValueError("rotation axis must be nonzero")
+    return axis / norm
 
 
 def _rotation_rows(a: float, b: float, c: float, d: float) -> list[list[float]]:

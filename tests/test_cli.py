@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -355,6 +356,42 @@ class TestReproduceCommand:
         assert report["ok"] is False
 
 
+class TestTinyRotations:
+    """A rotation given by tiny nonzero components is that of the same
+    components at unit scale."""
+
+    @pytest.mark.parametrize("document", [
+        {"quaternion": [3e-170, 4e-170, 0, 0]},
+        {"axis": [3e-160, 4e-160, 0], "angle_rad": 1.0},
+        {"axis": [1e-300, 1e-300, 0], "angle_rad": 1.0},
+    ], ids=["quaternion", "axis", "axis-1e-300"])
+    def test_exits_zero(self, capsys, tmp_path, document):
+        path = tmp_path / "rot.json"
+        path.write_text(json.dumps(document))
+        code, out, err = invoke(capsys, ["analyze", "--rotation", str(path), "--perm-class", "two-cycle"])
+        assert (code, err) == (0, "")
+        report = strict_json(out)
+        assert report["computed_dim"] == report["predicted_dim"]
+
+    # at shifts -509 and -510 a cut at a norm of 2**-511 left subnormal squares unscaled
+    @pytest.mark.parametrize("shift", [-509, -510, -511, -513, -520, -700, -1000])
+    @pytest.mark.parametrize("key, unit", [
+        ("quaternion", [0.1, 0.1, 0.3, 0.7]),
+        ("axis", [0.1, 0.2, 0.3]),
+    ])
+    def test_same_report_as_at_unit_scale(self, capsys, tmp_path, key, unit, shift):
+        reports = []
+        for scale in (0, shift):
+            document = {key: [math.ldexp(x, scale) for x in unit]}
+            if key == "axis":
+                document["angle_rad"] = 1.0
+            path = tmp_path / f"rot{scale}.json"
+            path.write_text(json.dumps(document))
+            reports.append(invoke(capsys, ["sample", "--rotation", str(path), "--perm-class", "two-cycle"]))
+        assert reports[0][0] == 0
+        assert reports[1] == reports[0]
+
+
 class TestParsers:
     def test_rotation_from_quaternion(self):
         q = parse_rotation({"quaternion": [0, 0, 0, 1]})
@@ -687,6 +724,18 @@ def invoke(capsys, argv) -> tuple:
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def fresh_parsers():
+    """No parser of the test's thread built before the test or kept after it, as in a fresh process.
+    Calling the fixture's value empties the cache again mid-test."""
+    def clear():
+        vars(cli._THREAD_PARSERS).clear()
+
+    clear()
+    yield clear
+    clear()
+
+
 class _EagerCommandParser(argparse.ArgumentParser):
     """A command parser that is built, with its options, when the parser above it is."""
 
@@ -727,14 +776,16 @@ class TestGoldenText:
         assert invoke(capsys, argv) == GOLDEN[case]
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_ARGV))
-    def test_same_as_options_added_up_front(self, capsys, monkeypatch, golden_files, case):
+    def test_same_as_options_added_up_front(self, capsys, monkeypatch, golden_files, fresh_parsers, case):
         monkeypatch.setenv("COLUMNS", "80")
         argv = [golden_files.get(arg, arg) for arg in GOLDEN_ARGV[case]]
         lazy = invoke(capsys, argv)
         monkeypatch.setattr(cli, "_CommandParser", _EagerCommandParser)
+        fresh_parsers()
         assert invoke(capsys, argv) == lazy
 
 
+@pytest.mark.usefixtures("fresh_parsers")
 class TestLazyOptions:
     @pytest.mark.parametrize("argv, own", [
         (["solve", "--tetrahedron", "TET", "--projection", "PROJ"],
@@ -865,6 +916,24 @@ class TestEveryFlagIsRead:
         assert table == SHARED_OPTIONS
 
 
+# One command of each runnable kind, as golden_files names its inputs.
+COMMAND_ARGV = [
+    ["solve", "--tetrahedron", "TET", "--projection", "PROJ"],
+    ["analyze", "--rotation", "ROT", "--perm-class", "double-two-cycle"],
+    ["sample", "--rotation", "ROT", "--perm-class", "two-cycle"],
+    ["verify-dims", "--trials", "1"],
+    ["reproduce", "four-cycle"],
+    ["reproduce", "norm-prune"],
+    ["reproduce", "planar"],
+    ["reproduce", "uniqueness-sweep", "--trials", "1"],
+]
+
+
+def command_id(argv: list) -> str:
+    return "-".join(argv[:1 + (argv[0] == "reproduce")])
+
+
+@pytest.mark.usefixtures("fresh_parsers")
 class TestParsersBuilt:
     @pytest.mark.parametrize("argv, built", [
         (["solve", "--tetrahedron", "TET", "--projection", "PROJ"], 2),
@@ -890,6 +959,150 @@ class TestParsersBuilt:
         assert err == ""
         assert code in (0, 1)
         assert len(count) == built
+
+
+class TestParserReuse:
+    """A thread builds each parser once; a later call reuses it and prints the
+    bytes a fresh process prints, whichever calls came before it."""
+
+    @pytest.mark.parametrize("argv", COMMAND_ARGV, ids=command_id)
+    def test_a_second_call_builds_nothing(self, capsys, monkeypatch, golden_files, fresh_parsers, argv):
+        argv = [golden_files.get(arg, arg) for arg in argv]
+        first = invoke(capsys, argv)
+        built, added = [], []
+        init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+
+        def counting_init(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        def counting_add(self, *args, **kwargs):
+            added.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add)
+        assert invoke(capsys, argv) == first
+        assert first[0] in (0, 1)
+        assert (len(built), len(added)) == (0, 0)
+
+    def test_golden_cases_repeated_and_interleaved(self, capsys, monkeypatch, golden_files, fresh_parsers):
+        monkeypatch.setenv("COLUMNS", "80")
+        argvs = {case: [golden_files.get(arg, arg) for arg in words] for case, words in GOLDEN_ARGV.items()}
+        fresh = {}
+        for case, argv in argvs.items():
+            fresh_parsers()
+            fresh[case] = invoke(capsys, argv)
+        if sys.version_info[:2] == (3, 11):
+            assert fresh == GOLDEN
+        fresh_parsers()
+        order = [case for case in sorted(argvs) for _ in range(2)] + sorted(argvs, reverse=True)
+        for case in order:
+            assert invoke(capsys, argvs[case]) == fresh[case], case
+
+    def test_a_failing_call_then_a_passing_one(self, capsys, monkeypatch, fresh_parsers):
+        # the same reproduce parser refuses the first order and accepts the second
+        monkeypatch.setenv("COLUMNS", "80")
+        failing = ["reproduce", "--tol-geom", "1e-6", "four-cycle"]
+        passing = ["reproduce", "four-cycle", "--tol-geom", "1e-6"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        fresh = {}
+        for argv in (failing, passing):
+            proc = subprocess.run([sys.executable, "-m", "tetrot.cli", *argv], capture_output=True, text=True,
+                                  env=env, timeout=120)
+            fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+        assert fresh[tuple(failing)][0] == 2
+        assert fresh[tuple(passing)][0] == 0
+        for argv in (failing, passing, failing, passing):
+            assert invoke(capsys, argv) == fresh[tuple(argv)]
+
+
+def _in_threads(monkeypatch, calls: list, rounds: int) -> list:
+    """Each round runs calls[i]() twice in a new thread i, all released at once
+    under a tiny switch interval; the results, round by round, with the number
+    of top-level parsers the round built.  In every other round the calling
+    thread builds its parser first, so that threads sharing one would all reach
+    the same unbuilt command parsers."""
+    builds = []
+    build = cli._build_parser
+
+    def counting_build():
+        builds.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(rounds):
+            vars(cli._THREAD_PARSERS).clear()
+            builds.clear()
+            if round_ % 2:
+                cli._parser()
+            barrier = threading.Barrier(len(calls))
+            outcome = [[] for _ in calls]
+
+            def work(index):
+                barrier.wait(timeout=60)
+                for _ in range(2):
+                    try:
+                        outcome[index].append(calls[index]())
+                    except (Exception, SystemExit) as exc:  # a usage error exits; keep it for the assertion
+                        outcome[index].append(exc)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(calls))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            results.append((outcome, len(builds) - round_ % 2))
+    finally:
+        sys.setswitchinterval(interval)
+    return results
+
+
+class _UsageError(Exception):
+    pass
+
+
+@pytest.mark.usefixtures("fresh_parsers")
+class TestConcurrentFirstUse:
+    """Threads that parse at once each build their own parsers, once, and each
+    call gets the namespace or usage error of its own arguments."""
+
+    THREADS = 8
+    ROUNDS = 40
+
+    def test_each_thread_gets_its_own_namespace(self, capsys, monkeypatch, golden_files):
+        # four threads run reproduce, each with another instance name
+        argvs = [[golden_files.get(arg, arg) for arg in argv] for argv in COMMAND_ARGV]
+        argvs[3] = ["verify-dims", "--trials", "3", "--seed", "5"]
+        assert len(argvs) == self.THREADS
+        expected = [vars(cli._build_parser().parse_args(argv)) for argv in argvs]
+        calls = [lambda argv=argv: vars(cli._parser().parse_args(argv)) for argv in argvs]
+        results = _in_threads(monkeypatch, calls, self.ROUNDS)
+        assert [outcome for outcome, _ in results] == [[[namespace] * 2 for namespace in expected]] * self.ROUNDS
+        assert [built for _, built in results] == [self.THREADS] * self.ROUNDS
+        assert capsys.readouterr().err == ""
+
+    def test_a_usage_error_names_the_arguments_of_its_own_call(self, monkeypatch):
+        def refuse(self, message):
+            raise _UsageError(message)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "error", refuse)
+        names = ["four-cycle", "norm-prune", "planar", "uniqueness-sweep"]
+        argvs = [["reproduce", "--tol-geom", f"1e-{i + 1}", names[i % 4]] for i in range(self.THREADS)]
+        calls = [lambda argv=argv: cli._parser().parse_args(argv) for argv in argvs]
+        expected = [f"flags follow the instance name, as in: tetrot reproduce {argv[3]} --tol-geom {argv[2]}"
+                    for argv in argvs]
+        results = _in_threads(monkeypatch, calls, self.ROUNDS)
+        messages = [[[str(exc) for exc in excs] for excs in outcome] for outcome, _ in results]
+        assert messages == [[[message] * 2 for message in expected]] * self.ROUNDS
+        assert all(type(exc) is _UsageError for outcome, _ in results for excs in outcome for exc in excs)
+        assert [built for _, built in results] == [self.THREADS] * self.ROUNDS
 
 
 class TestSampleDefinition:

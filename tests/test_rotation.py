@@ -65,6 +65,28 @@ class TestUnitQuaternion:
         assert [float(x).hex() for x in q.as_array()] == canonical.split()
         assert all(type(x) is float for x in (q.a, q.b, q.c, q.d))
 
+    @pytest.mark.parametrize("shift", [-1000, -700, -600, -516, -513, -511, -505, -490, -470, -300, 0, 200,
+                                       400, 600, 1000])
+    def test_normalized_keeps_its_bits_under_power_of_two_scaling(self, shift):
+        # below a norm of 2**-484 some squares may lose bits to underflow, and from
+        # shift 600 on they overflow; such a quaternion is normalized after scaling by
+        # a power of two, which keeps every bit.  Up to shift -490 every draw is below
+        # that norm; at -513 and -511 a cut at 2**-511 left some draws with subnormal
+        # squares unscaled, and from -470 on every square is normal.
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            v = rng.choice([-1.0, 1.0], 4) * rng.uniform(0.01, 10.0, 4)
+            v[rng.integers(4)] *= rng.integers(2)  # some have a zero component
+            scaled = UnitQuaternion.normalized(*(math.ldexp(x, shift) for x in v))
+            assert scaled.as_array().tobytes() == UnitQuaternion.normalized(*v).as_array().tobytes()
+
+    def test_tiny_components_normalize(self):
+        q = UnitQuaternion.normalized(1e-160, 2e-160, 0, 0)
+        assert q == UnitQuaternion.normalized(1.0, 2.0, 0.0, 0.0)
+        for comps in [(0.0, 0.0, 0.0, 0.0), (5e-324, math.inf, 0.0, 0.0), (math.nan, 1e-200, 0.0, 0.0)]:
+            with pytest.raises(ValueError, match="cannot normalize"):
+                UnitQuaternion.normalized(*comps)
+
     @settings(max_examples=100, deadline=None)
     @given(quat_components)
     def test_normalized_is_canonical_unit(self, comps):
