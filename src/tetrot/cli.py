@@ -17,12 +17,9 @@ flags follow the name; a flag given before it is refused with that order
 shown.  `sample` computes the null space once per command and draws every
 trial from it.
 
-Each thread builds a parser once and reuses it.  Its first `main()` builds the
-top-level parser; a command parser, with its options, is built by the first
-run of that command, so a one-shot run builds only the parsers of the command
-it runs, and the top-level help and the command lists come from the names and
-help strings alone.  Threads share no parser, so `main()` may be called from
-several at once.
+The parser, with every command and option, is built once on import and shared
+by all threads: `main()` builds nothing, and parsing stores nothing on the
+parser, so `main()` may be called from several threads at once.
 """
 
 from __future__ import annotations
@@ -31,8 +28,6 @@ import argparse
 import json
 import os
 import sys
-import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,25 +61,10 @@ from .instances import four_cycle_instance, norm_prune_instance, planar_instance
 from .rotation import AxisClass, UnitQuaternion, _unit_axis, apply, classify_rotation, quat_from_axis_angle
 from .solver import SolveCandidate, labeled_solve, prune_permutations, unlabeled_solve
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 # Redraws of one uniqueness-sweep trial before --tol-rank counts as admitting no tetrahedron.
 _MAX_DRAWS = 1000
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved command invocation: tolerances, trial count and seed."""
-
-    tolerances: Tolerances
-    trials: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
 
 
 def _load_json(path: str):
@@ -139,17 +119,19 @@ def parse_rotation(obj) -> UnitQuaternion:
     raise ValueError('rotation input must carry "quaternion" or "axis" + "angle_rad"')
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    """The run a command's options resolve to; an option the command does not take keeps its default."""
-    return RunConfig(
-        tolerances=Tolerances(
-            rank_rel=getattr(args, "tol_rank", DEFAULT_TOLERANCES.rank_rel),
-            geom_abs=getattr(args, "tol_geom", DEFAULT_TOLERANCES.geom_abs),
-            angle_abs=getattr(args, "tol_angle", DEFAULT_TOLERANCES.angle_abs),
-        ),
-        trials=getattr(args, "trials", 1),
-        seed=getattr(args, "seed", 0),
+def _config(args: argparse.Namespace) -> Tolerances:
+    """The tolerances a command's options resolve to, once its --trials and --seed
+    are checked; an option the command does not take keeps its default."""
+    tolerances = Tolerances(
+        rank_rel=getattr(args, "tol_rank", DEFAULT_TOLERANCES.rank_rel),
+        geom_abs=getattr(args, "tol_geom", DEFAULT_TOLERANCES.geom_abs),
+        angle_abs=getattr(args, "tol_angle", DEFAULT_TOLERANCES.angle_abs),
     )
+    if getattr(args, "trials", 1) < 1:
+        raise ValueError("trials must be at least 1")
+    if not 0 <= getattr(args, "seed", 0) < 2**64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    return tolerances
 
 
 def _candidate_json(cand: SolveCandidate) -> dict:
@@ -176,15 +158,15 @@ def _emit(report: dict) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    config = _config(args)
+    tol = _config(args)
     if args.tetrahedron == "-" and args.projection == "-":
         raise ValueError("stdin can feed only one input, but --tetrahedron and --projection are both -")
     tetra = parse_tetrahedron(_load_json(args.tetrahedron))
     quad = parse_projection(_load_json(args.projection))
     if args.labeled:
-        candidates = labeled_solve(tetra, quad, config.tolerances)
+        candidates = labeled_solve(tetra, quad, tol)
     else:
-        candidates = unlabeled_solve(tetra, quad, config.tolerances)
+        candidates = unlabeled_solve(tetra, quad, tol)
     _emit({
         "command": "solve",
         "labeled": bool(args.labeled),
@@ -194,21 +176,21 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    config = _config(args)
+    tol = _config(args)
     rotation = parse_rotation(_load_json(args.rotation))
     perm_class = PermClass(args.perm_class)
-    axis_class, alpha = classify_rotation(rotation, config.tolerances.angle_abs)
+    axis_class, alpha = classify_rotation(rotation, tol.angle_abs)
     if axis_class is AxisClass.NO_AXIS:
         raise ValueError("the identity rotation cannot be analyzed")
-    rank = numeric_rank(build_config_matrix(rotation, perm_class), config.tolerances.rank_rel)
+    rank = numeric_rank(build_config_matrix(rotation, perm_class), tol.rank_rel)
     computed = 9 - rank
-    predicted = predicted_dimension(perm_class, axis_class, alpha, config.tolerances.angle_abs)
+    predicted = predicted_dimension(perm_class, axis_class, alpha, tol.angle_abs)
     _emit({
         "command": "analyze",
         "perm_class": perm_class.value,
         "axis_class": axis_class.value,
         "angle_rad": alpha,
-        "case": case_label(axis_class, alpha, config.tolerances.angle_abs),
+        "case": case_label(axis_class, alpha, tol.angle_abs),
         "rank": rank,
         "computed_dim": computed,
         "predicted_dim": predicted,
@@ -217,20 +199,20 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    config = _config(args)
+    tol = _config(args)
     rotation = parse_rotation(_load_json(args.rotation))
     perm_class = PermClass(args.perm_class)
     sigma = CANONICAL_PERMUTATION[perm_class]
     # sample_tetrahedron per trial, with the null space computed once
-    basis = null_space_basis(_system(rotation, perm_class, config.tolerances.angle_abs), config.tolerances.rank_rel)
+    basis = null_space_basis(_system(rotation, perm_class, tol.angle_abs), tol.rank_rel)
     samples = []
     all_ok = True
-    for trial in range(config.trials):
-        tetra = _draw(basis, np.random.default_rng([config.seed, trial]))
+    for trial in range(args.trials):
+        tetra = _draw(basis, np.random.default_rng([args.seed, trial]))
         rotated = apply(rotation, tetra.vertices)[:, :2]
         reordered = project(tetra).points[list(sigma.zero_based())]
         residual = float(np.max(np.linalg.norm(rotated - reordered, axis=1)))
-        ok = residual <= config.tolerances.geom_abs
+        ok = residual <= tol.geom_abs
         all_ok = all_ok and ok
         samples.append({
             "vertices": tetra.vertices.tolist(),
@@ -242,36 +224,34 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "perm_class": perm_class.value,
         "sigma": list(sigma.images),
         "quaternion": list(rotation.as_array()),
-        "seed": config.seed,
+        "seed": args.seed,
         "samples": samples,
     })
     return 0 if all_ok else 1
 
 
 def _cmd_verify_dims(args: argparse.Namespace) -> int:
-    config = _config(args)
+    tol = _config(args)
     cells = []
     total_mismatches = 0
     for index, cell in enumerate(CLASSIFICATION_CELLS):
         mismatches = 0
-        for trial in range(config.trials):
-            rng = np.random.default_rng([config.seed, index, trial])
+        for trial in range(args.trials):
+            rng = np.random.default_rng([args.seed, index, trial])
             rotation = sample_cell_rotation(cell, rng)
-            computed = config_dimension(
-                rotation, cell.perm_class, config.tolerances.rank_rel, config.tolerances.angle_abs
-            )
+            computed = config_dimension(rotation, cell.perm_class, tol.rank_rel, tol.angle_abs)
             if computed != cell.expected_dim:
                 mismatches += 1
         total_mismatches += mismatches
         cells.append({
             "cell": cell.label(),
             "expected_dim": cell.expected_dim,
-            "trials": config.trials,
+            "trials": args.trials,
             "mismatches": mismatches,
         })
     _emit({
         "command": "verify-dims",
-        "seed": config.seed,
+        "seed": args.seed,
         "cells": cells,
         "ok": total_mismatches == 0,
     })
@@ -286,11 +266,11 @@ def _nearest_errors(candidates: list[SolveCandidate], sigma: Permutation4, expec
 
 
 def _reproduce_four_cycle(args: argparse.Namespace) -> int:
-    config = _config(args)
+    tol = _config(args)
     inst = four_cycle_instance()
     rotated = apply(inst.rotation, inst.tetrahedron.vertices)
     vertex_err = float(np.max(np.abs(rotated - inst.rotated_vertices)))
-    candidates = unlabeled_solve(inst.tetrahedron, inst.projection, config.tolerances)
+    candidates = unlabeled_solve(inst.tetrahedron, inst.projection, tol)
     (matrix_err,) = _nearest_errors(candidates, inst.sigma, [inst.matrix])
     ok = vertex_err <= 1e-12 and matrix_err is not None and matrix_err <= 1e-10
     _emit({
@@ -308,9 +288,9 @@ def _reproduce_four_cycle(args: argparse.Namespace) -> int:
 
 
 def _reproduce_norm_prune(args: argparse.Namespace) -> int:
-    config = _config(args)
+    tol = _config(args)
     inst = norm_prune_instance()
-    survivors = prune_permutations(inst.vertices, inst.projection, config.tolerances.geom_abs)
+    survivors = prune_permutations(inst.vertices, inst.projection, tol.geom_abs)
     ok = survivors == [IDENTITY_PERMUTATION]
     _emit({
         "command": "reproduce",
@@ -322,9 +302,9 @@ def _reproduce_norm_prune(args: argparse.Namespace) -> int:
 
 
 def _reproduce_planar(args: argparse.Namespace) -> int:
-    config = _config(args)
+    tol = _config(args)
     inst = planar_instance()
-    candidates = unlabeled_solve(inst.tetrahedron, inst.projection, config.tolerances)
+    candidates = unlabeled_solve(inst.tetrahedron, inst.projection, tol)
     swap = [c for c in candidates if c.sigma == inst.swap_sigma]
     errors = _nearest_errors(candidates, inst.swap_sigma, inst.matrices)
     ok = len(swap) == 2 and max(errors) <= 1e-10
@@ -340,26 +320,26 @@ def _reproduce_planar(args: argparse.Namespace) -> int:
 
 
 def _reproduce_uniqueness_sweep(args: argparse.Namespace) -> int:
-    config = _config(args)
+    tol = _config(args)
     spurious = 0
-    for trial in range(config.trials):
-        rng = np.random.default_rng([config.seed, trial])
+    for trial in range(args.trials):
+        rng = np.random.default_rng([args.seed, trial])
         for _ in range(_MAX_DRAWS):
             tetra = Tetrahedron(rng.standard_normal((4, 3)))
-            if tetra.full_dimensional(config.tolerances.rank_rel):
+            if tetra.full_dimensional(tol.rank_rel):
                 break
         else:
             raise ValueError(f"no full-dimensional tetrahedron in {_MAX_DRAWS} draws at --tol-rank "
-                             f"{config.tolerances.rank_rel!r}; choose a smaller --tol-rank")
+                             f"{tol.rank_rel!r}; choose a smaller --tol-rank")
         # every candidate passed the solver's gate at --tol-geom; one farther than
         # the dedupe distance from the identity is another rotation with the same shadow
-        for cand in unlabeled_solve(tetra, project(tetra), config.tolerances):
-            if float(np.linalg.norm(cand.matrix - np.eye(3))) > config.tolerances.dedupe:
+        for cand in unlabeled_solve(tetra, project(tetra), tol):
+            if float(np.linalg.norm(cand.matrix - np.eye(3))) > tol.dedupe:
                 spurious += 1
     _emit({
         "command": "reproduce",
         "name": "uniqueness-sweep",
-        "trials": config.trials,
+        "trials": args.trials,
         "spurious_non_identity": spurious,
         "ok": spurious == 0,
     })
@@ -374,117 +354,48 @@ _SHARED_OPTIONS = {
                     "tolerance for axis components and special angles; above pi/12 the half-, quarter- and "
                     "third-turn windows overlap, and the first match in that order decides"),
     "--seed": (int, 0, "base seed for all randomness"),
+    "--trials": (int, 100, "number of random trials or samples"),
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, *options: str, trials_default: int | None = None) -> None:
-    """Add the shared options a command reads, and --trials when it takes a trial count."""
+def _add_shared(parser: argparse.ArgumentParser, func, *options: str, **defaults) -> None:
+    """Add the shared options a command reads, the function that runs it and any default of its own."""
     for option in options:
         kind, default, text = _SHARED_OPTIONS[option]
         parser.add_argument(option, type=kind, default=default, help=text)
-    if trials_default is not None:
-        parser.add_argument("--trials", type=int, default=trials_default,
-                            help="number of random trials or samples")
+    parser.set_defaults(func=func, **defaults)
 
 
-def _solve_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tetrahedron", required=True, help='JSON file {"vertices": ...} or -')
-    parser.add_argument("--projection", required=True, help='JSON file {"points": ...} or -')
-    parser.add_argument("--labeled", action="store_true",
-                        help="match projection point i to vertex i instead of trying all relabelings")
-    _add_common(parser, "--tol-rank", "--tol-geom")
-    parser.set_defaults(func=_cmd_solve)
-
-
-def _analyze_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rotation", required=True,
-                        help='JSON file {"quaternion": ...} or {"axis": ..., "angle_rad": ...} or -')
-    parser.add_argument("--perm-class", required=True, choices=[c.value for c in PermClass])
-    _add_common(parser, "--tol-rank", "--tol-angle")
-    parser.set_defaults(func=_cmd_analyze)
-
-
-def _sample_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rotation", required=True)
-    parser.add_argument("--perm-class", required=True, choices=[c.value for c in PermClass])
-    _add_common(parser, "--tol-rank", "--tol-geom", "--tol-angle", "--seed", trials_default=1)
-    parser.set_defaults(func=_cmd_sample)
-
-
-def _verify_dims_options(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser, "--tol-rank", "--tol-angle", "--seed", trials_default=100)
-    parser.set_defaults(func=_cmd_verify_dims)
-
-
-def _reproduce_options(parser: argparse.ArgumentParser) -> None:
-    sub = parser.add_subparsers(dest="name", required=True, parser_class=_CommandParser)
-    sub.add_parser("four-cycle", help="ambiguous instance, two rotations",
-                   add_options=_reproduce_four_cycle_options)
-    sub.add_parser("norm-prune", help="norm test leaves only the identity",
-                   add_options=_reproduce_norm_prune_options)
-    sub.add_parser("planar", help="coplanar instance with two solutions",
-                   add_options=_reproduce_planar_options)
-    sub.add_parser("uniqueness-sweep", help="random tetrahedra, identity only",
-                   add_options=_reproduce_uniqueness_sweep_options)
-
-
-def _reproduce_four_cycle_options(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser, "--tol-rank", "--tol-geom")
-    parser.set_defaults(func=_reproduce_four_cycle)
-
-
-def _reproduce_norm_prune_options(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser, "--tol-geom")
-    parser.set_defaults(func=_reproduce_norm_prune)
-
-
-def _reproduce_planar_options(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser, "--tol-rank", "--tol-geom")
-    parser.set_defaults(func=_reproduce_planar)
-
-
-def _reproduce_uniqueness_sweep_options(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser, "--tol-rank", "--tol-geom", "--seed", trials_default=100)
-    parser.set_defaults(func=_reproduce_uniqueness_sweep)
-
-
-# The top-level parser of each thread, built by the thread's first main().  No
-# parser is shared between threads, so the arguments a parser keeps for its
-# usage error are those of the call it is parsing.
-_THREAD_PARSERS = threading.local()
+class _UsageError(Exception):
+    """A usage error on its way from error() to the parse_known_args call that words it."""
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """Parser of one command that does nothing until argparse hands it arguments.
+    """Parser of a command or of a `reproduce` name, which argparse hands its
+    arguments through parse_known_args.
 
-    The parser above keeps it under the command's name and hands it the
-    command's arguments through parse_known_args.  The first such call builds
-    it and adds the command's options, so a run builds the parser of the
-    command it runs and of no other; later calls in the thread reuse it.
+    A usage error is worded by the call that holds the arguments, so parsing
+    stores nothing on the parser and threads can share it.
     """
 
-    def __init__(self, *, add_options, **kwargs) -> None:
-        self._pending = (add_options, kwargs)
-        self._subcommands = self._args = None
+    _subcommands = None  # the action that holds the subcommands, set while the parser is built
 
     def add_subparsers(self, **kwargs):
         self._subcommands = super().add_subparsers(**kwargs)
         return self._subcommands
 
-    def parse_known_args(self, args=None, namespace=None):
-        if self._pending is not None:
-            add_options, kwargs = self._pending
-            super().__init__(**kwargs)
-            self._pending = None
-            add_options(self)
-        self._args = args
-        return super().parse_known_args(args, namespace)
-
     def error(self, message):
-        """Exit 2 with a usage error.  When a flag comes before the subcommand's
-        name, argparse reads the flag's value as the name or finds no name, so
-        the message shows the order that works instead."""
-        args = list(self._args or ())
+        raise _UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        """Parse, or exit 2 with a usage error.  When a flag comes before the
+        subcommand's name, argparse reads the flag's value as the name or finds
+        no name, so the message shows the order that works instead."""
+        try:
+            return super().parse_known_args(args, namespace)
+        except _UsageError as exc:
+            message = str(exc)
+        args = list(args or ())
         if self._subcommands is not None and args and args[0].startswith("-"):
             name = next((arg for arg in args if arg in self._subcommands.choices), "NAME")
             if name in args:
@@ -499,30 +410,49 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Recover tetrahedron rotations from orthographic projections "
                     "and analyze the relabeling ambiguities.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    sub.add_parser("solve", help="recover rotations from tetrahedron and projection files",
-                   add_options=_solve_options)
-    sub.add_parser("analyze", help="rank and dimension report for one rotation",
-                   add_options=_analyze_options)
-    sub.add_parser("sample", help="draw ambiguous tetrahedra for a rotation and class",
-                   add_options=_sample_options)
-    sub.add_parser("verify-dims", help="sweep the dimension table with random rotations",
-                   add_options=_verify_dims_options)
-    sub.add_parser("reproduce", help="replay a bundled worked instance",
-                   add_options=_reproduce_options)
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    perm_classes = [c.value for c in PermClass]
+
+    solve = commands.add_parser("solve", help="recover rotations from tetrahedron and projection files")
+    solve.add_argument("--tetrahedron", required=True, help='JSON file {"vertices": ...} or -')
+    solve.add_argument("--projection", required=True, help='JSON file {"points": ...} or -')
+    solve.add_argument("--labeled", action="store_true",
+                       help="match projection point i to vertex i instead of trying all relabelings")
+    _add_shared(solve, _cmd_solve, "--tol-rank", "--tol-geom")
+
+    analyze = commands.add_parser("analyze", help="rank and dimension report for one rotation")
+    analyze.add_argument("--rotation", required=True,
+                         help='JSON file {"quaternion": ...} or {"axis": ..., "angle_rad": ...} or -')
+    analyze.add_argument("--perm-class", required=True, choices=perm_classes)
+    _add_shared(analyze, _cmd_analyze, "--tol-rank", "--tol-angle")
+
+    sample = commands.add_parser("sample", help="draw ambiguous tetrahedra for a rotation and class")
+    sample.add_argument("--rotation", required=True)
+    sample.add_argument("--perm-class", required=True, choices=perm_classes)
+    _add_shared(sample, _cmd_sample, "--tol-rank", "--tol-geom", "--tol-angle", "--seed", "--trials", trials=1)
+
+    verify_dims = commands.add_parser("verify-dims", help="sweep the dimension table with random rotations")
+    _add_shared(verify_dims, _cmd_verify_dims, "--tol-rank", "--tol-angle", "--seed", "--trials")
+
+    names = commands.add_parser("reproduce", help="replay a bundled worked instance").add_subparsers(
+        dest="name", required=True)
+    for name, text, replay, options in (
+        ("four-cycle", "ambiguous instance, two rotations", _reproduce_four_cycle, ("--tol-rank", "--tol-geom")),
+        ("norm-prune", "norm test leaves only the identity", _reproduce_norm_prune, ("--tol-geom",)),
+        ("planar", "coplanar instance with two solutions", _reproduce_planar, ("--tol-rank", "--tol-geom")),
+        ("uniqueness-sweep", "random tetrahedra, identity only", _reproduce_uniqueness_sweep,
+         ("--tol-rank", "--tol-geom", "--seed", "--trials")),
+    ):
+        _add_shared(names.add_parser(name, help=text), replay, *options)
     return parser
 
 
-def _parser() -> argparse.ArgumentParser:
-    """The calling thread's top-level parser, built by its first call."""
-    parser = getattr(_THREAD_PARSERS, "parser", None)
-    if parser is None:
-        parser = _THREAD_PARSERS.parser = _build_parser()
-    return parser
+# The one parser of the process, built on import and shared by every thread.
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -48,6 +49,12 @@ def strict_json(text: str):
         raise ValueError(f"{constant} is not JSON")
 
     return json.loads(text, parse_constant=refuse)
+
+
+def src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 # The shared options each runnable command reads, and so takes; README's flag
@@ -286,6 +293,35 @@ class TestVerifyDimsCommand:
         assert capsys.readouterr().out == first
 
 
+class TestRunChecks:
+    """A trial count or seed out of range exits 2 with its own message and no
+    report; the tolerances are checked first, then the trials, then the seed."""
+
+    TRIALS = "error: trials must be at least 1\n"
+    SEED = "error: seed must fit in 64 unsigned bits\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        pytest.param(["verify-dims", "--trials", "0"], TRIALS, id="verify-dims-trials-0"),
+        pytest.param(["reproduce", "uniqueness-sweep", "--trials", "0"], TRIALS, id="uniqueness-sweep-trials-0"),
+        pytest.param(["sample", "--rotation", "ROT", "--perm-class", "two-cycle", "--trials", "0"], TRIALS,
+                     id="sample-trials-0"),
+        pytest.param(["verify-dims", "--trials", "1", "--seed", "-1"], SEED, id="verify-dims-seed-negative"),
+        pytest.param(["verify-dims", "--trials", "1", "--seed", "18446744073709551616"], SEED,
+                     id="verify-dims-seed-2^64"),
+        pytest.param(["reproduce", "uniqueness-sweep", "--trials", "1", "--seed", "-1"], SEED,
+                     id="uniqueness-sweep-seed-negative"),
+        pytest.param(["reproduce", "uniqueness-sweep", "--trials", "1", "--seed", "18446744073709551616"], SEED,
+                     id="uniqueness-sweep-seed-2^64"),
+        pytest.param(["sample", "--rotation", "ROT", "--perm-class", "two-cycle", "--seed", "-1"], SEED,
+                     id="sample-seed-negative"),
+        pytest.param(["verify-dims", "--trials", "0", "--seed", "-1"], TRIALS, id="trials-before-seed"),
+        pytest.param(["verify-dims", "--trials", "0", "--tol-rank", "1"], "error: rank_rel must be below 1, got 1.0\n",
+                     id="tolerances-before-trials"),
+    ])
+    def test_exits_two_with_the_message(self, capsys, golden_files, argv, err):
+        assert invoke(capsys, [golden_files.get(arg, arg) for arg in argv]) == (2, "", err)
+
+
 class TestReproduceCommand:
     @pytest.mark.parametrize("name", ["four-cycle", "norm-prune", "planar"])
     def test_bundled_instances_match(self, capsys, name):
@@ -474,13 +510,11 @@ class TestClosedStdout:
         (["reproduce", "four-cycle", "--tol-geom", "1e-20"], 1),
     ], ids=["match", "no-match"])
     def test_exit_code_and_empty_stderr(self, argv, expected):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         read, write = os.pipe()
         os.close(read)  # every write to the pipe now fails with EPIPE
         try:
             proc = subprocess.run([sys.executable, "-m", "tetrot.cli", *argv], stdout=write,
-                                  stderr=subprocess.PIPE, env=env, timeout=120)
+                                  stderr=subprocess.PIPE, env=src_env(), timeout=120)
         finally:
             os.close(write)
         assert proc.returncode == expected
@@ -724,31 +758,9 @@ def invoke(capsys, argv) -> tuple:
     return code, captured.out, captured.err
 
 
-@pytest.fixture
-def fresh_parsers():
-    """No parser of the test's thread built before the test or kept after it, as in a fresh process.
-    Calling the fixture's value empties the cache again mid-test."""
-    def clear():
-        vars(cli._THREAD_PARSERS).clear()
-
-    clear()
-    yield clear
-    clear()
-
-
-class _EagerCommandParser(argparse.ArgumentParser):
-    """A command parser that is built, with its options, when the parser above it is."""
-
-    def __init__(self, *, add_options, **kwargs):
-        super().__init__(**kwargs)
-        add_options(self)
-
-
-def runnable_parsers(monkeypatch) -> dict:
-    """Each command a user runs, as typed ("solve", "reproduce planar", ...),
-    and its parser, with every parser built up front."""
-    monkeypatch.setattr(cli, "_CommandParser", _EagerCommandParser)
-    parsers, pending = {}, [("", cli._build_parser())]
+def runnable_parsers() -> dict:
+    """Each command a user runs, as typed ("solve", "reproduce planar", ...), and its parser."""
+    parsers, pending = {}, [("", cli._PARSER)]
     while pending:
         command, parser = pending.pop()
         subcommands = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -776,17 +788,20 @@ class TestGoldenText:
         assert invoke(capsys, argv) == GOLDEN[case]
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_ARGV))
-    def test_same_as_options_added_up_front(self, capsys, monkeypatch, golden_files, fresh_parsers, case):
+    def test_same_as_options_added_up_front(self, capsys, monkeypatch, golden_files, case):
+        # the shared parser, after whatever calls it served, prints what a fresh
+        # process prints, whose parser got every option on import and parsed nothing yet
         monkeypatch.setenv("COLUMNS", "80")
         argv = [golden_files.get(arg, arg) for arg in GOLDEN_ARGV[case]]
-        lazy = invoke(capsys, argv)
-        monkeypatch.setattr(cli, "_CommandParser", _EagerCommandParser)
-        fresh_parsers()
-        assert invoke(capsys, argv) == lazy
+        proc = subprocess.run([sys.executable, "-m", "tetrot.cli", *argv], capture_output=True, text=True,
+                              env=src_env(), timeout=120)
+        assert invoke(capsys, argv) == (proc.returncode, proc.stdout, proc.stderr)
 
 
-@pytest.mark.usefixtures("fresh_parsers")
 class TestLazyOptions:
+    """Each command's parser takes its own options and no other, all added on
+    import; a run of the command parses with them."""
+
     @pytest.mark.parametrize("argv, own", [
         (["solve", "--tetrahedron", "TET", "--projection", "PROJ"],
          {"--tetrahedron", "--projection", "--labeled"} | SHARED_OPTIONS["solve"]),
@@ -800,19 +815,12 @@ class TestLazyOptions:
         (["reproduce", "planar"], SHARED_OPTIONS["reproduce planar"]),
         (["reproduce", "uniqueness-sweep", "--trials", "1"], SHARED_OPTIONS["reproduce uniqueness-sweep"]),
     ])
-    def test_only_the_command_options_are_added(self, capsys, monkeypatch, golden_files, argv, own):
-        added = []
-        add_argument = argparse.ArgumentParser.add_argument
-
-        def recording(self, *args, **kwargs):
-            added.extend(args)
-            return add_argument(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+    def test_only_the_command_options_are_added(self, capsys, golden_files, argv, own):
+        parser = runnable_parsers()[" ".join(argv[:1 + (argv[0] == "reproduce")])]
+        assert {s for action in parser._actions for s in action.option_strings} == {"-h", "--help"} | own
         code, _, err = invoke(capsys, [golden_files.get(arg, arg) for arg in argv])
         assert err == ""
         assert code in (0, 1)
-        assert set(added) == {"-h", "--help"} | own
 
 
 class TestUnreadOptionsRefused:
@@ -890,8 +898,8 @@ READ_FLAGS = {
 
 
 class TestEveryFlagIsRead:
-    def test_the_table_covers_every_flag_of_every_runnable_command(self, monkeypatch):
-        parsers = runnable_parsers(monkeypatch)
+    def test_the_table_covers_every_flag_of_every_runnable_command(self):
+        parsers = runnable_parsers()
         taken = {(command, flag) for command, parser in parsers.items() for flag in long_options(parser)}
         assert taken == set(READ_FLAGS)
 
@@ -903,9 +911,9 @@ class TestEveryFlagIsRead:
         first, second = ([golden_files.get(arg, arg) for arg in words] for words in (argv, changed))
         assert invoke(capsys, first)[:2] != invoke(capsys, second)[:2]
 
-    def test_shared_options_are_the_parsers(self, monkeypatch):
+    def test_shared_options_are_the_parsers(self):
         shared = {"--tol-rank", "--tol-geom", "--tol-angle", "--seed", "--trials"}
-        taken = {command: long_options(parser) & shared for command, parser in runnable_parsers(monkeypatch).items()}
+        taken = {command: long_options(parser) & shared for command, parser in runnable_parsers().items()}
         assert taken == SHARED_OPTIONS
 
     def test_readme_table_lists_the_shared_options(self):
@@ -933,84 +941,80 @@ def command_id(argv: list) -> str:
     return "-".join(argv[:1 + (argv[0] == "reproduce")])
 
 
-@pytest.mark.usefixtures("fresh_parsers")
-class TestParsersBuilt:
-    @pytest.mark.parametrize("argv, built", [
-        (["solve", "--tetrahedron", "TET", "--projection", "PROJ"], 2),
-        (["analyze", "--rotation", "ROT", "--perm-class", "double-two-cycle"], 2),
-        (["sample", "--rotation", "ROT", "--perm-class", "two-cycle"], 2),
-        (["verify-dims", "--trials", "1"], 2),
-        (["reproduce", "four-cycle"], 3),
-        (["reproduce", "norm-prune"], 3),
-        (["reproduce", "planar"], 3),
-        (["reproduce", "uniqueness-sweep", "--trials", "1"], 3),
-    ], ids=lambda value: "-".join(value[:1 + (value[0] == "reproduce")]) if isinstance(value, list) else str(value))
-    def test_only_the_parsers_of_the_command_run_are_built(self, capsys, monkeypatch, golden_files, argv, built):
-        # the top-level parser, and one per level of the command that runs
-        count = []
-        init = argparse.ArgumentParser.__init__
+def count_parser_building(patch) -> dict:
+    """From now on, the number of ArgumentParsers built and arguments added;
+    patch(owner, name, value) installs the counting methods."""
+    counts = {"built": 0, "added": 0}
+    init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
 
-        def counting(self, *args, **kwargs):
-            count.append(None)
-            init(self, *args, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        counts["built"] += 1
+        init(self, *args, **kwargs)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        code, _, err = invoke(capsys, [golden_files.get(arg, arg) for arg in argv])
-        assert err == ""
-        assert code in (0, 1)
-        assert len(count) == built
+    def counting_add(self, *args, **kwargs):
+        counts["added"] += 1
+        return add_argument(self, *args, **kwargs)
+
+    patch(argparse.ArgumentParser, "__init__", counting_init)
+    patch(argparse.ArgumentParser, "add_argument", counting_add)
+    return counts
+
+
+# Runs main() on its arguments as the first call of a fresh process, and
+# prints to stderr what that call built.
+_COUNTING_MAIN = "import argparse, json, sys\nfrom tetrot import cli\n" + inspect.getsource(count_parser_building) + """
+counts = count_parser_building(setattr)
+code = cli.main(sys.argv[1:])
+print(json.dumps(counts), file=sys.stderr)
+sys.exit(code)
+"""
 
 
 class TestParserReuse:
-    """A thread builds each parser once; a later call reuses it and prints the
-    bytes a fresh process prints, whichever calls came before it."""
+    """The parser is built on import; a call builds nothing and prints the bytes
+    a freshly built parser prints, whichever calls came before it."""
 
     @pytest.mark.parametrize("argv", COMMAND_ARGV, ids=command_id)
-    def test_a_second_call_builds_nothing(self, capsys, monkeypatch, golden_files, fresh_parsers, argv):
+    def test_a_first_call_builds_nothing(self, golden_files, argv):
+        proc = subprocess.run([sys.executable, "-c", _COUNTING_MAIN, *[golden_files.get(arg, arg) for arg in argv]],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert proc.returncode in (0, 1)
+        assert json.loads(proc.stderr) == {"built": 0, "added": 0}
+
+    @pytest.mark.parametrize("argv", COMMAND_ARGV, ids=command_id)
+    def test_a_second_call_builds_nothing(self, capsys, monkeypatch, golden_files, argv):
         argv = [golden_files.get(arg, arg) for arg in argv]
         first = invoke(capsys, argv)
-        built, added = [], []
-        init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
-
-        def counting_init(self, *args, **kwargs):
-            built.append(None)
-            init(self, *args, **kwargs)
-
-        def counting_add(self, *args, **kwargs):
-            added.append(args)
-            return add_argument(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add)
+        counts = count_parser_building(monkeypatch.setattr)
         assert invoke(capsys, argv) == first
         assert first[0] in (0, 1)
-        assert (len(built), len(added)) == (0, 0)
+        assert first[2] == ""
+        assert counts == {"built": 0, "added": 0}
 
-    def test_golden_cases_repeated_and_interleaved(self, capsys, monkeypatch, golden_files, fresh_parsers):
+    def test_golden_cases_repeated_and_interleaved(self, capsys, monkeypatch, golden_files):
         monkeypatch.setenv("COLUMNS", "80")
         argvs = {case: [golden_files.get(arg, arg) for arg in words] for case, words in GOLDEN_ARGV.items()}
+        used = cli._PARSER
         fresh = {}
         for case, argv in argvs.items():
-            fresh_parsers()
+            monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
             fresh[case] = invoke(capsys, argv)
         if sys.version_info[:2] == (3, 11):
             assert fresh == GOLDEN
-        fresh_parsers()
+        monkeypatch.setattr(cli, "_PARSER", used)
         order = [case for case in sorted(argvs) for _ in range(2)] + sorted(argvs, reverse=True)
         for case in order:
             assert invoke(capsys, argvs[case]) == fresh[case], case
 
-    def test_a_failing_call_then_a_passing_one(self, capsys, monkeypatch, fresh_parsers):
+    def test_a_failing_call_then_a_passing_one(self, capsys, monkeypatch):
         # the same reproduce parser refuses the first order and accepts the second
         monkeypatch.setenv("COLUMNS", "80")
         failing = ["reproduce", "--tol-geom", "1e-6", "four-cycle"]
         passing = ["reproduce", "four-cycle", "--tol-geom", "1e-6"]
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         fresh = {}
         for argv in (failing, passing):
             proc = subprocess.run([sys.executable, "-m", "tetrot.cli", *argv], capture_output=True, text=True,
-                                  env=env, timeout=120)
+                                  env=src_env(), timeout=120)
             fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
         assert fresh[tuple(failing)][0] == 2
         assert fresh[tuple(passing)][0] == 0
@@ -1020,27 +1024,15 @@ class TestParserReuse:
 
 def _in_threads(monkeypatch, calls: list, rounds: int) -> list:
     """Each round runs calls[i]() twice in a new thread i, all released at once
-    under a tiny switch interval; the results, round by round, with the number
-    of top-level parsers the round built.  In every other round the calling
-    thread builds its parser first, so that threads sharing one would all reach
-    the same unbuilt command parsers."""
-    builds = []
-    build = cli._build_parser
-
-    def counting_build():
-        builds.append(None)
-        return build()
-
-    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    under a tiny switch interval; the results, round by round.  Every call
+    parses with the module's one parser, and no ArgumentParser may be built
+    during the rounds."""
+    counts = count_parser_building(monkeypatch.setattr)
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for round_ in range(rounds):
-            vars(cli._THREAD_PARSERS).clear()
-            builds.clear()
-            if round_ % 2:
-                cli._parser()
+        for _ in range(rounds):
             barrier = threading.Barrier(len(calls))
             outcome = [[] for _ in calls]
 
@@ -1058,9 +1050,10 @@ def _in_threads(monkeypatch, calls: list, rounds: int) -> list:
             for thread in threads:
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
-            results.append((outcome, len(builds) - round_ % 2))
+            results.append(outcome)
     finally:
         sys.setswitchinterval(interval)
+    assert counts == {"built": 0, "added": 0}
     return results
 
 
@@ -1068,10 +1061,9 @@ class _UsageError(Exception):
     pass
 
 
-@pytest.mark.usefixtures("fresh_parsers")
 class TestConcurrentFirstUse:
-    """Threads that parse at once each build their own parsers, once, and each
-    call gets the namespace or usage error of its own arguments."""
+    """Threads that parse at once with the one shared parser each get the
+    namespace or usage error of their own arguments, and build no parser."""
 
     THREADS = 8
     ROUNDS = 40
@@ -1082,10 +1074,9 @@ class TestConcurrentFirstUse:
         argvs[3] = ["verify-dims", "--trials", "3", "--seed", "5"]
         assert len(argvs) == self.THREADS
         expected = [vars(cli._build_parser().parse_args(argv)) for argv in argvs]
-        calls = [lambda argv=argv: vars(cli._parser().parse_args(argv)) for argv in argvs]
+        calls = [lambda argv=argv: vars(cli._PARSER.parse_args(argv)) for argv in argvs]
         results = _in_threads(monkeypatch, calls, self.ROUNDS)
-        assert [outcome for outcome, _ in results] == [[[namespace] * 2 for namespace in expected]] * self.ROUNDS
-        assert [built for _, built in results] == [self.THREADS] * self.ROUNDS
+        assert results == [[[namespace] * 2 for namespace in expected]] * self.ROUNDS
         assert capsys.readouterr().err == ""
 
     def test_a_usage_error_names_the_arguments_of_its_own_call(self, monkeypatch):
@@ -1095,14 +1086,13 @@ class TestConcurrentFirstUse:
         monkeypatch.setattr(argparse.ArgumentParser, "error", refuse)
         names = ["four-cycle", "norm-prune", "planar", "uniqueness-sweep"]
         argvs = [["reproduce", "--tol-geom", f"1e-{i + 1}", names[i % 4]] for i in range(self.THREADS)]
-        calls = [lambda argv=argv: cli._parser().parse_args(argv) for argv in argvs]
+        calls = [lambda argv=argv: cli._PARSER.parse_args(argv) for argv in argvs]
         expected = [f"flags follow the instance name, as in: tetrot reproduce {argv[3]} --tol-geom {argv[2]}"
                     for argv in argvs]
         results = _in_threads(monkeypatch, calls, self.ROUNDS)
-        messages = [[[str(exc) for exc in excs] for excs in outcome] for outcome, _ in results]
+        messages = [[[str(exc) for exc in excs] for excs in outcome] for outcome in results]
         assert messages == [[[message] * 2 for message in expected]] * self.ROUNDS
-        assert all(type(exc) is _UsageError for outcome, _ in results for excs in outcome for exc in excs)
-        assert [built for _, built in results] == [self.THREADS] * self.ROUNDS
+        assert all(type(exc) is _UsageError for outcome in results for excs in outcome for exc in excs)
 
 
 class TestSampleDefinition:
