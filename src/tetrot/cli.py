@@ -8,14 +8,14 @@ Commands
     reproduce    replay a bundled worked instance and check the expected values
 
 Exit codes: 0 success / match, 1 semantic failure (no solution or mismatch),
-2 usage or parse error; a reader that closes stdout early changes none of
-them.  Identical arguments, including the seed, produce byte-identical
-reports.
+2 usage or parse error, a closed stdin or stdout included; a reader that
+closes stdout early changes none of them.  Identical arguments, including
+the seed, produce byte-identical reports.
 
 `reproduce` takes the name of a worked instance as a subcommand, and its
 flags follow the name; a flag given before it is refused with that order
-shown.  `sample` computes the null space once per command and draws every
-trial from it.
+shown, or as unrecognized if the instance does not take it.  `sample`
+computes the null space once per command and draws every trial from it.
 
 The parser, with every command and option, is built once on import and shared
 by all threads: `main()` builds nothing, and parsing stores nothing on the
@@ -69,6 +69,8 @@ _MAX_DRAWS = 1000
 
 def _load_json(path: str):
     name = "<stdin>" if path == "-" else path
+    if path == "-" and sys.stdin is None:  # Python's stdin when fd 0 was closed at start
+        raise OSError("stdin is closed")
     try:
         if path == "-":
             return json.load(sys.stdin)
@@ -147,6 +149,8 @@ def _candidate_json(cand: SolveCandidate) -> dict:
 def _emit(report: dict) -> None:
     """Print the report.  A reader that closed the pipe early gets nothing more,
     and the command keeps its own exit code."""
+    if sys.stdout is None:  # Python's stdout when fd 1 was closed at start
+        raise OSError("stdout is closed")
     try:
         print(json.dumps(report, indent=2, allow_nan=False))
         sys.stdout.flush()
@@ -390,7 +394,8 @@ class _CommandParser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         """Parse, or exit 2 with a usage error.  When a flag comes before the
         subcommand's name, argparse reads the flag's value as the name or finds
-        no name, so the message shows the order that works instead."""
+        no name, so the message shows the order that works instead, or names
+        the flags the instance does not take."""
         try:
             return super().parse_known_args(args, namespace)
         except _UsageError as exc:
@@ -398,9 +403,15 @@ class _CommandParser(argparse.ArgumentParser):
         args = list(args or ())
         if self._subcommands is not None and args and args[0].startswith("-"):
             name = next((arg for arg in args if arg in self._subcommands.choices), "NAME")
+            unread = []
             if name in args:
                 args.remove(name)
-            message = f"flags follow the instance name, as in: {self.prog} {' '.join([name, *args])}"
+                # the name's own parser exits 2 on a bad value, as it would with the flags after the name
+                unread = self._subcommands.choices[name].parse_known_args(args)[1]
+            if unread:
+                message = f"unrecognized arguments: {' '.join(unread)}"
+            else:
+                message = f"flags follow the instance name, as in: {self.prog} {' '.join([name, *args])}"
         super().error(message)
 
 

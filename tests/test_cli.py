@@ -27,20 +27,39 @@ from tetrot.rotation import apply
 from tetrot.solver import unlabeled_solve
 
 
-@pytest.fixture
-def four_cycle_files(tmp_path):
+def write_golden_files(directory: Path) -> dict:
+    """TET and PROJ: the four-cycle tetrahedron and its projection scaled by 5
+    (no rotation matches it); SHADOW: the projection itself; BIG: TET scaled
+    by 5, which PROJ matches; ROT: a vertical half-turn; TURN: a vertical
+    turn by 1.85 rad, which lies within 0.3 of both the quarter and the third
+    turn.  Each is written to directory; the result maps each name to its file."""
     inst = four_cycle_instance()
-    tet = tmp_path / "tet.json"
-    proj = tmp_path / "proj.json"
-    tet.write_text(json.dumps({"vertices": inst.tetrahedron.vertices.tolist()}))
-    proj.write_text(json.dumps({"points": inst.projection.points.tolist()}))
-    return str(tet), str(proj)
+    documents = {
+        "TET": {"vertices": inst.tetrahedron.vertices.tolist()},
+        "PROJ": {"points": (inst.projection.points * 5.0).tolist()},
+        "SHADOW": {"points": inst.projection.points.tolist()},
+        "BIG": {"vertices": (inst.tetrahedron.vertices * 5.0).tolist()},
+        "ROT": {"axis": [0, 0, 1], "angle_rad": math.pi},
+        "TURN": {"axis": [0, 0, 1], "angle_rad": 1.85},
+    }
+    for key, document in documents.items():
+        (directory / f"{key.lower()}.json").write_text(json.dumps(document))
+    return {key: str(directory / f"{key.lower()}.json") for key in documents}
 
 
-def run(capsys, argv):
-    code = main(argv)
-    out = capsys.readouterr().out
-    return code, json.loads(out) if out else None
+@pytest.fixture
+def golden_files(tmp_path):
+    return write_golden_files(tmp_path)
+
+
+def invoke(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of one main() call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def strict_json(text: str):
@@ -72,9 +91,10 @@ SHARED_OPTIONS = {
 
 
 class TestSolveCommand:
-    def test_four_cycle_unlabeled(self, capsys, four_cycle_files):
-        tet, proj = four_cycle_files
-        code, report = run(capsys, ["solve", "--tetrahedron", tet, "--projection", proj])
+    def test_four_cycle_unlabeled(self, capsys, golden_files):
+        tet, proj = golden_files["TET"], golden_files["SHADOW"]
+        code, out, _ = invoke(capsys, ["solve", "--tetrahedron", tet, "--projection", proj])
+        report = json.loads(out)
         assert code == 0
         sigmas = [tuple(c["sigma"]) for c in report["candidates"]]
         assert (2, 3, 4, 1) in sigmas
@@ -88,21 +108,20 @@ class TestSolveCommand:
         proj = tmp_path / "proj.json"
         tet.write_text(json.dumps({"vertices": inst.tetrahedron.vertices.tolist()}))
         proj.write_text(json.dumps({"points": inst.projection.points.tolist()}))
-        code, report = run(capsys, [
+        code, out, _ = invoke(capsys, [
             "solve", "--tetrahedron", str(tet), "--projection", str(proj), "--labeled",
         ])
+        report = json.loads(out)
         assert code == 0
         assert len(report["candidates"]) == 2
         assert all(c["planar_ambiguous"] for c in report["candidates"])
 
-    def test_incompatible_projection_exits_one(self, capsys, four_cycle_files, tmp_path):
-        tet, proj = four_cycle_files
-        points = np.array(json.loads(open(proj).read())["points"]) * 5.0
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"points": points.tolist()}))
-        code, report = run(capsys, ["solve", "--tetrahedron", tet, "--projection", str(bad)])
+    def test_incompatible_projection_exits_one(self, capsys, golden_files):
+        # PROJ is the four-cycle shadow scaled by 5
+        code, out, _ = invoke(capsys, ["solve", "--tetrahedron", golden_files["TET"],
+                                       "--projection", golden_files["PROJ"]])
         assert code == 1
-        assert report["candidates"] == []
+        assert json.loads(out)["candidates"] == []
 
     @pytest.mark.parametrize("labeled", [False, True])
     @pytest.mark.parametrize("scale", [50.0, 0.1])
@@ -118,16 +137,16 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err == "error: vertices span less than a plane\n"
 
-    def test_malformed_input_exits_two(self, capsys, tmp_path, four_cycle_files):
-        _, proj = four_cycle_files
+    def test_malformed_input_exits_two(self, capsys, tmp_path, golden_files):
+        proj = golden_files["SHADOW"]
         bad = tmp_path / "bad.json"
         bad.write_text('{"vertices": [[0, 0], [1, 1]]}')
         code = main(["solve", "--tetrahedron", str(bad), "--projection", proj])
         capsys.readouterr()
         assert code == 2
 
-    def test_deeply_nested_input_exits_two(self, capsys, tmp_path, four_cycle_files):
-        _, proj = four_cycle_files
+    def test_deeply_nested_input_exits_two(self, capsys, tmp_path, golden_files):
+        proj = golden_files["SHADOW"]
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100000 + "]" * 100000)
         code = main(["solve", "--tetrahedron", str(deep), "--projection", proj])
@@ -135,8 +154,8 @@ class TestSolveCommand:
         assert code == 2
         assert err.startswith("error: ")
 
-    def test_missing_file_exits_two(self, capsys, four_cycle_files):
-        _, proj = four_cycle_files
+    def test_missing_file_exits_two(self, capsys, golden_files):
+        proj = golden_files["SHADOW"]
         code = main(["solve", "--tetrahedron", "/nonexistent.json", "--projection", proj])
         capsys.readouterr()
         assert code == 2
@@ -146,9 +165,10 @@ class TestAnalyzeCommand:
     def test_double_two_cycle_vertical_half_turn(self, capsys, tmp_path):
         rot = tmp_path / "rot.json"
         rot.write_text(json.dumps({"axis": [0, 0, 1], "angle_rad": math.pi}))
-        code, report = run(capsys, [
+        code, out, _ = invoke(capsys, [
             "analyze", "--rotation", str(rot), "--perm-class", "double-two-cycle",
         ])
+        report = json.loads(out)
         assert code == 0
         assert report["axis_class"] == "vertical"
         assert report["case"] == "vertical-half-turn"
@@ -159,18 +179,19 @@ class TestAnalyzeCommand:
     def test_three_cycle_horizontal_quarter_turn(self, capsys, tmp_path):
         rot = tmp_path / "rot.json"
         rot.write_text(json.dumps({"axis": [1, 0, 0], "angle_rad": math.pi / 2}))
-        code, report = run(capsys, [
+        code, out, _ = invoke(capsys, [
             "analyze", "--rotation", str(rot), "--perm-class", "three-cycle",
         ])
         assert code == 0
-        assert report["computed_dim"] == 4
+        assert json.loads(out)["computed_dim"] == 4
 
     def test_four_cycle_oblique_sixth_turn_is_generic(self, capsys, tmp_path):
         rot = tmp_path / "rot.json"
         rot.write_text(json.dumps({"axis": [1, 0, 1], "angle_rad": math.pi / 3}))
-        code, report = run(capsys, [
+        code, out, _ = invoke(capsys, [
             "analyze", "--rotation", str(rot), "--perm-class", "four-cycle",
         ])
+        report = json.loads(out)
         assert code == 0
         assert report["case"] == "oblique"
         assert report["computed_dim"] == 3
@@ -181,9 +202,10 @@ class TestAnalyzeCommand:
         # first match in the order half, quarter, third
         rot = tmp_path / "rot.json"
         rot.write_text(json.dumps({"axis": [0, 0, 1], "angle_rad": 1.85}))
-        code, report = run(capsys, [
+        code, out, _ = invoke(capsys, [
             "analyze", "--rotation", str(rot), "--perm-class", "three-cycle", "--tol-angle", "0.3",
         ])
+        report = json.loads(out)
         assert code == 0
         assert report["case"] == "vertical-quarter-turn"
         assert report["predicted_dim"] == 3
@@ -209,10 +231,10 @@ class TestNonNumericInput:
         ("vertices", {"vertices": [[2, 0, 0], [0, 2, 0], [0, 0, 2], [0, 0, False]]}),
         ("points", {"points": [[0, 0], [1, 0], [0, 1], ["0", 0]]}),
     ])
-    def test_exits_two_without_traceback(self, capsys, tmp_path, four_cycle_files, field, content):
+    def test_exits_two_without_traceback(self, capsys, tmp_path, golden_files, field, content):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(content))
-        tet, proj = four_cycle_files
+        tet, proj = golden_files["TET"], golden_files["SHADOW"]
         if field == "vertices":
             argv = ["solve", "--tetrahedron", str(bad), "--projection", proj]
         elif field == "points":
@@ -255,10 +277,11 @@ class TestSampleCommand:
     def test_samples_verify_and_reparse(self, capsys, tmp_path):
         rot = tmp_path / "rot.json"
         rot.write_text(json.dumps({"axis": [1, 0, 1], "angle_rad": math.pi / 3}))
-        code, report = run(capsys, [
+        code, out, _ = invoke(capsys, [
             "sample", "--rotation", str(rot), "--perm-class", "four-cycle",
             "--trials", "3", "--seed", "9",
         ])
+        report = json.loads(out)
         assert code == 0
         assert len(report["samples"]) == 3
         assert all(s["ok"] for s in report["samples"])
@@ -280,7 +303,8 @@ class TestSampleCommand:
 
 class TestVerifyDimsCommand:
     def test_sweep_passes(self, capsys):
-        code, report = run(capsys, ["verify-dims", "--trials", "3", "--seed", "1"])
+        code, out, _ = invoke(capsys, ["verify-dims", "--trials", "3", "--seed", "1"])
+        report = json.loads(out)
         assert code == 0
         assert report["ok"]
         assert all(cell["mismatches"] == 0 for cell in report["cells"])
@@ -325,14 +349,14 @@ class TestRunChecks:
 class TestReproduceCommand:
     @pytest.mark.parametrize("name", ["four-cycle", "norm-prune", "planar"])
     def test_bundled_instances_match(self, capsys, name):
-        code, report = run(capsys, ["reproduce", name])
+        code, out, _ = invoke(capsys, ["reproduce", name])
         assert code == 0
-        assert report["ok"]
+        assert json.loads(out)["ok"]
 
     def test_uniqueness_sweep(self, capsys):
-        code, report = run(capsys, ["reproduce", "uniqueness-sweep", "--trials", "50"])
+        code, out, _ = invoke(capsys, ["reproduce", "uniqueness-sweep", "--trials", "50"])
         assert code == 0
-        assert report["spurious_non_identity"] == 0
+        assert json.loads(out)["spurious_non_identity"] == 0
 
     def test_uniqueness_sweep_counts_every_candidate_the_solver_accepts(self, capsys):
         # at a loose --tol-geom the solver accepts other rotations; the sweep counts
@@ -345,7 +369,8 @@ class TestReproduceCommand:
             assert tetra.full_dimensional(tol.rank_rel)
             for cand in unlabeled_solve(tetra, project(tetra), tol):
                 expected += float(np.linalg.norm(cand.matrix - np.eye(3))) > tol.dedupe
-        code, report = run(capsys, ["reproduce", "uniqueness-sweep", "--trials", "50", "--tol-geom", "1e-1"])
+        code, out, _ = invoke(capsys, ["reproduce", "uniqueness-sweep", "--trials", "50", "--tol-geom", "1e-1"])
+        report = json.loads(out)
         assert expected > 0
         assert report["spurious_non_identity"] == expected
         assert not report["ok"]
@@ -366,18 +391,29 @@ class TestReproduceCommand:
         capsys.readouterr()
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("argv, order", [
-        (["--tol-geom", "1e-6", "four-cycle"], "four-cycle --tol-geom 1e-6"),
-        (["--seed", "3", "uniqueness-sweep", "--trials", "3"], "uniqueness-sweep --seed 3 --trials 3"),
-        (["--tol-geom", "1e-6"], "NAME --tol-geom 1e-6"),
-    ], ids=["four-cycle", "uniqueness-sweep", "no-name"])
-    def test_a_flag_before_the_name_is_shown_after_it(self, capsys, argv, order):
+    HINT = "flags follow the instance name, as in: tetrot reproduce "
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--tol-geom", "1e-6", "four-cycle"], HINT + "four-cycle --tol-geom 1e-6"),
+        (["--seed", "3", "uniqueness-sweep", "--trials", "3"], HINT + "uniqueness-sweep --seed 3 --trials 3"),
+        (["--tol-geom", "1e-6"], HINT + "NAME --tol-geom 1e-6"),
+        # after the name these flags are refused too, so no order is shown
+        (["--seed", "3", "four-cycle"], "unrecognized arguments: --seed 3"),
+        (["--trials", "3", "norm-prune"], "unrecognized arguments: --trials 3"),
+    ], ids=["four-cycle", "uniqueness-sweep", "no-name", "four-cycle-seed", "norm-prune-trials"])
+    def test_a_flag_before_the_name_is_shown_after_it(self, capsys, argv, message):
         # argparse alone reads the flag's value as the name: "invalid choice: '1e-6'"
         code, out, err = invoke(capsys, ["reproduce", *argv])
         assert code == 2
         assert out == ""
-        assert err.endswith(f"error: flags follow the instance name, as in: tetrot reproduce {order}\n")
+        assert err.endswith(f"error: {message}\n")
         assert "usage: tetrot reproduce [-h]" in err
+        # the order shown parses as given, with NAME read as each instance name
+        if message.startswith(self.HINT):
+            name, *flags = message.removeprefix(self.HINT).split()
+            for command in runnable_parsers():
+                if command.startswith("reproduce ") and name in ("NAME", command.split()[1]):
+                    cli._PARSER.parse_args([*command.split(), *flags])
 
     @pytest.mark.parametrize("name, key, expected", [
         ("four-cycle", "matrix_error", None),
@@ -456,23 +492,23 @@ class TestJsonErrors:
             json.loads(self.BAD)
         return str(exc.value)
 
-    def test_decoder_error_names_the_file(self, capsys, tmp_path, four_cycle_files):
-        _, proj = four_cycle_files
+    def test_decoder_error_names_the_file(self, capsys, tmp_path, golden_files):
+        proj = golden_files["SHADOW"]
         bad = tmp_path / "bad.json"
         bad.write_text(self.BAD)
         code = main(["solve", "--tetrahedron", str(bad), "--projection", proj])
         assert code == 2
         assert capsys.readouterr().err == f"error: {bad}: {self.decoder_message()}\n"
 
-    def test_decoder_error_names_stdin(self, capsys, monkeypatch, four_cycle_files):
-        _, proj = four_cycle_files
+    def test_decoder_error_names_stdin(self, capsys, monkeypatch, golden_files):
+        proj = golden_files["SHADOW"]
         monkeypatch.setattr("sys.stdin", io.StringIO(self.BAD))
         code = main(["solve", "--tetrahedron", "-", "--projection", proj])
         assert code == 2
         assert capsys.readouterr().err == f"error: <stdin>: {self.decoder_message()}\n"
 
-    def test_undecodable_file_is_named(self, capsys, tmp_path, four_cycle_files):
-        _, proj = four_cycle_files
+    def test_undecodable_file_is_named(self, capsys, tmp_path, golden_files):
+        proj = golden_files["SHADOW"]
         bad = tmp_path / "latin1.json"
         bad.write_bytes(b"\xff{}")
         code = main(["solve", "--tetrahedron", str(bad), "--projection", proj])
@@ -481,15 +517,15 @@ class TestJsonErrors:
             f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
         )
 
-    def test_too_deep_stdin_is_named(self, capsys, monkeypatch, four_cycle_files):
-        _, proj = four_cycle_files
+    def test_too_deep_stdin_is_named(self, capsys, monkeypatch, golden_files):
+        proj = golden_files["SHADOW"]
         monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000 + "]" * 100_000))
         code = main(["solve", "--tetrahedron", "-", "--projection", proj])
         assert code == 2
         assert capsys.readouterr().err == "error: <stdin>: JSON nested too deeply\n"
 
-    def test_stdin_feeds_one_input(self, capsys, monkeypatch, four_cycle_files):
-        tet, _ = four_cycle_files
+    def test_stdin_feeds_one_input(self, capsys, monkeypatch, golden_files):
+        tet = golden_files["TET"]
         with open(tet) as handle:
             monkeypatch.setattr("sys.stdin", io.StringIO(handle.read()))
         code = main(["solve", "--tetrahedron", "-", "--projection", "-"])
@@ -519,6 +555,20 @@ class TestClosedStdout:
             os.close(write)
         assert proc.returncode == expected
         assert proc.stderr == b""
+
+
+class TestClosedAtStart:
+    """Python sets sys.stdin or sys.stdout to None when that descriptor was
+    closed at start (`<&-`, `>&-`); a command that needs it exits 2 with one
+    error line."""
+
+    @pytest.mark.parametrize("stream, argv", [
+        ("stdin", ["solve", "--tetrahedron", "-", "--projection", "SHADOW"]),
+        ("stdout", ["reproduce", "four-cycle"]),
+    ], ids=["stdin", "stdout"])
+    def test_exits_two_with_one_error_line(self, capsys, monkeypatch, golden_files, stream, argv):
+        monkeypatch.setattr(sys, stream, None)
+        assert invoke(capsys, [golden_files.get(arg, arg) for arg in argv]) == (2, "", f"error: {stream} is closed\n")
 
 
 # stdout, stderr and exit code of each case, captured under Python 3.11 with
@@ -727,37 +777,6 @@ GOLDEN = {
 }
 
 
-@pytest.fixture
-def golden_files(tmp_path):
-    """TET and PROJ: the four-cycle tetrahedron and its projection scaled by 5
-    (no rotation matches it); SHADOW: the projection itself; BIG: TET scaled
-    by 5, which PROJ matches; ROT: a vertical half-turn; TURN: a vertical
-    turn by 1.85 rad, which lies within 0.3 of both the quarter and the third
-    turn."""
-    inst = four_cycle_instance()
-    documents = {
-        "TET": {"vertices": inst.tetrahedron.vertices.tolist()},
-        "PROJ": {"points": (inst.projection.points * 5.0).tolist()},
-        "SHADOW": {"points": inst.projection.points.tolist()},
-        "BIG": {"vertices": (inst.tetrahedron.vertices * 5.0).tolist()},
-        "ROT": {"axis": [0, 0, 1], "angle_rad": math.pi},
-        "TURN": {"axis": [0, 0, 1], "angle_rad": 1.85},
-    }
-    for key, document in documents.items():
-        (tmp_path / f"{key.lower()}.json").write_text(json.dumps(document))
-    return {key: str(tmp_path / f"{key.lower()}.json") for key in documents}
-
-
-def invoke(capsys, argv) -> tuple:
-    """(exit code, stdout, stderr) of one main() call, usage errors included."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def runnable_parsers() -> dict:
     """Each command a user runs, as typed ("solve", "reproduce planar", ...), and its parser."""
     parsers, pending = {}, [("", cli._PARSER)]
@@ -788,39 +807,10 @@ class TestGoldenText:
         assert invoke(capsys, argv) == GOLDEN[case]
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_ARGV))
-    def test_same_as_options_added_up_front(self, capsys, monkeypatch, golden_files, case):
+    def test_same_as_options_added_up_front(self, capsys, monkeypatch, fresh_process, case):
         # the shared parser, after whatever calls it served, prints what a fresh
-        # process prints, whose parser got every option on import and parsed nothing yet
-        monkeypatch.setenv("COLUMNS", "80")
-        argv = [golden_files.get(arg, arg) for arg in GOLDEN_ARGV[case]]
-        proc = subprocess.run([sys.executable, "-m", "tetrot.cli", *argv], capture_output=True, text=True,
-                              env=src_env(), timeout=120)
-        assert invoke(capsys, argv) == (proc.returncode, proc.stdout, proc.stderr)
-
-
-class TestLazyOptions:
-    """Each command's parser takes its own options and no other, all added on
-    import; a run of the command parses with them."""
-
-    @pytest.mark.parametrize("argv, own", [
-        (["solve", "--tetrahedron", "TET", "--projection", "PROJ"],
-         {"--tetrahedron", "--projection", "--labeled"} | SHARED_OPTIONS["solve"]),
-        (["analyze", "--rotation", "ROT", "--perm-class", "double-two-cycle"],
-         {"--rotation", "--perm-class"} | SHARED_OPTIONS["analyze"]),
-        (["sample", "--rotation", "ROT", "--perm-class", "two-cycle"],
-         {"--rotation", "--perm-class"} | SHARED_OPTIONS["sample"]),
-        (["verify-dims", "--trials", "1"], SHARED_OPTIONS["verify-dims"]),
-        (["reproduce", "four-cycle"], SHARED_OPTIONS["reproduce four-cycle"]),
-        (["reproduce", "norm-prune"], SHARED_OPTIONS["reproduce norm-prune"]),
-        (["reproduce", "planar"], SHARED_OPTIONS["reproduce planar"]),
-        (["reproduce", "uniqueness-sweep", "--trials", "1"], SHARED_OPTIONS["reproduce uniqueness-sweep"]),
-    ])
-    def test_only_the_command_options_are_added(self, capsys, golden_files, argv, own):
-        parser = runnable_parsers()[" ".join(argv[:1 + (argv[0] == "reproduce")])]
-        assert {s for action in parser._actions for s in action.option_strings} == {"-h", "--help"} | own
-        code, _, err = invoke(capsys, [golden_files.get(arg, arg) for arg in argv])
-        assert err == ""
-        assert code in (0, 1)
+        # process prints, whose parser got every option on import
+        same_as_fresh(capsys, monkeypatch, fresh_process, GOLDEN_ARGV[case])
 
 
 class TestUnreadOptionsRefused:
@@ -898,10 +888,15 @@ READ_FLAGS = {
 
 
 class TestEveryFlagIsRead:
-    def test_the_table_covers_every_flag_of_every_runnable_command(self):
+    @pytest.mark.parametrize("command", sorted(SHARED_OPTIONS), ids=lambda value: value.replace(" ", "-"))
+    def test_the_table_covers_every_flag_of_every_runnable_command(self, command):
         parsers = runnable_parsers()
-        taken = {(command, flag) for command, parser in parsers.items() for flag in long_options(parser)}
-        assert taken == set(READ_FLAGS)
+        assert {listed for listed, _ in READ_FLAGS} == set(parsers)
+        parser = parsers[command]
+        assert long_options(parser) == {flag for listed, flag in READ_FLAGS if listed == command}
+        # besides those, it takes -h and --help, and no other short option
+        strings = {s for action in parser._actions for s in action.option_strings}
+        assert strings - long_options(parser) == {"-h", "--help"}
 
     @pytest.mark.parametrize("command, flag", sorted(READ_FLAGS), ids=lambda value: value.replace(" ", "-"))
     def test_changing_only_the_flag_changes_the_outcome(self, capsys, golden_files, command, flag):
@@ -937,10 +932,6 @@ COMMAND_ARGV = [
 ]
 
 
-def command_id(argv: list) -> str:
-    return "-".join(argv[:1 + (argv[0] == "reproduce")])
-
-
 def count_parser_building(patch) -> dict:
     """From now on, the number of ArgumentParsers built and arguments added;
     patch(owner, name, value) installs the counting methods."""
@@ -960,36 +951,84 @@ def count_parser_building(patch) -> dict:
     return counts
 
 
-# Runs main() on its arguments as the first call of a fresh process, and
-# prints to stderr what that call built.
-_COUNTING_MAIN = "import argparse, json, sys\nfrom tetrot import cli\n" + inspect.getsource(count_parser_building) + """
+# A fresh process: it counts what is built from the import of tetrot.cli on,
+# runs main() on each argument list of its JSON argument in turn, and prints
+# each call's [exit code, stdout, stderr] and the counts after it as JSON.
+_COUNTING_CHILD = "import argparse, contextlib, io, json, sys\nimport tetrot.cli\n" + inspect.getsource(
+    count_parser_building) + """
 counts = count_parser_building(setattr)
-code = cli.main(sys.argv[1:])
-print(json.dumps(counts), file=sys.stderr)
-sys.exit(code)
+calls = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = tetrot.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    calls.append([code, out.getvalue(), err.getvalue(), dict(counts)])
+print(json.dumps(calls))
 """
+
+# A refused reproduce order, then the accepted one, on the same parser.
+FAILING = ["reproduce", "--tol-geom", "1e-6", "four-cycle"]
+PASSING = ["reproduce", "four-cycle", "--tol-geom", "1e-6"]
+
+
+def command_id(argv: list) -> str:
+    return "-".join(argv[:1 + (argv[0] == "reproduce")])
+
+
+@pytest.fixture(scope="module")
+def fresh_process(tmp_path_factory) -> dict:
+    """One fresh process runs every golden case, every runnable command, and
+    FAILING then PASSING, under COLUMNS=80.  For each argument list as written
+    here: the list with golden files named, the call's (exit code, stdout,
+    stderr), and the parsers built and arguments added from the import up to
+    the end of that call."""
+    files = write_golden_files(tmp_path_factory.mktemp("fresh"))
+    words = [*GOLDEN_ARGV.values(), *COMMAND_ARGV, FAILING, PASSING]
+    argvs = [[files.get(arg, arg) for arg in argv] for argv in words]
+    proc = subprocess.run([sys.executable, "-c", _COUNTING_CHILD, json.dumps(argvs)], capture_output=True,
+                          text=True, env=dict(src_env(), COLUMNS="80"), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    assert len(set(map(tuple, words))) == len(words)
+    return {tuple(argv): (resolved, tuple(call[:3]), call[3])
+            for argv, resolved, call in zip(words, argvs, calls, strict=True)}
+
+
+def same_as_fresh(capsys, monkeypatch, fresh_process, words: list) -> tuple:
+    """The fresh process's call of words, after checking that it built nothing
+    and that the same call here prints the same and builds nothing."""
+    argv, call, built = fresh_process[tuple(words)]
+    assert built == {"built": 0, "added": 0}
+    monkeypatch.setenv("COLUMNS", "80")
+    counts = count_parser_building(monkeypatch.setattr)
+    assert invoke(capsys, argv) == call
+    assert counts == {"built": 0, "added": 0}
+    return call
 
 
 class TestParserReuse:
     """The parser is built on import; a call builds nothing and prints the bytes
-    a freshly built parser prints, whichever calls came before it."""
+    a freshly built parser prints, whichever calls came before it.  Every
+    fresh-process call here comes from the one process of fresh_process."""
 
     @pytest.mark.parametrize("argv", COMMAND_ARGV, ids=command_id)
-    def test_a_first_call_builds_nothing(self, golden_files, argv):
-        proc = subprocess.run([sys.executable, "-c", _COUNTING_MAIN, *[golden_files.get(arg, arg) for arg in argv]],
-                              capture_output=True, text=True, env=src_env(), timeout=120)
-        assert proc.returncode in (0, 1)
-        assert json.loads(proc.stderr) == {"built": 0, "added": 0}
+    def test_a_first_call_builds_nothing(self, fresh_process, argv):
+        # the fresh process's only calls before this one are the golden cases
+        _, (code, _, err), built = fresh_process[tuple(argv)]
+        assert code in (0, 1)
+        assert err == ""
+        assert built == {"built": 0, "added": 0}
 
     @pytest.mark.parametrize("argv", COMMAND_ARGV, ids=command_id)
-    def test_a_second_call_builds_nothing(self, capsys, monkeypatch, golden_files, argv):
-        argv = [golden_files.get(arg, arg) for arg in argv]
-        first = invoke(capsys, argv)
-        counts = count_parser_building(monkeypatch.setattr)
-        assert invoke(capsys, argv) == first
-        assert first[0] in (0, 1)
-        assert first[2] == ""
-        assert counts == {"built": 0, "added": 0}
+    def test_a_second_call_builds_nothing(self, capsys, monkeypatch, fresh_process, argv):
+        # twice here, so that at least one call follows the same call in this process
+        for _ in range(2):
+            code, _, err = same_as_fresh(capsys, monkeypatch, fresh_process, argv)
+        assert code in (0, 1)
+        assert err == ""
 
     def test_golden_cases_repeated_and_interleaved(self, capsys, monkeypatch, golden_files):
         monkeypatch.setenv("COLUMNS", "80")
@@ -1006,20 +1045,10 @@ class TestParserReuse:
         for case in order:
             assert invoke(capsys, argvs[case]) == fresh[case], case
 
-    def test_a_failing_call_then_a_passing_one(self, capsys, monkeypatch):
+    def test_a_failing_call_then_a_passing_one(self, capsys, monkeypatch, fresh_process):
         # the same reproduce parser refuses the first order and accepts the second
-        monkeypatch.setenv("COLUMNS", "80")
-        failing = ["reproduce", "--tol-geom", "1e-6", "four-cycle"]
-        passing = ["reproduce", "four-cycle", "--tol-geom", "1e-6"]
-        fresh = {}
-        for argv in (failing, passing):
-            proc = subprocess.run([sys.executable, "-m", "tetrot.cli", *argv], capture_output=True, text=True,
-                                  env=src_env(), timeout=120)
-            fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
-        assert fresh[tuple(failing)][0] == 2
-        assert fresh[tuple(passing)][0] == 0
-        for argv in (failing, passing, failing, passing):
-            assert invoke(capsys, argv) == fresh[tuple(argv)]
+        codes = [same_as_fresh(capsys, monkeypatch, fresh_process, argv)[0] for argv in (FAILING, PASSING)]
+        assert codes == [2, 0]
 
 
 def _in_threads(monkeypatch, calls: list, rounds: int) -> list:
@@ -1111,10 +1140,11 @@ class TestSampleDefinition:
         perm_class = CLASSIFICATION_CELLS[index].perm_class
         sigma = CANONICAL_PERMUTATION[perm_class]
         path, q = self.rotation_file(tmp_path, index)
-        code, report = run(capsys, [
+        code, out, _ = invoke(capsys, [
             "sample", "--rotation", path, "--perm-class", perm_class.value,
             "--trials", "5", "--seed", str(self.SEED),
         ])
+        report = json.loads(out)
         assert code == 0
         assert len(report["samples"]) == 5
         for t, sample in enumerate(report["samples"]):
@@ -1135,10 +1165,11 @@ class TestSampleDefinition:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting)
-        code, report = run(capsys, [
+        code, out, _ = invoke(capsys, [
             "sample", "--rotation", path, "--perm-class", CLASSIFICATION_CELLS[0].perm_class.value,
             "--trials", "5",
         ])
+        report = json.loads(out)
         assert code == 0
         assert len(report["samples"]) == 5
         assert len(calls) == 1
