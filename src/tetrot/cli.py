@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -58,7 +60,15 @@ from .geom import (
     project,
 )
 from .instances import four_cycle_instance, norm_prune_instance, planar_instance
-from .rotation import AxisClass, UnitQuaternion, _unit_axis, apply, classify_rotation, quat_from_axis_angle
+from .rotation import (
+    AxisClass,
+    UnitQuaternion,
+    _unit_axis,
+    apply,
+    classify_rotation,
+    quat_from_axis_angle,
+    quat_to_matrix,
+)
 from .solver import SolveCandidate, labeled_solve, prune_permutations, unlabeled_solve
 
 __all__ = ["main"]
@@ -139,20 +149,50 @@ def _config(args: argparse.Namespace) -> Tolerances:
 def _candidate_json(cand: SolveCandidate) -> dict:
     return {
         "sigma": list(cand.sigma.images),
-        "quaternion": list(cand.rotation.as_array()),
+        "quaternion": [cand.rotation.a, cand.rotation.b, cand.rotation.c, cand.rotation.d],
         "matrix": cand.matrix.tolist(),
         "residual": cand.residual,
         "planar_ambiguous": cand.planar_ambiguous,
     }
 
 
+def _json(value, indent: str = "\n") -> str:
+    """value in the bytes of json.dumps(value, indent=2, allow_nan=False), for
+    value on a line that starts with indent.  Reports hold only dicts with
+    string keys, lists, strings, numbers, booleans and None: a non-finite
+    float raises ValueError, and any other value or key TypeError."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        items, brackets = [_json(item, inner) for item in value], "[]"
+    elif isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json(item, inner)}" for key, item in value.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
+
+
 def _emit(report: dict) -> None:
     """Print the report.  A reader that closed the pipe early gets nothing more,
     and the command keeps its own exit code."""
-    if sys.stdout is None:  # Python's stdout when fd 1 was closed at start
-        raise OSError("stdout is closed")
     try:
-        print(json.dumps(report, indent=2, allow_nan=False))
+        print(_json(report))
         sys.stdout.flush()
     except BrokenPipeError:
         # Python flushes stdout again at exit: point it at devnull, so that flush succeeds
@@ -207,19 +247,24 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     rotation = parse_rotation(_load_json(args.rotation))
     perm_class = PermClass(args.perm_class)
     sigma = CANONICAL_PERMUTATION[perm_class]
-    # sample_tetrahedron per trial, with the null space computed once
+    # sample_tetrahedron per trial, with the null space and the rotation matrix computed once
     basis = null_space_basis(_system(rotation, perm_class, tol.angle_abs), tol.rank_rel)
+    transpose = quat_to_matrix(rotation).T
+    order = sigma.zero_based()
     samples = []
     all_ok = True
     for trial in range(args.trials):
         tetra = _draw(basis, np.random.default_rng([args.seed, trial]))
-        rotated = apply(rotation, tetra.vertices)[:, :2]
-        reordered = project(tetra).points[list(sigma.zero_based())]
-        residual = float(np.max(np.linalg.norm(rotated - reordered, axis=1)))
+        vertices = tetra.vertices.tolist()
+        # the largest distance from rotated vertex i to the shadow of vertex sigma(i):
+        # apply()'s matmul, then np.linalg.norm's sqrt(dx*dx + dy*dy) on floats
+        rotated = (tetra.vertices @ transpose).tolist()
+        deltas = [(r[0] - vertices[i][0], r[1] - vertices[i][1]) for r, i in zip(rotated, order)]
+        residual = max(math.sqrt(dx * dx + dy * dy) for dx, dy in deltas)
         ok = residual <= tol.geom_abs
         all_ok = all_ok and ok
         samples.append({
-            "vertices": tetra.vertices.tolist(),
+            "vertices": vertices,
             "match_residual": residual,
             "ok": ok,
         })
@@ -227,7 +272,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "command": "sample",
         "perm_class": perm_class.value,
         "sigma": list(sigma.images),
-        "quaternion": list(rotation.as_array()),
+        "quaternion": [rotation.a, rotation.b, rotation.c, rotation.d],
         "seed": args.seed,
         "samples": samples,
     })
@@ -463,11 +508,14 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        if sys.stdout is None:  # Python's stdout when fd 1 was closed at start; -h writes there too
+            raise OSError("stdout is closed")
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if sys.stderr is not None:  # with fd 2 closed at start, print would write to stdout
+            print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

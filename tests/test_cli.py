@@ -565,10 +565,17 @@ class TestClosedAtStart:
     @pytest.mark.parametrize("stream, argv", [
         ("stdin", ["solve", "--tetrahedron", "-", "--projection", "SHADOW"]),
         ("stdout", ["reproduce", "four-cycle"]),
-    ], ids=["stdin", "stdout"])
+        # argparse would print the help to stderr and exit 0
+        ("stdout", ["-h"]),
+    ], ids=["stdin", "stdout", "stdout-help"])
     def test_exits_two_with_one_error_line(self, capsys, monkeypatch, golden_files, stream, argv):
         monkeypatch.setattr(sys, stream, None)
         assert invoke(capsys, [golden_files.get(arg, arg) for arg in argv]) == (2, "", f"error: {stream} is closed\n")
+
+    def test_closed_stderr_leaves_stdout_empty(self, capsys, monkeypatch):
+        # print(..., file=None) writes to stdout, where a reader expects JSON
+        monkeypatch.setattr(sys, "stderr", None)
+        assert invoke(capsys, ["solve", "--tetrahedron", "/nonexistent", "--projection", "x"]) == (2, "", "")
 
 
 # stdout, stderr and exit code of each case, captured under Python 3.11 with
@@ -588,6 +595,11 @@ GOLDEN_ARGV = {
     "non-float-tol-geom": ["reproduce", "four-cycle", "--tol-geom", "abc"],
     "abbreviated-tetr": ["solve", "--tetr", "TET", "--projection", "PROJ"],
     "extra-positional": ["reproduce", "four-cycle", "extra"],
+    # reports whose bytes no BLAS affects, in every container shape a report
+    # has: a flat object, lists of lists, a list of objects
+    "analyze-report": ["analyze", "--rotation", "ROT", "--perm-class", "double-two-cycle"],
+    "norm-prune-report": ["reproduce", "norm-prune"],
+    "verify-dims-report": ["verify-dims", "--trials", "1"],
 }
 
 GOLDEN = {
@@ -773,6 +785,180 @@ GOLDEN = {
             "usage: tetrot [-h] {solve,analyze,sample,verify-dims,reproduce} ...\n"
             "tetrot: error: unrecognized arguments: extra\n"
         ),
+    ),
+    "analyze-report": (
+        0,
+        (
+            "{\n"
+            '  "command": "analyze",\n'
+            '  "perm_class": "double-two-cycle",\n'
+            '  "axis_class": "vertical",\n'
+            '  "angle_rad": 3.141592653589793,\n'
+            '  "case": "vertical-half-turn",\n'
+            '  "rank": 2,\n'
+            '  "computed_dim": 7,\n'
+            '  "predicted_dim": 7\n'
+            "}\n"
+        ),
+        "",
+    ),
+    "norm-prune-report": (
+        0,
+        (
+            "{\n"
+            '  "command": "reproduce",\n'
+            '  "name": "norm-prune",\n'
+            '  "survivors": [\n'
+            "    [\n"
+            "      1,\n"
+            "      2,\n"
+            "      3,\n"
+            "      4\n"
+            "    ]\n"
+            "  ],\n"
+            '  "ok": true\n'
+            "}\n"
+        ),
+        "",
+    ),
+    "verify-dims-report": (
+        0,
+        (
+            "{\n"
+            '  "command": "verify-dims",\n'
+            '  "seed": 0,\n'
+            '  "cells": [\n'
+            "    {\n"
+            '      "cell": "identity / oblique / angle in (0.10, 3.00)",\n'
+            '      "expected_dim": 3,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "identity / horizontal / angle in (0.10, 3.14)",\n'
+            '      "expected_dim": 6,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "two-cycle / oblique / angle in (0.10, 3.00)",\n'
+            '      "expected_dim": 3,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "two-cycle / horizontal / angle in (0.10, 3.00)",\n'
+            '      "expected_dim": 5,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "two-cycle / horizontal / half-turn",\n'
+            '      "expected_dim": 6,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "two-cycle / vertical / half-turn",\n'
+            '      "expected_dim": 5,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "two-cycle / oblique / half-turn",\n'
+            '      "expected_dim": 4,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "double-two-cycle / oblique / angle in (0.10, 3.00)",\n'
+            '      "expected_dim": 3,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "double-two-cycle / horizontal / angle in (0.10, 3.00)",\n'
+            '      "expected_dim": 4,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "double-two-cycle / horizontal / half-turn",\n'
+            '      "expected_dim": 6,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "double-two-cycle / vertical / half-turn",\n'
+            '      "expected_dim": 7,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "double-two-cycle / oblique / half-turn",\n'
+            '      "expected_dim": 5,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "three-cycle / oblique / angle in (0.10, 3.00)",\n'
+            '      "expected_dim": 3,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "three-cycle / horizontal / angle in (0.10, 3.14)",\n'
+            '      "expected_dim": 4,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "three-cycle / vertical / third-turn",\n'
+            '      "expected_dim": 5,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "four-cycle / oblique / angle in (0.10, 3.00)",\n'
+            '      "expected_dim": 3,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "four-cycle / vertical / quarter-turn",\n'
+            '      "expected_dim": 5,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "four-cycle / vertical / half-turn",\n'
+            '      "expected_dim": 5,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "four-cycle / oblique / half-turn",\n'
+            '      "expected_dim": 4,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "four-cycle / horizontal / angle in (0.10, 3.00)",\n'
+            '      "expected_dim": 3,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "cell": "four-cycle / horizontal / half-turn",\n'
+            '      "expected_dim": 4,\n'
+            '      "trials": 1,\n'
+            '      "mismatches": 0\n'
+            "    }\n"
+            "  ],\n"
+            '  "ok": true\n'
+            "}\n"
+        ),
+        "",
     ),
 }
 
@@ -981,19 +1167,19 @@ def command_id(argv: list) -> str:
 @pytest.fixture(scope="module")
 def fresh_process(tmp_path_factory) -> dict:
     """One fresh process runs every golden case, every runnable command, and
-    FAILING then PASSING, under COLUMNS=80.  For each argument list as written
+    FAILING then PASSING, under COLUMNS=80; an argument list that is both a
+    golden case and a command runs once.  For each argument list as written
     here: the list with golden files named, the call's (exit code, stdout,
     stderr), and the parsers built and arguments added from the import up to
     the end of that call."""
     files = write_golden_files(tmp_path_factory.mktemp("fresh"))
-    words = [*GOLDEN_ARGV.values(), *COMMAND_ARGV, FAILING, PASSING]
+    words = list(dict.fromkeys(map(tuple, [*GOLDEN_ARGV.values(), *COMMAND_ARGV, FAILING, PASSING])))
     argvs = [[files.get(arg, arg) for arg in argv] for argv in words]
     proc = subprocess.run([sys.executable, "-c", _COUNTING_CHILD, json.dumps(argvs)], capture_output=True,
                           text=True, env=dict(src_env(), COLUMNS="80"), timeout=300)
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(proc.stdout)
-    assert len(set(map(tuple, words))) == len(words)
-    return {tuple(argv): (resolved, tuple(call[:3]), call[3])
+    return {argv: (resolved, tuple(call[:3]), call[3])
             for argv, resolved, call in zip(words, argvs, calls, strict=True)}
 
 
@@ -1016,7 +1202,7 @@ class TestParserReuse:
 
     @pytest.mark.parametrize("argv", COMMAND_ARGV, ids=command_id)
     def test_a_first_call_builds_nothing(self, fresh_process, argv):
-        # the fresh process's only calls before this one are the golden cases
+        # the fresh process's only calls before this one are golden cases
         _, (code, _, err), built = fresh_process[tuple(argv)]
         assert code in (0, 1)
         assert err == ""
@@ -1173,6 +1359,99 @@ class TestSampleDefinition:
         assert code == 0
         assert len(report["samples"]) == 5
         assert len(calls) == 1
+
+
+# JSON trees for the report writer: strings and keys with quotes, backslashes,
+# control and non-ASCII characters, integers of 20 digits and more, and floats
+# at the edges of their range, np.float64 among them.
+_ODD_TEXT = st.text(st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "a", "\u00e9", "\u2028", "\U0001f600"]))
+_WRITER_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(10**19, 10**60)
+    | st.integers(-(10**60), -(10**19))
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, 1.7976931348623157e308])
+    | st.text()
+    | _ODD_TEXT
+)
+_WRITER_TREES = st.recursive(
+    _WRITER_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text() | _ODD_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+def dumps(value) -> str:
+    """The standard library's bytes, which the report writer must match."""
+    return json.dumps(value, indent=2, allow_nan=False)
+
+
+class TestReportWriter:
+    """cli._json writes what json.dumps(indent=2, allow_nan=False) writes, and
+    fails where it fails, for every value a report can hold."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_WRITER_TREES)
+    def test_same_bytes_as_the_standard_library(self, value):
+        assert cli._json(value) == dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        pytest.param([[], {}, [[[]]], {"a": [{}], "b": {}}], id="empty-containers"),
+        pytest.param([-0.0, 5e-324, -5e-324, 1e300, 1.7976931348623157e308], id="float-edges"),
+        pytest.param([np.float64(-0.0), np.float64(0.1), np.float64(1e-7)], id="np-float64"),
+        pytest.param([10**20, -(10**25), 12345678901234567890123], id="long-ints"),
+        pytest.param([True, False, None, 0, -1], id="constants"),
+        pytest.param('quote " backslash \\ newline \n nul \x00 del \x7f \u00e9 \u6f22 \U0001f600 lone \ud800',
+                     id="odd-string"),
+        pytest.param({'k\u00e9"y\n\x01': {"": "\u2028"}}, id="odd-keys"),
+    ])
+    def test_edge_values(self, value):
+        assert cli._json(value) == dumps(value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")],
+                             ids=["nan", "inf", "-inf", "np-nan", "np--inf"])
+    @pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [1.0, v], lambda v: {"k": [[v]]}],
+                             ids=["bare", "list", "dict"])
+    def test_a_non_finite_float_raises_as_json_does(self, value, wrap):
+        with pytest.raises(ValueError):
+            dumps(wrap(value))
+        with pytest.raises(ValueError):
+            cli._json(wrap(value))
+
+    @pytest.mark.parametrize("value", [object(), {1.0}, b"bytes", np.int64(1), np.bool_(True), np.array([1.0])],
+                             ids=["object", "set", "bytes", "np-int64", "np-bool", "ndarray"])
+    def test_a_type_json_refuses_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            dumps({"k": [value]})
+        with pytest.raises(TypeError):
+            cli._json({"k": [value]})
+
+    @pytest.mark.parametrize("value", [(1.0, 2.0), {1: "int key"}, {None: "null key"}],
+                             ids=["tuple", "int-key", "none-key"])
+    def test_tuples_and_keys_that_are_not_strings_raise_type_error(self, value):
+        # json would write a list and a string key; reports hold neither
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+    def test_reports_hold_only_builtin_types(self, capsys, monkeypatch, golden_files):
+        reports = []
+        monkeypatch.setattr(cli, "_emit", reports.append)
+        for argv in [*GOLDEN_ARGV.values(), *COMMAND_ARGV]:
+            invoke(capsys, [golden_files.get(arg, arg) for arg in argv])
+        assert {report["command"] for report in reports} == {"solve", "analyze", "sample", "verify-dims", "reproduce"}
+        assert any(report.get("swap_candidates") for report in reports)  # _candidate_json's quaternions
+        pending = list(reports)
+        while pending:
+            value = pending.pop()
+            assert type(value) in (dict, list, str, bool, int, float, type(None)), repr(value)
+            if type(value) is dict:
+                assert all(type(key) is str for key in value)
+                pending.extend(value.values())
+            elif type(value) is list:
+                pending.extend(value)
 
 
 # Leaves of the fuzzed JSON documents: every JSON type, plus numbers at the
