@@ -17,6 +17,12 @@ flags follow the name; a flag given before it is refused with that order
 shown, or as unrecognized if the instance does not take it.  `sample`
 computes the null space once per command and draws every trial from it.
 
+Every command's handler has the contract `(args, tol) -> (report, ok)`: it
+gets the parsed arguments and the tolerances they resolve to, and returns
+its report without the "command" key and its verdict.  `main` alone resolves
+the tolerances, prints the report with "command" first, and maps the verdict
+to exit code 0 or 1.
+
 The parser, with every command and option, is built once on import and shared
 by all threads: `main()` builds nothing, and parsing stores nothing on the
 parser, so `main()` may be called from several threads at once.
@@ -201,26 +207,19 @@ def _emit(report: dict) -> None:
         os.close(devnull)
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    tol = _config(args)
+def _cmd_solve(args: argparse.Namespace, tol: Tolerances) -> tuple[dict, bool]:
     if args.tetrahedron == "-" and args.projection == "-":
         raise ValueError("stdin can feed only one input, but --tetrahedron and --projection are both -")
     tetra = parse_tetrahedron(_load_json(args.tetrahedron))
     quad = parse_projection(_load_json(args.projection))
-    if args.labeled:
-        candidates = labeled_solve(tetra, quad, tol)
-    else:
-        candidates = unlabeled_solve(tetra, quad, tol)
-    _emit({
-        "command": "solve",
+    candidates = (labeled_solve if args.labeled else unlabeled_solve)(tetra, quad, tol)
+    return {
         "labeled": bool(args.labeled),
         "candidates": [_candidate_json(c) for c in candidates],
-    })
-    return 0 if candidates else 1
+    }, bool(candidates)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    tol = _config(args)
+def _cmd_analyze(args: argparse.Namespace, tol: Tolerances) -> tuple[dict, bool]:
     rotation = parse_rotation(_load_json(args.rotation))
     perm_class = PermClass(args.perm_class)
     axis_class, alpha = classify_rotation(rotation, tol.angle_abs)
@@ -229,8 +228,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     rank = numeric_rank(build_config_matrix(rotation, perm_class), tol.rank_rel)
     computed = 9 - rank
     predicted = predicted_dimension(perm_class, axis_class, alpha, tol.angle_abs)
-    _emit({
-        "command": "analyze",
+    return {
         "perm_class": perm_class.value,
         "axis_class": axis_class.value,
         "angle_rad": alpha,
@@ -238,12 +236,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "rank": rank,
         "computed_dim": computed,
         "predicted_dim": predicted,
-    })
-    return 0 if computed == predicted else 1
+    }, computed == predicted
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
-    tol = _config(args)
+def _cmd_sample(args: argparse.Namespace, tol: Tolerances) -> tuple[dict, bool]:
     rotation = parse_rotation(_load_json(args.rotation))
     perm_class = PermClass(args.perm_class)
     sigma = CANONICAL_PERMUTATION[perm_class]
@@ -252,7 +248,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     transpose = quat_to_matrix(rotation).T
     order = sigma.zero_based()
     samples = []
-    all_ok = True
     for trial in range(args.trials):
         tetra = _draw(basis, np.random.default_rng([args.seed, trial]))
         vertices = tetra.vertices.tolist()
@@ -261,28 +256,22 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         rotated = (tetra.vertices @ transpose).tolist()
         deltas = [(r[0] - vertices[i][0], r[1] - vertices[i][1]) for r, i in zip(rotated, order)]
         residual = max(math.sqrt(dx * dx + dy * dy) for dx, dy in deltas)
-        ok = residual <= tol.geom_abs
-        all_ok = all_ok and ok
         samples.append({
             "vertices": vertices,
             "match_residual": residual,
-            "ok": ok,
+            "ok": residual <= tol.geom_abs,
         })
-    _emit({
-        "command": "sample",
+    return {
         "perm_class": perm_class.value,
         "sigma": list(sigma.images),
         "quaternion": [rotation.a, rotation.b, rotation.c, rotation.d],
         "seed": args.seed,
         "samples": samples,
-    })
-    return 0 if all_ok else 1
+    }, all(sample["ok"] for sample in samples)
 
 
-def _cmd_verify_dims(args: argparse.Namespace) -> int:
-    tol = _config(args)
+def _cmd_verify_dims(args: argparse.Namespace, tol: Tolerances) -> tuple[dict, bool]:
     cells = []
-    total_mismatches = 0
     for index, cell in enumerate(CLASSIFICATION_CELLS):
         mismatches = 0
         for trial in range(args.trials):
@@ -291,20 +280,18 @@ def _cmd_verify_dims(args: argparse.Namespace) -> int:
             computed = config_dimension(rotation, cell.perm_class, tol.rank_rel, tol.angle_abs)
             if computed != cell.expected_dim:
                 mismatches += 1
-        total_mismatches += mismatches
         cells.append({
             "cell": cell.label(),
             "expected_dim": cell.expected_dim,
             "trials": args.trials,
             "mismatches": mismatches,
         })
-    _emit({
-        "command": "verify-dims",
+    ok = all(cell["mismatches"] == 0 for cell in cells)
+    return {
         "seed": args.seed,
         "cells": cells,
-        "ok": total_mismatches == 0,
-    })
-    return 0 if total_mismatches == 0 else 1
+        "ok": ok,
+    }, ok
 
 
 def _nearest_errors(candidates: list[SolveCandidate], sigma: Permutation4, expected) -> list[float | None]:
@@ -314,16 +301,14 @@ def _nearest_errors(candidates: list[SolveCandidate], sigma: Permutation4, expec
     return [min((float(np.linalg.norm(m - e)) for m in matrices), default=None) for e in expected]
 
 
-def _reproduce_four_cycle(args: argparse.Namespace) -> int:
-    tol = _config(args)
+def _reproduce_four_cycle(args: argparse.Namespace, tol: Tolerances) -> tuple[dict, bool]:
     inst = four_cycle_instance()
     rotated = apply(inst.rotation, inst.tetrahedron.vertices)
     vertex_err = float(np.max(np.abs(rotated - inst.rotated_vertices)))
     candidates = unlabeled_solve(inst.tetrahedron, inst.projection, tol)
     (matrix_err,) = _nearest_errors(candidates, inst.sigma, [inst.matrix])
     ok = vertex_err <= 1e-12 and matrix_err is not None and matrix_err <= 1e-10
-    _emit({
-        "command": "reproduce",
+    return {
         "name": "four-cycle",
         "expected_rotated_vertices": inst.rotated_vertices.tolist(),
         "computed_rotated_vertices": rotated.tolist(),
@@ -332,44 +317,36 @@ def _reproduce_four_cycle(args: argparse.Namespace) -> int:
         "matrix_error": matrix_err,
         "candidates": len(candidates),
         "ok": ok,
-    })
-    return 0 if ok else 1
+    }, ok
 
 
-def _reproduce_norm_prune(args: argparse.Namespace) -> int:
-    tol = _config(args)
+def _reproduce_norm_prune(args: argparse.Namespace, tol: Tolerances) -> tuple[dict, bool]:
     inst = norm_prune_instance()
     survivors = prune_permutations(inst.vertices, inst.projection, tol.geom_abs)
     ok = survivors == [IDENTITY_PERMUTATION]
-    _emit({
-        "command": "reproduce",
+    return {
         "name": "norm-prune",
         "survivors": [list(s.images) for s in survivors],
         "ok": ok,
-    })
-    return 0 if ok else 1
+    }, ok
 
 
-def _reproduce_planar(args: argparse.Namespace) -> int:
-    tol = _config(args)
+def _reproduce_planar(args: argparse.Namespace, tol: Tolerances) -> tuple[dict, bool]:
     inst = planar_instance()
     candidates = unlabeled_solve(inst.tetrahedron, inst.projection, tol)
     swap = [c for c in candidates if c.sigma == inst.swap_sigma]
     errors = _nearest_errors(candidates, inst.swap_sigma, inst.matrices)
     ok = len(swap) == 2 and max(errors) <= 1e-10
-    _emit({
-        "command": "reproduce",
+    return {
         "name": "planar",
         "swap_sigma": list(inst.swap_sigma.images),
         "swap_candidates": [_candidate_json(c) for c in swap],
         "matrix_errors": errors,
         "ok": ok,
-    })
-    return 0 if ok else 1
+    }, ok
 
 
-def _reproduce_uniqueness_sweep(args: argparse.Namespace) -> int:
-    tol = _config(args)
+def _reproduce_uniqueness_sweep(args: argparse.Namespace, tol: Tolerances) -> tuple[dict, bool]:
     spurious = 0
     for trial in range(args.trials):
         rng = np.random.default_rng([args.seed, trial])
@@ -385,14 +362,12 @@ def _reproduce_uniqueness_sweep(args: argparse.Namespace) -> int:
         for cand in unlabeled_solve(tetra, project(tetra), tol):
             if float(np.linalg.norm(cand.matrix - np.eye(3))) > tol.dedupe:
                 spurious += 1
-    _emit({
-        "command": "reproduce",
+    return {
         "name": "uniqueness-sweep",
         "trials": args.trials,
         "spurious_non_identity": spurious,
         "ok": spurious == 0,
-    })
-    return 0 if spurious == 0 else 1
+    }, spurious == 0
 
 
 # Options that several commands share, with their type, default and help.
@@ -512,7 +487,9 @@ def main(argv=None) -> int:
         if sys.stdout is None:  # Python's stdout when fd 1 was closed at start; -h writes there too
             raise OSError("stdout is closed")
         args = _PARSER.parse_args(argv)
-        return args.func(args)
+        report, ok = args.func(args, _config(args))
+        _emit({"command": args.command, **report})
+        return 0 if ok else 1
     except (ValueError, OSError) as exc:
         if sys.stderr is not None:  # with fd 2 closed at start, print would write to stdout
             print(f"error: {exc}", file=sys.stderr)

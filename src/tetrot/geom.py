@@ -37,7 +37,10 @@ MAX_MAGNITUDE = 1e150
 
 def as_finite_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     """Coerce to a float array of the given shape, rejecting NaN/inf and magnitudes above MAX_MAGNITUDE."""
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except (ValueError, TypeError):  # ragged nesting, or an entry that is not a number
+        raise ValueError(f"{name} must be numbers in shape {shape}, got ragged nesting or a non-number") from None
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not (np.abs(arr) <= MAX_MAGNITUDE).all():  # false for NaN and inf as well

@@ -2,8 +2,13 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the pass/fail lines.
 Every tolerance is pinned here; nothing is deferred to calibration.
+Criteria 02, 03, 04 and 08 are the `tetrot reproduce` replays: each runs one
+through the command line and checks its pinned bounds on the report.
 """
 
+import contextlib
+import io
+import json
 import math
 import time
 
@@ -12,10 +17,8 @@ import numpy as np
 from tetrot import (
     CLASSIFICATION_CELLS,
     AxisClass,
-    IDENTITY_PERMUTATION,
     PermClass,
     ProjectionQuad,
-    Tetrahedron,
     apply,
     circumcircle3,
     classify_rotation,
@@ -23,18 +26,15 @@ from tetrot import (
     coplanarity_det,
     labeled_solve,
     minor_sigma_id,
-    project,
-    prune_permutations,
     quat_from_axis_angle,
     quat_to_matrix,
     reconstruct_geometric,
     sample_cell_rotation,
     sample_tetrahedron,
-    unlabeled_solve,
     fourcycle_lambda,
     verify_fourcycle_relations,
 )
-from tetrot.instances import four_cycle_instance, norm_prune_instance, planar_instance
+from tetrot.cli import main
 
 from conftest import random_full_dim_tetrahedron, random_unit_quaternion
 
@@ -56,6 +56,19 @@ def _report(number: int, ok: bool, detail: str) -> None:
     print(f"[criterion {number:2d}] {status}  {detail}")
 
 
+def _reproduce(*argv: str) -> tuple[int, dict]:
+    """(exit code, report) of `tetrot reproduce *argv`, its report kept off stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["reproduce", *argv])
+    return code, json.loads(out.getvalue())
+
+
+def _err(value) -> str:
+    """An error from a report, which is null when no candidate has the expected relabeling."""
+    return "none" if value is None else f"{value:.2e}"
+
+
 def test_criterion_01_dimension_table():
     assert len(TABLE_CELLS) == 16
     start = time.perf_counter()
@@ -74,40 +87,28 @@ def test_criterion_01_dimension_table():
 
 
 def test_criterion_02_four_cycle_instance():
-    inst = four_cycle_instance()
-    rotated = apply(inst.rotation, inst.tetrahedron.vertices)
-    vertex_err = float(np.max(np.abs(rotated - inst.rotated_vertices)))
-    candidates = unlabeled_solve(inst.tetrahedron, inst.projection)
-    matrix_err = min(
-        (float(np.linalg.norm(c.matrix - inst.matrix)) for c in candidates if c.sigma == inst.sigma),
-        default=math.inf,
-    )
-    ok = vertex_err <= 1e-12 and matrix_err <= 1e-10
-    _report(2, ok, f"rotated vertices err {vertex_err:.2e}, matrix err {matrix_err:.2e}")
+    code, report = _reproduce("four-cycle")
+    vertex_err, matrix_err = report["max_vertex_error"], report["matrix_error"]
+    _report(2, report["ok"], f"rotated vertices err {vertex_err:.2e}, matrix err {_err(matrix_err)}")
     assert vertex_err <= 1e-12
-    assert matrix_err <= 1e-10
+    assert matrix_err is not None and matrix_err <= 1e-10
+    assert report["ok"] and code == 0
 
 
 def test_criterion_03_norm_pruning():
-    inst = norm_prune_instance()
-    survivors = prune_permutations(inst.vertices, inst.projection)
-    ok = survivors == [IDENTITY_PERMUTATION]
-    _report(3, ok, f"survivors {[s.images for s in survivors]}")
-    assert ok
+    code, report = _reproduce("norm-prune")
+    _report(3, report["ok"], f"survivors {report['survivors']}")
+    assert report["survivors"] == [[1, 2, 3, 4]]
+    assert report["ok"] and code == 0
 
 
 def test_criterion_04_planar_two_solutions():
-    inst = planar_instance()
-    candidates = unlabeled_solve(inst.tetrahedron, inst.projection)
-    swap = [c for c in candidates if c.sigma == inst.swap_sigma]
-    errors = [
-        min((float(np.linalg.norm(c.matrix - expected)) for c in swap), default=math.inf)
-        for expected in inst.matrices
-    ]
-    ok = len(swap) == 2 and max(errors) <= 1e-10
-    _report(4, ok, f"{len(swap)} swap-branch candidates, matrix errs {errors[0]:.2e}, {errors[1]:.2e}")
+    code, report = _reproduce("planar")
+    swap, errors = report["swap_candidates"], report["matrix_errors"]
+    _report(4, report["ok"], f"{len(swap)} swap-branch candidates, matrix errs {', '.join(map(_err, errors))}")
     assert len(swap) == 2
-    assert max(errors) <= 1e-10
+    assert None not in errors and max(errors) <= 1e-10
+    assert report["ok"] and code == 0
 
 
 def test_criterion_05_minor_identity():
@@ -154,19 +155,15 @@ def test_criterion_07_identity_samples_are_planar():
 
 
 def test_criterion_08_no_spurious_rotation_for_generic_tetrahedra():
-    identity = np.eye(3)
-    spurious = 0
-    for trial in range(10_000):
-        rng = np.random.default_rng([108, trial])
-        tetra = Tetrahedron(rng.standard_normal((4, 3)))
-        while not tetra.full_dimensional():
-            tetra = Tetrahedron(rng.standard_normal((4, 3)))
-        for cand in unlabeled_solve(tetra, project(tetra)):
-            if cand.residual <= 1e-8 and float(np.linalg.norm(cand.matrix - identity)) > 1e-6:
-                spurious += 1
-    ok = spurious == 0
-    _report(8, ok, f"10000 generic tetrahedra, {spurious} spurious non-identity rotations")
+    # each trial draws from default_rng([108, trial]) until the tetrahedron is full-dimensional;
+    # the solver's gate holds every candidate to residual 1e-8, and one farther than 1e-6 from
+    # the identity is spurious
+    code, report = _reproduce("uniqueness-sweep", "--seed", "108", "--trials", "10000")
+    spurious = report["spurious_non_identity"]
+    _report(8, report["ok"], f"{report['trials']} generic tetrahedra, {spurious} spurious non-identity rotations")
+    assert report["trials"] == 10_000
     assert spurious == 0
+    assert report["ok"] and code == 0
 
 
 def test_criterion_09_geometric_route_matches_linear_route():

@@ -230,6 +230,9 @@ class TestNonNumericInput:
         ("angle_rad", {"axis": [1, 0, 0], "angle_rad": [1.0]}),
         ("vertices", {"vertices": [[2, 0, 0], [0, 2, 0], [0, 0, 2], [0, 0, False]]}),
         ("points", {"points": [[0, 0], [1, 0], [0, 1], ["0", 0]]}),
+        ("vertices", {"vertices": [[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 2]]}),
+        ("points", {"points": [[0, 0], [1, 0], [0, 1], [0]]}),
+        ("axis", {"axis": [[0], 0, 1], "angle_rad": math.pi}),
     ])
     def test_exits_two_without_traceback(self, capsys, tmp_path, golden_files, field, content):
         bad = tmp_path / "bad.json"
@@ -1440,7 +1443,15 @@ class TestReportWriter:
         reports = []
         monkeypatch.setattr(cli, "_emit", reports.append)
         for argv in [*GOLDEN_ARGV.values(), *COMMAND_ARGV]:
-            invoke(capsys, [golden_files.get(arg, arg) for arg in argv])
+            emitted = len(reports)
+            code = invoke(capsys, [golden_files.get(arg, arg) for arg in argv])[0]
+            for report in reports[emitted:]:  # none for a usage error or help
+                # "command" comes first, then "name" for reproduce; an "ok" verdict is the exit code's
+                head = {"command": argv[0], "name": argv[1]} if argv[0] == "reproduce" else {"command": argv[0]}
+                assert list(report.items())[:len(head)] == list(head.items())
+                assert code in (0, 1)
+                if "ok" in report:
+                    assert code == (0 if report["ok"] else 1)
         assert {report["command"] for report in reports} == {"solve", "analyze", "sample", "verify-dims", "reproduce"}
         assert any(report.get("swap_candidates") for report in reports)  # _candidate_json's quaternions
         pending = list(reports)

@@ -65,6 +65,14 @@ class TestRecentre:
         with pytest.raises(ValueError, match="magnitude"):
             prune_permutations(vertices, ProjectionQuad(np.eye(4, 2)))
 
+    @pytest.mark.parametrize("vertex, point", [([1, 2], [1]), (["a", 2, 3], ["a", 2]), ({"x": 1}, {"x": 1})],
+                             ids=["ragged", "string", "dict"])
+    def test_rejects_an_entry_that_is_not_a_row_of_numbers(self, vertex, point):
+        with pytest.raises(ValueError, match=r"^vertices .*\(4, 3\)"):
+            Tetrahedron([[1, 2, 3], [4, 5, 6], [7, 8, 9], vertex])
+        with pytest.raises(ValueError, match=r"^points .*\(4, 2\)"):
+            ProjectionQuad([[1, 2], [4, 5], [7, 8], point])
+
     def test_admits_the_bound_itself(self):
         vertices = np.eye(4, 3) * MAX_MAGNITUDE
         quad = ProjectionQuad(np.eye(4, 2) * MAX_MAGNITUDE)
