@@ -63,6 +63,7 @@ from .geom import (
     Tetrahedron,
     Tolerances,
     as_finite_array,
+    is_number,
     project,
 )
 from .instances import four_cycle_instance, norm_prune_instance, planar_instance
@@ -101,16 +102,16 @@ def _load_json(path: str):
 def _numbers(obj: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     """obj[key] as a finite float array of the given shape.
 
-    Every entry must be a JSON number: numpy alone would read true, "1" and
-    null as numbers, or fail on them with a TypeError.  Its magnitude must be
-    at most MAX_MAGNITUDE, the bound of as_finite_array.
+    Every entry must be a JSON number, by the leaf rule of as_finite_array
+    (geom.is_number), with a magnitude of at most MAX_MAGNITUDE, its bound;
+    the error names the first entry that is not.
     """
     pending = [obj[key]]
     while pending:
         value = pending.pop()
         if isinstance(value, list):
             pending.extend(value)
-        elif isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= MAX_MAGNITUDE:
+        elif not is_number(value) or not abs(value) <= MAX_MAGNITUDE:
             bound = f"{MAX_MAGNITUDE:.0e}".replace("e+", "e")
             raise ValueError(f"{key} must hold only finite JSON numbers up to {bound} in magnitude, got {value!r}")
     return as_finite_array(obj[key], shape, key)

@@ -35,12 +35,52 @@ __all__ = [
 MAX_MAGNITUDE = 1e150
 
 
+def is_number(value) -> bool:
+    """The one rule for an input coordinate: an int or a float, numpy's included, that is not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+_PLAIN_NUMBERS = frozenset((float, int))
+
+
+def _only_numbers(values) -> bool:
+    """Whether every leaf of values, nested in lists, tuples and arrays, is_number.
+
+    An int or float array is taken whole, without a walk; an object array
+    is walked through its entries, and an array of any other kind (bool,
+    string, complex) fails.  A leaf of type exactly float or int, the common
+    one, passes without the isinstance tests.
+    """
+    pending = [values]
+    for value in pending:  # the list grows as nested entries are found
+        if type(value) in _PLAIN_NUMBERS:
+            continue
+        if isinstance(value, np.ndarray):
+            if value.dtype.kind in "fiu":
+                continue
+            if value.dtype.kind != "O":
+                return False
+            value = value.tolist()
+        if isinstance(value, (list, tuple)):
+            pending.extend(value)
+        elif not is_number(value):
+            return False
+    return True
+
+
 def as_finite_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """Coerce to a float array of the given shape, rejecting NaN/inf and magnitudes above MAX_MAGNITUDE."""
+    """Coerce to a float array of the given shape, rejecting NaN/inf and magnitudes above MAX_MAGNITUDE.
+
+    Every entry must pass is_number: numpy alone would read "1" and True as numbers.
+    """
     try:
+        if not _only_numbers(values):
+            raise TypeError(name)
         arr = np.array(values, dtype=float)
     except (ValueError, TypeError):  # ragged nesting, or an entry that is not a number
         raise ValueError(f"{name} must be numbers in shape {shape}, got ragged nesting or a non-number") from None
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} must contain only finite values up to {MAX_MAGNITUDE:g} in magnitude") from None
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not (np.abs(arr) <= MAX_MAGNITUDE).all():  # false for NaN and inf as well
@@ -193,9 +233,23 @@ class ProjectionQuad:
         return any(quad_match(self, other, sigma, tol) for sigma in ALL_PERMUTATIONS)
 
 
+# The class of project's quads, bound once: bench/spans.py rebinds the name
+# ProjectionQuad in this module to a function that times its calls.
+_QUAD_CLASS = ProjectionQuad
+
+
 def project(tetra: Tetrahedron) -> ProjectionQuad:
-    """Drop the z-coordinate of every vertex, keeping the labels."""
-    return ProjectionQuad(tetra.vertices[:, :2])
+    """Drop the z-coordinate of every vertex, keeping the labels.
+
+    The vertices were checked when the tetrahedron was built, and its
+    recentre can move a coordinate up to 1.5 MAX_MAGNITUDE, so the quad
+    takes a read-only copy of them without a second check.
+    """
+    points = np.array(tetra.vertices[:, :2])
+    points.flags.writeable = False
+    quad = object.__new__(_QUAD_CLASS)
+    object.__setattr__(quad, "points", points)
+    return quad
 
 
 def quad_match(

@@ -54,13 +54,16 @@ __all__ = [
     "unlabeled_solve",
 ]
 
-# Zero-based images of every relabeling, one row per entry of
-# ALL_PERMUTATIONS, and the row of each relabeling.
-_PERM_INDEX = np.array([sigma.zero_based() for sigma in ALL_PERMUTATIONS])
-_PERM_INDEX.flags.writeable = False
-_PERM_ROW = {sigma: row for row, sigma in enumerate(ALL_PERMUTATIONS)}
+# Zero-based images of every relabeling; a relabeling is known by its row,
+# its index in ALL_PERMUTATIONS.
+_PERM_INDEX = tuple(sigma.zero_based() for sigma in ALL_PERMUTATIONS)
+# Entry [i, r, c] is the index in points.ravel() of coordinate c of the point
+# relabeling r sends vertex i to: of rows r_0, r_1, ... the right-hand side
+# takes it as entry [i, 2j + c].
+_RHS_INDEX = np.array([[[2 * images[i], 2 * images[i] + 1] for images in _PERM_INDEX] for i in range(3)])
+_RHS_INDEX.flags.writeable = False
 # Bit r of _REACH[i][j] is set when relabeling r sends vertex i to point j.
-_REACH = [[sum(1 << r for r, images in enumerate(_PERM_INDEX.tolist()) if images[i] == j) for j in range(4)]
+_REACH = [[sum(1 << r for r, images in enumerate(_PERM_INDEX) if images[i] == j) for j in range(4)]
           for i in range(4)]
 # w @ _CROSS_MATRIX is [w]x, the matrix of v -> w x v, row by row.
 _CROSS_MATRIX = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0], [0, 0, 1, 0, 0, 0, -1, 0, 0], [0, -1, 0, 1, 0, 0, 0, 0, 0]],
@@ -177,24 +180,47 @@ def _gauss_newton(vertices: np.ndarray, matrices: np.ndarray, points: np.ndarray
     return matrices
 
 
+def _misses(images: list, shadows: list) -> list[float]:
+    """Largest distance between a start's rotated vertices and its shadow, per start, on floats.
+
+    images[i] holds the rotated vertices of start i and shadows[i] its four
+    points.  The distance sqrt(dx*dx + dy*dy) rounds the sum of the squares
+    once, as np.sqrt(np.add.reduce(diff * diff, -1)).max(-1) does; with
+    finite coordinates up to the admitted magnitude nothing overflows, so no
+    NaN can make the two maxima differ.
+    """
+    out = []
+    for image, shadow in zip(images, shadows):
+        worst = 0.0
+        for (x, y, _), (u, v) in zip(image, shadow):
+            dx, dy = x - u, y - v
+            miss = math.sqrt(dx * dx + dy * dy)
+            if miss > worst:
+                worst = miss
+        out.append(worst)
+    return out
+
+
 def _gate(
     vertices: np.ndarray,
     starts: list,
     sigmas: list[Permutation4],
-    points: np.ndarray,
+    shadows: list,
     screen: float,
     planar: bool,
     tol: Tolerances,
 ) -> list[SolveCandidate]:
     """Snap starts to rotations, refine them, and keep those that fit their shadow.
 
-    Start i, two rows fitted under sigmas[i] to the shadow points[i], gets
-    their cross product as third row and is snapped to the components of a
-    unit quaternion, as floats, unless it is not finite.  A rotation missing
-    by more than geom_abs but at most screen takes Gauss-Newton steps; one
-    within geom_abs at every vertex is kept, and only a kept one becomes a
-    UnitQuaternion.  The matrices and their shadows stay in numpy, whose
-    matmuls the bits of every residual depend on.
+    Start i, two rows fitted under sigmas[i] to the shadow shadows[i] (four
+    points as lists of floats), gets their cross product as third row and is
+    snapped to the components of a unit quaternion, as floats, unless it is
+    not finite.  A rotation missing by more than geom_abs but at most screen
+    takes Gauss-Newton steps; one within geom_abs at every vertex is kept,
+    and only a kept one becomes a UnitQuaternion.  The rotated vertices come
+    from one numpy matmul, whose bits every residual depends on; the
+    residuals are taken from them on floats, and only the starts that
+    Gauss-Newton refines get their shadows as an array.
     """
     quats, kept = [], []
     for i, (r1, r2) in enumerate(starts):
@@ -203,15 +229,15 @@ def _gate(
         except ValueError:  # a NaN or inf row
             continue
         kept.append(i)
-    points = points[kept]
+    shadows = [shadows[i] for i in kept]
     for attempt in range(2):
         matrices = np.array([_rotation_rows(*q) for q in quats]).reshape(-1, 3, 3)
-        diff = (vertices @ matrices.mT)[..., :2] - points
-        residuals = np.sqrt(np.add.reduce(diff * diff, axis=-1)).max(axis=-1).tolist()
+        residuals = _misses((vertices @ matrices.mT).tolist(), shadows)
         refine = [i for i, r in enumerate(residuals) if tol.geom_abs < r <= screen]
         if attempt or not refine:
             break
-        for i, rows in zip(refine, _gauss_newton(vertices, matrices[refine], points[refine]).tolist()):
+        points = np.array([shadows[i] for i in refine])
+        for i, rows in zip(refine, _gauss_newton(vertices, matrices[refine], points).tolist()):
             quats[i] = _quat_from_rows(rows)
     matrices.flags.writeable = False
     return [
@@ -224,23 +250,23 @@ def _gate(
 def _fit_relabelings(
     tetra: Tetrahedron,
     quad: ProjectionQuad,
-    sigmas: list[Permutation4],
+    perm_rows: list[int],
     tol: Tolerances,
 ) -> list[SolveCandidate]:
-    """Rotations mapping vertex i onto point sigma(i), for each sigma given.
+    """Rotations mapping vertex i onto point sigma(i), for each sigma = ALL_PERMUTATIONS[row] of perm_rows.
 
     P3 = vertices[:3] is factored once, by one SVD, and a P3 spanning less
-    than a plane is rejected even when sigmas is empty.  The SVD truncated at
-    k, the rank of P3, gives the first two rows of every branch as the
-    pseudo-inverse solution of P3 r = u; one gate call takes the starts of
-    every branch.
+    than a plane is rejected even when perm_rows is empty.  The SVD
+    truncated at k, the rank of P3, gives the first two rows of every branch
+    as the pseudo-inverse solution of P3 r = u; one gate call takes the
+    starts of every branch.
     """
     p3 = tetra.vertices[:3]
     u, s, vt = np.linalg.svd(p3)
     k = _rank(s, tol.rank_rel)
     if k < 2:
         raise DegenerateTetrahedronError("vertices span less than a plane")
-    if not sigmas:
+    if not perm_rows:
         return []
     planar = k == 2
     # Noise tilts the rows along n by up to sqrt(3) geom_abs / s[2]; past 1e-2 three
@@ -248,12 +274,12 @@ def _fit_relabelings(
     if s[2] <= 100.0 * tol.geom_abs:
         k = 2
     bound, screen = _noise_bounds(s[:k], tol)
-    points = quad.points[_PERM_INDEX[[_PERM_ROW[sigma] for sigma in sigmas]]]
-    # columns 2j and 2j+1 of the right-hand side are the x and y of branch j
-    rhs = points[:, :3].transpose(1, 0, 2).reshape(3, -1)
+    rhs = quad.points.ravel()[_RHS_INDEX[:, perm_rows]].reshape(3, -1)
     rows = (vt[:k].T @ (u[:, :k].T @ rhs / s[:k, None])).T.reshape(-1, 2, 3)
     owner, starts = _starts(rows.tolist(), vt[2].tolist(), bound)
-    out = _gate(tetra.vertices, starts, [sigmas[j] for j in owner], points[owner], screen, planar, tol)
+    points = quad.points.tolist()
+    shadows = [[points[i] for i in _PERM_INDEX[perm_rows[j]]] for j in owner]
+    out = _gate(tetra.vertices, starts, [ALL_PERMUTATIONS[perm_rows[j]] for j in owner], shadows, screen, planar, tol)
     return dedupe_rotations(out, tol.dedupe)
 
 
@@ -270,7 +296,7 @@ def labeled_solve(
     shadow lies within geom_abs of the quad; an empty list means no
     rotation does.  Vertex sets spanning less than a plane are rejected.
     """
-    return _fit_relabelings(tetra, quad, [IDENTITY_PERMUTATION], tol)
+    return _fit_relabelings(tetra, quad, [0], tol)  # row 0 of ALL_PERMUTATIONS is the identity
 
 
 def _circumcircle(p: list[float], q: list[float], r: list[float], rel_tol: float):
@@ -454,7 +480,7 @@ def reconstruct_geometric(
         lifts.append([[fl[0][i] * f3[0][j] + fl[1][i] * f3[1][j] + fl[2][i] * f3[2][j] for j in range(3)]
                       for i in range(2)])
     _, screen = _noise_bounds(s, tol)
-    out = _gate(tetra.vertices, lifts, [IDENTITY_PERMUTATION] * 2, np.array([quad.points] * 2), screen, False, tol)
+    out = _gate(tetra.vertices, lifts, [IDENTITY_PERMUTATION] * 2, [u] * 2, screen, False, tol)
     return dedupe_rotations(out, tol.dedupe)
 
 
@@ -469,16 +495,17 @@ def prune_permutations(
     only match when ||u_sigma(i)|| <= ||p_i|| for every i.  Operates on the
     coordinates as given, without recentring.
     """
-    return _prune(as_finite_array(vertices, (4, 3), "vertices"), quad.points, tol_abs)
+    rows = _prune(as_finite_array(vertices, (4, 3), "vertices"), quad.points, tol_abs)
+    return [ALL_PERMUTATIONS[row] for row in rows]
 
 
-def _prune(vertices: np.ndarray, points: np.ndarray, tol_abs: float) -> list[Permutation4]:
-    """prune_permutations on a checked (4, 3) vertex array, on floats.
+def _prune(vertices: np.ndarray, points: np.ndarray, tol_abs: float) -> list[int]:
+    """prune_permutations on a checked (4, 3) vertex array, on floats, as rows of ALL_PERMUTATIONS.
 
     The norms are sqrt(x*x + y*y + z*z), the bits of np.linalg.norm along a
     row.  The survivors are a 24-bit mask: for every vertex, the relabelings
-    sending it to a point it can reach; they come back in the order of
-    ALL_PERMUTATIONS.
+    sending it to a point it can reach; their rows come back in ascending
+    order.
     """
     point_norms = [math.sqrt(x * x + y * y) for x, y in points.tolist()]
     survivors = (1 << len(ALL_PERMUTATIONS)) - 1
@@ -489,7 +516,7 @@ def _prune(vertices: np.ndarray, points: np.ndarray, tol_abs: float) -> list[Per
             if norm <= bound:
                 reachable |= mask
         survivors &= reachable
-    return [sigma for row, sigma in enumerate(ALL_PERMUTATIONS) if survivors >> row & 1]
+    return [row for row in range(len(ALL_PERMUTATIONS)) if survivors >> row & 1]
 
 
 def unlabeled_solve(

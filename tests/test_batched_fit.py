@@ -267,7 +267,7 @@ class TestGate:
             vertices,
             [m.tolist() for _, m, _, _ in rows],
             sigmas,
-            np.array([points for _, _, points, _ in rows]),
+            [points.tolist() for _, _, points, _ in rows],
             0.0,  # no start is refined
             False,
             DEFAULT_TOLERANCES,
@@ -286,11 +286,34 @@ class TestGate:
         shadow = (tetra.vertices @ truth.T)[:, :2]
         off = quat_to_matrix(UnitQuaternion.normalized(1.0, 3e-6, -2e-6, 4e-6)) @ truth
         start = [off[:2].tolist()]
-        args = (tetra.vertices, start, [ALL_PERMUTATIONS[0]], shadow[None])
+        args = (tetra.vertices, start, [ALL_PERMUTATIONS[0]], [shadow.tolist()])
         (cand,) = _gate(*args, 1e-3, False, DEFAULT_TOLERANCES)
         assert np.linalg.norm(cand.matrix - truth) <= 1e-12
         assert cand.residual <= 1e-13
         assert _gate(*args, 1e-6, False, DEFAULT_TOLERANCES) == []
+
+
+class TestRightHandSide:
+    """The flat-index table of the right-hand side against the gather, slice, transpose and reshape it replaced."""
+
+    @staticmethod
+    def by_gather(points, perm_rows):
+        gathered = points[np.array([sigma.zero_based() for sigma in ALL_PERMUTATIONS])[perm_rows]]
+        return gathered[:, :3].transpose(1, 0, 2).reshape(3, -1)
+
+    def test_same_bytes_for_any_rows(self):
+        rng = np.random.default_rng(67)
+        subsets = [[0], list(range(24))]
+        subsets += [sorted(rng.choice(24, size=rng.integers(1, 25), replace=False).tolist()) for _ in range(300)]
+        for i, perm_rows in enumerate(subsets):
+            points = rng.standard_normal((4, 2)) * 10.0 ** rng.uniform(-150.0, 150.0, (4, 2))
+            if i % 3 == 0:
+                points[rng.integers(0, 4, 3), rng.integers(0, 2, 3)] = (0.0, -0.0, points[0, 0])
+            quad = ProjectionQuad(points)
+            got = quad.points.ravel()[solver._RHS_INDEX[:, perm_rows]].reshape(3, -1)
+            want = self.by_gather(quad.points, perm_rows)
+            assert got.shape == want.shape == (3, 2 * len(perm_rows))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPrune:
@@ -311,7 +334,7 @@ class TestPrune:
             vertices = rng.standard_normal((4, 3)) * rng.uniform(0.2, 2.0, (4, 1))
             points = rng.standard_normal((4, 2)) * rng.uniform(0.2, 2.0, (4, 1))
             tol = float(rng.choice([1e-8, 0.1, 0.5]))
-            got = solver._prune(vertices, points, tol)
+            got = [ALL_PERMUTATIONS[row] for row in solver._prune(vertices, points, tol)]
             assert got == self.by_definition(vertices.tolist(), points.tolist(), tol)
             assert prune_permutations(vertices, ProjectionQuad(points), tol) == got
             sizes.add(len(got))
@@ -325,7 +348,7 @@ class TestPrune:
         tol = 2.0 ** -20
         vertices = np.array([[3.0, 4.0, 0.0], [0.0, 3.0, 4.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         points = np.array([[5.0 + (1.0 + excess) * tol, 0.0], [0.0, 4.0], [1.0, 0.0], [0.0, 0.5]])
-        got = solver._prune(vertices, points, tol)
+        got = [ALL_PERMUTATIONS[row] for row in solver._prune(vertices, points, tol)]
         assert got == self.by_definition(vertices.tolist(), points.tolist(), tol)
         assert len(got) == survivors
         assert all(set(sigma.images[2:]) == {3, 4} for sigma in got)

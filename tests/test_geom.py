@@ -18,6 +18,7 @@ from tetrot import (
     project,
     prune_permutations,
     quad_match,
+    quat_from_axis_angle,
 )
 from tetrot.geom import MAX_MAGNITUDE
 from tetrot.instances import four_cycle_instance, planar_instance
@@ -73,6 +74,33 @@ class TestRecentre:
         with pytest.raises(ValueError, match=r"^points .*\(4, 2\)"):
             ProjectionQuad([[1, 2], [4, 5], [7, 8], point])
 
+    @pytest.mark.parametrize(
+        "build, name, shape",
+        [
+            (lambda: Tetrahedron([["1", 0, 0], [0, "1", 0], [0, 0, "1"], [True, False, 0]]), "vertices", (4, 3)),
+            (lambda: Tetrahedron([[1, 0, 0], [0, 1, 0], [0, 0, 1], [True, False, 0]]), "vertices", (4, 3)),
+            (lambda: quat_from_axis_angle(["0", "0", "1"], 1.0), "axis", (3,)),
+            (lambda: ProjectionQuad(np.eye(4, 2, dtype=bool)), "points", (4, 2)),
+        ],
+        ids=["numeric-strings-and-bools", "bools", "axis-of-strings", "bool-array"],
+    )
+    def test_rejects_numeric_strings_and_booleans(self, build, name, shape):
+        # numpy alone reads "1" and True as the number 1
+        message = f"{name} must be numbers in shape {shape}, got ragged nesting or a non-number"
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_rejects_an_int_beyond_the_float_range(self):
+        # numpy raises OverflowError converting it; the library's refusal is a ValueError
+        with pytest.raises(ValueError, match="^vertices must contain only finite values up to 1e\\+150 in magnitude$"):
+            Tetrahedron([[10**400, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]])
+
+    def test_admits_numpy_numbers_and_integer_arrays(self):
+        rows = [[np.int64(1), np.float32(0.5), 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
+        assert Tetrahedron(rows).vertices.tobytes() == Tetrahedron(np.array(rows, dtype=float)).vertices.tobytes()
+        assert ProjectionQuad(np.eye(4, 2, dtype=np.int32)).points.dtype == float
+
     def test_admits_the_bound_itself(self):
         vertices = np.eye(4, 3) * MAX_MAGNITUDE
         quad = ProjectionQuad(np.eye(4, 2) * MAX_MAGNITUDE)
@@ -98,6 +126,18 @@ class TestProject:
         inst = planar_instance()
         expected = np.array([[-1, 0], [0, 0], [0, 0], [1, 0]], dtype=float)
         np.testing.assert_array_equal(project(inst.tetrahedron).points, expected)
+
+    def test_projects_an_admitted_tetrahedron_recentred_past_the_bound(self):
+        # recentring moves the first x from 1e150 to 1.5e150, past the bound of an input quad
+        tetra = Tetrahedron([[1e150, 0, 0], [-1e150, 0, 1], [-1e150, 1, 0], [-1e150, 1, 1]])
+        assert tetra.vertices[0, 0] > MAX_MAGNITUDE
+        quad = project(tetra)
+        assert isinstance(quad, ProjectionQuad)
+        assert quad.points.tobytes() == tetra.vertices[:, :2].tobytes()
+        assert quad.points.flags.c_contiguous and not quad.points.flags.writeable
+        assert not np.shares_memory(quad.points, tetra.vertices)
+        with pytest.raises(ValueError, match="magnitude"):
+            ProjectionQuad(quad.points)
 
     def test_flat_tetrahedron_projects_to_itself(self):
         tetra = Tetrahedron([[1, 2, 0], [-1, 0, 0], [0, -2, 0], [0, 0, 0]])

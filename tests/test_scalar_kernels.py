@@ -1,16 +1,19 @@
-"""The scalar kernels of the dimension sweep against their numpy definitions.
+"""The scalar kernels against their numpy definitions.
 
-classify_rotation, build_config_matrix, the sampler's draw and the
-Tetrahedron recentre work on Python floats or with fewer numpy calls than
-the expressions they replace.  Each reference below writes that expression
-out; every result must match it bit for bit (``tobytes`` for arrays,
-``float.hex`` for floats), signed zeros included.
+classify_rotation, build_config_matrix, the sampler's draw, the
+Tetrahedron recentre and the solver gate's residual work on Python floats
+or with fewer numpy calls than the expressions they replace.  Each
+reference below writes that expression out; every result must match it
+bit for bit (``tobytes`` for arrays, ``float.hex`` for floats), signed
+zeros included.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetrot import (
     CLASSIFICATION_CELLS,
@@ -29,6 +32,8 @@ from tetrot import (
 )
 from tetrot.configspace import _COUPLING
 from tetrot.geom import DEFAULT_TOLERANCES, as_finite_array
+from tetrot.rotation import _rotation_rows
+from tetrot.solver import _misses
 
 
 def reference_axis_angle(q: UnitQuaternion) -> tuple[np.ndarray, float]:
@@ -159,3 +164,54 @@ def test_tetrahedron_recentres_with_the_bits_of_the_mean(scale):
         vertices = rng.standard_normal((4, 3)) * scale * 10.0 ** rng.uniform(-3.0, 0.0, (4, 3))
         vertices = np.clip(vertices + rng.standard_normal(3) * scale, -1e150, 1e150)
         assert Tetrahedron(vertices).vertices.tobytes() == reference_recentre(vertices).tobytes()
+
+
+def reference_misses(images: np.ndarray, shadows: np.ndarray) -> np.ndarray:
+    diff = images[..., :2] - shadows
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1)).max(axis=-1)
+
+
+# a coordinate of magnitude 1e-150 to 1e150, or a signed zero
+coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(min_value=1.0, max_value=10.0, exclude_max=True),
+        st.integers(min_value=-150, max_value=149),
+    ),
+)
+quaternion = st.one_of(
+    st.sampled_from([(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0), (-0.0, 1.0, -0.0, 0.0)]),
+    st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 4).filter(lambda q: sum(x * x for x in q) > 1e-6),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(coordinate, min_size=12, max_size=12),
+    st.lists(
+        st.tuples(quaternion, st.lists(coordinate, min_size=8, max_size=8), st.sampled_from(["free", "tie", "exact"])),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_gate_residual_matches_its_definition(vertex_coords, starts):
+    """The gate's residual on floats, per start: the largest of sqrt(dx*dx + dy*dy) over the
+    four vertices, which must be the bits of the numpy expression it replaces.  A free shadow
+    is drawn on its own; a tie shadow misses every rotated vertex by the same offset in turn,
+    up to sign and order; an exact one is the rotated vertices' own shadow, where every miss is zero."""
+    vertices = np.array(vertex_coords).reshape(4, 3)
+    matrices = np.array([_rotation_rows(*q) for q, _, _ in starts])
+    images = vertices @ matrices.mT
+    shadows = []
+    for image, (_, free, kind) in zip(images, starts):
+        if kind == "free":
+            shadows.append(np.array(free).reshape(4, 2))
+            continue
+        a, b = (free[0], free[1]) if kind == "tie" else (0.0, 0.0)
+        shadows.append(image[:, :2] + np.array([[a, b], [b, a], [-a, b], [b, -a]]))
+    shadows = np.array(shadows)
+    got = _misses(images.tolist(), shadows.tolist())
+    want = reference_misses(images, shadows).tolist()
+    assert [float(x).hex() for x in got] == [x.hex() for x in want]
