@@ -15,7 +15,13 @@ the seed, produce byte-identical reports.
 `reproduce` takes the name of a worked instance as a subcommand, and its
 flags follow the name; a flag given before it is refused with that order
 shown, or as unrecognized if the instance does not take it.  `sample`
-computes the null space once per command and draws every trial from it.
+computes the null space once per command and draws every trial from it,
+and measures each sample's residual by the solver's gate rule.
+
+Input files keep no rule of their own: each number is checked once, by the
+library's as_finite_array (through Tetrahedron and ProjectionQuad for
+vertices and points), and a refused input exits 2 with its ValueError's
+message.
 
 Every command's handler has the contract `(args, tol) -> (report, ok)`: it
 gets the parsed arguments and the tolerances they resolve to, and returns
@@ -56,14 +62,12 @@ from .geom import (
     CANONICAL_PERMUTATION,
     DEFAULT_TOLERANCES,
     IDENTITY_PERMUTATION,
-    MAX_MAGNITUDE,
     PermClass,
     Permutation4,
     ProjectionQuad,
     Tetrahedron,
     Tolerances,
     as_finite_array,
-    is_number,
     project,
 )
 from .instances import four_cycle_instance, norm_prune_instance, planar_instance
@@ -76,7 +80,7 @@ from .rotation import (
     quat_from_axis_angle,
     quat_to_matrix,
 )
-from .solver import SolveCandidate, labeled_solve, prune_permutations, unlabeled_solve
+from .solver import SolveCandidate, _misses, labeled_solve, prune_permutations, unlabeled_solve
 
 __all__ = ["main"]
 
@@ -99,42 +103,28 @@ def _load_json(path: str):
         raise ValueError(f"{name}: JSON nested too deeply") from None
 
 
-def _numbers(obj: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """obj[key] as a finite float array of the given shape.
-
-    Every entry must be a JSON number, by the leaf rule of as_finite_array
-    (geom.is_number), with a magnitude of at most MAX_MAGNITUDE, its bound;
-    the error names the first entry that is not.
-    """
-    pending = [obj[key]]
-    while pending:
-        value = pending.pop()
-        if isinstance(value, list):
-            pending.extend(value)
-        elif not is_number(value) or not abs(value) <= MAX_MAGNITUDE:
-            bound = f"{MAX_MAGNITUDE:.0e}".replace("e+", "e")
-            raise ValueError(f"{key} must hold only finite JSON numbers up to {bound} in magnitude, got {value!r}")
-    return as_finite_array(obj[key], shape, key)
-
-
 def parse_tetrahedron(obj) -> Tetrahedron:
+    """The tetrahedron of {"vertices": [[x, y, z] * 4]}; Tetrahedron checks the numbers."""
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise ValueError('tetrahedron input must be {"vertices": [[x, y, z] * 4]}')
-    return Tetrahedron(_numbers(obj, "vertices", (4, 3)))
+    return Tetrahedron(obj["vertices"])
 
 
 def parse_projection(obj) -> ProjectionQuad:
+    """The quad of {"points": [[x, y] * 4]}; ProjectionQuad checks the numbers."""
     if not isinstance(obj, dict) or "points" not in obj:
         raise ValueError('projection input must be {"points": [[x, y] * 4]}')
-    return ProjectionQuad(_numbers(obj, "points", (4, 2)))
+    return ProjectionQuad(obj["points"])
 
 
 def parse_rotation(obj) -> UnitQuaternion:
+    """The rotation of {"quaternion": [a, b, c, d]} or {"axis": [x, y, z], "angle_rad": t};
+    as_finite_array checks each value's numbers and shape."""
     if isinstance(obj, dict) and "quaternion" in obj:
-        return UnitQuaternion.normalized(*_numbers(obj, "quaternion", (4,)).tolist())
+        return UnitQuaternion.normalized(*as_finite_array(obj["quaternion"], (4,), "quaternion").tolist())
     if isinstance(obj, dict) and "axis" in obj and "angle_rad" in obj:
-        axis = _unit_axis(_numbers(obj, "axis", (3,)))
-        return quat_from_axis_angle(axis, float(_numbers(obj, "angle_rad", ())))
+        axis = _unit_axis(as_finite_array(obj["axis"], (3,), "axis"))
+        return quat_from_axis_angle(axis, float(as_finite_array(obj["angle_rad"], (), "angle_rad")))
     raise ValueError('rotation input must carry "quaternion" or "axis" + "angle_rad"')
 
 
@@ -252,11 +242,9 @@ def _cmd_sample(args: argparse.Namespace, tol: Tolerances) -> tuple[dict, bool]:
     for trial in range(args.trials):
         tetra = _draw(basis, np.random.default_rng([args.seed, trial]))
         vertices = tetra.vertices.tolist()
-        # the largest distance from rotated vertex i to the shadow of vertex sigma(i):
-        # apply()'s matmul, then np.linalg.norm's sqrt(dx*dx + dy*dy) on floats
+        # the gate's miss of rotated vertex i (apply()'s matmul) against the shadow of vertex sigma(i)
         rotated = (tetra.vertices @ transpose).tolist()
-        deltas = [(r[0] - vertices[i][0], r[1] - vertices[i][1]) for r, i in zip(rotated, order)]
-        residual = max(math.sqrt(dx * dx + dy * dy) for dx, dy in deltas)
+        (residual,) = _misses([rotated], [[vertices[i][:2] for i in order]])
         samples.append({
             "vertices": vertices,
             "match_residual": residual,

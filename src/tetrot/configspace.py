@@ -150,7 +150,12 @@ def config_dimension(
 
 
 def _system(q: UnitQuaternion, perm_class: PermClass, angle_abs: float) -> np.ndarray:
-    """The class's 6x9 system for q; the one refusal of a rotation within angle_abs of the identity."""
+    """The class's 6x9 system for q, refusing a rotation within angle_abs of the identity.
+
+    This refusal serves config_dimension, sample_tetrahedron and the CLI's
+    sample and verify-dims; predicted_dimension and the CLI's analyze refuse
+    such a rotation too, each with its own message.
+    """
     if classify_rotation(q, angle_abs)[0] is AxisClass.NO_AXIS:
         raise ValueError("the identity rotation is excluded from dimension analysis")
     return build_config_matrix(q, perm_class)

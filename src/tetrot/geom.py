@@ -35,21 +35,17 @@ __all__ = [
 MAX_MAGNITUDE = 1e150
 
 
-def is_number(value) -> bool:
-    """The one rule for an input coordinate: an int or a float, numpy's included, that is not a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
 _PLAIN_NUMBERS = frozenset((float, int))
 
 
 def _only_numbers(values) -> bool:
-    """Whether every leaf of values, nested in lists, tuples and arrays, is_number.
+    """Whether every leaf of values, nested in lists, tuples and arrays, is a number.
 
-    An int or float array is taken whole, without a walk; an object array
-    is walked through its entries, and an array of any other kind (bool,
-    string, complex) fails.  A leaf of type exactly float or int, the common
-    one, passes without the isinstance tests.
+    This is the one rule for an input coordinate: an int or a float, numpy's
+    included, that is not a bool.  An int or float array is taken whole,
+    without a walk; an object array is walked through its entries, and an
+    array of any other kind (bool, string, complex) fails.  A leaf of type
+    exactly float or int, the common one, passes without the isinstance tests.
     """
     pending = [values]
     for value in pending:  # the list grows as nested entries are found
@@ -63,7 +59,7 @@ def _only_numbers(values) -> bool:
             value = value.tolist()
         if isinstance(value, (list, tuple)):
             pending.extend(value)
-        elif not is_number(value):
+        elif not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
             return False
     return True
 
@@ -71,7 +67,8 @@ def _only_numbers(values) -> bool:
 def as_finite_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     """Coerce to a float array of the given shape, rejecting NaN/inf and magnitudes above MAX_MAGNITUDE.
 
-    Every entry must pass is_number: numpy alone would read "1" and True as numbers.
+    Every entry must be a number by the rule of _only_numbers: numpy alone would read "1"
+    and True as numbers.
     """
     try:
         if not _only_numbers(values):

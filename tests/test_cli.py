@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from tetrot import cli
 from tetrot.cli import main, parse_projection, parse_rotation, parse_tetrahedron
 from tetrot.configspace import CLASSIFICATION_CELLS, sample_cell_rotation, sample_tetrahedron
-from tetrot.geom import CANONICAL_PERMUTATION, ProjectionQuad, Tetrahedron, Tolerances, project
+from tetrot.geom import CANONICAL_PERMUTATION, ProjectionQuad, Tetrahedron, Tolerances, as_finite_array, project
 from tetrot.instances import four_cycle_instance, planar_instance
 from tetrot.rotation import apply
 from tetrot.solver import unlabeled_solve
@@ -233,10 +233,27 @@ class TestNonNumericInput:
         ("vertices", {"vertices": [[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 2]]}),
         ("points", {"points": [[0, 0], [1, 0], [0, 1], [0]]}),
         ("axis", {"axis": [[0], 0, 1], "angle_rad": math.pi}),
+        ("vertices", {"vertices": [[2, 0, 0], [0, 2, 0], [0, 0, 2], [0, 0, math.nan]]}),
+        ("vertices", {"vertices": [[2, 0, 0], [0, 2, 0], [0, 0, 2], [0, 0, 1e151]]}),
+        ("vertices", {"vertices": [[2, 0, 0], [0, 2, 0], [0, 0, 2], [0, 0, 10**400]]}),
+        ("points", {"points": [[0, 0], [1, 0], [0, 1], [math.nan, 0]]}),
+        ("points", {"points": [[0, 0], [1, 0], [0, 1], [1e151, 0]]}),
+        ("points", {"points": [[0, 0], [1, 0], [0, 1], [10**400, 0]]}),
     ])
     def test_exits_two_without_traceback(self, capsys, tmp_path, golden_files, field, content):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(content))
+        # the CLI's message is the library's, for the value the file decodes to
+        value = json.loads(bad.read_text())[field]
+        check = {
+            "vertices": Tetrahedron,
+            "points": ProjectionQuad,
+            "quaternion": lambda v: as_finite_array(v, (4,), field),
+            "axis": lambda v: as_finite_array(v, (3,), field),
+            "angle_rad": lambda v: as_finite_array(v, (), field),
+        }[field]
+        with pytest.raises(ValueError) as refused:
+            check(value)
         tet, proj = golden_files["TET"], golden_files["SHADOW"]
         if field == "vertices":
             argv = ["solve", "--tetrahedron", str(bad), "--projection", proj]
@@ -247,6 +264,7 @@ class TestNonNumericInput:
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
+        assert err == f"error: {refused.value}\n"
         assert err.startswith(f"error: {field} ")
         assert "Traceback" not in err
 
