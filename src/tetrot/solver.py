@@ -110,11 +110,6 @@ class Circle3D:
     normal: np.ndarray
 
 
-def _leads_negative(v) -> bool:
-    """Whether the first entry of v above 1e-12 in magnitude is negative; the sign rule of circle normals."""
-    return next((x < 0 for x in v if abs(x) > 1e-12), False)
-
-
 def _cross(a: list[float], b: list[float]) -> list[float]:
     """a x b for two 3-vectors: the same bits as np.cross, without its overhead."""
     a0, a1, a2 = a
@@ -300,34 +295,33 @@ def labeled_solve(
 
 
 def _circumcircle(p: list[float], q: list[float], r: list[float], rel_tol: float):
-    """Center, radius and unit normal of the circle through three points in space, as floats.
+    """Center, radius, normal and area of the circle through three points in space, on named floats.
 
-    The edges d1, d2 from p are divided by the power of two at or above the
-    longer one before any square is formed, so nothing overflows for
-    admitted coordinates and the division is exact.
+    The edges from p are divided by the power of two at or above the longer
+    one before any square is formed, so nothing overflows for admitted
+    coordinates and the division is exact; lengths are math.hypot.  The
+    normal is the cross product of the scaled edges and area its length:
+    circumcircle3 divides it and applies the sign rule, the route drops it.
     """
-    d1 = [b - a for a, b in zip(p, q)]
-    d2 = [b - a for a, b in zip(p, r)]
-    longest = max(math.hypot(*d1), math.hypot(*d2))
+    p0, p1, p2 = p
+    a0, a1, a2 = q[0] - p0, q[1] - p1, q[2] - p2
+    b0, b1, b2 = r[0] - p0, r[1] - p1, r[2] - p2
+    longest = max(math.hypot(a0, a1, a2), math.hypot(b0, b1, b2))
     if longest == 0.0:
         raise CollinearPointsError("circumcircle needs three non-collinear points")
     scale = math.ldexp(1.0, math.frexp(longest)[1])
     longest /= scale
-    u1 = [x / scale for x in d1]
-    u2 = [x / scale for x in d2]
-    normal = _cross(u1, u2)
-    area = math.hypot(*normal)
+    a0, a1, a2, b0, b1, b2 = a0 / scale, a1 / scale, a2 / scale, b0 / scale, b1 / scale, b2 / scale
+    n0, n1, n2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    area = math.hypot(n0, n1, n2)
     if area <= rel_tol * longest * longest:
         raise CollinearPointsError("circumcircle needs three non-collinear points")
-    # center - p = (|u1|^2 u2 - |u2|^2 u1) x (u1 x u2) / (2 |u1 x u2|^2), times scale
-    g11 = u1[0] * u1[0] + u1[1] * u1[1] + u1[2] * u1[2]
-    g22 = u2[0] * u2[0] + u2[1] * u2[1] + u2[2] * u2[2]
+    # center - p = (|a|^2 b - |b|^2 a) x (a x b) / (2 |a x b|^2), times scale, for the scaled edges a and b
+    g11, g22 = a0 * a0 + a1 * a1 + a2 * a2, b0 * b0 + b1 * b1 + b2 * b2
     twice = 2.0 * area * area
-    offset = [x / twice for x in _cross([g11 * b - g22 * a for a, b in zip(u1, u2)], normal)]
-    normal = [x / area for x in normal]
-    if _leads_negative(normal):
-        normal = [-x for x in normal]
-    return [a + scale * x for a, x in zip(p, offset)], scale * math.hypot(*offset), normal
+    w0, w1, w2 = g11 * b0 - g22 * a0, g11 * b1 - g22 * a1, g11 * b2 - g22 * a2
+    o0, o1, o2 = (w1 * n2 - w2 * n1) / twice, (w2 * n0 - w0 * n2) / twice, (w0 * n1 - w1 * n0) / twice
+    return (p0 + scale * o0, p1 + scale * o1, p2 + scale * o2), scale * math.hypot(o0, o1, o2), (n0, n1, n2), area
 
 
 def circumcircle3(p, q, r, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> Circle3D:
@@ -335,7 +329,10 @@ def circumcircle3(p, q, r, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> Circ
     a = as_finite_array(p, (3,), "p")
     b = as_finite_array(q, (3,), "q")
     c = as_finite_array(r, (3,), "r")
-    center, radius, normal = _circumcircle(a.tolist(), b.tolist(), c.tolist(), rel_tol)
+    center, radius, normal, area = _circumcircle(a.tolist(), b.tolist(), c.tolist(), rel_tol)
+    normal = [x / area for x in normal]
+    if next((x < 0 for x in normal if abs(x) > 1e-12), False):  # the first entry above 1e-12 in magnitude is positive
+        normal = [-x for x in normal]
     return Circle3D(center=np.array(center), radius=radius, normal=np.array(normal))
 
 
@@ -347,17 +344,19 @@ def _unit_conic(points: list[list[float]], rel_tol: float) -> tuple[float, float
     vector of the design matrix with rows (x^2, xy, y^2, x, y, 1) there.
     """
     n = len(points)
-    mx = sum(x for x, _ in points) / n
-    my = sum(y for _, y in points) / n
+    mx = my = 0.0
+    for x, y in points:  # left to right: from CPython 3.12 sum() compensates
+        mx, my = mx + x, my + y
+    mx, my = mx / n, my / n
     dev = [(x - mx, y - my) for x, y in points]
     spread = math.hypot(*(t for pair in dev for t in pair)) / math.sqrt(n)
     if spread == 0.0:
         raise CollinearPointsError("coincident points do not determine a conic")
-    rows = []
+    flat = []
     for dx, dy in dev:
         x, y = dx / spread, dy / spread
-        rows.append([x * x, x * y, y * y, x, y, 1.0])
-    _, s, vh = np.linalg.svd(np.array(rows))
+        flat += (x * x, x * y, y * y, x, y, 1.0)
+    _, s, vh = np.linalg.svd(np.array(flat).reshape(n, 6))
     if _rank(s, rel_tol) < 5:
         raise CollinearPointsError("points in degenerate position, conic is not unique")
     return mx, my, spread, vh[-1].tolist()
@@ -397,18 +396,18 @@ def _ellipse_geometry(coefficients: list[float]) -> tuple[tuple[float, float], f
     return (cx, cy), min(math.sqrt(level / big) / math.sqrt(level / small), 1.0), direction
 
 
-def _frame(points: list[list[float]]) -> list[list[float]]:
-    """Right-handed orthonormal frame adapted to three non-collinear points, as rows e1, e2, e3."""
-    p0, p1, p2 = points
-    e1 = [b - a for a, b in zip(p0, p1)]
-    length = math.hypot(*e1)
-    e1 = [x / length for x in e1]
-    e2 = [b - a for a, b in zip(p0, p2)]
-    along = e2[0] * e1[0] + e2[1] * e1[1] + e2[2] * e1[2]
-    e2 = [x - along * y for x, y in zip(e2, e1)]
-    length = math.hypot(*e2)
-    e2 = [x / length for x in e2]
-    return [e1, e2, _cross(e1, e2)]
+def _frame(p: list[float], q: list[float], r: list[float]) -> tuple[float, ...]:
+    """Right-handed orthonormal frame adapted to three non-collinear points: rows e1, e2, e3 as nine floats."""
+    p0, p1, p2 = p
+    a0, a1, a2 = q[0] - p0, q[1] - p1, q[2] - p2
+    length = math.hypot(a0, a1, a2)
+    a0, a1, a2 = a0 / length, a1 / length, a2 / length
+    b0, b1, b2 = r[0] - p0, r[1] - p1, r[2] - p2
+    along = b0 * a0 + b1 * a1 + b2 * a2
+    b0, b1, b2 = b0 - along * a0, b1 - along * a1, b2 - along * a2
+    length = math.hypot(b0, b1, b2)
+    b0, b1, b2 = b0 / length, b1 / length, b2 / length
+    return a0, a1, a2, b0, b1, b2, a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
 def reconstruct_geometric(
@@ -426,7 +425,8 @@ def reconstruct_geometric(
     extend each lift to a rigid image of the whole tetrahedron, and pass
     the first two rows of each rigid lift through the gate of the linear
     route.  Two SVDs are taken, of P3 and of the conic's design matrix;
-    every other step is closed form on floats.
+    every other step is closed form on named floats, every sum left to
+    right; the circle is _circumcircle, the helper circumcircle3 shares.
 
     Requires a full-dimensional tetrahedron and a non-degenerate view.
     Agrees with labeled_solve where both apply.
@@ -436,7 +436,7 @@ def reconstruct_geometric(
     if _rank(s, tol.rank_rel) < 3:
         raise DegenerateTetrahedronError("geometric reconstruction needs a full-dimensional tetrahedron")
     p = p3.tolist()
-    center, radius, _ = _circumcircle(*p, tol.rank_rel)
+    (c0, c1, c2), radius, _, _ = _circumcircle(*p, tol.rank_rel)
 
     u = quad.points.tolist()
     (x0, y0), (x1, y1), (x2, y2) = u[:3]
@@ -447,17 +447,17 @@ def reconstruct_geometric(
 
     six = u[:3]
     for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-        chord = [0.5 * (a + b) - c for a, b, c in zip(p[j], p[k], p[i])]
-        chord_len = math.hypot(*chord)
+        (a0, a1, a2), (b0, b1, b2), (d0, d1, d2), (xi, yi), (xj, yj), (xk, yk) = p[i], p[j], p[k], u[i], u[j], u[k]
+        h0, h1, h2 = 0.5 * (b0 + d0) - a0, 0.5 * (b1 + d1) - a1, 0.5 * (b2 + d2) - a2
+        chord_len = math.hypot(h0, h1, h2)
         if chord_len <= tol.rank_rel * radius:
             raise DegenerateChordError("vertex coincides with the opposite edge midpoint")
         # second intersection of the chord line with the circle, as the
         # affine parameter along p_i -> mid; parameters transfer to the
         # projection unchanged.  Taken along the unit chord, whose product
         # with p_i - center cannot overflow.
-        along = sum((a - c) * b for a, c, b in zip(p[i], center, chord)) / chord_len
+        along = ((a0 - c0) * h0 + (a1 - c1) * h1 + (a2 - c2) * h2) / chord_len
         ratio = -2.0 * along / chord_len
-        (xi, yi), (xj, yj), (xk, yk) = u[i], u[j], u[k]
         dx, dy = 0.5 * (xj + xk) - xi, 0.5 * (yj + yk) - yi
         if math.hypot(dx, dy) <= tol.rank_rel * uscale:
             raise DegenerateChordError("projected chord collapses to a point")
@@ -468,17 +468,17 @@ def reconstruct_geometric(
     horiz = math.sqrt(max(1.0 - tilt * tilt, 0.0))
     cx, cy = mx + spread * cx, my + spread * cy
 
-    f3 = _frame(p)
+    f00, f01, f02, f10, f11, f12, f20, f21, f22 = _frame(*p)
     lifts = []
     for lean in (horiz, -horiz):
-        # lift each projected vertex to the circle plane through (cx, cy, 0)
-        # with normal (-lean ay, lean ax, tilt), (ax, ay) the major axis; the
-        # rows of the lift are the first two of F_lift F_3^T, each F the frame
-        # as columns
+        # lift each projected vertex to the circle plane through (cx, cy, 0) with normal
+        # (-lean ay, lean ax, tilt), (ax, ay) the major axis; the rows of the lift are the
+        # first two of F_lift F_3^T, each F the frame as columns
         nx, ny = -lean * ay, lean * ax
-        fl = _frame([[x, y, ((cx - x) * nx + (cy - y) * ny) / tilt] for x, y in u[:3]])
-        lifts.append([[fl[0][i] * f3[0][j] + fl[1][i] * f3[1][j] + fl[2][i] * f3[2][j] for j in range(3)]
-                      for i in range(2)])
+        lifted = [(x, y, ((cx - x) * nx + (cy - y) * ny) / tilt) for x, y in u[:3]]
+        l00, l01, _, l10, l11, _, l20, l21, _ = _frame(*lifted)
+        lifts.append([(a * f00 + b * f10 + c * f20, a * f01 + b * f11 + c * f21, a * f02 + b * f12 + c * f22)
+                      for a, b, c in ((l00, l10, l20), (l01, l11, l21))])
     _, screen = _noise_bounds(s, tol)
     out = _gate(tetra.vertices, lifts, [IDENTITY_PERMUTATION] * 2, [u] * 2, screen, False, tol)
     return dedupe_rotations(out, tol.dedupe)

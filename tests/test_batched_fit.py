@@ -5,7 +5,11 @@ solve of every relabeling that survives the norm test, merged by
 dedupe_rotations; and the fit itself, written out one relabeling and one
 start at a time.  The golden tests fix the exact bits of the output of
 unlabeled_solve, labeled_solve and reconstruct_geometric on five
-instances, so that a change in the last bits of any candidate fails.
+instances, so that a change in the last bits of any candidate fails.  The
+geometric definition tests write the route's circle, chords, conic, frames
+and lifts out in lists, one list per vector and every sum left to right,
+and require the bits of reconstruct_geometric and circumcircle3 on
+generic, noisy, near-edge-on and scaled instances.
 The gate tests feed the shared gate rows on either side of its one
 tolerance; the prune and dedupe tests put the norm test and the merge on
 either side of theirs.  The factorization tests count the linear-algebra
@@ -26,12 +30,16 @@ from tetrot import (
     ALL_PERMUTATIONS,
     CLASSIFICATION_CELLS,
     DEFAULT_TOLERANCES,
+    IDENTITY_PERMUTATION,
+    CollinearPointsError,
+    DegenerateChordError,
     DegenerateTetrahedronError,
     ProjectionQuad,
     SolveCandidate,
     Tetrahedron,
     UnitQuaternion,
     apply,
+    circumcircle3,
     dedupe_rotations,
     labeled_solve,
     matrix_to_quat,
@@ -47,7 +55,7 @@ from tetrot.instances import four_cycle_instance, planar_instance
 from tetrot import geom, rotation, solver
 from tetrot.solver import _gate
 
-from conftest import random_full_dim_tetrahedron, random_unit_quaternion
+from conftest import near_edge_on, random_full_dim_tetrahedron, random_unit_quaternion
 
 
 def per_relabeling_solve(tetra, quad):
@@ -648,6 +656,184 @@ class TestGolden:
                 reconstruct_geometric(*self.instance(name))
         else:
             self.assert_bits(reconstruct_geometric(*self.instance(name)), expected)
+
+
+def left_to_right(values):
+    """sum() as CPython adds floats before 3.12; from 3.12 on it compensates."""
+    total = 0
+    for x in values:
+        total += x
+    return total
+
+
+def cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def reference_circumcircle(p, q, r, rel_tol):
+    """Center, radius and unit normal of the circle through three points, one list per vector."""
+    d1 = [b - a for a, b in zip(p, q)]
+    d2 = [b - a for a, b in zip(p, r)]
+    longest = max(math.hypot(*d1), math.hypot(*d2))
+    if longest == 0.0:
+        raise CollinearPointsError("circumcircle needs three non-collinear points")
+    # a power of two at or above the longer edge: the division is exact and no square overflows
+    scale = math.ldexp(1.0, math.frexp(longest)[1])
+    longest /= scale
+    u1 = [x / scale for x in d1]
+    u2 = [x / scale for x in d2]
+    normal = cross(u1, u2)
+    area = math.hypot(*normal)
+    if area <= rel_tol * longest * longest:
+        raise CollinearPointsError("circumcircle needs three non-collinear points")
+    g11 = u1[0] * u1[0] + u1[1] * u1[1] + u1[2] * u1[2]
+    g22 = u2[0] * u2[0] + u2[1] * u2[1] + u2[2] * u2[2]
+    twice = 2.0 * area * area
+    offset = [x / twice for x in cross([g11 * b - g22 * a for a, b in zip(u1, u2)], normal)]
+    normal = [x / area for x in normal]
+    if next((x < 0 for x in normal if abs(x) > 1e-12), False):
+        normal = [-x for x in normal]
+    return [a + scale * x for a, x in zip(p, offset)], scale * math.hypot(*offset), normal
+
+
+def reference_frame(points):
+    """Right-handed orthonormal frame of three points, as rows e1, e2, e3."""
+    p0, p1, p2 = points
+    e1 = [b - a for a, b in zip(p0, p1)]
+    length = math.hypot(*e1)
+    e1 = [x / length for x in e1]
+    e2 = [b - a for a, b in zip(p0, p2)]
+    along = e2[0] * e1[0] + e2[1] * e1[1] + e2[2] * e1[2]
+    e2 = [x - along * y for x, y in zip(e2, e1)]
+    length = math.hypot(*e2)
+    e2 = [x / length for x in e2]
+    return [e1, e2, cross(e1, e2)]
+
+
+def reference_unit_conic(points, rel_tol):
+    n = len(points)
+    mx = left_to_right(x for x, _ in points) / n
+    my = left_to_right(y for _, y in points) / n
+    dev = [(x - mx, y - my) for x, y in points]
+    spread = math.hypot(*(t for pair in dev for t in pair)) / math.sqrt(n)
+    if spread == 0.0:
+        raise CollinearPointsError("coincident points do not determine a conic")
+    rows = [[x * x, x * y, y * y, x, y, 1.0] for x, y in ((dx / spread, dy / spread) for dx, dy in dev)]
+    _, s, vh = np.linalg.svd(np.array(rows))
+    if geom._rank(s, rel_tol) < 5:
+        raise CollinearPointsError("points in degenerate position, conic is not unique")
+    return mx, my, spread, vh[-1].tolist()
+
+
+def reference_geometric(tetra, quad, tol=DEFAULT_TOLERANCES):
+    """reconstruct_geometric with its circle, chords, conic, frames and lifts written out in lists."""
+    p3 = tetra.vertices[:3]
+    s = np.linalg.svd(p3, compute_uv=False)
+    if geom._rank(s, tol.rank_rel) < 3:
+        raise DegenerateTetrahedronError("geometric reconstruction needs a full-dimensional tetrahedron")
+    p = p3.tolist()
+    center, radius, _ = reference_circumcircle(*p, tol.rank_rel)
+    u = quad.points.tolist()
+    (x0, y0), (x1, y1), (x2, y2) = u[:3]
+    area2 = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+    uscale = max(math.hypot(x1 - x0, y1 - y0), math.hypot(x2 - x0, y2 - y0))
+    if uscale == 0.0 or area2 <= tol.rank_rel * uscale * uscale:
+        raise CollinearPointsError("projected points are collinear")
+    six = u[:3]
+    for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        # the chord from p_i through the midpoint of its opposite edge meets the circle again
+        # at parameter -2 along / |chord| along it, and that parameter transfers to the shadow
+        chord = [0.5 * (a + b) - c for a, b, c in zip(p[j], p[k], p[i])]
+        chord_len = math.hypot(*chord)
+        if chord_len <= tol.rank_rel * radius:
+            raise DegenerateChordError("vertex coincides with the opposite edge midpoint")
+        along = left_to_right((a - c) * b for a, c, b in zip(p[i], center, chord)) / chord_len
+        ratio = -2.0 * along / chord_len
+        (xi, yi), (xj, yj), (xk, yk) = u[i], u[j], u[k]
+        dx, dy = 0.5 * (xj + xk) - xi, 0.5 * (yj + yk) - yi
+        if math.hypot(dx, dy) <= tol.rank_rel * uscale:
+            raise DegenerateChordError("projected chord collapses to a point")
+        six.append([xi + ratio * dx, yi + ratio * dy])
+    mx, my, spread, coefficients = reference_unit_conic(six, tol.rank_rel)
+    (cx, cy), tilt, (ax, ay) = solver._ellipse_geometry(coefficients)
+    horiz = math.sqrt(max(1.0 - tilt * tilt, 0.0))
+    cx, cy = mx + spread * cx, my + spread * cy
+    f3 = reference_frame(p)
+    lifts = []
+    for lean in (horiz, -horiz):
+        # the rows of the lift are the first two of F_lift F_3^T, each F the frame as columns
+        nx, ny = -lean * ay, lean * ax
+        fl = reference_frame([[x, y, ((cx - x) * nx + (cy - y) * ny) / tilt] for x, y in u[:3]])
+        lifts.append([[fl[0][i] * f3[0][j] + fl[1][i] * f3[1][j] + fl[2][i] * f3[2][j] for j in range(3)]
+                      for i in range(2)])
+    _, screen = solver._noise_bounds(s, tol)
+    out = _gate(tetra.vertices, lifts, [IDENTITY_PERMUTATION] * 2, [u] * 2, screen, False, tol)
+    return dedupe_rotations(out, tol.dedupe)
+
+
+def outcome(solve, *args):
+    """The bits of every candidate as float.hex, or the type and message of the error raised."""
+    try:
+        candidates = solve(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [
+        (c.sigma.images, c.planar_ambiguous, [float(x).hex() for x in [*c.rotation.as_array(), *c.matrix.ravel()]],
+         float(c.residual).hex())
+        for c in candidates
+    ]
+
+
+@pytest.fixture(scope="module")
+def geometric_instances():
+    """Drawn before any call and kept whatever the route makes of them: the golden five,
+    generic shadows exact and with 1e-10 and 1e-9 noise, near-edge-on views, and
+    tetrahedra scaled from 1e-150 to 1e150, their shadows exact or with noise 1e-10 of scale."""
+    rng = np.random.default_rng(71)
+    out = [TestGolden.instance(name) for name in sorted(EXPECTED_GEOMETRIC)]
+    for noise in (0.0, 1e-10, 1e-9):
+        for _ in range(60):
+            tetra = random_full_dim_tetrahedron(rng)
+            shadow = apply(random_unit_quaternion(rng), tetra.vertices)[:, :2]
+            out.append((tetra, ProjectionQuad(shadow + rng.normal(0.0, noise, (4, 2)) if noise else shadow)))
+    for _ in range(60):
+        tetra = near_edge_on(rng, rng.uniform(-12, -2))
+        out.append((tetra, project(tetra)))
+    for i, exponent in enumerate(range(-150, 151, 5)):
+        vertices = random_full_dim_tetrahedron(rng).vertices
+        scale = 10.0**exponent
+        tetra = Tetrahedron(vertices / (4.0 * np.abs(vertices).max()) * scale)
+        shadow = apply(random_unit_quaternion(rng), tetra.vertices)[:, :2]
+        out.append((tetra, ProjectionQuad(shadow + rng.normal(0.0, 1e-10 * scale, (4, 2)) if i % 2 else shadow)))
+    return out
+
+
+class TestGeometricDefinition:
+    """The geometric route and circumcircle3 on named floats against their list form, bit for bit."""
+
+    def test_route_equals_its_list_form(self, geometric_instances):
+        kinds = set()
+        for tetra, quad in geometric_instances:
+            got = outcome(reconstruct_geometric, tetra, quad)
+            assert got == outcome(reference_geometric, tetra, quad)
+            kinds.add(got[0] if isinstance(got, tuple) else len(got))
+        assert len(geometric_instances) >= 300
+        assert kinds >= {0, 1, CollinearPointsError, DegenerateTetrahedronError, solver.DegenerateViewError}
+
+    def test_circumcircle3_equals_its_list_form(self, geometric_instances):
+        rel_tol = DEFAULT_TOLERANCES.rank_rel
+        for tetra, _ in geometric_instances:
+            p, q, r = tetra.vertices[:3]
+            try:
+                circle = circumcircle3(p, q, r)
+            except CollinearPointsError as exc:
+                with pytest.raises(CollinearPointsError, match=f"^{exc}$"):
+                    reference_circumcircle(p.tolist(), q.tolist(), r.tolist(), rel_tol)
+                continue
+            center, radius, normal = reference_circumcircle(p.tolist(), q.tolist(), r.tolist(), rel_tol)
+            assert circle.center.tobytes() == np.array(center).tobytes()
+            assert float(circle.radius).hex() == radius.hex()
+            assert circle.normal.tobytes() == np.array(normal).tobytes()
 
 
 class TestOneFactorization:

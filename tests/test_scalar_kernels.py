@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tetrot import (
@@ -195,6 +195,14 @@ quaternion = st.one_of(
         min_size=1,
         max_size=4,
     ),
+)
+# zero vertices under the identity, and a free shadow whose first point is missed by (dx, dy) =
+# (-0x1.0c5300342457cp-1, 0x1.6a5368858d8d0p-4): math.hypot rounds that miss to
+# 0x1.101ea57b640c4p-1, sqrt(dx*dx + dy*dy) to 0x1.101ea57b640c3p-1
+@example(
+    [0.0] * 12,
+    [((1.0, 0.0, 0.0, 0.0), [float.fromhex("0x1.0c5300342457cp-1"), float.fromhex("-0x1.6a5368858d8d0p-4")] + [0.0] * 6,
+      "free")],
 )
 def test_gate_residual_matches_its_definition(vertex_coords, starts):
     """The gate's residual on floats, per start: the largest of sqrt(dx*dx + dy*dy) over the

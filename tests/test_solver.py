@@ -34,7 +34,7 @@ from tetrot import (
 from tetrot.instances import four_cycle_instance, norm_prune_instance, planar_instance
 from tetrot.solver import _ellipse_geometry, _unit_conic
 
-from conftest import random_full_dim_tetrahedron, random_unit_quaternion
+from conftest import near_edge_on, random_full_dim_tetrahedron, random_unit_quaternion
 
 
 def relabeled(quad: ProjectionQuad, sigma: Permutation4) -> ProjectionQuad:
@@ -451,15 +451,6 @@ class TestReconstructGeometric:
         with pytest.raises(DegenerateChordError, match="^projected chord collapses to a point$"):
             reconstruct_geometric(tetra, quad)
 
-    @staticmethod
-    def near_edge_on(rng, tilt_exponent):
-        """A tetrahedron whose first three vertices span a plane about 10**tilt_exponent rad off vertical."""
-        base = np.column_stack([rng.standard_normal((4, 2)), [0, 0, 0, rng.uniform(0.5, 2)]])
-        theta = math.pi / 2 - 10 ** tilt_exponent
-        c, s = math.cos(theta), math.sin(theta)
-        spin = quat_to_matrix(UnitQuaternion.normalized(1.0, 0.0, 0.0, rng.standard_normal()))
-        return Tetrahedron(base @ np.array([[1, 0, 0], [0, c, -s], [0, s, c]]).T @ spin.T)
-
     def test_near_edge_on_views_raise_only_documented_errors(self):
         # circumcircle planes within 1e-12 to 1e-2 of vertical, where the
         # fitted ellipse degenerates to a segment
@@ -467,7 +458,7 @@ class TestReconstructGeometric:
         documented = (CollinearPointsError, DegenerateViewError)
         raised = set()
         for _ in range(300):
-            tetra = self.near_edge_on(rng, rng.uniform(-12, -2))
+            tetra = near_edge_on(rng, rng.uniform(-12, -2))
             try:
                 assert len(reconstruct_geometric(tetra, project(tetra))) <= 1
             except documented as exc:
@@ -487,7 +478,7 @@ class TestReconstructGeometric:
         rng = np.random.default_rng(59)
         edge_on = 0
         for _ in range(400):
-            tetra = self.near_edge_on(rng, rng.uniform(-12, -7))
+            tetra = near_edge_on(rng, rng.uniform(-12, -7))
             p0, p1, p2 = tetra.vertices[:3]
             normal = np.cross(p1 - p0, p2 - p0)
             assert abs(normal[2]) <= 1e-7 * np.linalg.norm(normal)
