@@ -72,12 +72,11 @@ from .geom import (
 )
 from .instances import four_cycle_instance, norm_prune_instance, planar_instance
 from .rotation import (
-    AxisClass,
     UnitQuaternion,
+    _axis_turn,
     _unit_axis,
     apply,
     classify_rotation,
-    quat_from_axis_angle,
     quat_to_matrix,
 )
 from .solver import SolveCandidate, _misses, labeled_solve, prune_permutations, unlabeled_solve
@@ -119,12 +118,13 @@ def parse_projection(obj) -> ProjectionQuad:
 
 def parse_rotation(obj) -> UnitQuaternion:
     """The rotation of {"quaternion": [a, b, c, d]} or {"axis": [x, y, z], "angle_rad": t};
-    as_finite_array checks each value's numbers and shape."""
+    as_finite_array checks each value's numbers and shape, once, and the axis is
+    made unit by _unit_axis before _axis_turn turns about it."""
     if isinstance(obj, dict) and "quaternion" in obj:
         return UnitQuaternion.normalized(*as_finite_array(obj["quaternion"], (4,), "quaternion").tolist())
     if isinstance(obj, dict) and "axis" in obj and "angle_rad" in obj:
-        axis = _unit_axis(as_finite_array(obj["axis"], (3,), "axis"))
-        return quat_from_axis_angle(axis, float(as_finite_array(obj["angle_rad"], (), "angle_rad")))
+        x, y, z = _unit_axis(as_finite_array(obj["axis"], (3,), "axis")).tolist()
+        return _axis_turn(x, y, z, float(as_finite_array(obj["angle_rad"], (), "angle_rad")))
     raise ValueError('rotation input must carry "quaternion" or "axis" + "angle_rad"')
 
 
@@ -214,11 +214,10 @@ def _cmd_analyze(args: argparse.Namespace, tol: Tolerances) -> tuple[dict, bool]
     rotation = parse_rotation(_load_json(args.rotation))
     perm_class = PermClass(args.perm_class)
     axis_class, alpha = classify_rotation(rotation, tol.angle_abs)
-    if axis_class is AxisClass.NO_AXIS:
-        raise ValueError("the identity rotation cannot be analyzed")
+    # refuses the identity before the system is built, so it costs no SVD
+    predicted = predicted_dimension(perm_class, axis_class, alpha, tol.angle_abs)
     rank = numeric_rank(build_config_matrix(rotation, perm_class), tol.rank_rel)
     computed = 9 - rank
-    predicted = predicted_dimension(perm_class, axis_class, alpha, tol.angle_abs)
     return {
         "perm_class": perm_class.value,
         "axis_class": axis_class.value,

@@ -49,27 +49,27 @@ HALF_TURN = math.pi
 QUARTER_TURN = math.pi / 2
 THIRD_TURN = 2 * math.pi / 3
 
-_SPECIAL_ANGLES = (("half", HALF_TURN), ("quarter", QUARTER_TURN), ("third", THIRD_TURN))
+_SPECIAL_TURNS = (("half-turn", HALF_TURN), ("quarter-turn", QUARTER_TURN), ("third-turn", THIRD_TURN))
 
-# Predicted null-space dimension by (class, axis class, special angle name).
+# Predicted null-space dimension by (class, axis class, special turn name).
 # None covers every other angle; a cell with no entry is generic, dimension 3.
 _DIMENSION: dict[tuple[PermClass, AxisClass, str | None], int] = {
     (PermClass.IDENTITY, AxisClass.HORIZONTAL, None): 6,
     (PermClass.TWO_CYCLE, AxisClass.HORIZONTAL, None): 5,
-    (PermClass.TWO_CYCLE, AxisClass.HORIZONTAL, "half"): 6,
-    (PermClass.TWO_CYCLE, AxisClass.VERTICAL, "half"): 5,
-    (PermClass.TWO_CYCLE, AxisClass.OBLIQUE, "half"): 4,
+    (PermClass.TWO_CYCLE, AxisClass.HORIZONTAL, "half-turn"): 6,
+    (PermClass.TWO_CYCLE, AxisClass.VERTICAL, "half-turn"): 5,
+    (PermClass.TWO_CYCLE, AxisClass.OBLIQUE, "half-turn"): 4,
     (PermClass.DOUBLE_TWO_CYCLE, AxisClass.HORIZONTAL, None): 4,
-    (PermClass.DOUBLE_TWO_CYCLE, AxisClass.HORIZONTAL, "half"): 6,
-    (PermClass.DOUBLE_TWO_CYCLE, AxisClass.VERTICAL, "half"): 7,
-    (PermClass.DOUBLE_TWO_CYCLE, AxisClass.OBLIQUE, "half"): 5,
+    (PermClass.DOUBLE_TWO_CYCLE, AxisClass.HORIZONTAL, "half-turn"): 6,
+    (PermClass.DOUBLE_TWO_CYCLE, AxisClass.VERTICAL, "half-turn"): 7,
+    (PermClass.DOUBLE_TWO_CYCLE, AxisClass.OBLIQUE, "half-turn"): 5,
     (PermClass.THREE_CYCLE, AxisClass.HORIZONTAL, None): 4,
-    (PermClass.THREE_CYCLE, AxisClass.VERTICAL, "third"): 5,
-    (PermClass.FOUR_CYCLE, AxisClass.VERTICAL, "half"): 5,
-    (PermClass.FOUR_CYCLE, AxisClass.VERTICAL, "quarter"): 5,
+    (PermClass.THREE_CYCLE, AxisClass.VERTICAL, "third-turn"): 5,
+    (PermClass.FOUR_CYCLE, AxisClass.VERTICAL, "half-turn"): 5,
+    (PermClass.FOUR_CYCLE, AxisClass.VERTICAL, "quarter-turn"): 5,
     # a half-turn about any non-vertical axis leaves rank 5
-    (PermClass.FOUR_CYCLE, AxisClass.OBLIQUE, "half"): 4,
-    (PermClass.FOUR_CYCLE, AxisClass.HORIZONTAL, "half"): 4,
+    (PermClass.FOUR_CYCLE, AxisClass.OBLIQUE, "half-turn"): 4,
+    (PermClass.FOUR_CYCLE, AxisClass.HORIZONTAL, "half-turn"): 4,
 }
 
 
@@ -78,9 +78,9 @@ def _table_dimension(perm_class: PermClass, axis_class: AxisClass, special: str 
     return _DIMENSION.get((perm_class, axis_class, special), generic)
 
 
-def _special_angle(alpha: float, angle_abs: float) -> str | None:
-    """Name of the first special angle (half, quarter, third) within angle_abs of alpha, or None."""
-    for name, value in _SPECIAL_ANGLES:
+def _special_turn(alpha: float, angle_abs: float) -> str | None:
+    """The one window test: the first of half-, quarter- and third-turn within angle_abs of alpha, or None."""
+    for name, value in _SPECIAL_TURNS:
         if abs(alpha - value) <= angle_abs:
             return name
     return None
@@ -149,15 +149,15 @@ def config_dimension(
     return 9 - numeric_rank(_system(q, perm_class, angle_abs), rel_tol)
 
 
-def _system(q: UnitQuaternion, perm_class: PermClass, angle_abs: float) -> np.ndarray:
-    """The class's 6x9 system for q, refusing a rotation within angle_abs of the identity.
-
-    This refusal serves config_dimension, sample_tetrahedron and the CLI's
-    sample and verify-dims; predicted_dimension and the CLI's analyze refuse
-    such a rotation too, each with its own message.
-    """
-    if classify_rotation(q, angle_abs)[0] is AxisClass.NO_AXIS:
+def _refuse_identity(axis_class: AxisClass) -> None:
+    """The rank analysis's one refusal: a rotation classified NO_AXIS lies in no cell of the table."""
+    if axis_class is AxisClass.NO_AXIS:
         raise ValueError("the identity rotation is excluded from dimension analysis")
+
+
+def _system(q: UnitQuaternion, perm_class: PermClass, angle_abs: float) -> np.ndarray:
+    """The class's 6x9 system for q, after _refuse_identity of q's class at angle_abs; reads no special angle."""
+    _refuse_identity(classify_rotation(q, angle_abs)[0])
     return build_config_matrix(q, perm_class)
 
 
@@ -170,19 +170,18 @@ def predicted_dimension(
     """Predicted null-space dimension for an axis class and angle.
 
     The table gives 3 in the generic case and a larger value in the special
-    cells listed per class.  Requires a non-identity rotation (alpha > 0).
+    cells listed per class.  An angle not above angle_abs is refused as the identity.
     """
-    if axis_class is AxisClass.NO_AXIS or not alpha > angle_abs:
-        raise ValueError("rotation must differ from the identity")
-    return _table_dimension(perm_class, axis_class, _special_angle(alpha, angle_abs))
+    _refuse_identity(axis_class if alpha > angle_abs else AxisClass.NO_AXIS)
+    return _table_dimension(perm_class, axis_class, _special_turn(alpha, angle_abs))
 
 
 def case_label(axis_class: AxisClass, alpha: float, angle_abs: float = DEFAULT_TOLERANCES.angle_abs) -> str:
     """Geometric label of a rotation's case cell, e.g. 'vertical-half-turn'."""
     if axis_class is AxisClass.NO_AXIS:
         return "identity"
-    special = _special_angle(alpha, angle_abs)
-    return axis_class.value if special is None else f"{axis_class.value}-{special}-turn"
+    turn = _special_turn(alpha, angle_abs)
+    return axis_class.value if turn is None else f"{axis_class.value}-{turn}"
 
 
 def minor_sigma_id(q: UnitQuaternion) -> float:
@@ -336,7 +335,7 @@ class CaseCell:
         if isinstance(self.angle, tuple):
             angle = f"angle in ({self.angle[0]:.2f}, {self.angle[1]:.2f})"
         else:
-            angle = case_label(self.axis_class, self.angle).split("-", 1)[-1]
+            angle = _special_turn(self.angle, DEFAULT_TOLERANCES.angle_abs) or case_label(self.axis_class, self.angle)
         return f"{self.perm_class.value} / {self.axis_class.value} / {angle}"
 
 

@@ -64,6 +64,12 @@ def _only_numbers(values) -> bool:
     return True
 
 
+def _check_number(value, name: str) -> None:
+    """Refuse value unless it is one number by the rule of _only_numbers, not a list or array of them."""
+    if not (type(value) in _PLAIN_NUMBERS or _only_numbers(value) and np.ndim(value) == 0):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def as_finite_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     """Coerce to a float array of the given shape, rejecting NaN/inf and magnitudes above MAX_MAGNITUDE.
 
@@ -114,6 +120,7 @@ class Tolerances:
     def __post_init__(self) -> None:
         for name in ("rank_rel", "geom_abs", "angle_abs", "dedupe"):
             value = getattr(self, name)
+            _check_number(value, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
         if not self.rank_rel < 1.0:  # a cutoff at or above 1 drops every singular value

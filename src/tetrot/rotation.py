@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import DEFAULT_TOLERANCES, as_finite_array
+from .geom import DEFAULT_TOLERANCES, _check_number, as_finite_array
 
 __all__ = [
     "AxisAngle",
@@ -148,16 +148,22 @@ def _rotation_rows(a: float, b: float, c: float, d: float) -> list[list[float]]:
 
 
 def quat_from_axis_angle(axis, angle: float) -> UnitQuaternion:
-    """Quaternion of the rotation by `angle` radians about unit vector `axis`."""
+    """Quaternion of the rotation by `angle` radians about unit vector `axis`: both checked, then _axis_turn."""
     w = as_finite_array(axis, (3,), "axis")
     norm = float(np.linalg.norm(w))
     if abs(norm - 1.0) > _AXIS_NORM_ATOL:
         raise ValueError(f"axis must be a unit vector, got norm {norm!r}")
+    _check_number(angle, "angle")
     if not math.isfinite(angle):
         raise ValueError("angle must be finite")
+    return _axis_turn(*w.tolist(), angle)
+
+
+def _axis_turn(x: float, y: float, z: float, angle: float) -> UnitQuaternion:
+    """Quaternion of the turn by a finite `angle` about the unit axis (x, y, z), which the caller checked."""
     half = 0.5 * angle
     s = math.sin(half)
-    return UnitQuaternion.normalized(math.cos(half), w[0] * s, w[1] * s, w[2] * s)
+    return UnitQuaternion.normalized(math.cos(half), x * s, y * s, z * s)
 
 
 def quat_to_matrix(q: UnitQuaternion) -> np.ndarray:

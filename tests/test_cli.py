@@ -18,12 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tetrot import cli
+from tetrot import cli, rotation
 from tetrot.cli import main, parse_projection, parse_rotation, parse_tetrahedron
 from tetrot.configspace import CLASSIFICATION_CELLS, sample_cell_rotation, sample_tetrahedron
 from tetrot.geom import CANONICAL_PERMUTATION, ProjectionQuad, Tetrahedron, Tolerances, as_finite_array, project
 from tetrot.instances import four_cycle_instance, planar_instance
-from tetrot.rotation import apply
+from tetrot.rotation import _unit_axis, apply, quat_from_axis_angle
 from tetrot.solver import unlabeled_solve
 
 
@@ -273,18 +273,13 @@ class TestAngleTolerance:
     def test_sample_rejects_a_rotation_within_tol_angle_of_identity(self, capsys, tmp_path):
         rot = tmp_path / "rot.json"
         rot.write_text(json.dumps({"axis": [0, 0, 1], "angle_rad": 1e-8}))
-        messages = {
-            # analyze refuses on its own, since its report needs the class and the angle
-            "analyze": "error: the identity rotation cannot be analyzed\n",
-            "sample": "error: the identity rotation is excluded from dimension analysis\n",
-        }
-        for command, message in messages.items():
+        for command in ("analyze", "sample"):
             for perm_class in ("two-cycle", "four-cycle"):
                 code = main([command, "--rotation", str(rot), "--perm-class", perm_class, "--tol-angle", "1e-6"])
                 captured = capsys.readouterr()
                 assert code == 2, command
                 assert captured.out == ""
-                assert captured.err == message
+                assert captured.err == "error: the identity rotation is excluded from dimension analysis\n"
 
     def test_verify_dims_rejects_cell_rotations_within_tol_angle(self, capsys):
         # every rotation angle lies in [0, pi], so a tolerance above pi makes
@@ -486,6 +481,41 @@ class TestTinyRotations:
 
 
 class TestParsers:
+    def test_axis_path_keeps_its_bits_and_checks_the_axis_once(self, monkeypatch):
+        # the TestTinyRotations axes, then random unit and non-unit axes, all drawn before any call
+        documents = [([3e-160, 4e-160, 0], 1.0), ([1e-300, 1e-300, 0], 1.0)]
+        documents += [([math.ldexp(x, shift) for x in (0.1, 0.2, 0.3)], 1.0)
+                      for shift in (0, -509, -510, -511, -513, -520, -700, -1000)]
+        rng = np.random.default_rng(2201)
+        for scale in (1.0, 1e-3, 7.5, 1e12):
+            for _ in range(50):
+                axis = rng.standard_normal(3)
+                documents.append(((axis / np.linalg.norm(axis) * scale).tolist(), rng.uniform(-7.0, 7.0)))
+        # the path that checked the axis twice: as_finite_array and a norm in _unit_axis, then both again
+        expected = [quat_from_axis_angle(_unit_axis(as_finite_array(axis, (3,), "axis")), angle)
+                    for axis, angle in documents]
+        # _unit_axis takes a second norm only after lifting an axis shorter than _TINY_NORM
+        norm = np.linalg.norm
+        expected_norms = [1 if norm(axis) >= rotation._TINY_NORM else 2 for axis, _ in documents]
+        checked, norms = [], []
+
+        def counted_check(values, shape, name):
+            checked.append(name)
+            return as_finite_array(values, shape, name)
+
+        for module in (cli, rotation):
+            monkeypatch.setattr(module, "as_finite_array", counted_check)
+        monkeypatch.setattr(np.linalg, "norm", lambda x, *args, **kw: norms.append(x) or norm(x, *args, **kw))
+        def bits(q):
+            return [x.hex() for x in (q.a, q.b, q.c, q.d)]
+
+        for (axis, angle), want, norm_count in zip(documents, expected, expected_norms):
+            checked.clear()
+            norms.clear()
+            assert bits(parse_rotation({"axis": axis, "angle_rad": angle})) == bits(want)
+            assert checked == ["axis", "angle_rad"]
+            assert len(norms) == norm_count
+
     def test_rotation_from_quaternion(self):
         q = parse_rotation({"quaternion": [0, 0, 0, 1]})
         assert (q.a, q.b, q.c, q.d) == (0.0, 0.0, 0.0, 1.0)

@@ -33,7 +33,7 @@ from tetrot import (
     sample_tetrahedron,
     verify_fourcycle_relations,
 )
-from tetrot.configspace import _COUPLING, _DIAGONAL, _special_angle, _table_dimension
+from tetrot.configspace import _COUPLING, _DIAGONAL, _special_turn, _table_dimension
 from tetrot.geom import DEFAULT_TOLERANCES
 from tetrot.instances import four_cycle_instance
 from tetrot.rotation import _rotation_rows
@@ -173,8 +173,14 @@ class TestPredictedDimension:
         assert predicted_dimension(PermClass.TWO_CYCLE, AxisClass.OBLIQUE, 1.0) == 3
 
     def test_rejects_zero_angle(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=IDENTITY_REFUSAL):
             predicted_dimension(PermClass.IDENTITY, AxisClass.HORIZONTAL, 0.0)
+        # the identity's class at angle_abs, and the class and angle of the same turn at the default
+        for q, angle_abs in IDENTITY_CASES:
+            for axis_class, alpha in (classify_rotation(q, angle_abs), classify_rotation(q)):
+                for perm_class in PermClass:
+                    with pytest.raises(ValueError, match=IDENTITY_REFUSAL):
+                        predicted_dimension(perm_class, axis_class, alpha, angle_abs)
 
     def test_computed_matches_predicted_on_every_cell(self):
         for index, cell in enumerate(CLASSIFICATION_CELLS):
@@ -325,15 +331,15 @@ class TestExactDimensionCertificate:
         (3, 1, 2, 5): (AxisClass.OBLIQUE, None),
         (3, 1, 2, 0): (AxisClass.HORIZONTAL, None),
         (3, 0, 0, 1): (AxisClass.VERTICAL, None),
-        (0, 1, 2, 3): (AxisClass.OBLIQUE, "half"),
-        (0, 1, 2, 0): (AxisClass.HORIZONTAL, "half"),
-        (0, 0, 0, 1): (AxisClass.VERTICAL, "half"),
-        (3, 1, 2, 2): (AxisClass.OBLIQUE, "quarter"),
-        (1, 1, 0, 0): (AxisClass.HORIZONTAL, "quarter"),
-        (1, 0, 0, 1): (AxisClass.VERTICAL, "quarter"),
-        (1, 1, 1, 1): (AxisClass.OBLIQUE, "third"),
-        (1, ROOT3, 0, 0): (AxisClass.HORIZONTAL, "third"),
-        (1, 0, 0, ROOT3): (AxisClass.VERTICAL, "third"),
+        (0, 1, 2, 3): (AxisClass.OBLIQUE, "half-turn"),
+        (0, 1, 2, 0): (AxisClass.HORIZONTAL, "half-turn"),
+        (0, 0, 0, 1): (AxisClass.VERTICAL, "half-turn"),
+        (3, 1, 2, 2): (AxisClass.OBLIQUE, "quarter-turn"),
+        (1, 1, 0, 0): (AxisClass.HORIZONTAL, "quarter-turn"),
+        (1, 0, 0, 1): (AxisClass.VERTICAL, "quarter-turn"),
+        (1, 1, 1, 1): (AxisClass.OBLIQUE, "third-turn"),
+        (1, ROOT3, 0, 0): (AxisClass.HORIZONTAL, "third-turn"),
+        (1, 0, 0, ROOT3): (AxisClass.VERTICAL, "third-turn"),
     }
     # the integer quaternions in order, then the two in Q(sqrt 3)
     QUATS = sorted(q for q in REPRESENTATIVES if ROOT3 not in q) + [q for q in REPRESENTATIVES if ROOT3 in q]
@@ -341,7 +347,7 @@ class TestExactDimensionCertificate:
     @pytest.mark.parametrize("quat", QUATS)
     def test_representative_lies_in_its_cell(self, quat):
         axis_class, alpha = classify_rotation(UnitQuaternion.normalized(*map(float, quat)))
-        assert (axis_class, _special_angle(alpha, DEFAULT_TOLERANCES.angle_abs)) == self.REPRESENTATIVES[quat]
+        assert (axis_class, _special_turn(alpha, DEFAULT_TOLERANCES.angle_abs)) == self.REPRESENTATIVES[quat]
 
     @pytest.mark.parametrize("perm_class", list(PermClass))
     @pytest.mark.parametrize("quat", QUATS)

@@ -266,8 +266,12 @@ class TestTolerances:
 
     @pytest.mark.parametrize("field", ["rank_rel", "geom_abs", "angle_abs", "dedupe"])
     def test_rejects_non_positive(self, field):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{field} must be strictly positive, got 0.0$"):
             Tolerances(**{field: 0.0})
+        # a bool, a string or a list is no number, whatever numpy would make of it
+        for value in (True, np.True_, "1e-8", None, [1e-8]):
+            with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
+                Tolerances(**{field: value})
 
     @pytest.mark.parametrize("rank_rel", [1.0, 2.0])
     def test_rejects_a_rank_cutoff_that_drops_every_singular_value(self, rank_rel):

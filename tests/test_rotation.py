@@ -115,6 +115,17 @@ class TestQuatFromAxisAngle:
         with pytest.raises(ValueError):
             quat_from_axis_angle([1, 0, 1], math.pi)
 
+    def test_angle_is_a_finite_number(self):
+        for angle in (True, "1", None, [1.0], np.array([1.0])):
+            with pytest.raises(ValueError, match="^angle must be a number, got "):
+                quat_from_axis_angle([0, 0, 1], angle)
+        for angle in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^angle must be finite$"):
+                quat_from_axis_angle([0, 0, 1], angle)
+        # numpy's numbers turn as the same float does
+        for angle in (np.float64(1.0), np.int64(1), np.array(1.0)):
+            assert quat_from_axis_angle([0, 0, 1], angle) == quat_from_axis_angle([0, 0, 1], 1.0)
+
 
 class TestQuatToMatrix:
     def test_identity(self):
