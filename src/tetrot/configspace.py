@@ -123,8 +123,7 @@ def build_config_matrix(q: UnitQuaternion, perm_class: PermClass) -> np.ndarray:
     the diagonal blocks, with the bits of adding quat_to_matrix(q)[:2] to each.
     """
     m = _COUPLING[perm_class].copy()
-    top, middle, _ = _rotation_rows(q.a, q.b, q.c, q.d)
-    m.reshape(-1)[_DIAGONAL] += np.array((top + middle) * 3)
+    m.reshape(-1)[_DIAGONAL] += np.array(_rotation_rows(q.a, q.b, q.c, q.d)[:6] * 3)
     return m
 
 

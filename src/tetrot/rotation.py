@@ -54,8 +54,12 @@ class UnitQuaternion:
     """Unit quaternion a + b i + c j + d k in canonical form.
 
     Canonical means a >= 0, and if a == 0 the first nonzero of (b, c, d) is
-    positive.  Construction canonicalizes the sign but rejects non-unit
-    input; use :meth:`normalized` to build from arbitrary components.
+    positive.  Construction checks the components where outside numbers
+    enter: each must be a number by the rule of geom._check_number, finite,
+    and of norm 1.  It canonicalizes the sign but rejects non-unit input;
+    use :meth:`normalized` to build from arbitrary components.  Components
+    that _unit returned are unit and finite by construction, and
+    :meth:`_from_unit` takes them without a second check.
     """
 
     a: float
@@ -64,26 +68,47 @@ class UnitQuaternion:
     d: float
 
     def __post_init__(self) -> None:
-        a, b, c, d = float(self.a), float(self.b), float(self.c), float(self.d)
+        a, b, c, d = _numbers(self.a, self.b, self.c, self.d)
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
             raise ValueError("quaternion components must be finite")
         norm2 = a * a + b * b + c * c + d * d
         if abs(norm2 - 1.0) > _UNIT_NORM_ATOL:
             raise ValueError(f"quaternion norm^2 is {norm2!r}, expected 1")
-        # The first nonzero component decides the sign; -0.0 counts as zero.
-        if a < 0.0 or a == 0.0 and (b < 0.0 or b == 0.0 and (c < 0.0 or c == 0.0 and d < 0.0)):
-            a, b, c, d = -a, -b, -c, -d
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        _set_canonical(self, a, b, c, d)
 
     @classmethod
     def normalized(cls, a: float, b: float, c: float, d: float) -> "UnitQuaternion":
-        return cls(*_unit(a, b, c, d))
+        """The quaternion of the components divided by their norm; each must be a number."""
+        return cls._from_unit(*_unit(*_numbers(a, b, c, d)))
+
+    @classmethod
+    def _from_unit(cls, a: float, b: float, c: float, d: float) -> "UnitQuaternion":
+        """The quaternion of float components that _unit returned, under the sign rule, checked no further."""
+        q = object.__new__(cls)
+        _set_canonical(q, a, b, c, d)
+        return q
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c, self.d])
+
+
+def _numbers(a, b, c, d) -> tuple[float, float, float, float]:
+    """The four components as floats, each refused unless it is a number by the rule of _check_number."""
+    for value, name in ((a, "a"), (b, "b"), (c, "c"), (d, "d")):
+        _check_number(value, name)
+    return float(a), float(b), float(c), float(d)
+
+
+def _set_canonical(q: UnitQuaternion, a: float, b: float, c: float, d: float) -> None:
+    """Set the fields of q to (a, b, c, d) under the sign rule, the one place it is written.
+
+    The first nonzero component decides the sign; -0.0 counts as zero.  The
+    frozen dataclass refuses setattr, so the four fields go into its
+    instance dict in one update.
+    """
+    if a < 0.0 or a == 0.0 and (b < 0.0 or b == 0.0 and (c < 0.0 or c == 0.0 and d < 0.0)):
+        a, b, c, d = -a, -b, -c, -d
+    vars(q).update(a=a, b=b, c=c, d=d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,17 +159,24 @@ def _unit_axis(axis: np.ndarray) -> np.ndarray:
     return axis / norm
 
 
-def _rotation_rows(a: float, b: float, c: float, d: float) -> list[list[float]]:
-    """Rows of the rotation matrix of a + b i + c j + d k, scaled by 1/|q|^2.
+def _rotation_rows(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
+    """The nine entries of the rotation matrix of a + b i + c j + d k, row by row, scaled by 1/|q|^2.
 
-    Every entry is a product of two components, so q and -q give the same bits.
+    The one copy of the formula.  The squares and the doubled components are
+    formed once, and each product of a doubled and a plain component once:
+    2 * b * c is (2 * b) * c, and aa + bb - cc - dd adds left to right, so
+    every entry keeps the rounding of its textbook form.  Every entry is a
+    product of two components, so q and -q give the same bits.
     """
-    n2 = a * a + b * b + c * c + d * d
-    return [
-        [(a * a + b * b - c * c - d * d) / n2, (2 * b * c - 2 * a * d) / n2, (2 * b * d + 2 * a * c) / n2],
-        [(2 * b * c + 2 * a * d) / n2, (a * a - b * b + c * c - d * d) / n2, (2 * c * d - 2 * a * b) / n2],
-        [(2 * b * d - 2 * a * c) / n2, (2 * c * d + 2 * a * b) / n2, (a * a - b * b - c * c + d * d) / n2],
-    ]
+    aa, bb, cc, dd = a * a, b * b, c * c, d * d
+    a2, b2, c2 = 2 * a, 2 * b, 2 * c
+    bc, ad, bd, ac, cd, ab = b2 * c, a2 * d, b2 * d, a2 * c, c2 * d, a2 * b
+    n2 = aa + bb + cc + dd
+    return (
+        (aa + bb - cc - dd) / n2, (bc - ad) / n2, (bd + ac) / n2,
+        (bc + ad) / n2, (aa - bb + cc - dd) / n2, (cd - ab) / n2,
+        (bd - ac) / n2, (cd + ab) / n2, (aa - bb - cc + dd) / n2,
+    )
 
 
 def quat_from_axis_angle(axis, angle: float) -> UnitQuaternion:
@@ -163,12 +195,12 @@ def _axis_turn(x: float, y: float, z: float, angle: float) -> UnitQuaternion:
     """Quaternion of the turn by a finite `angle` about the unit axis (x, y, z), which the caller checked."""
     half = 0.5 * angle
     s = math.sin(half)
-    return UnitQuaternion.normalized(math.cos(half), x * s, y * s, z * s)
+    return UnitQuaternion._from_unit(*_unit(math.cos(half), x * s, y * s, z * s))
 
 
 def quat_to_matrix(q: UnitQuaternion) -> np.ndarray:
     """The 3x3 rotation matrix of q.  Same matrix for q and -q."""
-    return np.array(_rotation_rows(q.a, q.b, q.c, q.d))
+    return np.array(_rotation_rows(q.a, q.b, q.c, q.d)).reshape(3, 3)
 
 
 def _angle_axis(q: UnitQuaternion) -> tuple[float, float, float, float]:
@@ -197,7 +229,7 @@ def matrix_to_quat(r, atol: float = _ROTATION_ATOL) -> UnitQuaternion:
         raise ValueError("matrix is not orthogonal within tolerance")
     if abs(np.linalg.det(m) - 1.0) > atol:
         raise ValueError("matrix determinant is not 1 within tolerance")
-    return UnitQuaternion(*_quat_from_rows(m.tolist()))
+    return UnitQuaternion._from_unit(*_quat_from_rows(m.tolist()))
 
 
 def _quat_from_rows(rows: list[list[float]]) -> tuple[float, float, float, float]:
@@ -205,9 +237,11 @@ def _quat_from_rows(rows: list[list[float]]) -> tuple[float, float, float, float
 
     Shepperd's extraction: the pivot is the largest of the trace and the
     diagonal entries, which keeps the square root away from zero.  The sign
-    is not made canonical: UnitQuaternion(*components) does that, and
-    _rotation_rows gives the same bits for either sign.  Callers check
-    orthogonality and the determinant first, or refuse a ValueError.
+    is not made canonical: UnitQuaternion._from_unit(*components) does
+    that, and _rotation_rows gives the same bits for either sign.  The
+    components come from _unit, so they are finite and unit and need no
+    further check.  Callers check orthogonality and the determinant
+    first, or refuse a ValueError.
     """
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
     trace = m00 + m11 + m22
@@ -243,12 +277,13 @@ def classify_rotation(
 ) -> tuple[AxisClass, float]:
     """Axis class and rotation angle of q.
 
-    The identity is classified NO_AXIS with angle 0.  Horizontal means
+    An angle not above angle_abs is classified NO_AXIS with angle 0, as the
+    identity; at a NaN angle_abs every rotation is.  Horizontal means
     |w3| <= angle_abs, vertical means |w1|, |w2| <= angle_abs.  Reads the
     floats behind quat_to_axis_angle, so it builds no AxisAngle.
     """
     angle, w1, w2, w3 = _angle_axis(q)
-    if angle <= angle_abs:
+    if not angle > angle_abs:
         return AxisClass.NO_AXIS, 0.0
     if abs(w3) <= angle_abs:
         return AxisClass.HORIZONTAL, angle

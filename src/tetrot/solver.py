@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -62,6 +63,8 @@ _PERM_INDEX = tuple(sigma.zero_based() for sigma in ALL_PERMUTATIONS)
 # takes it as entry [i, 2j + c].
 _RHS_INDEX = np.array([[[2 * images[i], 2 * images[i] + 1] for images in _PERM_INDEX] for i in range(3)])
 _RHS_INDEX.flags.writeable = False
+# _PICK[r](points) is the tuple of the points relabeling r sends vertices 0-3 to.
+_PICK = tuple(itemgetter(*images) for images in _PERM_INDEX)
 # Bit r of _REACH[i][j] is set when relabeling r sends vertex i to point j.
 _REACH = [[sum(1 << r for r, images in enumerate(_PERM_INDEX) if images[i] == j) for j in range(4)]
           for i in range(4)]
@@ -136,27 +139,35 @@ def _starts(rows: list, normal: list[float], bound: float) -> tuple[list[int], l
     Rows of a rotation make I - A A^T = c c^T, c their components along the
     normal, which A leaves out.  A branch further from that form than bound
     is dropped; one whose c is within bound of zero starts from A, any other
-    from its two completions A + c n^T and A - c n^T.
+    from its two completions A + c n^T and A - c n^T.  The completions are
+    written out on named floats, entry r[k] + (sign * e) * n[k], the
+    operations of a comprehension over the rows and the normal in its order.
     """
+    n0, n1, n2 = normal
     owner, starts = [], []
     for j, (r1, r2) in enumerate(rows):
-        m00 = 1.0 - (r1[0] * r1[0] + r1[1] * r1[1] + r1[2] * r1[2])
-        m11 = 1.0 - (r2[0] * r2[0] + r2[1] * r2[1] + r2[2] * r2[2])
-        m01 = -(r1[0] * r2[0] + r1[1] * r2[1] + r1[2] * r2[2])
+        x0, x1, x2 = r1
+        y0, y1, y2 = r2
+        m00 = 1.0 - (x0 * x0 + x1 * x1 + x2 * x2)
+        m11 = 1.0 - (y0 * y0 + y1 * y1 + y2 * y2)
+        m01 = -(x0 * y0 + x1 * y1 + x2 * y2)
         # I - A A^T has eigenvalues mean + rad and mean - rad
         mean, half = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
         rad = math.sqrt(half * half + m01 * m01)
         if abs(mean - rad) > bound:
             continue
-        pairs = [[r1, r2]]
         if mean + rad > bound:
             # c is the eigenvector of mean + rad, scaled to its square root
             e0, e1 = (rad + half, m01) if half >= 0.0 else (m01, rad - half)
             scale = math.sqrt((mean + rad) / (e0 * e0 + e1 * e1))
-            pairs = [[[a + sign * e * n for a, n in zip(r, normal)] for r, e in ((r1, e0), (r2, e1))]
-                     for sign in (scale, -scale)]
-        owner += [j] * len(pairs)
-        starts += pairs
+            for sign in (scale, -scale):
+                s0, s1 = sign * e0, sign * e1
+                starts.append(((x0 + s0 * n0, x1 + s0 * n1, x2 + s0 * n2),
+                               (y0 + s1 * n0, y1 + s1 * n1, y2 + s1 * n2)))
+            owner += (j, j)
+        else:
+            starts.append((r1, r2))
+            owner.append(j)
     return owner, starts
 
 
@@ -208,14 +219,17 @@ def _gate(
     """Snap starts to rotations, refine them, and keep those that fit their shadow.
 
     Start i, two rows fitted under sigmas[i] to the shadow shadows[i] (four
-    points as lists of floats), gets their cross product as third row and is
-    snapped to the components of a unit quaternion, as floats, unless it is
-    not finite.  A rotation missing by more than geom_abs but at most screen
-    takes Gauss-Newton steps; one within geom_abs at every vertex is kept,
-    and only a kept one becomes a UnitQuaternion.  The rotated vertices come
-    from one numpy matmul, whose bits every residual depends on; the
-    residuals are taken from them on floats, and only the starts that
-    Gauss-Newton refines get their shadows as an array.
+    points, each a list of two floats), gets their cross product as third
+    row and is snapped to the components of a unit quaternion, as floats,
+    unless it is not finite.  A rotation missing by more than geom_abs but
+    at most screen takes Gauss-Newton steps; one within geom_abs at every
+    vertex is kept, and only a kept one becomes a UnitQuaternion, through
+    UnitQuaternion._from_unit: the snap's components are unit and finite by
+    construction, so only the sign rule is applied.  The matrices are one
+    flat list of _rotation_rows entries, made an array once; the rotated
+    vertices come from one numpy matmul, whose bits every residual depends
+    on; the residuals are taken from them on floats, and only the starts
+    that Gauss-Newton refines get their shadows as an array.
     """
     quats, kept = [], []
     for i, (r1, r2) in enumerate(starts):
@@ -226,7 +240,10 @@ def _gate(
         kept.append(i)
     shadows = [shadows[i] for i in kept]
     for attempt in range(2):
-        matrices = np.array([_rotation_rows(*q) for q in quats]).reshape(-1, 3, 3)
+        flat = []
+        for q in quats:
+            flat += _rotation_rows(*q)
+        matrices = np.array(flat).reshape(-1, 3, 3)
         residuals = _misses((vertices @ matrices.mT).tolist(), shadows)
         refine = [i for i, r in enumerate(residuals) if tol.geom_abs < r <= screen]
         if attempt or not refine:
@@ -236,7 +253,7 @@ def _gate(
             quats[i] = _quat_from_rows(rows)
     matrices.flags.writeable = False
     return [
-        SolveCandidate(sigmas[i], UnitQuaternion(*q), m, residual, planar)
+        SolveCandidate(sigmas[i], UnitQuaternion._from_unit(*q), m, residual, planar)
         for i, q, m, residual in zip(kept, quats, matrices, residuals)
         if residual <= tol.geom_abs
     ]
@@ -273,8 +290,9 @@ def _fit_relabelings(
     rows = (vt[:k].T @ (u[:, :k].T @ rhs / s[:k, None])).T.reshape(-1, 2, 3)
     owner, starts = _starts(rows.tolist(), vt[2].tolist(), bound)
     points = quad.points.tolist()
-    shadows = [[points[i] for i in _PERM_INDEX[perm_rows[j]]] for j in owner]
-    out = _gate(tetra.vertices, starts, [ALL_PERMUTATIONS[perm_rows[j]] for j in owner], shadows, screen, planar, tol)
+    branch_rows = [perm_rows[j] for j in owner]
+    shadows = [_PICK[row](points) for row in branch_rows]
+    out = _gate(tetra.vertices, starts, [ALL_PERMUTATIONS[row] for row in branch_rows], shadows, screen, planar, tol)
     return dedupe_rotations(out, tol.dedupe)
 
 
@@ -557,14 +575,18 @@ def dedupe_rotations(
     merged: list[SolveCandidate] = []
     for images in sorted(by_sigma):
         group = by_sigma[images]
-        if len(group) == 1:
-            merged.append(group[0])
-            continue
-        group.sort(key=lambda c: c.residual)
-        kept: list[tuple[SolveCandidate, list[float]]] = []
-        for cand in group:
-            entries = cand.matrix.ravel().tolist()
-            if not any(math.dist(entries, other) < dedupe_tol for _, other in kept):
-                kept.append((cand, entries))
-        merged.extend(cand for cand, _ in kept)
+        if len(group) > 1:
+            group.sort(key=lambda c: c.residual)
+            kept: list[SolveCandidate] = []
+            seen: list[list[float]] = []
+            for cand in group:
+                entries = cand.matrix.ravel().tolist()
+                for other in seen:
+                    if math.dist(entries, other) < dedupe_tol:
+                        break
+                else:
+                    kept.append(cand)
+                    seen.append(entries)
+            group = kept
+        merged += group
     return merged

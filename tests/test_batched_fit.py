@@ -17,7 +17,9 @@ calls of a solve: one SVD of P3 and no least-squares solve per linear
 solve; two SVDs, of P3 and of the conic's design matrix, and nothing else
 per geometric solve; nothing for a dedupe with one candidate per
 relabeling, no second check of a Tetrahedron's or ProjectionQuad's
-arrays, and one UnitQuaternion per returned candidate.
+arrays, and one UnitQuaternion per returned candidate, which, like every
+quaternion built from components that _unit returned, skips the checks
+that a quaternion built from outside numbers runs.
 """
 
 import math
@@ -45,6 +47,7 @@ from tetrot import (
     matrix_to_quat,
     project,
     prune_permutations,
+    quat_from_axis_angle,
     quat_to_matrix,
     reconstruct_geometric,
     sample_cell_rotation,
@@ -905,8 +908,9 @@ class TestOneFactorization:
         # pruning, snapping and dedupe run on floats; only a returned candidate gets a UnitQuaternion
         tetra, quad = TestGolden.instance(name)
         built, calls = [], []
-        post_init = UnitQuaternion.__post_init__
-        monkeypatch.setattr(UnitQuaternion, "__post_init__", lambda self: built.append(None) or post_init(self))
+        from_unit = UnitQuaternion._from_unit
+        counted = classmethod(lambda cls, *q: built.append(None) or from_unit(*q))
+        monkeypatch.setattr(UnitQuaternion, "_from_unit", counted)
         for module, fn in ((np.linalg, "norm"), (np, "flatnonzero"), (np, "vecdot")):
             original = getattr(module, fn)
 
@@ -918,6 +922,25 @@ class TestOneFactorization:
         candidates = unlabeled_solve(tetra, quad)
         assert len(built) == len(candidates)
         assert calls == []
+
+    def test_only_a_quaternion_built_from_outside_numbers_is_checked(self, monkeypatch):
+        # the gate, normalized, the axis turn and matrix_to_quat take components that _unit
+        # returned and apply only the sign rule; UnitQuaternion(a, b, c, d) checks them once
+        instances = [TestGolden.instance(name) for name in sorted(EXPECTED)]
+        checked = []
+        post_init = UnitQuaternion.__post_init__
+        monkeypatch.setattr(UnitQuaternion, "__post_init__", lambda self: checked.append(None) or post_init(self))
+        built = [c.rotation for tetra, quad in instances
+                 for c in unlabeled_solve(tetra, quad) + labeled_solve(tetra, quad)]
+        built += [c.rotation for c in reconstruct_geometric(*instances[sorted(EXPECTED).index("four-cycle")])]
+        q = UnitQuaternion.normalized(-0.3, -0.1, 0.7, 0.2)
+        built += [q, quat_from_axis_angle([0.0, 0.6, -0.8], 2.0), matrix_to_quat(quat_to_matrix(q))]
+        assert len(built) > 10 and checked == []
+        user = UnitQuaternion(q.a, q.b, q.c, q.d)
+        assert checked == [None]
+        assert user == q and hash(user) == hash(q)
+        # the sign rule is the constructor's
+        assert UnitQuaternion._from_unit(-0.5, 0.5, -0.5, 0.5) == UnitQuaternion(-0.5, 0.5, -0.5, 0.5)
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
     def test_unlabeled_solve_checks_no_input_again(self, monkeypatch, name):

@@ -151,6 +151,19 @@ class TestConfigDimension:
                 with pytest.raises(ValueError, match=IDENTITY_REFUSAL):
                     config_dimension(q, perm_class, angle_abs=angle_abs)
 
+    def test_nan_angle_abs_is_refused_as_the_identity(self):
+        # at a NaN tolerance no angle is above it, so every rotation meets the one identity refusal
+        nan = float("nan")
+        assert classify_rotation(UnitQuaternion(1.0, 0.0, 0.0, 0.0), nan) == (AxisClass.NO_AXIS, 0.0)
+        for q in (UnitQuaternion(1.0, 0.0, 0.0, 0.0), Q_VERT_PI, Q_HORIZ_PI):
+            for perm_class in PermClass:
+                with pytest.raises(ValueError, match=IDENTITY_REFUSAL):
+                    config_dimension(q, perm_class, angle_abs=nan)
+                with pytest.raises(ValueError, match=IDENTITY_REFUSAL):
+                    sample_tetrahedron(q, perm_class, 0, angle_abs=nan)
+                with pytest.raises(ValueError, match=IDENTITY_REFUSAL):
+                    predicted_dimension(perm_class, *classify_rotation(q), nan)
+
     def test_lower_bound_three(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
@@ -312,9 +325,9 @@ def exact_config_matrix(quat: tuple, perm_class: PermClass) -> list[list]:
     """The system of build_config_matrix in exact arithmetic: the rotation rows
     of a quaternion with integer or field entries added to the exact entries
     of the coupling.  Integer entries are taken as Fractions."""
-    top, middle, _ = _rotation_rows(*(Fraction(x) if isinstance(x, int) else x for x in quat))
+    entries = _rotation_rows(*(Fraction(x) if isinstance(x, int) else x for x in quat))
     flat = [Fraction(x) for x in _COUPLING[perm_class].ravel().tolist()]
-    for index, value in zip(_DIAGONAL.tolist(), (top + middle) * 3):
+    for index, value in zip(_DIAGONAL.tolist(), entries[:6] * 3):
         flat[index] += value
     return [flat[9 * i : 9 * i + 9] for i in range(6)]
 

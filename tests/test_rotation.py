@@ -40,6 +40,29 @@ class TestUnitQuaternion:
         with pytest.raises(ValueError):
             UnitQuaternion(1.0, 1.0, 0.0, 0.0)
 
+    def test_components_are_numbers(self):
+        # the rule of every input number: a bool, a string, None or a list is refused, where
+        # float() would read "1" and True as 1.0; normalized takes outside numbers too
+        for bad in ("1", True, np.True_, None, [1.0]):
+            for position, name in enumerate("abcd"):
+                comps = [1.0, 0.0, 0.0, 0.0]
+                comps[position] = bad
+                for build in (UnitQuaternion, UnitQuaternion.normalized):
+                    with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
+                        build(*comps)
+        # numpy's floats and ints are numbers, and become floats
+        for one in (np.float64(1.0), np.int64(1), np.float32(1.0), np.array(1.0), 1):
+            for build in (UnitQuaternion, UnitQuaternion.normalized):
+                q = build(one, 0, 0, 0)
+                assert q == UnitQuaternion(1.0, 0.0, 0.0, 0.0)
+                assert all(type(x) is float for x in (q.a, q.b, q.c, q.d))
+        # float32 components are normalized as the floats they equal, not in float32
+        assert UnitQuaternion.normalized(*np.float32([1, 2, 3, 4])) == UnitQuaternion.normalized(1.0, 2.0, 3.0, 4.0)
+        with pytest.raises(ValueError, match="^quaternion components must be finite$"):
+            UnitQuaternion(math.nan, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"^quaternion norm\^2 is 4.0, expected 1$"):
+            UnitQuaternion(2.0, 0.0, 0.0, 0.0)
+
     def test_canonical_sign_flips_negative_scalar(self):
         q = UnitQuaternion(-1.0, 0.0, 0.0, 0.0)
         assert (q.a, q.b, q.c, q.d) == (1.0, 0.0, 0.0, 0.0)

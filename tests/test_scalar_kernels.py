@@ -2,13 +2,18 @@
 
 classify_rotation, build_config_matrix, the sampler's draw, the
 Tetrahedron recentre and the solver gate's residual work on Python floats
-or with fewer numpy calls than the expressions they replace.  Each
-reference below writes that expression out; every result must match it
-bit for bit (``tobytes`` for arrays, ``float.hex`` for floats), signed
-zeros included.
+or with fewer numpy calls than the expressions they replace.  The rotation
+formula is one flat tuple with its shared products formed once, and the
+relabeling fit's completions are written out on named floats.  Each
+reference below writes the replaced expression out: a numpy expression,
+the textbook entries as nested lists, or a comprehension.  Every result
+must match it bit for bit (``tobytes`` for arrays, ``float.hex`` for
+floats), signed zeros included.
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,22 +23,27 @@ from hypothesis import strategies as st
 from tetrot import (
     CLASSIFICATION_CELLS,
     AxisClass,
+    DegenerateTetrahedronError,
     PermClass,
+    ProjectionQuad,
     Tetrahedron,
     UnitQuaternion,
     build_config_matrix,
     classify_rotation,
     null_space_basis,
     numeric_rank,
+    project,
     quat_to_axis_angle,
     quat_to_matrix,
     sample_cell_rotation,
     sample_tetrahedron,
+    unlabeled_solve,
 )
+from tetrot import solver
 from tetrot.configspace import _COUPLING
-from tetrot.geom import DEFAULT_TOLERANCES, as_finite_array
+from tetrot.geom import DEFAULT_TOLERANCES, _rank, as_finite_array
 from tetrot.rotation import _rotation_rows
-from tetrot.solver import _misses
+from tetrot.solver import _misses, _starts
 
 
 def reference_axis_angle(q: UnitQuaternion) -> tuple[np.ndarray, float]:
@@ -210,7 +220,7 @@ def test_gate_residual_matches_its_definition(vertex_coords, starts):
     is drawn on its own; a tie shadow misses every rotated vertex by the same offset in turn,
     up to sign and order; an exact one is the rotated vertices' own shadow, where every miss is zero."""
     vertices = np.array(vertex_coords).reshape(4, 3)
-    matrices = np.array([_rotation_rows(*q) for q, _, _ in starts])
+    matrices = np.array([_rotation_rows(*q) for q, _, _ in starts]).reshape(-1, 3, 3)
     images = vertices @ matrices.mT
     shadows = []
     for image, (_, free, kind) in zip(images, starts):
@@ -223,3 +233,100 @@ def test_gate_residual_matches_its_definition(vertex_coords, starts):
     got = _misses(images.tolist(), shadows.tolist())
     want = reference_misses(images, shadows).tolist()
     assert [float(x).hex() for x in got] == [x.hex() for x in want]
+
+
+def reference_rotation_rows(a, b, c, d) -> list[list]:
+    """The textbook rotation matrix of a + b i + c j + d k, scaled by 1/|q|^2, as nested lists."""
+    n2 = a * a + b * b + c * c + d * d
+    return [
+        [(a * a + b * b - c * c - d * d) / n2, (2 * b * c - 2 * a * d) / n2, (2 * b * d + 2 * a * c) / n2],
+        [(2 * b * c + 2 * a * d) / n2, (a * a - b * b + c * c - d * d) / n2, (2 * c * d - 2 * a * b) / n2],
+        [(2 * b * d - 2 * a * c) / n2, (2 * c * d + 2 * a * b) / n2, (a * a - b * b - c * c + d * d) / n2],
+    ]
+
+
+def test_rotation_rows_match_the_textbook_entries():
+    """Random and unit quaternions, every cell rotation above, components near 1e-160 (squares
+    below the smallest normal float) and 1e150, and every pattern of signed zeros."""
+    rng = np.random.default_rng(61)
+    inputs = rng.standard_normal((1000, 4)).tolist()
+    inputs += [q.as_array().tolist() for _, q, _ in ROTATIONS]
+    for scale in (1e-160, 1e150):
+        inputs += (scale * rng.standard_normal((300, 4))).tolist()
+    inputs += [list(v) for v in itertools.product((0.0, -0.0, 1.0, -0.5, 3.0), repeat=4) if any(v)]
+    for v in inputs:
+        want = [x.hex() for row in reference_rotation_rows(*v) for x in row]
+        assert [x.hex() for x in _rotation_rows(*v)] == want, v
+
+
+def test_rotation_rows_are_exact_on_fractions():
+    rng = np.random.default_rng(62)
+    for v in rng.integers(-9, 10, (300, 4)).tolist():
+        if not any(v):
+            continue
+        q = [Fraction(x) for x in v]
+        entries = _rotation_rows(*q)
+        assert list(entries) == [x for row in reference_rotation_rows(*q) for x in row]
+        rows = [entries[0:3], entries[3:6], entries[6:9]]
+        for i, j in itertools.product(range(3), repeat=2):
+            assert sum(x * y for x, y in zip(rows[i], rows[j])) == (i == j)
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+        assert r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20) + r02 * (r10 * r21 - r11 * r20) == 1
+
+
+def reference_starts(rows: list, normal: list[float], bound: float) -> tuple[list[int], list]:
+    """solver._starts with each completion a comprehension over the rows and the normal."""
+    owner, starts = [], []
+    for j, (r1, r2) in enumerate(rows):
+        m00 = 1.0 - (r1[0] * r1[0] + r1[1] * r1[1] + r1[2] * r1[2])
+        m11 = 1.0 - (r2[0] * r2[0] + r2[1] * r2[1] + r2[2] * r2[2])
+        m01 = -(r1[0] * r2[0] + r1[1] * r2[1] + r1[2] * r2[2])
+        mean, half = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
+        rad = math.sqrt(half * half + m01 * m01)
+        if abs(mean - rad) > bound:
+            continue
+        pairs = [[r1, r2]]
+        if mean + rad > bound:
+            e0, e1 = (rad + half, m01) if half >= 0.0 else (m01, rad - half)
+            scale = math.sqrt((mean + rad) / (e0 * e0 + e1 * e1))
+            pairs = [[[a + sign * e * n for a, n in zip(r, normal)] for r, e in ((r1, e0), (r2, e1))]
+                     for sign in (scale, -scale)]
+        owner += [j] * len(pairs)
+        starts += pairs
+    return owner, starts
+
+
+def test_starts_match_their_comprehension_form(monkeypatch):
+    """On the arguments of every _starts call that unlabeled_solve makes on null-space samples
+    of every cell, seen through their exact shadow and through one moved by 0.9 geom_abs at
+    every point.  Planar and full-rank vertex sets, dropped branches, branches started from
+    their rows and completed ones must all occur."""
+    rng = np.random.default_rng(63)
+    instances = []
+    for cell in CLASSIFICATION_CELLS:
+        for _ in range(10):
+            tetra = sample_tetrahedron(sample_cell_rotation(cell, rng), cell.perm_class, rng)
+            theta = rng.uniform(0.0, 2.0 * math.pi, 4)
+            moved = 0.9 * DEFAULT_TOLERANCES.geom_abs * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+            instances += [(tetra, project(tetra)), (tetra, ProjectionQuad(project(tetra).points + moved))]
+    calls = []
+    monkeypatch.setattr(solver, "_starts", lambda *args: calls.append(args) or _starts(*args))
+    seen = set()
+    for tetra, quad in instances:
+        try:
+            unlabeled_solve(tetra, quad)
+        except DegenerateTetrahedronError:
+            continue
+        if calls:
+            rank = _rank(np.linalg.svd(tetra.vertices[:3], compute_uv=False), DEFAULT_TOLERANCES.rank_rel)
+            seen.add("planar" if rank == 2 else "full rank")
+        while calls:
+            rows, normal, bound = calls.pop()
+            owner, starts = _starts(rows, normal, bound)
+            want_owner, want = reference_starts(rows, normal, bound)
+            assert owner == want_owner
+            assert [x.hex() for pair in starts for row in pair for x in row] == [
+                x.hex() for pair in want for row in pair for x in row]
+            seen.update(("completed" if owner.count(j) == 2 else "rows" if j in owner else "dropped")
+                        for j in range(len(rows)))
+    assert seen == {"planar", "full rank", "completed", "rows", "dropped"}
