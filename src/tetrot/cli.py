@@ -67,6 +67,7 @@ from .geom import (
     ProjectionQuad,
     Tetrahedron,
     Tolerances,
+    _own_tetrahedron,
     as_finite_array,
     project,
 )
@@ -339,7 +340,7 @@ def _reproduce_uniqueness_sweep(args: argparse.Namespace, tol: Tolerances) -> tu
     for trial in range(args.trials):
         rng = np.random.default_rng([args.seed, trial])
         for _ in range(_MAX_DRAWS):
-            tetra = Tetrahedron(rng.standard_normal((4, 3)))
+            tetra = _own_tetrahedron(rng.standard_normal(12).tolist())
             if tetra.full_dimensional(tol.rank_rel):
                 break
         else:

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import CANONICAL_PERMUTATION, DEFAULT_TOLERANCES, PermClass, Permutation4, Tetrahedron, _rank
+from .geom import (
+    CANONICAL_PERMUTATION,
+    DEFAULT_TOLERANCES,
+    PermClass,
+    Permutation4,
+    Tetrahedron,
+    _own_tetrahedron,
+    _rank,
+)
 from .rotation import (
     AxisClass,
     UnitQuaternion,
@@ -209,7 +217,9 @@ def sample_tetrahedron(
     and the result is scaled to unit RMS vertex norm, so invariant checks
     are scale free.  `seed` may be an int or a numpy Generator.  The
     projection of the rotated result matches the projection of the result
-    itself under the canonical permutation of the class.
+    itself under the canonical permutation of the class.  The vertices are
+    the library's own numbers, finite and bounded by construction, so the
+    result is not checked again (see _draw).
     """
     basis = null_space_basis(_system(q, perm_class, angle_abs), rel_tol)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -219,19 +229,29 @@ def sample_tetrahedron(
 def _draw(basis: np.ndarray, rng: np.random.Generator) -> Tetrahedron:
     """One tetrahedron from a uniform direction in the span of the basis rows, at unit RMS vertex norm.
 
-    Bit for bit the np.linalg.norm, np.vstack and np.mean definition; the
-    coefficients' norm is sqrt(x.dot(x)), as np.linalg.norm takes it."""
+    Bit for bit the np.linalg.norm, np.vstack and np.mean definition.  The
+    draw, the coefficients' norm sqrt(x.dot(x)) (as np.linalg.norm takes it)
+    and the product with the basis stay numpy; the fourth vertex, the squared
+    norms, their mean and the scaling run on floats, added left to right.
+    The result is built by _own_tetrahedron, without a second check: the
+    basis rows are orthonormal and the coefficients a unit vector, so the
+    first three vertices have unit norm together, the RMS is at least 1/2, and
+    every vertex is finite with norm at most sqrt(3) once scaled.
+    """
     coeffs = rng.standard_normal(basis.shape[0])
     norm = math.sqrt(coeffs.dot(coeffs))
     while norm == 0.0:
         coeffs = rng.standard_normal(basis.shape[0])
         norm = math.sqrt(coeffs.dot(coeffs))
-    verts = np.empty((4, 3))
-    verts[:3] = ((coeffs / norm) @ basis).reshape(3, 3)
-    verts[3] = -verts[:3].sum(axis=0)
+    x0, y0, z0, x1, y1, z1, x2, y2, z2 = ((coeffs / norm) @ basis).tolist()
+    # np.sum starts from +0.0, as _recentred's centroid does
+    x3, y3, z3 = -(0.0 + x0 + x1 + x2), -(0.0 + y0 + y1 + y2), -(0.0 + z0 + z1 + z2)
     # left to right, as np.mean(np.sum(verts * verts, axis=1)) adds; sum() would compensate
-    n0, n1, n2, n3 = [x * x + y * y + z * z for x, y, z in verts.tolist()]
-    return Tetrahedron(verts / math.sqrt((n0 + n1 + n2 + n3) / 4.0))
+    rms = math.sqrt((
+        (x0 * x0 + y0 * y0 + z0 * z0) + (x1 * x1 + y1 * y1 + z1 * z1)
+        + (x2 * x2 + y2 * y2 + z2 * z2) + (x3 * x3 + y3 * y3 + z3 * z3)
+    ) / 4.0)
+    return _own_tetrahedron([x / rms for x in (x0, y0, z0, x1, y1, z1, x2, y2, z2, x3, y3, z3)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -193,18 +193,18 @@ CANONICAL_PERMUTATION: dict[PermClass, Permutation4] = {
 class Tetrahedron:
     """Ordered set of four points in R^3 with centroid at the origin.
 
-    Construction recentres the input, so off-centre vertex sets are
-    normalized rather than rejected.  The vertex order is preserved and the
-    array is read-only.
+    Construction checks the input with as_finite_array and recentres it,
+    so off-centre vertex sets are normalized rather than rejected.  The
+    vertex order is preserved and the array is read-only.  Tetrahedra the
+    library computes from its own numbers are built by _own_tetrahedron,
+    which recentres them the same way without the check.
     """
 
     vertices: np.ndarray
 
     def __post_init__(self) -> None:
         v = as_finite_array(self.vertices, (4, 3), "vertices")
-        v = v - v.sum(axis=0) / 4.0  # the bits of v.mean(axis=0)
-        v.flags.writeable = False
-        object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "vertices", _recentred(v.ravel().tolist()))
 
     def full_dimensional(self, rank_rel: float = DEFAULT_TOLERANCES.rank_rel) -> bool:
         """True when the vertices span R^3.
@@ -214,6 +214,43 @@ class Tetrahedron:
         all four.
         """
         return _rank(np.linalg.svd(self.vertices[:3], compute_uv=False), rank_rel) == 3
+
+
+def _recentred(coords) -> np.ndarray:
+    """Twelve float coordinates, row by row, less their centroid, as a read-only (4, 3) array.
+
+    The one recentre rule.  A column's centroid is (0.0 + v0 + v1 + v2 + v3) / 4.0,
+    added left to right: the bits of v.sum(axis=0) / 4.0 and of v.mean(axis=0),
+    whose sum starts from +0.0, so that a column of -0.0 sums to +0.0.
+    """
+    x0, y0, z0, x1, y1, z1, x2, y2, z2, x3, y3, z3 = coords
+    cx = (0.0 + x0 + x1 + x2 + x3) / 4.0
+    cy = (0.0 + y0 + y1 + y2 + y3) / 4.0
+    cz = (0.0 + z0 + z1 + z2 + z3) / 4.0
+    flat = np.array([
+        x0 - cx, y0 - cy, z0 - cz, x1 - cx, y1 - cy, z1 - cz,
+        x2 - cx, y2 - cy, z2 - cz, x3 - cx, y3 - cy, z3 - cz,
+    ])
+    flat.flags.writeable = False
+    return flat.reshape(4, 3)
+
+
+# The class of the library's own tetrahedra, bound once: bench/spans.py rebinds
+# the name Tetrahedron in this module, configspace and cli to a function that
+# times its calls.
+_TETRA_CLASS = Tetrahedron
+
+
+def _own_tetrahedron(coords) -> Tetrahedron:
+    """The Tetrahedron of twelve float coordinates, row by row, that the library computed itself.
+
+    Outside numbers are checked where they enter, by Tetrahedron(...); these
+    are not.  The caller vouches that every coordinate is a float of magnitude
+    at most MAX_MAGNITUDE, and they are recentred as the constructor recentres.
+    """
+    tetra = object.__new__(_TETRA_CLASS)
+    object.__setattr__(tetra, "vertices", _recentred(coords))
+    return tetra
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Permutation4, ProjectionQuad, Tetrahedron
+from .geom import Permutation4, ProjectionQuad, Tetrahedron, _own_tetrahedron
 from .rotation import UnitQuaternion, quat_from_axis_angle
 
 __all__ = [
@@ -63,7 +63,7 @@ def four_cycle_instance() -> FourCycleInstance:
         [-2.0, -3.0 + _SQ6, -4.0 + 3.0 * _SQ6],
     ])
     return FourCycleInstance(
-        tetrahedron=Tetrahedron(vertices),
+        tetrahedron=_own_tetrahedron(vertices.ravel().tolist()),
         rotation=rotation,
         matrix=matrix,
         rotated_vertices=rotated,
@@ -118,7 +118,7 @@ def planar_instance() -> PlanarInstance:
         np.diag([1.0, -1.0, -1.0]),
     ])
     return PlanarInstance(
-        tetrahedron=Tetrahedron(vertices),
+        tetrahedron=_own_tetrahedron(vertices.ravel().tolist()),
         projection=ProjectionQuad(vertices[:, :2]),
         swap_sigma=Permutation4((1, 3, 2, 4)),
         matrices=matrices,

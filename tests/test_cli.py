@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tetrot import cli, rotation
+from tetrot import cli, configspace, geom, rotation
 from tetrot.cli import main, parse_projection, parse_rotation, parse_tetrahedron
 from tetrot.configspace import CLASSIFICATION_CELLS, sample_cell_rotation, sample_tetrahedron
 from tetrot.geom import CANONICAL_PERMUTATION, ProjectionQuad, Tetrahedron, Tolerances, as_finite_array, project
@@ -1410,6 +1410,46 @@ class TestSampleDefinition:
         assert code == 0
         assert len(report["samples"]) == 5
         assert len(calls) == 1
+
+    def test_a_trial_checks_no_number(self, capsys, monkeypatch, tmp_path):
+        # the rotation file is checked once; a drawn tetrahedron is the library's own
+        path, _ = self.rotation_file(tmp_path, 0)
+        checked = []
+        for module in (cli, geom, rotation):
+            def counted(*args, _f=module.as_finite_array):
+                checked.append(args[2])
+                return _f(*args)
+
+            monkeypatch.setattr(module, "as_finite_array", counted)
+        for trials in ("1", "5"):
+            checked.clear()
+            code, out, _ = invoke(capsys, [
+                "sample", "--rotation", path, "--perm-class", CLASSIFICATION_CELLS[0].perm_class.value,
+                "--trials", trials,
+            ])
+            assert code == 0 and len(json.loads(out)["samples"]) == int(trials)
+            assert checked == ["quaternion"]
+
+    def test_same_bits_with_the_class_name_traced(self, capsys, monkeypatch, tmp_path):
+        # bench/spans.py rebinds the name Tetrahedron in these modules to a plain
+        # function that times its calls; the library's own tetrahedra must not need it
+        index = 15
+        path, q = self.rotation_file(tmp_path, index)
+        perm_class = CLASSIFICATION_CELLS[index].perm_class
+        runs = [
+            ["sample", "--rotation", path, "--perm-class", perm_class.value, "--trials", "5", "--seed", "2"],
+            ["reproduce", "uniqueness-sweep", "--trials", "20"],
+            ["reproduce", "four-cycle"],
+        ]
+
+        def outputs():
+            return [invoke(capsys, argv) for argv in runs], sample_tetrahedron(q, perm_class, 7).vertices.tobytes()
+
+        expected = outputs()
+        assert [code for code, _, _ in expected[0]] == [0, 0, 0]
+        for module in (geom, configspace, cli):
+            monkeypatch.setattr(module, "Tetrahedron", lambda *args, _f=module.Tetrahedron: _f(*args))
+        assert outputs() == expected
 
 
 # JSON trees for the report writer: strings and keys with quotes, backslashes,

@@ -33,9 +33,10 @@ from tetrot import (
     sample_tetrahedron,
     verify_fourcycle_relations,
 )
+from tetrot import geom
 from tetrot.configspace import _COUPLING, _DIAGONAL, _special_turn, _table_dimension
 from tetrot.geom import DEFAULT_TOLERANCES
-from tetrot.instances import four_cycle_instance
+from tetrot.instances import four_cycle_instance, planar_instance
 from tetrot.rotation import _rotation_rows
 
 from conftest import random_full_dim_tetrahedron, random_unit_quaternion
@@ -485,6 +486,22 @@ class TestSampleTetrahedron:
             for perm_class in PermClass:
                 with pytest.raises(ValueError, match=IDENTITY_REFUSAL):
                     sample_tetrahedron(q, perm_class, 0, angle_abs=angle_abs)
+
+    def test_only_a_tetrahedron_built_from_outside_numbers_is_checked(self, monkeypatch):
+        # the sampler and the bundled instances build from the library's own numbers
+        checked = []
+        original = geom.as_finite_array
+        monkeypatch.setattr(geom, "as_finite_array", lambda *args: checked.append(args[2]) or original(*args))
+        rng = np.random.default_rng(24)
+        samples = [
+            sample_tetrahedron(sample_cell_rotation(cell, rng), cell.perm_class, rng) for cell in CLASSIFICATION_CELLS
+        ]
+        assert checked == []
+        four_cycle_instance()
+        planar_instance()
+        assert "vertices" not in checked  # their projections are ProjectionQuads, checked as "points"
+        Tetrahedron(samples[0].vertices)
+        assert checked.count("vertices") == 1
 
     def test_unit_rms_scale(self):
         q = four_cycle_instance().rotation

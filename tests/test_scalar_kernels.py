@@ -1,14 +1,14 @@
 """The scalar kernels against their numpy definitions.
 
-classify_rotation, build_config_matrix, the sampler's draw, the
-Tetrahedron recentre and the solver gate's residual work on Python floats
-or with fewer numpy calls than the expressions they replace.  The rotation
-formula is one flat tuple with its shared products formed once, and the
-relabeling fit's completions are written out on named floats.  Each
-reference below writes the replaced expression out: a numpy expression,
-the textbook entries as nested lists, or a comprehension.  Every result
-must match it bit for bit (``tobytes`` for arrays, ``float.hex`` for
-floats), signed zeros included.
+classify_rotation, build_config_matrix, the sampler's draw, the recentre
+of both Tetrahedron constructors and the solver gate's residual work on
+Python floats or with fewer numpy calls than the expressions they
+replace.  The rotation formula is one flat tuple with its shared products
+formed once, and the relabeling fit's completions are written out on
+named floats.  Each reference below writes the replaced expression out: a
+numpy expression, the textbook entries as nested lists, or a
+comprehension.  Every result must match it bit for bit (``tobytes`` for
+arrays, ``float.hex`` for floats), signed zeros included.
 """
 
 import itertools
@@ -40,8 +40,8 @@ from tetrot import (
     unlabeled_solve,
 )
 from tetrot import solver
-from tetrot.configspace import _COUPLING
-from tetrot.geom import DEFAULT_TOLERANCES, _rank, as_finite_array
+from tetrot.configspace import _COUPLING, _draw
+from tetrot.geom import DEFAULT_TOLERANCES, _own_tetrahedron, _rank, as_finite_array
 from tetrot.rotation import _rotation_rows
 from tetrot.solver import _misses, _starts
 
@@ -167,13 +167,55 @@ def test_sample_tetrahedron_matches_its_definition():
         assert got.tobytes() == reference_sample(q, perm_class, trial).tobytes(), name
 
 
+def cell_draws() -> list[tuple[str, UnitQuaternion, PermClass, int]]:
+    """Ten rotations of every cell, five seeds each."""
+    rng = np.random.default_rng(24)
+    return [
+        (f"cell {index} rotation {trial} seed {seed}", q, cell.perm_class, seed)
+        for index, cell in enumerate(CLASSIFICATION_CELLS)
+        for trial, q in enumerate(sample_cell_rotation(cell, rng) for _ in range(10))
+        for seed in range(5)
+    ]
+
+
+def test_draw_matches_its_definition_on_every_cell():
+    with_zero = 0
+    for name, q, perm_class, seed in cell_draws():
+        basis = null_space_basis(build_config_matrix(q, perm_class))
+        got = _draw(basis, np.random.default_rng(seed)).vertices
+        assert got.tobytes() == reference_sample(q, perm_class, seed).tobytes(), name
+        with_zero += 0.0 in got.ravel().tolist()
+    assert with_zero > 0  # exact-zero coordinates, which carry a sign
+
+
+def test_sampled_vertices_are_finite_and_bounded_at_unit_rms():
+    # why _own_tetrahedron may skip as_finite_array: with unit coefficients on an
+    # orthonormal basis, no vertex of a draw is longer than sqrt(3) at unit RMS
+    for name, q, perm_class, seed in cell_draws():
+        vertices = sample_tetrahedron(q, perm_class, seed).vertices
+        norms = [math.sqrt(x * x + y * y + z * z) for x, y, z in vertices.tolist()]
+        assert np.isfinite(vertices).all(), name
+        assert max(norms) <= 2.0, name
+        assert math.sqrt(sum(n * n for n in norms) / 4.0) == pytest.approx(1.0, abs=1e-15), name
+
+
 @pytest.mark.parametrize("scale", [1e-150, 1e-10, 1.0, 1e10, 1e150])
 def test_tetrahedron_recentres_with_the_bits_of_the_mean(scale):
+    # Tetrahedron(...) and _own_tetrahedron, the constructor for the library's own numbers
     rng = np.random.default_rng(101)
-    for _ in range(500):
+    for trial in range(500):
         vertices = rng.standard_normal((4, 3)) * scale * 10.0 ** rng.uniform(-3.0, 0.0, (4, 3))
         vertices = np.clip(vertices + rng.standard_normal(3) * scale, -1e150, 1e150)
-        assert Tetrahedron(vertices).vertices.tobytes() == reference_recentre(vertices).tobytes()
+        if trial % 5 == 0:  # signed zeros, and in every other such trial a column of -0.0
+            zero = rng.random((4, 3)) < 0.5
+            vertices[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+            if trial % 10 == 0:
+                vertices[:, trial % 3] = -0.0
+        expected = reference_recentre(vertices).tobytes()
+        assert Tetrahedron(vertices).vertices.tobytes() == expected
+        own = _own_tetrahedron(vertices.ravel().tolist())
+        assert type(own) is Tetrahedron and not own.vertices.flags.writeable
+        assert own.vertices.tobytes() == expected
 
 
 def reference_misses(images: np.ndarray, shadows: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from tetrot import (
     reconstruct_geometric,
     unlabeled_solve,
 )
+from tetrot import solver
 from tetrot.instances import four_cycle_instance, norm_prune_instance, planar_instance
 from tetrot.solver import _ellipse_geometry, _unit_conic
 
@@ -737,3 +738,21 @@ class TestDedupeRotations:
         a = self._candidate(IDENTITY_PERMUTATION, UnitQuaternion.normalized(0, 1, 0, 0), 0.0)
         b = self._candidate(Permutation4((2, 1, 3, 4)), UnitQuaternion.normalized(0, 1, 0, 0), 0.0)
         assert len(dedupe_rotations([a, b])) == 2
+
+    def test_the_geometric_route_merges_its_two_lifts_of_a_level_circle(self, monkeypatch):
+        # the first three vertices share one z, so the circle through them is level;
+        # after a vertical-axis turn its shadow is a circle, and the two lifts agree
+        # up to rounding
+        tetra = Tetrahedron([[1.0, 0.0, 0.5], [-0.5, 0.8, 0.5], [-0.3, -0.9, 0.5], [0.2, 0.1, -1.5]])
+        q = quat_from_axis_angle([0.0, 0.0, 1.0], 0.7)
+        merges = []
+        original = solver.dedupe_rotations
+        monkeypatch.setattr(
+            solver, "dedupe_rotations",
+            lambda candidates, tol: merges.append((candidates, original(candidates, tol))) or merges[-1][1],
+        )
+        (cand,) = reconstruct_geometric(tetra, labeled_shadow(tetra, q))
+        ((lifts, kept),) = merges
+        assert len(lifts) == 2 and np.linalg.norm(lifts[0].matrix - lifts[1].matrix) <= 1e-15
+        assert kept == [cand]
+        assert np.linalg.norm(cand.matrix - quat_to_matrix(q)) <= 1e-12
