@@ -80,12 +80,14 @@ from .rotation import (
     classify_rotation,
     quat_to_matrix,
 )
-from .solver import SolveCandidate, _misses, labeled_solve, prune_permutations, unlabeled_solve
+from .solver import SolveCandidate, _apart, _misses, labeled_solve, prune_permutations, unlabeled_solve
 
 __all__ = ["main"]
 
 # Redraws of one uniqueness-sweep trial before --tol-rank counts as admitting no tetrahedron.
 _MAX_DRAWS = 1000
+# The nine entries of the identity matrix, row by row, as the sweep's candidates give theirs.
+_IDENTITY_ENTRIES = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def _load_json(path: str):
@@ -346,10 +348,10 @@ def _reproduce_uniqueness_sweep(args: argparse.Namespace, tol: Tolerances) -> tu
         else:
             raise ValueError(f"no full-dimensional tetrahedron in {_MAX_DRAWS} draws at --tol-rank "
                              f"{tol.rank_rel!r}; choose a smaller --tol-rank")
-        # every candidate passed the solver's gate at --tol-geom; one farther than
-        # the dedupe distance from the identity is another rotation with the same shadow
+        # every candidate passed the solver's gate at --tol-geom; one _apart from
+        # the identity is another rotation with the same shadow
         for cand in unlabeled_solve(tetra, project(tetra), tol):
-            if float(np.linalg.norm(cand.matrix - np.eye(3))) > tol.dedupe:
+            if _apart(cand.matrix.ravel().tolist(), _IDENTITY_ENTRIES):
                 spurious += 1
     return {
         "name": "uniqueness-sweep",

@@ -222,8 +222,7 @@ def sample_tetrahedron(
     result is not checked again (see _draw).
     """
     basis = null_space_basis(_system(q, perm_class, angle_abs), rel_tol)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _draw(basis, rng)
+    return _draw(basis, np.random.default_rng(seed))  # returns a Generator seed as it is
 
 
 def _draw(basis: np.ndarray, rng: np.random.Generator) -> Tetrahedron:
@@ -285,14 +284,13 @@ def midpoint_frame(tetra: Tetrahedron) -> MidpointFrame:
     )
 
 
-def verify_fourcycle_relations(
-    tetra: Tetrahedron, q: UnitQuaternion, tol: float = DEFAULT_TOLERANCES.geom_abs
-) -> bool:
+def verify_fourcycle_relations(tetra: Tetrahedron, q: UnitQuaternion) -> bool:
     """Check the midpoint identities of four-cycle ambiguous tetrahedra.
 
     A member of the four-cycle null space satisfies, up to vertical shifts,
     phi(n2) = -n4, phi(n3) = -n3 and phi(n4) = n2.  The check compares the
-    first two coordinates of each identity against tol.
+    first two coordinates of each identity against DEFAULT_TOLERANCES.geom_abs,
+    as fourcycle_lambda holds its angle window at DEFAULT_TOLERANCES.angle_abs.
     """
     r = quat_to_matrix(q)
     f = midpoint_frame(tetra)
@@ -301,7 +299,7 @@ def verify_fourcycle_relations(
         float(np.max(np.abs((r @ f.n3 + f.n3)[:2]))),
         float(np.max(np.abs((r @ f.n4 - f.n2)[:2]))),
     )
-    return residual <= tol
+    return residual <= DEFAULT_TOLERANCES.geom_abs
 
 
 def fourcycle_lambda(tetra: Tetrahedron, q: UnitQuaternion) -> tuple[float, float]:

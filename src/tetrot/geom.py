@@ -104,21 +104,22 @@ def _rank(s: np.ndarray, rel_tol: float) -> int:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Shared numeric thresholds.
+    """Shared numeric thresholds, one field per --tol-* flag of the CLI.
 
-    rank_rel  -- relative singular-value cutoff for rank decisions, below 1
-    geom_abs  -- absolute tolerance when matching projected points
-    angle_abs -- tolerance for axis components and special angles
-    dedupe    -- Frobenius distance below which rotations are merged
+    rank_rel  -- relative singular-value cutoff for rank decisions, below 1 (--tol-rank)
+    geom_abs  -- absolute tolerance when matching projected points (--tol-geom)
+    angle_abs -- tolerance for axis components and special angles (--tol-angle)
+
+    The distance at which two rotations count as one is no field: it is
+    solver.DEDUPE_DISTANCE.
     """
 
     rank_rel: float = 1e-9
     geom_abs: float = 1e-8
     angle_abs: float = 1e-9
-    dedupe: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in ("rank_rel", "geom_abs", "angle_abs", "dedupe"):
+        for name in ("rank_rel", "geom_abs", "angle_abs"):
             value = getattr(self, name)
             _check_number(value, name)
             if not (np.isfinite(value) and value > 0):
@@ -269,9 +270,9 @@ class ProjectionQuad:
         p.flags.writeable = False
         object.__setattr__(self, "points", p)
 
-    def multiset_match(self, other: "ProjectionQuad", tol: float = DEFAULT_TOLERANCES.geom_abs) -> bool:
-        """True when the two quads agree as multisets within tol."""
-        return any(quad_match(self, other, sigma, tol) for sigma in ALL_PERMUTATIONS)
+    def multiset_match(self, other: "ProjectionQuad") -> bool:
+        """True when the two quads agree as multisets, by quad_match at its default geom_abs."""
+        return any(quad_match(self, other, sigma) for sigma in ALL_PERMUTATIONS)
 
 
 # The class of project's quads, bound once: bench/spans.py rebinds the name

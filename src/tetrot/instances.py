@@ -3,7 +3,9 @@
 Three instances cover the interesting regimes: a four-cycle ambiguity where
 a non-trivial rotation reproduces the tetrahedron's own shadow, a norm
 certificate where pruning leaves only the identity relabeling, and a
-coplanar tetrahedron with exactly two compatible rotations.
+coplanar tetrahedron with exactly two compatible rotations.  The first and
+the last are shadows of their own tetrahedra, taken by project; the norm
+certificate's vertices stay off-centre, so its quad is built from them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Permutation4, ProjectionQuad, Tetrahedron, _own_tetrahedron
+from .geom import Permutation4, ProjectionQuad, Tetrahedron, _own_tetrahedron, project
 from .rotation import UnitQuaternion, quat_from_axis_angle
 
 __all__ = [
@@ -62,12 +64,13 @@ def four_cycle_instance() -> FourCycleInstance:
         [-1.0, 3.0, 11.0 - 3.0 * _SQ6],
         [-2.0, -3.0 + _SQ6, -4.0 + 3.0 * _SQ6],
     ])
+    tetrahedron = _own_tetrahedron(vertices.ravel().tolist())
     return FourCycleInstance(
-        tetrahedron=_own_tetrahedron(vertices.ravel().tolist()),
+        tetrahedron=tetrahedron,
         rotation=rotation,
         matrix=matrix,
         rotated_vertices=rotated,
-        projection=ProjectionQuad(vertices[:, :2]),
+        projection=project(tetrahedron),
         sigma=Permutation4((2, 3, 4, 1)),
     )
 
@@ -117,9 +120,10 @@ def planar_instance() -> PlanarInstance:
         np.eye(3),
         np.diag([1.0, -1.0, -1.0]),
     ])
+    tetrahedron = _own_tetrahedron(vertices.ravel().tolist())
     return PlanarInstance(
-        tetrahedron=_own_tetrahedron(vertices.ravel().tolist()),
-        projection=ProjectionQuad(vertices[:, :2]),
+        tetrahedron=tetrahedron,
+        projection=project(tetrahedron),
         swap_sigma=Permutation4((1, 3, 2, 4)),
         matrices=matrices,
     )

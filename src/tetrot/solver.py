@@ -75,6 +75,8 @@ _CROSS_MATRIX.flags.writeable = False
 # Ratio of the projected circumcircle's minor to major axis at or below
 # which the geometric route refuses the view as edge on.
 _EDGE_ON_TILT = 1e-6
+# Frobenius distance at or beyond which two rotations count as two (see _apart).
+DEDUPE_DISTANCE = 1e-6
 
 
 class DegenerateTetrahedronError(ValueError):
@@ -293,7 +295,7 @@ def _fit_relabelings(
     branch_rows = [perm_rows[j] for j in owner]
     shadows = [_PICK[row](points) for row in branch_rows]
     out = _gate(tetra.vertices, starts, [ALL_PERMUTATIONS[row] for row in branch_rows], shadows, screen, planar, tol)
-    return dedupe_rotations(out, tol.dedupe)
+    return dedupe_rotations(out)
 
 
 def labeled_solve(
@@ -342,12 +344,17 @@ def _circumcircle(p: list[float], q: list[float], r: list[float], rel_tol: float
     return (p0 + scale * o0, p1 + scale * o1, p2 + scale * o2), scale * math.hypot(o0, o1, o2), (n0, n1, n2), area
 
 
-def circumcircle3(p, q, r, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> Circle3D:
-    """Circle through three non-collinear points in space."""
+def circumcircle3(p, q, r) -> Circle3D:
+    """Circle through three non-collinear points in space.
+
+    The points count as collinear, and CollinearPointsError is raised, when
+    they coincide or when |(q - p) x (r - p)| is at most
+    DEFAULT_TOLERANCES.rank_rel times the square of the longer of the two edges.
+    """
     a = as_finite_array(p, (3,), "p")
     b = as_finite_array(q, (3,), "q")
     c = as_finite_array(r, (3,), "r")
-    center, radius, normal, area = _circumcircle(a.tolist(), b.tolist(), c.tolist(), rel_tol)
+    center, radius, normal, area = _circumcircle(a.tolist(), b.tolist(), c.tolist(), DEFAULT_TOLERANCES.rank_rel)
     normal = [x / area for x in normal]
     if next((x < 0 for x in normal if abs(x) > 1e-12), False):  # the first entry above 1e-12 in magnitude is positive
         normal = [-x for x in normal]
@@ -499,7 +506,7 @@ def reconstruct_geometric(
                       for a, b, c in ((l00, l10, l20), (l01, l11, l21))])
     _, screen = _noise_bounds(s, tol)
     out = _gate(tetra.vertices, lifts, [IDENTITY_PERMUTATION] * 2, [u] * 2, screen, False, tol)
-    return dedupe_rotations(out, tol.dedupe)
+    return dedupe_rotations(out)
 
 
 def prune_permutations(
@@ -548,24 +555,31 @@ def unlabeled_solve(
     relabelings that survive the norm pruning (at most 24) and one gate
     call for all of them, each branch fitted and accepted like a labeled
     solve.  Each candidate is one labeled_solve gives on the relabeled
-    projection.  Near-identical rotations are merged per
-    relabeling; the result is ordered by relabeling and residual.  An
+    projection.  Rotations of one relabeling that are not _apart are
+    merged by dedupe_rotations; the result is ordered by relabeling and residual.  An
     empty list means no rotation is compatible.  Vertex sets spanning less
     than a plane are rejected, even when no relabeling survives.
     """
     return _fit_relabelings(tetra, quad, _prune(tetra.vertices, quad.points, tol.geom_abs), tol)
 
 
-def dedupe_rotations(
-    candidates: list[SolveCandidate],
-    dedupe_tol: float = DEFAULT_TOLERANCES.dedupe,
-) -> list[SolveCandidate]:
+def _apart(a: list[float], b: list[float]) -> bool:
+    """Whether two rotations, given as their nine matrix entries, are two: the one rule
+    for another rotation, math.dist(a, b) at or beyond DEDUPE_DISTANCE.
+
+    dedupe_rotations keeps a candidate apart from every representative kept
+    so far, and the uniqueness sweep counts one apart from the identity.
+    """
+    return math.dist(a, b) >= DEDUPE_DISTANCE
+
+
+def dedupe_rotations(candidates: list[SolveCandidate]) -> list[SolveCandidate]:
     """Merge candidates with the same relabeling and nearly equal matrices.
 
-    Within each relabeling, matrices closer than dedupe_tol in Frobenius
-    norm collapse to the representative with the smallest residual.  Each
-    distance is math.dist of two matrices' entries as floats, taken only
-    against the representatives kept so far; a relabeling with one
+    Within each relabeling, a candidate is kept when it is _apart from every
+    representative kept so far, in order of residual; the others collapse to
+    the representative with the smallest residual.  Each distance is
+    math.dist of two matrices' entries as floats; a relabeling with one
     candidate keeps it as it is.  The output is sorted by relabeling
     images, then residual.
     """
@@ -581,10 +595,7 @@ def dedupe_rotations(
             seen: list[list[float]] = []
             for cand in group:
                 entries = cand.matrix.ravel().tolist()
-                for other in seen:
-                    if math.dist(entries, other) < dedupe_tol:
-                        break
-                else:
+                if all(_apart(entries, other) for other in seen):
                     kept.append(cand)
                     seen.append(entries)
             group = kept

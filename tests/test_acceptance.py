@@ -218,7 +218,7 @@ def test_criterion_10_four_cycle_midpoint_relations():
     lambda_checked = 0
     for q in rotations:
         tetra = sample_tetrahedron(q, PermClass.FOUR_CYCLE, rng)
-        if not verify_fourcycle_relations(tetra, q, 1e-8):
+        if not verify_fourcycle_relations(tetra, q):
             failures += 1
         axis_class, alpha = classify_rotation(q)
         if axis_class is AxisClass.OBLIQUE and alpha < math.pi - 1e-6:

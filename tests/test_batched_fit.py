@@ -196,7 +196,7 @@ def written_out_fit(tetra, quad, tol=DEFAULT_TOLERANCES):
                 matrix, res = residual(q, points)
             if res <= tol.geom_abs:
                 out.append(SolveCandidate(sigma, q, matrix, res, planar))
-    return dedupe_rotations(out, tol.dedupe)
+    return dedupe_rotations(out)
 
 
 def planar_instances():
@@ -371,10 +371,10 @@ class TestPrune:
 
 
 class TestDedupe:
-    """dedupe_rotations on one relabeling's group, on either side of dedupe_tol."""
+    """dedupe_rotations on one relabeling's group, on either side of DEDUPE_DISTANCE."""
 
     def test_merges_below_the_tolerance_and_orders_by_residual(self):
-        tol = DEFAULT_TOLERANCES.dedupe
+        tol = solver.DEDUPE_DISTANCE
         sigma = ALL_PERMUTATIONS[7]
 
         def candidate(entry, distance, residual):
@@ -389,9 +389,11 @@ class TestDedupe:
         inside = candidate(1, (1.0 - 1e-9) * tol, 4e-12)
         far = candidate(2, 2.0 * tol, 1e-12)
         for order in ([half, inside, far, rep], [rep, far, inside, half], [inside, rep, half, far]):
-            merged = dedupe_rotations(order, tol)
+            merged = dedupe_rotations(order)
             assert [id(c) for c in merged] == [id(far), id(rep)]
-        assert [id(c) for c in dedupe_rotations([rep, inside], (1.0 - 1e-9) * tol)] == [id(rep), id(inside)]
+        # at exactly the distance two rotations are two: math.dist of one offset entry is that entry
+        at = candidate(1, tol, 4e-12)
+        assert [id(c) for c in dedupe_rotations([at, rep])] == [id(rep), id(at)]
 
 
 # Inputs as float.hex: centred vertices (4x3) and shadow points (4x2),
@@ -771,7 +773,7 @@ def reference_geometric(tetra, quad, tol=DEFAULT_TOLERANCES):
                       for i in range(2)])
     _, screen = solver._noise_bounds(s, tol)
     out = _gate(tetra.vertices, lifts, [IDENTITY_PERMUTATION] * 2, [u] * 2, screen, False, tol)
-    return dedupe_rotations(out, tol.dedupe)
+    return dedupe_rotations(out)
 
 
 def outcome(solve, *args):

@@ -24,7 +24,7 @@ from tetrot.configspace import CLASSIFICATION_CELLS, sample_cell_rotation, sampl
 from tetrot.geom import CANONICAL_PERMUTATION, ProjectionQuad, Tetrahedron, Tolerances, as_finite_array, project
 from tetrot.instances import four_cycle_instance, planar_instance
 from tetrot.rotation import _unit_axis, apply, quat_from_axis_angle
-from tetrot.solver import unlabeled_solve
+from tetrot.solver import DEDUPE_DISTANCE, unlabeled_solve
 
 
 def write_golden_files(directory: Path) -> dict:
@@ -376,7 +376,7 @@ class TestReproduceCommand:
 
     def test_uniqueness_sweep_counts_every_candidate_the_solver_accepts(self, capsys):
         # at a loose --tol-geom the solver accepts other rotations; the sweep counts
-        # each one farther than the dedupe distance from the identity, and fails
+        # each one at or beyond the dedupe distance from the identity, and fails
         tol = Tolerances(geom_abs=1e-1)
         expected = 0
         for trial in range(50):
@@ -384,7 +384,7 @@ class TestReproduceCommand:
             tetra = Tetrahedron(rng.standard_normal((4, 3)))
             assert tetra.full_dimensional(tol.rank_rel)
             for cand in unlabeled_solve(tetra, project(tetra), tol):
-                expected += float(np.linalg.norm(cand.matrix - np.eye(3))) > tol.dedupe
+                expected += float(np.linalg.norm(cand.matrix - np.eye(3))) >= DEDUPE_DISTANCE
         code, out, _ = invoke(capsys, ["reproduce", "uniqueness-sweep", "--trials", "50", "--tol-geom", "1e-1"])
         report = json.loads(out)
         assert expected > 0
@@ -527,6 +527,17 @@ class TestParsers:
     def test_rotation_rejects_unknown_schema(self):
         with pytest.raises(ValueError):
             parse_rotation({"angle_deg": 90})
+
+    @pytest.mark.parametrize("argv, document, err", [
+        (["solve", "--tetrahedron", "TET", "--projection"], {"pts": [[0, 0]] * 4},
+         'error: projection input must be {"points": [[x, y] * 4]}\n'),
+        (["analyze", "--perm-class", "two-cycle", "--rotation"], {"axis": [0, 0, 0], "angle_rad": 1.0},
+         "error: rotation axis must be nonzero\n"),
+    ], ids=["projection-without-points", "zero-axis"])
+    def test_a_refused_document_exits_two_with_its_message(self, capsys, tmp_path, golden_files, argv, document, err):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        assert invoke(capsys, [golden_files.get(arg, arg) for arg in argv] + [str(bad)]) == (2, "", err)
 
     def test_projection_roundtrip(self):
         inst = four_cycle_instance()

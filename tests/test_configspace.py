@@ -15,6 +15,7 @@ from tetrot import (
     UnitQuaternion,
     apply,
     build_config_matrix,
+    case_label,
     classify_rotation,
     config_dimension,
     coplanarity_det,
@@ -33,7 +34,7 @@ from tetrot import (
     sample_tetrahedron,
     verify_fourcycle_relations,
 )
-from tetrot import geom
+from tetrot import configspace, geom
 from tetrot.configspace import _COUPLING, _DIAGONAL, _special_turn, _table_dimension
 from tetrot.geom import DEFAULT_TOLERANCES
 from tetrot.instances import four_cycle_instance, planar_instance
@@ -124,6 +125,7 @@ class TestNumericRank:
 
     def test_zero_matrix(self):
         assert numeric_rank(np.zeros((6, 9))) == 0
+        assert numeric_rank(np.zeros((0, 9))) == 0  # no singular value at all
 
     def test_rank_plus_nullity_is_nine(self):
         rng = np.random.default_rng(12)
@@ -185,6 +187,11 @@ class TestPredictedDimension:
 
     def test_two_cycle_oblique_generic(self):
         assert predicted_dimension(PermClass.TWO_CYCLE, AxisClass.OBLIQUE, 1.0) == 3
+
+    def test_the_identity_is_labelled_as_such(self):
+        # case_label reads no angle for a rotation without an axis
+        for alpha in (0.0, math.pi):
+            assert case_label(AxisClass.NO_AXIS, alpha) == "identity"
 
     def test_rejects_zero_angle(self):
         with pytest.raises(ValueError, match=IDENTITY_REFUSAL):
@@ -499,9 +506,26 @@ class TestSampleTetrahedron:
         assert checked == []
         four_cycle_instance()
         planar_instance()
-        assert "vertices" not in checked  # their projections are ProjectionQuads, checked as "points"
+        assert checked == []  # their projections are taken by project from the tetrahedra
         Tetrahedron(samples[0].vertices)
         assert checked.count("vertices") == 1
+
+    def test_an_all_zero_draw_is_drawn_again(self):
+        # a zero coefficient vector has no direction: scaled by its norm it would be NaN
+        class Replay:
+            def __init__(self, *draws):
+                self.draws = list(draws)
+
+            def standard_normal(self, size):
+                return self.draws.pop(0)[:size]
+
+        basis = null_space_basis(build_config_matrix(Q_VERT_PI, PermClass.DOUBLE_TWO_CYCLE))
+        coeffs = np.random.default_rng(27).standard_normal(basis.shape[0])
+        stub = Replay(np.zeros(basis.shape[0]), np.zeros(basis.shape[0]), coeffs)
+        redrawn = configspace._draw(basis, stub)
+        assert stub.draws == []
+        assert redrawn.vertices.tobytes() == configspace._draw(basis, Replay(coeffs)).vertices.tobytes()
+        assert np.isfinite(redrawn.vertices).all()
 
     def test_unit_rms_scale(self):
         q = four_cycle_instance().rotation
@@ -558,17 +582,17 @@ class TestSampleTetrahedron:
 class TestFourCycleRelations:
     def test_bundled_instance_satisfies_the_relations(self):
         inst = four_cycle_instance()
-        assert verify_fourcycle_relations(inst.tetrahedron, inst.rotation, 1e-8)
+        assert verify_fourcycle_relations(inst.tetrahedron, inst.rotation)
 
     def test_sampled_member_satisfies_the_relations(self):
         q = quat_from_axis_angle(np.array([1.0, 2.0, 2.0]) / 3.0, 0.9)
         tetra = sample_tetrahedron(q, PermClass.FOUR_CYCLE, 5)
-        assert verify_fourcycle_relations(tetra, q, 1e-8)
+        assert verify_fourcycle_relations(tetra, q)
 
     def test_generic_tetrahedron_fails_the_relations(self):
         q = quat_from_axis_angle(np.array([1.0, 2.0, 2.0]) / 3.0, 0.9)
         tetra = random_full_dim_tetrahedron(np.random.default_rng(24))
-        assert not verify_fourcycle_relations(tetra, q, 1e-8)
+        assert not verify_fourcycle_relations(tetra, q)
 
     def test_lambda_scalar_on_bundled_instance(self):
         inst = four_cycle_instance()
@@ -593,3 +617,10 @@ class TestFourCycleRelations:
             fourcycle_lambda(tetra, Q_VERT_PI)
         with pytest.raises(ValueError):
             fourcycle_lambda(tetra, Q_HORIZ_PI)
+
+    def test_lambda_rejects_an_oblique_half_turn(self):
+        # tan(alpha / 2) has no finite value at a half turn
+        q = quat_from_axis_angle(np.array([1.0, 2.0, 2.0]) / 3.0, math.pi)
+        tetra = sample_tetrahedron(q, PermClass.FOUR_CYCLE, 0)
+        with pytest.raises(ValueError, match="^the offset scalar requires an angle strictly below a half turn$"):
+            fourcycle_lambda(tetra, q)

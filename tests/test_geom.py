@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -81,8 +82,9 @@ class TestRecentre:
             (lambda: Tetrahedron([[1, 0, 0], [0, 1, 0], [0, 0, 1], [True, False, 0]]), "vertices", (4, 3)),
             (lambda: quat_from_axis_angle(["0", "0", "1"], 1.0), "axis", (3,)),
             (lambda: ProjectionQuad(np.eye(4, 2, dtype=bool)), "points", (4, 2)),
+            (lambda: ProjectionQuad(np.array([[1, 0], [0, 1], [0, 0], ["1", 0]], dtype=object)), "points", (4, 2)),
         ],
-        ids=["numeric-strings-and-bools", "bools", "axis-of-strings", "bool-array"],
+        ids=["numeric-strings-and-bools", "bools", "axis-of-strings", "bool-array", "object-array-with-a-string"],
     )
     def test_rejects_numeric_strings_and_booleans(self, build, name, shape):
         # numpy alone reads "1" and True as the number 1
@@ -100,6 +102,9 @@ class TestRecentre:
         rows = [[np.int64(1), np.float32(0.5), 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
         assert Tetrahedron(rows).vertices.tobytes() == Tetrahedron(np.array(rows, dtype=float)).vertices.tobytes()
         assert ProjectionQuad(np.eye(4, 2, dtype=np.int32)).points.dtype == float
+        # an object array is walked entry by entry, and numbers of any kind pass
+        mixed = np.array([[1, 0.5], [np.int64(0), np.float32(1)], [0, 0], [2, 3]], dtype=object)
+        assert ProjectionQuad(mixed).points.tobytes() == ProjectionQuad(mixed.astype(float)).points.tobytes()
 
     def test_admits_the_bound_itself(self):
         vertices = np.eye(4, 3) * MAX_MAGNITUDE
@@ -262,9 +267,10 @@ class TestTolerances:
         assert tol.rank_rel == 1e-9
         assert tol.geom_abs == 1e-8
         assert tol.angle_abs == 1e-9
-        assert tol.dedupe == 1e-6
+        # one field per --tol-* flag; the dedupe distance is a constant of the solver
+        assert [f.name for f in dataclasses.fields(Tolerances)] == ["rank_rel", "geom_abs", "angle_abs"]
 
-    @pytest.mark.parametrize("field", ["rank_rel", "geom_abs", "angle_abs", "dedupe"])
+    @pytest.mark.parametrize("field", ["rank_rel", "geom_abs", "angle_abs"])
     def test_rejects_non_positive(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be strictly positive, got 0.0$"):
             Tolerances(**{field: 0.0})

@@ -1,4 +1,5 @@
-"""Every module-level import of the package is used by its module.
+"""Every module-level import of the package is used by its module, and the
+package's names are its modules' ``__all__`` lists.
 
 Each ``src/tetrot/*.py`` other than ``__init__.py`` (which exists to
 re-export) is parsed with ``ast``; a name that a top-level ``import`` binds
@@ -6,9 +7,13 @@ must be read somewhere in the module or listed in its ``__all__``.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+import tetrot
+from tetrot import configspace, geom, rotation, solver
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tetrot"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
@@ -54,3 +59,19 @@ def test_each_allowed_import_is_still_imported_and_unused(module, name):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"), filename=module)
     assert name in imported_names(tree)
     assert name not in used_names(tree)
+
+
+def test_the_package_re_exports_each_module_all_and_nothing_else():
+    modules = (geom, rotation, configspace, solver)
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names)), "two modules export one name"
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(tetrot, name) is getattr(module, name)
+    # cli and instances appear on the package once something imports them, so modules are skipped
+    public = {name for name, value in vars(tetrot).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(names)
+    # the lists are the one declaration: __init__.py names none of them again
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [alias.name for node in imports for alias in node.names] == ["*"] * 4

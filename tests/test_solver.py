@@ -74,6 +74,8 @@ class TestCircumcircle:
     def test_collinear_points_rejected(self):
         with pytest.raises(CollinearPointsError):
             circumcircle3([0, 0, 0], [1, 1, 1], [2, 2, 2])
+        with pytest.raises(CollinearPointsError):  # coincident: both edges from p have length 0
+            circumcircle3([1, 2, 3], [1, 2, 3], [1, 2, 3])
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-8, 3e-9])
     def test_nearly_collinear_points(self, eps):
@@ -749,10 +751,30 @@ class TestDedupeRotations:
         original = solver.dedupe_rotations
         monkeypatch.setattr(
             solver, "dedupe_rotations",
-            lambda candidates, tol: merges.append((candidates, original(candidates, tol))) or merges[-1][1],
+            lambda candidates: merges.append((candidates, original(candidates))) or merges[-1][1],
         )
         (cand,) = reconstruct_geometric(tetra, labeled_shadow(tetra, q))
         ((lifts, kept),) = merges
         assert len(lifts) == 2 and np.linalg.norm(lifts[0].matrix - lifts[1].matrix) <= 1e-15
         assert kept == [cand]
         assert np.linalg.norm(cand.matrix - quat_to_matrix(q)) <= 1e-12
+
+    def test_the_linear_route_merges_the_two_completions_of_a_slightly_tilted_plane(self, monkeypatch):
+        # a planar tetrahedron of size 1e6 seen after a turn by 3e-7 about x: the
+        # completions along the plane normal both pass the gate under the identity
+        # relabeling, less than DEDUPE_DISTANCE apart, and one is kept
+        tetra = Tetrahedron(np.array([[1.0, 0.2, 0.0], [-0.3, 1.1, 0.0], [-0.9, -0.6, 0.0], [0.2, -0.7, 0.0]]) * 1e6)
+        q = quat_from_axis_angle([1.0, 0.0, 0.0], 3e-7)
+        merges = []
+        original = solver.dedupe_rotations
+        monkeypatch.setattr(
+            solver, "dedupe_rotations",
+            lambda candidates: merges.append((candidates, original(candidates))) or merges[-1][1],
+        )
+        candidates = unlabeled_solve(tetra, labeled_shadow(tetra, q))
+        ((fitted, kept),) = merges
+        assert [c.sigma for c in fitted] == [IDENTITY_PERMUTATION] * 2
+        assert not solver._apart(fitted[0].matrix.ravel().tolist(), fitted[1].matrix.ravel().tolist())
+        (cand,) = kept
+        assert candidates == kept and cand.planar_ambiguous
+        assert np.linalg.norm(cand.matrix - quat_to_matrix(q)) <= 1e-6
