@@ -31,26 +31,19 @@ from .rotation import (
     _rotation_rows,
     classify_rotation,
     quat_from_axis_angle,
-    quat_to_axis_angle,
-    quat_to_matrix,
 )
 
 __all__ = [
     "CLASSIFICATION_CELLS",
     "CaseCell",
-    "MidpointFrame",
     "build_config_matrix",
     "case_label",
     "config_dimension",
-    "fourcycle_lambda",
-    "midpoint_frame",
-    "minor_sigma_id",
     "null_space_basis",
     "numeric_rank",
     "predicted_dimension",
     "sample_cell_rotation",
     "sample_tetrahedron",
-    "verify_fourcycle_relations",
 ]
 
 HALF_TURN = math.pi
@@ -191,19 +184,6 @@ def case_label(axis_class: AxisClass, alpha: float, angle_abs: float = DEFAULT_T
     return axis_class.value if turn is None else f"{axis_class.value}-{turn}"
 
 
-def minor_sigma_id(q: UnitQuaternion) -> float:
-    """Classification discriminant of the identity-class system.
-
-    Eight times the determinant of the 6x6 submatrix in columns
-    (1, 2, 4, 5, 7, 8) of the half-scaled identity-class coefficient
-    matrix.  Equals 8*d**6 for a unit quaternion and vanishes exactly when
-    the rotation axis is horizontal.
-    """
-    m = build_config_matrix(q, PermClass.IDENTITY) / 2.0
-    sub = m[:, [0, 1, 3, 4, 6, 7]]
-    return 8.0 * float(np.linalg.det(sub))
-
-
 def sample_tetrahedron(
     q: UnitQuaternion,
     perm_class: PermClass,
@@ -251,82 +231,6 @@ def _draw(basis: np.ndarray, rng: np.random.Generator) -> Tetrahedron:
         + (x2 * x2 + y2 * y2 + z2 * z2) + (x3 * x3 + y3 * y3 + z3 * z3)
     ) / 4.0)
     return _own_tetrahedron([x / rms for x in (x0, y0, z0, x1, y1, z1, x2, y2, z2, x3, y3, z3)])
-
-
-@dataclass(frozen=True, eq=False)
-class MidpointFrame:
-    """Midpoints of the three edges from the first vertex.
-
-    For a centred tetrahedron these determine the vertices linearly:
-    p1 = n2+n3+n4, p2 = n2-n3-n4, p3 = -n2+n3-n4, p4 = -n2-n3+n4.
-    """
-
-    n2: np.ndarray
-    n3: np.ndarray
-    n4: np.ndarray
-
-    def vertices(self) -> np.ndarray:
-        return np.vstack([
-            self.n2 + self.n3 + self.n4,
-            self.n2 - self.n3 - self.n4,
-            -self.n2 + self.n3 - self.n4,
-            -self.n2 - self.n3 + self.n4,
-        ])
-
-
-def midpoint_frame(tetra: Tetrahedron) -> MidpointFrame:
-    """Edge midpoints (p1+pi)/2, i = 2, 3, 4, in the centred combination form."""
-    p1, p2, p3, p4 = tetra.vertices
-    return MidpointFrame(
-        n2=(p1 + p2 - p3 - p4) / 4.0,
-        n3=(p1 - p2 + p3 - p4) / 4.0,
-        n4=(p1 - p2 - p3 + p4) / 4.0,
-    )
-
-
-def verify_fourcycle_relations(tetra: Tetrahedron, q: UnitQuaternion) -> bool:
-    """Check the midpoint identities of four-cycle ambiguous tetrahedra.
-
-    A member of the four-cycle null space satisfies, up to vertical shifts,
-    phi(n2) = -n4, phi(n3) = -n3 and phi(n4) = n2.  The check compares the
-    first two coordinates of each identity against DEFAULT_TOLERANCES.geom_abs,
-    as fourcycle_lambda holds its angle window at DEFAULT_TOLERANCES.angle_abs.
-    """
-    r = quat_to_matrix(q)
-    f = midpoint_frame(tetra)
-    residual = max(
-        float(np.max(np.abs((r @ f.n2 + f.n4)[:2]))),
-        float(np.max(np.abs((r @ f.n3 + f.n3)[:2]))),
-        float(np.max(np.abs((r @ f.n4 - f.n2)[:2]))),
-    )
-    return residual <= DEFAULT_TOLERANCES.geom_abs
-
-
-def fourcycle_lambda(tetra: Tetrahedron, q: UnitQuaternion) -> tuple[float, float]:
-    """Measured and predicted offset of the projected n3 midpoint.
-
-    For a genuine four-cycle member with an oblique axis and angle in
-    (0, pi), the image of n3 under the parallel projection along +z onto
-    the plane through the origin orthogonal to the axis has norm
-    ||proj(c3)|| * tan(alpha/2), where c3 is the orthogonal projection of
-    n3 onto the axis line.  Returns (measured, predicted).
-    """
-    axis_class, alpha = classify_rotation(q)
-    if axis_class is not AxisClass.OBLIQUE:
-        raise ValueError("the offset scalar is defined for oblique axes only")
-    if not alpha < HALF_TURN - DEFAULT_TOLERANCES.angle_abs:
-        raise ValueError("the offset scalar requires an angle strictly below a half turn")
-    w = quat_to_axis_angle(q).axis
-    n3 = midpoint_frame(tetra).n3
-    c3 = float(n3 @ w) * w
-    e3 = np.array([0.0, 0.0, 1.0])
-
-    def proj(x: np.ndarray) -> np.ndarray:
-        return x - (float(x @ w) / w[2]) * e3
-
-    measured = float(np.linalg.norm(proj(n3)))
-    predicted = float(np.linalg.norm(proj(c3))) * math.tan(alpha / 2.0)
-    return measured, predicted
 
 
 @dataclass(frozen=True)

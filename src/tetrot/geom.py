@@ -25,9 +25,7 @@ __all__ = [
     "ProjectionQuad",
     "Tetrahedron",
     "Tolerances",
-    "coplanarity_det",
     "project",
-    "quad_match",
 ]
 
 
@@ -258,9 +256,9 @@ def _own_tetrahedron(coords) -> Tetrahedron:
 class ProjectionQuad:
     """Four points in the plane, an observed projection of a tetrahedron.
 
-    The points are stored in order (labels matter to the labeled solver)
-    but compare as a multiset when matched against another quad without a
-    fixed correspondence.  Coincident points are allowed.
+    The points are stored in order: the labeled solver matches point i to
+    vertex i, the unlabeled solver tries the relabelings of the points.
+    Coincident points are allowed.
     """
 
     points: np.ndarray
@@ -269,10 +267,6 @@ class ProjectionQuad:
         p = as_finite_array(self.points, (4, 2), "points")
         p.flags.writeable = False
         object.__setattr__(self, "points", p)
-
-    def multiset_match(self, other: "ProjectionQuad") -> bool:
-        """True when the two quads agree as multisets, by quad_match at its default geom_abs."""
-        return any(quad_match(self, other, sigma) for sigma in ALL_PERMUTATIONS)
 
 
 # The class of project's quads, bound once: bench/spans.py rebinds the name
@@ -293,26 +287,3 @@ def project(tetra: Tetrahedron) -> ProjectionQuad:
     object.__setattr__(quad, "points", points)
     return quad
 
-
-def quad_match(
-    p: ProjectionQuad,
-    q: ProjectionQuad,
-    sigma: Permutation4,
-    tol: float = DEFAULT_TOLERANCES.geom_abs,
-) -> bool:
-    """True iff ||p_i - q_sigma(i)|| <= tol for every i."""
-    reordered = q.points[list(sigma.zero_based())]
-    dist = np.linalg.norm(p.points - reordered, axis=1)
-    return bool(np.max(dist) <= tol)
-
-
-def coplanarity_det(vertices) -> float:
-    """Determinant testing affine dependence of four points.
-
-    Rows are (1,1,1,1) followed by the x, y and z coordinates; the value is
-    six times the signed tetrahedron volume and vanishes exactly when the
-    points are coplanar.
-    """
-    v = as_finite_array(vertices, (4, 3), "vertices")
-    m = np.vstack([np.ones(4), v.T])
-    return float(np.linalg.det(m))

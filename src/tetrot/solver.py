@@ -41,13 +41,11 @@ from .geom import (
 from .rotation import _EYE3, UnitQuaternion, _quat_from_rows, _rotation_rows
 
 __all__ = [
-    "Circle3D",
     "CollinearPointsError",
     "DegenerateChordError",
     "DegenerateTetrahedronError",
     "DegenerateViewError",
     "SolveCandidate",
-    "circumcircle3",
     "dedupe_rotations",
     "labeled_solve",
     "prune_permutations",
@@ -106,15 +104,6 @@ class SolveCandidate:
     planar_ambiguous: bool
 
 
-@dataclass(frozen=True, eq=False)
-class Circle3D:
-    """Circle in space given by center, radius and unit normal."""
-
-    center: np.ndarray
-    radius: float
-    normal: np.ndarray
-
-
 def _cross(a: list[float], b: list[float]) -> list[float]:
     """a x b for two 3-vectors: the same bits as np.cross, without its overhead."""
     a0, a1, a2 = a
@@ -135,7 +124,7 @@ def _noise_bounds(s: np.ndarray, tol: Tolerances) -> tuple[float, float]:
     return bound, tol.geom_abs + 8.0 * math.sqrt(bound) * float(s[0])
 
 
-def _starts(rows: list, normal: list[float], bound: float) -> tuple[list[int], list]:
+def _starts(rows: list, normal: list[float], bound: float, rejected: bool = False) -> tuple[list[int], list]:
     """Starts (pairs of rows) of the Procrustes fit, and the branch of each.
 
     Rows of a rotation make I - A A^T = c c^T, c their components along the
@@ -144,8 +133,14 @@ def _starts(rows: list, normal: list[float], bound: float) -> tuple[list[int], l
     from its two completions A + c n^T and A - c n^T.  The completions are
     written out on named floats, entry r[k] + (sign * e) * n[k], the
     operations of a comprehension over the rows and the normal in its order.
+
+    With rejected, the rows are branches that started from A and whose start
+    the gate rejected, and each gives its two completions unless c is zero:
+    mean + rad at most 0, or a double eigenvalue (rad = 0).  Without it, a
+    branch past the bound has rad > 0, as |mean - rad| <= bound.
     """
     n0, n1, n2 = normal
+    cut = 0.0 if rejected else bound
     owner, starts = [], []
     for j, (r1, r2) in enumerate(rows):
         x0, x1, x2 = r1
@@ -158,7 +153,7 @@ def _starts(rows: list, normal: list[float], bound: float) -> tuple[list[int], l
         rad = math.sqrt(half * half + m01 * m01)
         if abs(mean - rad) > bound:
             continue
-        if mean + rad > bound:
+        if mean + rad > cut and rad > 0.0:
             # c is the eigenvector of mean + rad, scaled to its square root
             e0, e1 = (rad + half, m01) if half >= 0.0 else (m01, rad - half)
             scale = math.sqrt((mean + rad) / (e0 * e0 + e1 * e1))
@@ -167,7 +162,7 @@ def _starts(rows: list, normal: list[float], bound: float) -> tuple[list[int], l
                 starts.append(((x0 + s0 * n0, x1 + s0 * n1, x2 + s0 * n2),
                                (y0 + s1 * n0, y1 + s1 * n1, y2 + s1 * n2)))
             owner += (j, j)
-        else:
+        elif not rejected:
             starts.append((r1, r2))
             owner.append(j)
     return owner, starts
@@ -273,7 +268,8 @@ def _fit_relabelings(
     than a plane is rejected even when perm_rows is empty.  The SVD
     truncated at k, the rank of P3, gives the first two rows of every branch
     as the pseudo-inverse solution of P3 r = u; one gate call takes the
-    starts of every branch.
+    starts of every branch.  When k = 2, a branch whose one start the gate
+    rejected has its completions gated in a second call.
     """
     p3 = tetra.vertices[:3]
     u, s, vt = np.linalg.svd(p3)
@@ -289,12 +285,23 @@ def _fit_relabelings(
         k = 2
     bound, screen = _noise_bounds(s[:k], tol)
     rhs = quad.points.ravel()[_RHS_INDEX[:, perm_rows]].reshape(3, -1)
-    rows = (vt[:k].T @ (u[:, :k].T @ rhs / s[:k, None])).T.reshape(-1, 2, 3)
-    owner, starts = _starts(rows.tolist(), vt[2].tolist(), bound)
+    rows = (vt[:k].T @ (u[:, :k].T @ rhs / s[:k, None])).T.reshape(-1, 2, 3).tolist()
+    normal = vt[2].tolist()
     points = quad.points.tolist()
+    owner, starts = _starts(rows, normal, bound)
     branch_rows = [perm_rows[j] for j in owner]
     shadows = [_PICK[row](points) for row in branch_rows]
     out = _gate(tetra.vertices, starts, [ALL_PERMUTATIONS[row] for row in branch_rows], shadows, screen, planar, tol)
+    if k == 2 and len(out) < len(starts):
+        # A plane's shadow is even in c, so Gauss-Newton cannot leave a start from A whose
+        # c is within bound of zero: a branch whose one start the gate rejected is completed.
+        accepted = {cand.sigma.images for cand in out}
+        lone = [j for j in owner if ALL_PERMUTATIONS[perm_rows[j]].images not in accepted and owner.count(j) == 1]
+        owner, starts = _starts([rows[j] for j in lone], normal, bound, True)
+        if starts:
+            branch_rows = [perm_rows[lone[j]] for j in owner]
+            shadows = [_PICK[row](points) for row in branch_rows]
+            out += _gate(tetra.vertices, starts, [ALL_PERMUTATIONS[row] for row in branch_rows], shadows, screen, planar, tol)
     return dedupe_rotations(out)
 
 
@@ -315,13 +322,14 @@ def labeled_solve(
 
 
 def _circumcircle(p: list[float], q: list[float], r: list[float], rel_tol: float):
-    """Center, radius, normal and area of the circle through three points in space, on named floats.
+    """Center and radius of the circle through three points in space, on named floats.
 
     The edges from p are divided by the power of two at or above the longer
     one before any square is formed, so nothing overflows for admitted
     coordinates and the division is exact; lengths are math.hypot.  The
-    normal is the cross product of the scaled edges and area its length:
-    circumcircle3 divides it and applies the sign rule, the route drops it.
+    points count as collinear, and CollinearPointsError is raised, when
+    they coincide or when |(q - p) x (r - p)| is at most rel_tol times the
+    square of the longer of the two edges.
     """
     p0, p1, p2 = p
     a0, a1, a2 = q[0] - p0, q[1] - p1, q[2] - p2
@@ -341,24 +349,7 @@ def _circumcircle(p: list[float], q: list[float], r: list[float], rel_tol: float
     twice = 2.0 * area * area
     w0, w1, w2 = g11 * b0 - g22 * a0, g11 * b1 - g22 * a1, g11 * b2 - g22 * a2
     o0, o1, o2 = (w1 * n2 - w2 * n1) / twice, (w2 * n0 - w0 * n2) / twice, (w0 * n1 - w1 * n0) / twice
-    return (p0 + scale * o0, p1 + scale * o1, p2 + scale * o2), scale * math.hypot(o0, o1, o2), (n0, n1, n2), area
-
-
-def circumcircle3(p, q, r) -> Circle3D:
-    """Circle through three non-collinear points in space.
-
-    The points count as collinear, and CollinearPointsError is raised, when
-    they coincide or when |(q - p) x (r - p)| is at most
-    DEFAULT_TOLERANCES.rank_rel times the square of the longer of the two edges.
-    """
-    a = as_finite_array(p, (3,), "p")
-    b = as_finite_array(q, (3,), "q")
-    c = as_finite_array(r, (3,), "r")
-    center, radius, normal, area = _circumcircle(a.tolist(), b.tolist(), c.tolist(), DEFAULT_TOLERANCES.rank_rel)
-    normal = [x / area for x in normal]
-    if next((x < 0 for x in normal if abs(x) > 1e-12), False):  # the first entry above 1e-12 in magnitude is positive
-        normal = [-x for x in normal]
-    return Circle3D(center=np.array(center), radius=radius, normal=np.array(normal))
+    return (p0 + scale * o0, p1 + scale * o1, p2 + scale * o2), scale * math.hypot(o0, o1, o2)
 
 
 def _unit_conic(points: list[list[float]], rel_tol: float) -> tuple[float, float, float, list[float]]:
@@ -451,7 +442,7 @@ def reconstruct_geometric(
     the first two rows of each rigid lift through the gate of the linear
     route.  Two SVDs are taken, of P3 and of the conic's design matrix;
     every other step is closed form on named floats, every sum left to
-    right; the circle is _circumcircle, the helper circumcircle3 shares.
+    right.
 
     Requires a full-dimensional tetrahedron and a non-degenerate view.
     Agrees with labeled_solve where both apply.
@@ -461,7 +452,7 @@ def reconstruct_geometric(
     if _rank(s, tol.rank_rel) < 3:
         raise DegenerateTetrahedronError("geometric reconstruction needs a full-dimensional tetrahedron")
     p = p3.tolist()
-    (c0, c1, c2), radius, _, _ = _circumcircle(*p, tol.rank_rel)
+    (c0, c1, c2), radius = _circumcircle(*p, tol.rank_rel)
 
     u = quad.points.tolist()
     (x0, y0), (x1, y1), (x2, y2) = u[:3]
@@ -553,9 +544,10 @@ def unlabeled_solve(
 
     One factorization of the tetrahedron, one batched fit over the
     relabelings that survive the norm pruning (at most 24) and one gate
-    call for all of them, each branch fitted and accepted like a labeled
-    solve.  Each candidate is one labeled_solve gives on the relabeled
-    projection.  Rotations of one relabeling that are not _apart are
+    call for all of them (and one for the completions of rejected in-plane
+    starts, see _fit_relabelings), each branch fitted and accepted like a
+    labeled solve.  Each candidate is one labeled_solve gives on the
+    relabeled projection.  Rotations of one relabeling that are not _apart are
     merged by dedupe_rotations; the result is ordered by relabeling and residual.  An
     empty list means no rotation is compatible.  Vertex sets spanning less
     than a plane are rejected, even when no relabeling survives.

@@ -20,23 +20,19 @@ from tetrot import (
     PermClass,
     ProjectionQuad,
     apply,
-    circumcircle3,
     classify_rotation,
     config_dimension,
-    coplanarity_det,
     labeled_solve,
-    minor_sigma_id,
     quat_from_axis_angle,
     quat_to_matrix,
     reconstruct_geometric,
     sample_cell_rotation,
     sample_tetrahedron,
-    fourcycle_lambda,
-    verify_fourcycle_relations,
 )
 from tetrot.cli import main
 
-from conftest import random_full_dim_tetrahedron, random_unit_quaternion
+from conftest import random_full_dim_tetrahedron, random_unit_quaternion, unit_normal
+from paper_identities import coplanarity_det, fourcycle_lambda, minor_sigma_id, verify_fourcycle_relations
 
 # The published dimension table is exercised on sixteen cells: a generic
 # oblique cell per class, the horizontal cells where the table assigns a
@@ -173,8 +169,7 @@ def test_criterion_09_geometric_route_matches_linear_route():
     while checked < 200:
         tetra = random_full_dim_tetrahedron(rng, min_ratio=0.15)
         q = random_unit_quaternion(rng)
-        circle = circumcircle3(*tetra.vertices[:3])
-        if abs((quat_to_matrix(q) @ circle.normal)[2]) < 0.25:
+        if abs((quat_to_matrix(q) @ unit_normal(*tetra.vertices[:3]))[2]) < 0.25:
             continue
         quad = ProjectionQuad(apply(q, tetra.vertices)[:, :2])
         linear = labeled_solve(tetra, quad)

@@ -8,8 +8,8 @@ unlabeled_solve, labeled_solve and reconstruct_geometric on five
 instances, so that a change in the last bits of any candidate fails.  The
 geometric definition tests write the route's circle, chords, conic, frames
 and lifts out in lists, one list per vector and every sum left to right,
-and require the bits of reconstruct_geometric and circumcircle3 on
-generic, noisy, near-edge-on and scaled instances.
+and require the bits of reconstruct_geometric and of its circle,
+_circumcircle, on generic, noisy, near-edge-on and scaled instances.
 The gate tests feed the shared gate rows on either side of its one
 tolerance; the prune and dedupe tests put the norm test and the merge on
 either side of theirs.  The factorization tests count the linear-algebra
@@ -41,7 +41,6 @@ from tetrot import (
     Tetrahedron,
     UnitQuaternion,
     apply,
-    circumcircle3,
     dedupe_rotations,
     labeled_solve,
     matrix_to_quat,
@@ -58,7 +57,7 @@ from tetrot.instances import four_cycle_instance, planar_instance
 from tetrot import geom, rotation, solver
 from tetrot.solver import _gate
 
-from conftest import near_edge_on, random_full_dim_tetrahedron, random_unit_quaternion
+from conftest import near_edge_on, random_full_dim_tetrahedron, random_unit_quaternion, tilted_near_plane
 
 
 def per_relabeling_solve(tetra, quad):
@@ -148,7 +147,9 @@ def written_out_fit(tetra, quad, tol=DEFAULT_TOLERANCES):
     the least singular vector n of P3.  Each start, completed by r1 x r2,
     is snapped by matrix_to_quat.  A start whose shadow misses by more than
     geom_abs but at most screen takes three Gauss-Newton steps.  A rotation
-    is kept when its residual is at most geom_abs.
+    is kept when its residual is at most geom_abs.  When k = 2 and the one
+    start A is not kept, its two completions are tried, unless c is zero:
+    mean + rad at most 0, or rad = 0, one double eigenvalue.
     """
     vertices = tetra.vertices
     p3 = vertices[:3]
@@ -181,21 +182,30 @@ def written_out_fit(tetra, quad, tol=DEFAULT_TOLERANCES):
         rad = math.sqrt(half * half + m01 * m01)
         if abs(mean - rad) > bound:
             continue
-        if mean + rad <= bound:
-            starts = [(r1, r2)]
-        else:
+
+        def completions():
             # eigenvector of the larger eigenvalue mean + rad, scaled to its square root
             e = np.array([rad + half, m01] if half >= 0.0 else [m01, rad - half])
             c = e * math.sqrt((mean + rad) / (e[0] * e[0] + e[1] * e[1]))
-            starts = [(r1 + c[0] * normal, r2 + c[1] * normal), (r1 - c[0] * normal, r2 - c[1] * normal)]
-        for row1, row2 in starts:
-            q = matrix_to_quat(np.vstack([row1, row2, np.cross(row1, row2)]), atol=math.inf)
-            matrix, res = residual(q, points)
-            if tol.geom_abs < res <= screen:
-                q = matrix_to_quat(gauss_newton(vertices, matrix, points), atol=math.inf)
+            return [(r1 + c[0] * normal, r2 + c[1] * normal), (r1 - c[0] * normal, r2 - c[1] * normal)]
+
+        def kept(starts):
+            found = []
+            for row1, row2 in starts:
+                q = matrix_to_quat(np.vstack([row1, row2, np.cross(row1, row2)]), atol=math.inf)
                 matrix, res = residual(q, points)
-            if res <= tol.geom_abs:
-                out.append(SolveCandidate(sigma, q, matrix, res, planar))
+                if tol.geom_abs < res <= screen:
+                    q = matrix_to_quat(gauss_newton(vertices, matrix, points), atol=math.inf)
+                    matrix, res = residual(q, points)
+                if res <= tol.geom_abs:
+                    found.append(SolveCandidate(sigma, q, matrix, res, planar))
+            return found
+
+        starts = completions() if mean + rad > bound else [(r1, r2)]
+        candidates = kept(starts)
+        if not candidates and len(starts) == 1 and in_plane and rad > 0.0 and mean + rad > 0.0:
+            candidates = kept(completions())
+        out += candidates
     return dedupe_rotations(out)
 
 
@@ -224,6 +234,29 @@ class TestPlanarDefinition:
             branches += len(got)
         assert count >= 40
         assert branches >= 200
+
+
+    def test_written_out_fit_holds_where_rejected_starts_are_completed(self, monkeypatch):
+        completed = []
+        starts = solver._starts
+
+        def counted(*args):
+            owner, got = starts(*args)
+            if args[3:]:  # the completions of branches whose one start the gate rejected
+                completed.extend(owner)
+            return owner, got
+
+        monkeypatch.setattr(solver, "_starts", counted)
+        rng = np.random.default_rng(2026)
+        count = 0
+        for tetra, truth in [tilted_near_plane(rng) for _ in range(1000)]:
+            if np.linalg.svd(tetra.vertices[:3], compute_uv=False)[2] > 100.0 * DEFAULT_TOLERANCES.geom_abs:
+                continue  # the fit is not in the plane
+            quad = ProjectionQuad((tetra.vertices @ truth.T)[:, :2])
+            same_bits(unlabeled_solve(tetra, quad), written_out_fit(tetra, quad))
+            count += 1
+        assert count >= 300
+        assert len(completed) >= 30
 
 
 class TestFitDefinition:
@@ -676,7 +709,7 @@ def cross(a, b):
 
 
 def reference_circumcircle(p, q, r, rel_tol):
-    """Center, radius and unit normal of the circle through three points, one list per vector."""
+    """Center and radius of the circle through three points, one list per vector."""
     d1 = [b - a for a, b in zip(p, q)]
     d2 = [b - a for a, b in zip(p, r)]
     longest = max(math.hypot(*d1), math.hypot(*d2))
@@ -695,10 +728,7 @@ def reference_circumcircle(p, q, r, rel_tol):
     g22 = u2[0] * u2[0] + u2[1] * u2[1] + u2[2] * u2[2]
     twice = 2.0 * area * area
     offset = [x / twice for x in cross([g11 * b - g22 * a for a, b in zip(u1, u2)], normal)]
-    normal = [x / area for x in normal]
-    if next((x < 0 for x in normal if abs(x) > 1e-12), False):
-        normal = [-x for x in normal]
-    return [a + scale * x for a, x in zip(p, offset)], scale * math.hypot(*offset), normal
+    return [a + scale * x for a, x in zip(p, offset)], scale * math.hypot(*offset)
 
 
 def reference_frame(points):
@@ -737,7 +767,7 @@ def reference_geometric(tetra, quad, tol=DEFAULT_TOLERANCES):
     if geom._rank(s, tol.rank_rel) < 3:
         raise DegenerateTetrahedronError("geometric reconstruction needs a full-dimensional tetrahedron")
     p = p3.tolist()
-    center, radius, _ = reference_circumcircle(*p, tol.rank_rel)
+    center, radius = reference_circumcircle(*p, tol.rank_rel)
     u = quad.points.tolist()
     (x0, y0), (x1, y1), (x2, y2) = u[:3]
     area2 = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
@@ -814,7 +844,7 @@ def geometric_instances():
 
 
 class TestGeometricDefinition:
-    """The geometric route and circumcircle3 on named floats against their list form, bit for bit."""
+    """The geometric route and its circle on named floats against their list form, bit for bit."""
 
     def test_route_equals_its_list_form(self, geometric_instances):
         kinds = set()
@@ -825,20 +855,19 @@ class TestGeometricDefinition:
         assert len(geometric_instances) >= 300
         assert kinds >= {0, 1, CollinearPointsError, DegenerateTetrahedronError, solver.DegenerateViewError}
 
-    def test_circumcircle3_equals_its_list_form(self, geometric_instances):
+    def test_circumcircle_equals_its_list_form(self, geometric_instances):
         rel_tol = DEFAULT_TOLERANCES.rank_rel
         for tetra, _ in geometric_instances:
-            p, q, r = tetra.vertices[:3]
+            p, q, r = tetra.vertices[:3].tolist()
             try:
-                circle = circumcircle3(p, q, r)
+                center, radius = solver._circumcircle(p, q, r, rel_tol)
             except CollinearPointsError as exc:
                 with pytest.raises(CollinearPointsError, match=f"^{exc}$"):
-                    reference_circumcircle(p.tolist(), q.tolist(), r.tolist(), rel_tol)
+                    reference_circumcircle(p, q, r, rel_tol)
                 continue
-            center, radius, normal = reference_circumcircle(p.tolist(), q.tolist(), r.tolist(), rel_tol)
-            assert circle.center.tobytes() == np.array(center).tobytes()
-            assert float(circle.radius).hex() == radius.hex()
-            assert circle.normal.tobytes() == np.array(normal).tobytes()
+            want_center, want_radius = reference_circumcircle(p, q, r, rel_tol)
+            assert [x.hex() for x in center] == [x.hex() for x in want_center]
+            assert radius.hex() == want_radius.hex()
 
 
 class TestOneFactorization:

@@ -10,7 +10,6 @@ from tetrot import (
     AxisClass,
     CaseCell,
     PermClass,
-    ProjectionQuad,
     Tetrahedron,
     UnitQuaternion,
     apply,
@@ -18,21 +17,15 @@ from tetrot import (
     case_label,
     classify_rotation,
     config_dimension,
-    coplanarity_det,
-    fourcycle_lambda,
-    midpoint_frame,
-    minor_sigma_id,
     null_space_basis,
     numeric_rank,
     predicted_dimension,
     project,
-    quad_match,
     quat_from_axis_angle,
     quat_to_axis_angle,
     quat_to_matrix,
     sample_cell_rotation,
     sample_tetrahedron,
-    verify_fourcycle_relations,
 )
 from tetrot import configspace, geom
 from tetrot.configspace import _COUPLING, _DIAGONAL, _special_turn, _table_dimension
@@ -40,7 +33,8 @@ from tetrot.geom import DEFAULT_TOLERANCES
 from tetrot.instances import four_cycle_instance, planar_instance
 from tetrot.rotation import _rotation_rows
 
-from conftest import random_full_dim_tetrahedron, random_unit_quaternion
+from conftest import random_full_dim_tetrahedron, random_unit_quaternion, shadow_miss
+from paper_identities import coplanarity_det, fourcycle_lambda, midpoint_frame, minor_sigma_id, verify_fourcycle_relations
 
 SQ6 = math.sqrt(6.0)
 SQ38 = math.sqrt(0.375)
@@ -540,8 +534,7 @@ class TestSampleTetrahedron:
             sigma = CANONICAL_PERMUTATION[cell.perm_class]
             for trial in range(5):
                 tetra = sample_tetrahedron(q, cell.perm_class, rng)
-                rotated = ProjectionQuad(apply(q, tetra.vertices)[:, :2])
-                assert quad_match(rotated, project(tetra), sigma, 1e-8)
+                assert shadow_miss(apply(q, tetra.vertices), project(tetra).points[list(sigma.zero_based())]) <= 1e-8
 
     def test_double_two_cycle_vertical_half_turn_projects_to_parallelogram(self):
         rng = np.random.default_rng(20)

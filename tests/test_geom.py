@@ -9,22 +9,21 @@ from hypothesis import strategies as st
 from tetrot import (
     ALL_PERMUTATIONS,
     CANONICAL_PERMUTATION,
-    IDENTITY_PERMUTATION,
+    DEFAULT_TOLERANCES,
     PermClass,
     Permutation4,
     ProjectionQuad,
     Tetrahedron,
     Tolerances,
-    coplanarity_det,
     project,
     prune_permutations,
-    quad_match,
     quat_from_axis_angle,
 )
 from tetrot.geom import MAX_MAGNITUDE
 from tetrot.instances import four_cycle_instance, planar_instance
 
-from conftest import random_full_dim_tetrahedron
+from conftest import random_full_dim_tetrahedron, shadow_miss
+from paper_identities import coplanarity_det
 
 SQ6 = math.sqrt(6.0)
 
@@ -159,24 +158,27 @@ class TestProject:
 
 
 class TestQuadMatch:
+    """Whether a shadow matches four points is decided by the gate's rule, _misses, against a bound."""
+
     def test_identity_match(self):
-        quad = project(four_cycle_instance().tetrahedron)
-        assert quad_match(quad, quad, IDENTITY_PERMUTATION, 1e-12)
+        tetra = four_cycle_instance().tetrahedron
+        assert shadow_miss(tetra.vertices, project(tetra).points) <= 1e-12
 
     def test_four_cycle_relabeling_matches(self):
         inst = four_cycle_instance()
-        rotated = ProjectionQuad(inst.rotated_vertices[:, :2])
-        assert quad_match(rotated, inst.projection, inst.sigma, 1e-12)
+        assert shadow_miss(inst.rotated_vertices, inst.projection.points[list(inst.sigma.zero_based())]) <= 1e-12
 
     def test_four_cycle_identity_fails(self):
         inst = four_cycle_instance()
-        rotated = ProjectionQuad(inst.rotated_vertices[:, :2])
-        assert not quad_match(rotated, inst.projection, IDENTITY_PERMUTATION, 1e-6)
+        assert not shadow_miss(inst.rotated_vertices, inst.projection.points) <= 1e-6
 
     def test_multiset_match_with_coincident_points(self):
-        quad = project(planar_instance().tetrahedron)
-        shuffled = ProjectionQuad(quad.points[[3, 1, 2, 0]])
-        assert quad.multiset_match(shuffled)
+        tetra = planar_instance().tetrahedron
+        shuffled = project(tetra).points[[3, 1, 2, 0]]
+        assert any(
+            shadow_miss(tetra.vertices, shuffled[list(sigma.zero_based())]) <= DEFAULT_TOLERANCES.geom_abs
+            for sigma in ALL_PERMUTATIONS
+        )
 
 
 class TestFullDimensional:

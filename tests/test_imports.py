@@ -1,13 +1,18 @@
-"""Every module-level import of the package is used by its module, and the
-package's names are its modules' ``__all__`` lists.
+"""Every module-level import of the package is used by its module, the
+package's names are its modules' ``__all__`` lists, and each of those names
+is read by the system that runs.
 
 Each ``src/tetrot/*.py`` other than ``__init__.py`` (which exists to
 re-export) is parsed with ``ast``; a name that a top-level ``import`` binds
-must be read somewhere in the module or listed in its ``__all__``.
+must be read somewhere in the module or listed in its ``__all__``.  A name
+in an ``__all__`` must be read by another module of the package (the CLI
+included) or by the benchmark, ``bench/*.py`` other than its tests, unless
+it is allowed below with its reason.
 """
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -16,11 +21,24 @@ import tetrot
 from tetrot import configspace, geom, rotation, solver
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tetrot"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
+SURFACE = {Path(module.__file__).name: module for module in (geom, rotation, configspace, solver)}
 
 # (module, name): why the import stays although the module never reads it
 ALLOWED = {
     ("cli.py", "sample_tetrahedron"): "bench/spans.py wraps cli.sample_tetrahedron, so the name must exist there",
+}
+
+# (module, name): why the name stays public although no other module and no benchmark reads it
+ALLOWED_PUBLIC = {
+    ("rotation.py", "AxisAngle"): "quat_to_axis_angle returns it",
+    ("rotation.py", "quat_to_axis_angle"): "the inverse of quat_from_axis_angle, which the CLI reads",
+    ("rotation.py", "matrix_to_quat"): "the inverse of quat_to_matrix, and the only route from a matrix to a quaternion",
+    ("solver.py", "CollinearPointsError"): "reconstruct_geometric raises it",
+    ("solver.py", "DegenerateChordError"): "reconstruct_geometric raises it",
+    ("solver.py", "DegenerateTetrahedronError"): "labeled_solve, unlabeled_solve and reconstruct_geometric raise it",
+    ("solver.py", "DegenerateViewError"): "reconstruct_geometric raises it",
 }
 
 
@@ -75,3 +93,42 @@ def test_the_package_re_exports_each_module_all_and_nothing_else():
     tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert [alias.name for node in imports for alias in node.names] == ["*"] * 4
+
+
+def names_read(path: Path) -> set[str]:
+    """Names a file reads: loaded names, attributes, imported names, and the name in a string
+    "module.name" of one of the four modules, as bench/spans.py names the functions it wraps."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=path.name)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            dotted = re.fullmatch(r"(?:geom|rotation|configspace|solver)\.(\w+)", node.value)
+            if dotted:
+                read.add(dotted[1])
+    return read
+
+
+def read_elsewhere(module: str) -> set[str]:
+    """Names read by every package module but `module`, and by the benchmark but its tests."""
+    paths = [SRC / name for name in MODULES if name != module]
+    paths += [path for path in BENCH.glob("*.py") if path.name != "test_bench.py"]
+    return set().union(*(names_read(path) for path in paths))
+
+
+@pytest.mark.parametrize("module", sorted(SURFACE))
+def test_every_public_name_is_read_by_the_system(module):
+    allowed = {name for mod, name in ALLOWED_PUBLIC if mod == module}
+    unread = set(SURFACE[module].__all__) - read_elsewhere(module) - allowed
+    assert not unread, f"only tests read {sorted(unread)} of {module}'s __all__"
+
+
+@pytest.mark.parametrize("module, name", sorted(ALLOWED_PUBLIC))
+def test_each_allowed_public_name_is_still_public_and_unread(module, name):
+    # an entry the system now reads, or a name no longer public, is stale and goes
+    assert name in SURFACE[module].__all__
+    assert name not in read_elsewhere(module)

@@ -45,6 +45,8 @@ from tetrot.geom import DEFAULT_TOLERANCES, _own_tetrahedron, _rank, as_finite_a
 from tetrot.rotation import _rotation_rows
 from tetrot.solver import _misses, _starts
 
+from conftest import tilted_near_plane
+
 
 def reference_axis_angle(q: UnitQuaternion) -> tuple[np.ndarray, float]:
     vec = np.array([q.b, q.c, q.d])
@@ -316,8 +318,11 @@ def test_rotation_rows_are_exact_on_fractions():
         assert r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20) + r02 * (r10 * r21 - r11 * r20) == 1
 
 
-def reference_starts(rows: list, normal: list[float], bound: float) -> tuple[list[int], list]:
-    """solver._starts with each completion a comprehension over the rows and the normal."""
+def reference_starts(rows: list, normal: list[float], bound: float, rejected: bool = False) -> tuple[list[int], list]:
+    """solver._starts with each completion a comprehension over the rows and the normal.
+
+    With rejected, every branch started from its rows, and each is completed
+    when c is not zero."""
     owner, starts = [], []
     for j, (r1, r2) in enumerate(rows):
         m00 = 1.0 - (r1[0] * r1[0] + r1[1] * r1[1] + r1[2] * r1[2])
@@ -327,8 +332,13 @@ def reference_starts(rows: list, normal: list[float], bound: float) -> tuple[lis
         rad = math.sqrt(half * half + m01 * m01)
         if abs(mean - rad) > bound:
             continue
+        complete = mean + rad > bound
+        if rejected:
+            if rad == 0.0 or mean + rad <= 0.0:
+                continue
+            complete = True
         pairs = [[r1, r2]]
-        if mean + rad > bound:
+        if complete:
             e0, e1 = (rad + half, m01) if half >= 0.0 else (m01, rad - half)
             scale = math.sqrt((mean + rad) / (e0 * e0 + e1 * e1))
             pairs = [[[a + sign * e * n for a, n in zip(r, normal)] for r, e in ((r1, e0), (r2, e1))]
@@ -341,8 +351,9 @@ def reference_starts(rows: list, normal: list[float], bound: float) -> tuple[lis
 def test_starts_match_their_comprehension_form(monkeypatch):
     """On the arguments of every _starts call that unlabeled_solve makes on null-space samples
     of every cell, seen through their exact shadow and through one moved by 0.9 geom_abs at
-    every point.  Planar and full-rank vertex sets, dropped branches, branches started from
-    their rows and completed ones must all occur."""
+    every point, and on exact shadows of tilted near-planar vertex sets.  Planar and
+    full-rank vertex sets, dropped branches, branches started from
+    their rows and completed ones, and completions of rejected branches must all occur."""
     rng = np.random.default_rng(63)
     instances = []
     for cell in CLASSIFICATION_CELLS:
@@ -351,6 +362,8 @@ def test_starts_match_their_comprehension_form(monkeypatch):
             theta = rng.uniform(0.0, 2.0 * math.pi, 4)
             moved = 0.9 * DEFAULT_TOLERANCES.geom_abs * np.stack([np.cos(theta), np.sin(theta)], axis=1)
             instances += [(tetra, project(tetra)), (tetra, ProjectionQuad(project(tetra).points + moved))]
+    for tetra, truth in [tilted_near_plane(rng) for _ in range(200)]:
+        instances.append((tetra, ProjectionQuad((tetra.vertices @ truth.T)[:, :2])))
     calls = []
     monkeypatch.setattr(solver, "_starts", lambda *args: calls.append(args) or _starts(*args))
     seen = set()
@@ -363,12 +376,15 @@ def test_starts_match_their_comprehension_form(monkeypatch):
             rank = _rank(np.linalg.svd(tetra.vertices[:3], compute_uv=False), DEFAULT_TOLERANCES.rank_rel)
             seen.add("planar" if rank == 2 else "full rank")
         while calls:
-            rows, normal, bound = calls.pop()
-            owner, starts = _starts(rows, normal, bound)
-            want_owner, want = reference_starts(rows, normal, bound)
+            args = calls.pop()
+            rows = args[0]
+            owner, starts = _starts(*args)
+            want_owner, want = reference_starts(*args)
             assert owner == want_owner
             assert [x.hex() for pair in starts for row in pair for x in row] == [
                 x.hex() for pair in want for row in pair for x in row]
             seen.update(("completed" if owner.count(j) == 2 else "rows" if j in owner else "dropped")
                         for j in range(len(rows)))
-    assert seen == {"planar", "full rank", "completed", "rows", "dropped"}
+            if args[3:] and starts:
+                seen.add("rejected, completed")
+    assert seen == {"planar", "full rank", "completed", "rows", "dropped", "rejected, completed"}
