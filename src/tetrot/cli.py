@@ -31,7 +31,11 @@ to exit code 0 or 1.
 
 The parser, with every command and option, is built once on import and shared
 by all threads: `main()` builds nothing, and parsing stores nothing on the
-parser, so `main()` may be called from several threads at once.
+parser, so `main()` may be called from several threads at once.  A command is
+parsed once: its leading words (the command, then a `reproduce` name) pick the
+one parser that reads the rest, which is what argparse's subcommand actions
+hand it.  The top-level parser parses only a list whose first word names no
+command, so help, usage and every error keep argparse's own words.
 """
 
 from __future__ import annotations
@@ -432,7 +436,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Recover tetrahedron rotations from orthographic projections "
                     "and analyze the relabeling ambiguities.",
     )
-    commands = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    # recorded as _CommandParser records a command's, for _parse to walk
+    commands = parser._subcommands = parser.add_subparsers(dest="command", required=True,
+                                                           parser_class=_CommandParser)
     perm_classes = [c.value for c in PermClass]
 
     solve = commands.add_parser("solve", help="recover rotations from tetrahedron and projection files")
@@ -473,11 +479,34 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The namespace _PARSER.parse_args(argv) gives, from one parser's pass.
+
+    argparse's subparsers action hands every word after a subcommand's name
+    to that subcommand's parser, and sets its dest to the name.  So the
+    leading words that name a command, then a `reproduce` name, pick the
+    parser that reads the rest, and only that parser parses; words it leaves
+    are refused as parse_args refuses them.  A list whose first word names
+    no command goes to _PARSER whole, for its help, usage and errors.
+    """
+    words = sys.argv[1:] if argv is None else list(argv)
+    parser, names = _PARSER, {}
+    while parser._subcommands is not None and words and words[0] in parser._subcommands.choices:
+        names[parser._subcommands.dest] = words[0]
+        parser, words = parser._subcommands.choices[words[0]], words[1:]
+    if not names:
+        return _PARSER.parse_args(words)
+    args, unread = parser.parse_known_args(words)
+    if unread:
+        _PARSER.error(f"unrecognized arguments: {' '.join(unread)}")
+    return argparse.Namespace(**names, **vars(args))
+
+
 def main(argv=None) -> int:
     try:
         if sys.stdout is None:  # Python's stdout when fd 1 was closed at start; -h writes there too
             raise OSError("stdout is closed")
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
         report, ok = args.func(args, _config(args))
         _emit({"command": args.command, **report})
         return 0 if ok else 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +63,16 @@ def _only_numbers(values) -> bool:
     return True
 
 
-def _check_number(value, name: str) -> None:
-    """Refuse value unless it is one number by the rule of _only_numbers, not a list or array of them."""
+def _check_number(value, name: str) -> float:
+    """value as a float, refused unless it is one number by the rule of _only_numbers,
+    not a list or array of them, and within the float range: an int too large
+    for a float is refused too, as as_finite_array refuses it."""
     if not (type(value) in _PLAIN_NUMBERS or _only_numbers(value) and np.ndim(value) == 0):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a number, got an int beyond the float range") from None
 
 
 def as_finite_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -119,8 +126,8 @@ class Tolerances:
     def __post_init__(self) -> None:
         for name in ("rank_rel", "geom_abs", "angle_abs"):
             value = getattr(self, name)
-            _check_number(value, name)
-            if not (np.isfinite(value) and value > 0):
+            number = _check_number(value, name)
+            if not (math.isfinite(number) and number > 0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
         if not self.rank_rel < 1.0:  # a cutoff at or above 1 drops every singular value
             raise ValueError(f"rank_rel must be below 1, got {self.rank_rel!r}")

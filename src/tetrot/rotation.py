@@ -94,9 +94,7 @@ class UnitQuaternion:
 
 def _numbers(a, b, c, d) -> tuple[float, float, float, float]:
     """The four components as floats, each refused unless it is a number by the rule of _check_number."""
-    for value, name in ((a, "a"), (b, "b"), (c, "c"), (d, "d")):
-        _check_number(value, name)
-    return float(a), float(b), float(c), float(d)
+    return _check_number(a, "a"), _check_number(b, "b"), _check_number(c, "c"), _check_number(d, "d")
 
 
 def _set_canonical(q: UnitQuaternion, a: float, b: float, c: float, d: float) -> None:
@@ -185,7 +183,7 @@ def quat_from_axis_angle(axis, angle: float) -> UnitQuaternion:
     norm = float(np.linalg.norm(w))
     if abs(norm - 1.0) > _AXIS_NORM_ATOL:
         raise ValueError(f"axis must be a unit vector, got norm {norm!r}")
-    _check_number(angle, "angle")
+    angle = _check_number(angle, "angle")
     if not math.isfinite(angle):
         raise ValueError("angle must be finite")
     return _axis_turn(*w.tolist(), angle)

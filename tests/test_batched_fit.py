@@ -107,15 +107,30 @@ class TestDefinition:
         assert count >= 80
 
 
+def cross_matrix(v):
+    """[v]x, the matrix of u -> v x u, with each entry a sum that starts at +0.0,
+    as the product of v and the 0/1/-1 matrix of the cross product forms it:
+    an entry that is zero is +0.0, whatever the signs of the components."""
+    x, y, z = v
+    return np.array([[0.0, 0.0 - z, 0.0 + y], [0.0 + z, 0.0, 0.0 - x], [0.0 - y, 0.0 + x, 0.0]])
+
+
 def gauss_newton(vertices, matrix, points):
-    """Three steps R <- exp([w]x) R on sum_i |(R p_i)[:2] - u_i|^2."""
+    """Three steps R <- exp([w]x) R on sum_i |(R p_i)[:2] - u_i|^2.
+
+    The shadow of R p moves by w x (R p) = -[R p]x w, so the Jacobian is the
+    top two rows of -[R p]x per vertex: its zero entries are -0.0.  They
+    must be: the SVD behind pinv takes the sign of a zero entry (a
+    Householder reflector follows the sign of its pivot), so a Jacobian with
+    +0.0 there gives singular vectors, and then steps, that differ in the
+    last bits.
+    """
     for _ in range(3):
-        x, y, z = (vertices @ matrix.T).T
-        # the shadow of R p moves by w x (R p): rows (0, z, -y) and (-z, 0, x)
-        jac = np.array([row for i in range(4) for row in ([0.0, z[i], -y[i]], [-z[i], 0.0, x[i]])])
-        miss = (np.column_stack([x, y]) - points).reshape(8, 1)
+        q = vertices @ matrix.T
+        jac = np.vstack([-cross_matrix(p)[:2] for p in q])
+        miss = (q[:, :2] - points).reshape(8, 1)
         w = -(np.linalg.pinv(jac) @ miss)[:, 0]
-        cross = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+        cross = cross_matrix(w)
         t = np.sqrt(np.vecdot(w, w))
         step = np.sinc(t / np.pi) * cross + 0.5 * np.sinc(t / (2.0 * np.pi)) ** 2 * (cross @ cross)
         matrix = (np.eye(3) + step) @ matrix
@@ -237,8 +252,10 @@ class TestPlanarDefinition:
 
 
     def test_written_out_fit_holds_where_rejected_starts_are_completed(self, monkeypatch):
-        completed = []
-        starts = solver._starts
+        # every draw, in-plane fits and full-rank ones; draws 138 and 838 refine a
+        # full-rank start whose Jacobian has -0.0 entries that count
+        completed, refined = [], []
+        starts, refine = solver._starts, solver._gauss_newton
 
         def counted(*args):
             owner, got = starts(*args)
@@ -247,16 +264,21 @@ class TestPlanarDefinition:
             return owner, got
 
         monkeypatch.setattr(solver, "_starts", counted)
+        monkeypatch.setattr(solver, "_gauss_newton", lambda *args: refined.append(len(args[1])) or refine(*args))
         rng = np.random.default_rng(2026)
-        count = 0
-        for tetra, truth in [tilted_near_plane(rng) for _ in range(1000)]:
-            if np.linalg.svd(tetra.vertices[:3], compute_uv=False)[2] > 100.0 * DEFAULT_TOLERANCES.geom_abs:
-                continue  # the fit is not in the plane
+        in_plane, refined_full_rank = 0, []
+        for index, (tetra, truth) in enumerate([tilted_near_plane(rng) for _ in range(1000)]):
             quad = ProjectionQuad((tetra.vertices @ truth.T)[:, :2])
+            refined.clear()
             same_bits(unlabeled_solve(tetra, quad), written_out_fit(tetra, quad))
-            count += 1
-        assert count >= 300
+            if np.linalg.svd(tetra.vertices[:3], compute_uv=False)[2] <= 100.0 * DEFAULT_TOLERANCES.geom_abs:
+                in_plane += 1
+            elif refined:
+                refined_full_rank.append(index)
+        assert in_plane >= 300
         assert len(completed) >= 30
+        assert {138, 838} <= set(refined_full_rank)
+        assert len(refined_full_rank) >= 10
 
 
 class TestFitDefinition:

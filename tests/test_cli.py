@@ -1061,23 +1061,27 @@ class TestGoldenText:
         same_as_fresh(capsys, monkeypatch, fresh_process, GOLDEN_ARGV[case])
 
 
+# Each runnable command with a shared option it does not read, last.
+UNREAD_ARGV = [
+    ["solve", "--tetrahedron", "TET", "--projection", "PROJ", "--tol-angle", "0.1"],
+    ["solve", "--tetrahedron", "TET", "--projection", "PROJ", "--seed", "7"],
+    ["analyze", "--rotation", "ROT", "--perm-class", "double-two-cycle", "--tol-geom", "0.1"],
+    ["analyze", "--rotation", "ROT", "--perm-class", "double-two-cycle", "--seed", "7"],
+    ["verify-dims", "--trials", "1", "--tol-geom", "0.1"],
+    ["reproduce", "four-cycle", "--tol-angle", "0.1"],
+    # each reproduce name has its own parser, which takes only what its replay reads
+    pytest.param(["reproduce", "four-cycle", "--seed", "7"], id="reproduce-four-cycle-seed"),
+    pytest.param(["reproduce", "four-cycle", "--trials", "3"], id="reproduce-four-cycle-trials"),
+    pytest.param(["reproduce", "planar", "--seed", "7"], id="reproduce-planar-seed"),
+    pytest.param(["reproduce", "planar", "--trials", "3"], id="reproduce-planar-trials"),
+    pytest.param(["reproduce", "norm-prune", "--tol-rank", "0.5"], id="reproduce-norm-prune-tol-rank"),
+    pytest.param(["reproduce", "norm-prune", "--seed", "7"], id="reproduce-norm-prune-seed"),
+    pytest.param(["reproduce", "norm-prune", "--trials", "3"], id="reproduce-norm-prune-trials"),
+]
+
+
 class TestUnreadOptionsRefused:
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--tetrahedron", "TET", "--projection", "PROJ", "--tol-angle", "0.1"],
-        ["solve", "--tetrahedron", "TET", "--projection", "PROJ", "--seed", "7"],
-        ["analyze", "--rotation", "ROT", "--perm-class", "double-two-cycle", "--tol-geom", "0.1"],
-        ["analyze", "--rotation", "ROT", "--perm-class", "double-two-cycle", "--seed", "7"],
-        ["verify-dims", "--trials", "1", "--tol-geom", "0.1"],
-        ["reproduce", "four-cycle", "--tol-angle", "0.1"],
-        # each reproduce name has its own parser, which takes only what its replay reads
-        pytest.param(["reproduce", "four-cycle", "--seed", "7"], id="reproduce-four-cycle-seed"),
-        pytest.param(["reproduce", "four-cycle", "--trials", "3"], id="reproduce-four-cycle-trials"),
-        pytest.param(["reproduce", "planar", "--seed", "7"], id="reproduce-planar-seed"),
-        pytest.param(["reproduce", "planar", "--trials", "3"], id="reproduce-planar-trials"),
-        pytest.param(["reproduce", "norm-prune", "--tol-rank", "0.5"], id="reproduce-norm-prune-tol-rank"),
-        pytest.param(["reproduce", "norm-prune", "--seed", "7"], id="reproduce-norm-prune-seed"),
-        pytest.param(["reproduce", "norm-prune", "--trials", "3"], id="reproduce-norm-prune-trials"),
-    ], ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}")
+    @pytest.mark.parametrize("argv", UNREAD_ARGV, ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}")
     def test_exits_two_as_unrecognized(self, capsys, golden_files, argv):
         code, out, err = invoke(capsys, [golden_files.get(arg, arg) for arg in argv])
         assert code == 2
@@ -1299,6 +1303,60 @@ class TestParserReuse:
         assert codes == [2, 0]
 
 
+# Argument lists through every parser of the tree and out of it each way: the
+# golden cases (-h of the top level and of each command, no arguments, an
+# unknown command, usage errors), every runnable command, a shared option each
+# one does not read, a flag before the instance name, and the cases below.
+WALK_ARGV = list(map(list, dict.fromkeys(map(tuple, [
+    *GOLDEN_ARGV.values(),
+    *COMMAND_ARGV,
+    *(getattr(entry, "values", [entry])[0] for entry in UNREAD_ARGV),
+    FAILING,
+    PASSING,
+    *(["reproduce", name, "-h"] for name in ("four-cycle", "norm-prune", "planar", "uniqueness-sweep")),
+    ["reproduce", "--seed", "3", "four-cycle"],
+    ["reproduce", "no-such-instance"],
+    ["reproduce", "four-cycle", "planar"],
+    ["solve", "--tetra", "TET", "--projection", "PROJ"],
+    ["--", "reproduce", "four-cycle"],
+    ["reproduce", "--", "four-cycle"],
+    ["reproduce", "four-cycle", "--"],
+    ["solve", "--", "--tetrahedron", "TET", "--projection", "PROJ"],
+    ["--tol-geom", "1e-6", "reproduce", "four-cycle"],
+]))))
+
+
+class TestOneParse:
+    """main() parses a command with the one parser its leading words name, and
+    prints what the full parse of _PARSER leads it to print."""
+
+    @pytest.mark.parametrize("words", WALK_ARGV, ids=lambda words: " ".join(words) or "no-arguments")
+    def test_same_as_the_full_parse(self, capsys, monkeypatch, golden_files, words):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [golden_files.get(arg, arg) for arg in words]
+        try:
+            full = vars(cli._PARSER.parse_args(argv))
+        except SystemExit:
+            full = None  # help or a usage error, whose bytes are compared below
+        if full is not None:
+            assert vars(cli._parse(argv)) == full
+        capsys.readouterr()
+        walked = invoke(capsys, argv)
+        monkeypatch.setattr(cli, "_parse", cli._PARSER.parse_args)
+        assert invoke(capsys, argv) == walked
+
+    def test_the_cases_reach_every_parser(self):
+        # the first word names each command, and the second each reproduce name
+        heads = {" ".join(words[:1 + (words[:1] == ["reproduce"])]) for words in WALK_ARGV}
+        assert set(runnable_parsers()) <= heads
+
+    def test_no_arguments_means_those_of_the_process(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["tetrot", "reproduce", "norm-prune", "--tol-geom", "10"])
+        given = invoke(capsys, None)
+        assert given == invoke(capsys, sys.argv[1:])
+        assert given[0] == 1
+
+
 def _in_threads(monkeypatch, calls: list, rounds: int) -> list:
     """Each round runs calls[i]() twice in a new thread i, all released at once
     under a tiny switch interval; the results, round by round.  Every call
@@ -1345,15 +1403,23 @@ class TestConcurrentFirstUse:
     THREADS = 8
     ROUNDS = 40
 
-    def test_each_thread_gets_its_own_namespace(self, capsys, monkeypatch, golden_files):
+    def namespaces_in_threads(self, monkeypatch, golden_files, parse):
         # four threads run reproduce, each with another instance name
         argvs = [[golden_files.get(arg, arg) for arg in argv] for argv in COMMAND_ARGV]
         argvs[3] = ["verify-dims", "--trials", "3", "--seed", "5"]
         assert len(argvs) == self.THREADS
         expected = [vars(cli._build_parser().parse_args(argv)) for argv in argvs]
-        calls = [lambda argv=argv: vars(cli._PARSER.parse_args(argv)) for argv in argvs]
+        calls = [lambda argv=argv: vars(parse(argv)) for argv in argvs]
         results = _in_threads(monkeypatch, calls, self.ROUNDS)
         assert results == [[[namespace] * 2 for namespace in expected]] * self.ROUNDS
+
+    def test_each_thread_gets_its_own_namespace(self, capsys, monkeypatch, golden_files):
+        self.namespaces_in_threads(monkeypatch, golden_files, cli._PARSER.parse_args)
+        assert capsys.readouterr().err == ""
+
+    def test_each_thread_gets_its_own_namespace_from_one_parse(self, capsys, monkeypatch, golden_files):
+        # the parse main() runs: each thread walks to its own command's parser
+        self.namespaces_in_threads(monkeypatch, golden_files, cli._parse)
         assert capsys.readouterr().err == ""
 
     def test_a_usage_error_names_the_arguments_of_its_own_call(self, monkeypatch):
@@ -1370,6 +1436,19 @@ class TestConcurrentFirstUse:
         messages = [[[str(exc) for exc in excs] for excs in outcome] for outcome in results]
         assert messages == [[[message] * 2 for message in expected]] * self.ROUNDS
         assert all(type(exc) is _UsageError for outcome in results for excs in outcome for exc in excs)
+
+    def test_words_one_parse_leaves_are_those_of_its_own_call(self, monkeypatch):
+        def refuse(self, message):
+            raise _UsageError(message)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "error", refuse)
+        names = ["four-cycle", "norm-prune", "planar"]  # none takes --trials
+        argvs = [["reproduce", names[i % 3], "--trials", str(i)] for i in range(self.THREADS)]
+        calls = [lambda argv=argv: cli._parse(argv) for argv in argvs]
+        expected = [f"unrecognized arguments: --trials {i}" for i in range(self.THREADS)]
+        results = _in_threads(monkeypatch, calls, self.ROUNDS)
+        messages = [[[str(exc) for exc in excs] for excs in outcome] for outcome in results]
+        assert messages == [[[message] * 2 for message in expected]] * self.ROUNDS
 
 
 class TestSampleDefinition:

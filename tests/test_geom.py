@@ -276,8 +276,9 @@ class TestTolerances:
     def test_rejects_non_positive(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be strictly positive, got 0.0$"):
             Tolerances(**{field: 0.0})
-        # a bool, a string or a list is no number, whatever numpy would make of it
-        for value in (True, np.True_, "1e-8", None, [1e-8]):
+        # a bool, a string or a list is no number, whatever numpy would make of it, and
+        # neither is an int beyond the float range
+        for value in (True, np.True_, "1e-8", None, [1e-8], 10**400):
             with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
                 Tolerances(**{field: value})
 

@@ -41,9 +41,10 @@ class TestUnitQuaternion:
             UnitQuaternion(1.0, 1.0, 0.0, 0.0)
 
     def test_components_are_numbers(self):
-        # the rule of every input number: a bool, a string, None or a list is refused, where
-        # float() would read "1" and True as 1.0; normalized takes outside numbers too
-        for bad in ("1", True, np.True_, None, [1.0]):
+        # the rule of every input number: a bool, a string, None, a list or an int beyond the
+        # float range is refused, where float() would read "1" and True as 1.0 and raise
+        # OverflowError on 10**400; normalized takes outside numbers too
+        for bad in ("1", True, np.True_, None, [1.0], 10**400):
             for position, name in enumerate("abcd"):
                 comps = [1.0, 0.0, 0.0, 0.0]
                 comps[position] = bad
@@ -139,7 +140,7 @@ class TestQuatFromAxisAngle:
             quat_from_axis_angle([1, 0, 1], math.pi)
 
     def test_angle_is_a_finite_number(self):
-        for angle in (True, "1", None, [1.0], np.array([1.0])):
+        for angle in (True, "1", None, [1.0], np.array([1.0]), 10**400):
             with pytest.raises(ValueError, match="^angle must be a number, got "):
                 quat_from_axis_angle([0, 0, 1], angle)
         for angle in (math.inf, math.nan):
