@@ -28,6 +28,7 @@ the cube cap was spent first.  Nothing here calls the solver.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -86,9 +87,8 @@ def misses(vertices: np.ndarray, shadow: np.ndarray, vectors: np.ndarray) -> tup
             np.sqrt(((turned - shadow) ** 2).sum(axis=-1)))
 
 
-def relabeling_verdict(vertices: np.ndarray, shadow: np.ndarray, geom_abs: float,
-                       depth: int = DEPTH, cap: int = CUBE_CAP) -> tuple[str, int]:
-    """Verdict on whether a rotation sends vertex i within geom_abs of shadow[i], and the cubes evaluated.
+def relabeling_verdict(vertices: np.ndarray, shadow: np.ndarray, geom_abs: float) -> str:
+    """Verdict on whether a rotation sends vertex i within geom_abs of shadow[i].
 
     The search dives: the child that misses least, after its turn, of the
     cube it split last is split next, beside the BATCH - 1 live cubes that
@@ -101,6 +101,7 @@ def relabeling_verdict(vertices: np.ndarray, shadow: np.ndarray, geom_abs: float
     # a bound must clear geom_abs by more than the rounding of a miss before a cube is dropped
     limit = geom_abs + 8.0 * np.finfo(float).eps * (float(np.abs(vertices).max()) + float(np.abs(shadow).max()))
     heap = []  # (turned miss, order, level, centre) of the live cubes not yet split
+    order = itertools.count()  # unique, so a tie in the miss never compares two centres
     evaluated, stalled = 0, False
     levels, centres = np.zeros(1, dtype=int), np.zeros((1, 3))
     while True:
@@ -108,28 +109,28 @@ def relabeling_verdict(vertices: np.ndarray, shadow: np.ndarray, geom_abs: float
         evaluated += len(centres)
         best = np.minimum(miss.max(axis=1), turned.max(axis=1))
         if (best <= geom_abs).any():
-            return FOUND, evaluated
+            return FOUND
         alive = (miss - (np.pi * 0.5 ** levels)[:, None] * reach).max(axis=1) <= limit
-        stalled |= bool((alive & (levels == depth)).any())
-        alive &= levels < depth
+        stalled |= bool((alive & (levels == DEPTH)).any())
+        alive &= levels < DEPTH
         # the best live child of the first cube split, the dive's cube, is split next
         first = np.flatnonzero(alive[:8])
         dive = [first[np.argmin(best[first])]] if first.size else []
         for i in np.flatnonzero(alive):
             if i not in dive:
-                heapq.heappush(heap, (best[i], evaluated + i, levels[i], centres[i]))
+                heapq.heappush(heap, (best[i], next(order), levels[i], centres[i]))
         batch = [(levels[i], centres[i]) for i in dive]
         while heap and len(batch) < BATCH:
             batch.append(heapq.heappop(heap)[2:])
         if not batch:
-            return (UNDECIDED if stalled else EMPTY), evaluated
-        if evaluated >= cap:
-            return UNDECIDED, evaluated
+            return UNDECIDED if stalled else EMPTY
+        if evaluated >= CUBE_CAP:
+            return UNDECIDED
         levels = np.repeat([level + 1 for level, _ in batch], 8)
         centres = np.concatenate([centre + np.pi * 0.5 ** (level + 1) * _OCTANTS for level, centre in batch])
 
 
-def oracle(vertices: np.ndarray, points: np.ndarray, geom_abs: float, **caps) -> list[tuple[str, int]]:
+def oracle(vertices: np.ndarray, points: np.ndarray, geom_abs: float) -> list[str]:
     """relabeling_verdict for each relabeling, in the order of ALL_PERMUTATIONS."""
-    return [relabeling_verdict(vertices, points[list(sigma.zero_based())], geom_abs, **caps)
+    return [relabeling_verdict(vertices, points[list(sigma.zero_based())], geom_abs)
             for sigma in ALL_PERMUTATIONS]

@@ -66,7 +66,7 @@ def verdicts():
     out = []
     for kind, tetra, points in instances:
         quad = ProjectionQuad(points)
-        said = {sigma.images: verdict for sigma, (verdict, _) in zip(ALL_PERMUTATIONS, oracle(tetra.vertices, quad.points, GEOM_ABS))}
+        said = {sigma.images: verdict for sigma, verdict in zip(ALL_PERMUTATIONS, oracle(tetra.vertices, quad.points, GEOM_ABS))}
         out.append((kind, said, {cand.sigma.images for cand in unlabeled_solve(tetra, quad)}))
     return out
 
@@ -110,11 +110,11 @@ class TestOracle:
         # the four-cycle shadow stretched by 5 is wider than the tetrahedron
         inst = four_cycle_instance()
         said = oracle(inst.tetrahedron.vertices, inst.projection.points * 5.0, GEOM_ABS)
-        assert [verdict for verdict, _ in said] == [EMPTY] * 24
+        assert said == [EMPTY] * 24
 
     def test_the_four_cycle_shadow_is_found_under_both_of_its_relabelings(self):
         inst = four_cycle_instance()
         said = oracle(inst.tetrahedron.vertices, inst.projection.points, GEOM_ABS)
-        found = {sigma for sigma, (verdict, _) in zip(ALL_PERMUTATIONS, said) if verdict == FOUND}
+        found = {sigma for sigma, verdict in zip(ALL_PERMUTATIONS, said) if verdict == FOUND}
         assert inst.sigma in found
         assert found == {cand.sigma for cand in unlabeled_solve(inst.tetrahedron, inst.projection)}
