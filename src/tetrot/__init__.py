@@ -16,4 +16,4 @@ from .rotation import *  # noqa: F401,F403
 from .configspace import *  # noqa: F401,F403
 from .solver import *  # noqa: F401,F403
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -24,8 +24,9 @@ vertices and points), and a refused input exits 2 with its ValueError's
 message.
 
 Every command's handler has the contract `(args, tol) -> (report, ok)`: it
-gets the parsed arguments and the tolerances they resolve to, and returns
-its report without the "command" key and its verdict.  `main` alone resolves
+gets the parsed arguments and the tolerances they resolve to, passes `tol`
+on whole to each library function that takes one, and returns its report
+without the "command" key and its verdict.  `main` alone resolves
 the tolerances, prints the report with "command" first, and maps the verdict
 to exit code 0 or 1.
 
@@ -34,8 +35,10 @@ by all threads: `main()` builds nothing, and parsing stores nothing on the
 parser, so `main()` may be called from several threads at once.  A command is
 parsed once: its leading words (the command, then a `reproduce` name) pick the
 one parser that reads the rest, which is what argparse's subcommand actions
-hand it.  The top-level parser parses only a list whose first word names no
-command, so help, usage and every error keep argparse's own words.
+hand it, and the top-level parser reads a list whose first word names no
+command.  Either way one parse_known_args call and one refusal of the words
+it leaves make the namespace, so help, usage and every error keep argparse's
+own words.
 """
 
 from __future__ import annotations
@@ -220,16 +223,16 @@ def _cmd_solve(args: argparse.Namespace, tol: Tolerances) -> tuple[dict, bool]:
 def _cmd_analyze(args: argparse.Namespace, tol: Tolerances) -> tuple[dict, bool]:
     rotation = parse_rotation(_load_json(args.rotation))
     perm_class = PermClass(args.perm_class)
-    axis_class, alpha = classify_rotation(rotation, tol.angle_abs)
+    axis_class, alpha = classify_rotation(rotation, tol)
     # refuses the identity before the system is built, so it costs no SVD
-    predicted = predicted_dimension(perm_class, axis_class, alpha, tol.angle_abs)
-    rank = numeric_rank(build_config_matrix(rotation, perm_class), tol.rank_rel)
+    predicted = predicted_dimension(perm_class, axis_class, alpha, tol)
+    rank = numeric_rank(build_config_matrix(rotation, perm_class), tol)
     computed = 9 - rank
     return {
         "perm_class": perm_class.value,
         "axis_class": axis_class.value,
         "angle_rad": alpha,
-        "case": case_label(axis_class, alpha, tol.angle_abs),
+        "case": case_label(axis_class, alpha, tol),
         "rank": rank,
         "computed_dim": computed,
         "predicted_dim": predicted,
@@ -241,7 +244,7 @@ def _cmd_sample(args: argparse.Namespace, tol: Tolerances) -> tuple[dict, bool]:
     perm_class = PermClass(args.perm_class)
     sigma = CANONICAL_PERMUTATION[perm_class]
     # sample_tetrahedron per trial, with the null space and the rotation matrix computed once
-    basis = null_space_basis(_system(rotation, perm_class, tol.angle_abs), tol.rank_rel)
+    basis = null_space_basis(_system(rotation, perm_class, tol), tol)
     transpose = quat_to_matrix(rotation).T
     order = sigma.zero_based()
     samples = []
@@ -272,7 +275,7 @@ def _cmd_verify_dims(args: argparse.Namespace, tol: Tolerances) -> tuple[dict, b
         for trial in range(args.trials):
             rng = np.random.default_rng([args.seed, index, trial])
             rotation = sample_cell_rotation(cell, rng)
-            computed = config_dimension(rotation, cell.perm_class, tol.rank_rel, tol.angle_abs)
+            computed = config_dimension(rotation, cell.perm_class, tol)
             if computed != cell.expected_dim:
                 mismatches += 1
         cells.append({
@@ -317,7 +320,7 @@ def _reproduce_four_cycle(args: argparse.Namespace, tol: Tolerances) -> tuple[di
 
 def _reproduce_norm_prune(args: argparse.Namespace, tol: Tolerances) -> tuple[dict, bool]:
     inst = norm_prune_instance()
-    survivors = prune_permutations(inst.vertices, inst.projection, tol.geom_abs)
+    survivors = prune_permutations(inst.vertices, inst.projection, tol)
     ok = survivors == [IDENTITY_PERMUTATION]
     return {
         "name": "norm-prune",
@@ -487,15 +490,14 @@ def _parse(argv) -> argparse.Namespace:
     leading words that name a command, then a `reproduce` name, pick the
     parser that reads the rest, and only that parser parses; words it leaves
     are refused as parse_args refuses them.  A list whose first word names
-    no command goes to _PARSER whole, for its help, usage and errors.
+    no command walks no word, so _PARSER reads it whole, for its help, usage
+    and errors: parse_known_args and that refusal are what parse_args does.
     """
     words = sys.argv[1:] if argv is None else list(argv)
     parser, names = _PARSER, {}
     while parser._subcommands is not None and words and words[0] in parser._subcommands.choices:
         names[parser._subcommands.dest] = words[0]
         parser, words = parser._subcommands.choices[words[0]], words[1:]
-    if not names:
-        return _PARSER.parse_args(words)
     args, unread = parser.parse_known_args(words)
     if unread:
         _PARSER.error(f"unrecognized arguments: {' '.join(unread)}")

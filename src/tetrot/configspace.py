@@ -22,6 +22,7 @@ from .geom import (
     PermClass,
     Permutation4,
     Tetrahedron,
+    Tolerances,
     _own_tetrahedron,
     _rank,
 )
@@ -128,25 +129,20 @@ def build_config_matrix(q: UnitQuaternion, perm_class: PermClass) -> np.ndarray:
     return m
 
 
-def numeric_rank(m, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> int:
-    """Count of singular values above rel_tol times the largest one."""
-    return _rank(np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False), rel_tol)
+def numeric_rank(m, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
+    """Count of singular values above tol.rank_rel times the largest one."""
+    return _rank(np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False), tol.rank_rel)
 
 
-def null_space_basis(m, rel_tol: float = DEFAULT_TOLERANCES.rank_rel) -> np.ndarray:
-    """Orthonormal basis of the null space, one vector per row."""
+def null_space_basis(m, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Orthonormal basis of the null space at tol.rank_rel, one vector per row."""
     _, s, vh = np.linalg.svd(np.asarray(m, dtype=float), full_matrices=True)
-    return vh[_rank(s, rel_tol):]
+    return vh[_rank(s, tol.rank_rel):]
 
 
-def config_dimension(
-    q: UnitQuaternion,
-    perm_class: PermClass,
-    rel_tol: float = DEFAULT_TOLERANCES.rank_rel,
-    angle_abs: float = DEFAULT_TOLERANCES.angle_abs,
-) -> int:
-    """Null-space dimension of the projection-match system, 9 - rank."""
-    return 9 - numeric_rank(_system(q, perm_class, angle_abs), rel_tol)
+def config_dimension(q: UnitQuaternion, perm_class: PermClass, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
+    """Null-space dimension of the projection-match system, 9 - rank at tol.rank_rel."""
+    return 9 - numeric_rank(_system(q, perm_class, tol), tol)
 
 
 def _refuse_identity(axis_class: AxisClass) -> None:
@@ -155,9 +151,9 @@ def _refuse_identity(axis_class: AxisClass) -> None:
         raise ValueError("the identity rotation is excluded from dimension analysis")
 
 
-def _system(q: UnitQuaternion, perm_class: PermClass, angle_abs: float) -> np.ndarray:
-    """The class's 6x9 system for q, after _refuse_identity of q's class at angle_abs; reads no special angle."""
-    _refuse_identity(classify_rotation(q, angle_abs)[0])
+def _system(q: UnitQuaternion, perm_class: PermClass, tol: Tolerances) -> np.ndarray:
+    """The class's 6x9 system for q, after _refuse_identity of q's class at tol.angle_abs; reads no special angle."""
+    _refuse_identity(classify_rotation(q, tol)[0])
     return build_config_matrix(q, perm_class)
 
 
@@ -165,22 +161,23 @@ def predicted_dimension(
     perm_class: PermClass,
     axis_class: AxisClass,
     alpha: float,
-    angle_abs: float = DEFAULT_TOLERANCES.angle_abs,
+    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> int:
     """Predicted null-space dimension for an axis class and angle.
 
     The table gives 3 in the generic case and a larger value in the special
-    cells listed per class.  An angle not above angle_abs is refused as the identity.
+    cells listed per class, each a window of tol.angle_abs about its turn.
+    An angle not above tol.angle_abs is refused as the identity.
     """
-    _refuse_identity(axis_class if alpha > angle_abs else AxisClass.NO_AXIS)
-    return _table_dimension(perm_class, axis_class, _special_turn(alpha, angle_abs))
+    _refuse_identity(axis_class if alpha > tol.angle_abs else AxisClass.NO_AXIS)
+    return _table_dimension(perm_class, axis_class, _special_turn(alpha, tol.angle_abs))
 
 
-def case_label(axis_class: AxisClass, alpha: float, angle_abs: float = DEFAULT_TOLERANCES.angle_abs) -> str:
-    """Geometric label of a rotation's case cell, e.g. 'vertical-half-turn'."""
+def case_label(axis_class: AxisClass, alpha: float, tol: Tolerances = DEFAULT_TOLERANCES) -> str:
+    """Geometric label of a rotation's case cell at tol.angle_abs, e.g. 'vertical-half-turn'."""
     if axis_class is AxisClass.NO_AXIS:
         return "identity"
-    turn = _special_turn(alpha, angle_abs)
+    turn = _special_turn(alpha, tol.angle_abs)
     return axis_class.value if turn is None else f"{axis_class.value}-{turn}"
 
 
@@ -188,20 +185,20 @@ def sample_tetrahedron(
     q: UnitQuaternion,
     perm_class: PermClass,
     seed,
-    rel_tol: float = DEFAULT_TOLERANCES.rank_rel,
-    angle_abs: float = DEFAULT_TOLERANCES.angle_abs,
+    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Tetrahedron:
     """Draw a random member of the null space as a tetrahedron.
 
     Coefficients are drawn uniformly from the unit sphere of the null space
     and the result is scaled to unit RMS vertex norm, so invariant checks
     are scale free.  `seed` may be an int or a numpy Generator.  The
-    projection of the rotated result matches the projection of the result
-    itself under the canonical permutation of the class.  The vertices are
-    the library's own numbers, finite and bounded by construction, so the
-    result is not checked again (see _draw).
+    identity is refused at tol.angle_abs and the null space taken at
+    tol.rank_rel.  The projection of the rotated result matches the
+    projection of the result itself under the canonical permutation of the
+    class.  The vertices are the library's own numbers, finite and bounded
+    by construction, so the result is not checked again (see _draw).
     """
-    basis = null_space_basis(_system(q, perm_class, angle_abs), rel_tol)
+    basis = null_space_basis(_system(q, perm_class, tol), tol)
     return _draw(basis, np.random.default_rng(seed))  # returns a Generator seed as it is
 
 

@@ -115,8 +115,11 @@ class Tolerances:
     geom_abs  -- absolute tolerance when matching projected points (--tol-geom)
     angle_abs -- tolerance for axis components and special angles (--tol-angle)
 
-    The distance at which two rotations count as one is no field: it is
-    solver.DEDUPE_DISTANCE.
+    Every public function that reads a threshold takes a Tolerances as tol
+    and reads the field of its flag, so each value is checked once, here:
+    a number, finite and strictly positive.  Tetrahedron.full_dimensional
+    takes rank_rel as a float.  The distance at which two rotations count
+    as one is no field: it is solver.DEDUPE_DISTANCE.
     """
 
     rank_rel: float = 1e-9
@@ -154,11 +157,11 @@ class Permutation4:
 
     def __post_init__(self) -> None:
         given = tuple(self.images)
-        images = tuple(int(i) for i in given)
-        # int() alone would truncate 1.9 to 1 and read "1" as 1
-        if images != given or sorted(images) != [1, 2, 3, 4]:
+        # int() would read True and "1" as 1, which the one number rule refuses, and 1.9 as 1;
+        # sorted compares the values, so 1.9, an infinity or a NaN is no image of 1..4
+        if not (_only_numbers(given) and sorted(given) == [1, 2, 3, 4]):
             raise ValueError(f"images must be a permutation of 1..4, got {given}")
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", tuple(int(i) for i in given))
 
     def image(self, i: int) -> int:
         """Image of i under the permutation, 1-based."""

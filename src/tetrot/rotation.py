@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import DEFAULT_TOLERANCES, _check_number, as_finite_array
+from .geom import DEFAULT_TOLERANCES, Tolerances, _check_number, as_finite_array
 
 __all__ = [
     "AxisAngle",
@@ -270,16 +270,15 @@ def _quat_from_rows(rows: list[list[float]]) -> tuple[float, float, float, float
     return _unit(a, b, c, d)
 
 
-def classify_rotation(
-    q: UnitQuaternion, angle_abs: float = DEFAULT_TOLERANCES.angle_abs
-) -> tuple[AxisClass, float]:
-    """Axis class and rotation angle of q.
+def classify_rotation(q: UnitQuaternion, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[AxisClass, float]:
+    """Axis class and rotation angle of q, at angle_abs = tol.angle_abs.
 
     An angle not above angle_abs is classified NO_AXIS with angle 0, as the
-    identity; at a NaN angle_abs every rotation is.  Horizontal means
-    |w3| <= angle_abs, vertical means |w1|, |w2| <= angle_abs.  Reads the
-    floats behind quat_to_axis_angle, so it builds no AxisAngle.
+    identity.  Horizontal means |w3| <= angle_abs, vertical means |w1|,
+    |w2| <= angle_abs.  Reads the floats behind quat_to_axis_angle, so it
+    builds no AxisAngle.
     """
+    angle_abs = tol.angle_abs
     angle, w1, w2, w3 = _angle_axis(q)
     if not angle > angle_abs:
         return AxisClass.NO_AXIS, 0.0

@@ -500,18 +500,14 @@ def reconstruct_geometric(
     return dedupe_rotations(out)
 
 
-def prune_permutations(
-    vertices,
-    quad: ProjectionQuad,
-    tol_abs: float = DEFAULT_TOLERANCES.geom_abs,
-) -> list[Permutation4]:
-    """Relabelings not excluded by the norm test.
+def prune_permutations(vertices, quad: ProjectionQuad, tol: Tolerances = DEFAULT_TOLERANCES) -> list[Permutation4]:
+    """Relabelings not excluded by the norm test at tol.geom_abs.
 
     A projection never exceeds the norm of its source point, so sigma can
-    only match when ||u_sigma(i)|| <= ||p_i|| for every i.  Operates on the
-    coordinates as given, without recentring.
+    only match when ||u_sigma(i)|| <= ||p_i|| + geom_abs for every i.
+    Operates on the coordinates as given, without recentring.
     """
-    rows = _prune(as_finite_array(vertices, (4, 3), "vertices"), quad.points, tol_abs)
+    rows = _prune(as_finite_array(vertices, (4, 3), "vertices"), quad.points, tol.geom_abs)
     return [ALL_PERMUTATIONS[row] for row in rows]
 
 

@@ -19,6 +19,7 @@ from tetrot import (
     AxisClass,
     PermClass,
     ProjectionQuad,
+    Tolerances,
     apply,
     classify_rotation,
     config_dimension,
@@ -73,7 +74,7 @@ def test_criterion_01_dimension_table():
         for trial in range(100):
             rng = np.random.default_rng([101, index, trial])
             q = sample_cell_rotation(cell, rng)
-            if config_dimension(q, cell.perm_class, rel_tol=1e-9) != cell.expected_dim:
+            if config_dimension(q, cell.perm_class, Tolerances(rank_rel=1e-9)) != cell.expected_dim:
                 mismatches += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 10.0

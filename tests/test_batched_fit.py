@@ -39,6 +39,7 @@ from tetrot import (
     ProjectionQuad,
     SolveCandidate,
     Tetrahedron,
+    Tolerances,
     UnitQuaternion,
     apply,
     dedupe_rotations,
@@ -184,7 +185,7 @@ def written_out_fit(tetra, quad, tol=DEFAULT_TOLERANCES):
         return matrix, float(np.linalg.norm((vertices @ matrix.T)[:, :2] - points, axis=1).max())
 
     out = []
-    for sigma in prune_permutations(vertices, quad, tol.geom_abs):
+    for sigma in prune_permutations(vertices, quad, tol):
         points = quad.points[list(sigma.zero_based())]
         r1, r2 = (vt[:k].T @ (u[:, :k].T @ points[:3] / s[:k, None])).T
         reference = np.array(lstsq_rows(p3, points[:3], normal, in_plane, tol.rank_rel))
@@ -402,7 +403,7 @@ class TestPrune:
             tol = float(rng.choice([1e-8, 0.1, 0.5]))
             got = [ALL_PERMUTATIONS[row] for row in solver._prune(vertices, points, tol)]
             assert got == self.by_definition(vertices.tolist(), points.tolist(), tol)
-            assert prune_permutations(vertices, ProjectionQuad(points), tol) == got
+            assert prune_permutations(vertices, ProjectionQuad(points), Tolerances(geom_abs=tol)) == got
             sizes.add(len(got))
         assert {0, 24} < sizes and len(sizes) >= 5
 

@@ -11,6 +11,7 @@ from tetrot import (
     CaseCell,
     PermClass,
     Tetrahedron,
+    Tolerances,
     UnitQuaternion,
     apply,
     build_config_matrix,
@@ -43,12 +44,12 @@ Q_HORIZ_PI = UnitQuaternion(0, 1, 0, 0)
 
 # The one message of the rank analysis for a rotation within angle_abs of the identity
 IDENTITY_REFUSAL = "^the identity rotation is excluded from dimension analysis$"
-# (rotation, angle_abs): the identity itself, and turns at or below the tolerance
+# (rotation, tolerances): the identity itself, and turns at or below angle_abs
 IDENTITY_CASES = (
-    (UnitQuaternion(1, 0, 0, 0), DEFAULT_TOLERANCES.angle_abs),
-    (quat_from_axis_angle(np.array([0.0, 0.6, 0.8]), 1e-10), DEFAULT_TOLERANCES.angle_abs),
-    (quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 1e-3), 1e-2),
-    (quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), 0.5), 0.5),
+    (UnitQuaternion(1, 0, 0, 0), DEFAULT_TOLERANCES),
+    (quat_from_axis_angle(np.array([0.0, 0.6, 0.8]), 1e-10), DEFAULT_TOLERANCES),
+    (quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 1e-3), Tolerances(angle_abs=1e-2)),
+    (quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), 0.5), Tolerances(angle_abs=0.5)),
 )
 
 
@@ -143,23 +144,10 @@ class TestConfigDimension:
             assert config_dimension(q, perm_class) == 3
 
     def test_rejects_identity_rotation(self):
-        for q, angle_abs in IDENTITY_CASES:
+        for q, tol in IDENTITY_CASES:
             for perm_class in PermClass:
                 with pytest.raises(ValueError, match=IDENTITY_REFUSAL):
-                    config_dimension(q, perm_class, angle_abs=angle_abs)
-
-    def test_nan_angle_abs_is_refused_as_the_identity(self):
-        # at a NaN tolerance no angle is above it, so every rotation meets the one identity refusal
-        nan = float("nan")
-        assert classify_rotation(UnitQuaternion(1.0, 0.0, 0.0, 0.0), nan) == (AxisClass.NO_AXIS, 0.0)
-        for q in (UnitQuaternion(1.0, 0.0, 0.0, 0.0), Q_VERT_PI, Q_HORIZ_PI):
-            for perm_class in PermClass:
-                with pytest.raises(ValueError, match=IDENTITY_REFUSAL):
-                    config_dimension(q, perm_class, angle_abs=nan)
-                with pytest.raises(ValueError, match=IDENTITY_REFUSAL):
-                    sample_tetrahedron(q, perm_class, 0, angle_abs=nan)
-                with pytest.raises(ValueError, match=IDENTITY_REFUSAL):
-                    predicted_dimension(perm_class, *classify_rotation(q), nan)
+                    config_dimension(q, perm_class, tol)
 
     def test_lower_bound_three(self):
         rng = np.random.default_rng(13)
@@ -191,11 +179,11 @@ class TestPredictedDimension:
         with pytest.raises(ValueError, match=IDENTITY_REFUSAL):
             predicted_dimension(PermClass.IDENTITY, AxisClass.HORIZONTAL, 0.0)
         # the identity's class at angle_abs, and the class and angle of the same turn at the default
-        for q, angle_abs in IDENTITY_CASES:
-            for axis_class, alpha in (classify_rotation(q, angle_abs), classify_rotation(q)):
+        for q, tol in IDENTITY_CASES:
+            for axis_class, alpha in (classify_rotation(q, tol), classify_rotation(q)):
                 for perm_class in PermClass:
                     with pytest.raises(ValueError, match=IDENTITY_REFUSAL):
-                        predicted_dimension(perm_class, axis_class, alpha, angle_abs)
+                        predicted_dimension(perm_class, axis_class, alpha, tol)
 
     def test_computed_matches_predicted_on_every_cell(self):
         for index, cell in enumerate(CLASSIFICATION_CELLS):
@@ -483,10 +471,10 @@ class TestSampleTetrahedron:
         np.testing.assert_array_equal(a.vertices, b.vertices)
 
     def test_rejects_identity_rotation(self):
-        for q, angle_abs in IDENTITY_CASES:
+        for q, tol in IDENTITY_CASES:
             for perm_class in PermClass:
                 with pytest.raises(ValueError, match=IDENTITY_REFUSAL):
-                    sample_tetrahedron(q, perm_class, 0, angle_abs=angle_abs)
+                    sample_tetrahedron(q, perm_class, 0, tol)
 
     def test_only_a_tetrahedron_built_from_outside_numbers_is_checked(self, monkeypatch):
         # the sampler and the bundled instances build from the library's own numbers

@@ -7,10 +7,13 @@ re-export) is parsed with ``ast``; a name that a top-level ``import`` binds
 must be read somewhere in the module or listed in its ``__all__``.  A name
 in an ``__all__`` must be read by another module of the package (the CLI
 included) or by the benchmark, ``bench/*.py`` other than its tests, unless
-it is allowed below with its reason.
+it is allowed below with its reason.  Every threshold of the four modules'
+functions and methods comes in through a ``Tolerances``: a float keyword
+default is allowed below with its reason, or not at all.
 """
 
 import ast
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -40,6 +43,17 @@ ALLOWED_PUBLIC = {
     ("solver.py", "DegenerateTetrahedronError"): "labeled_solve, unlabeled_solve and reconstruct_geometric raise it",
     ("solver.py", "DegenerateViewError"): "reconstruct_geometric raises it",
 }
+
+# (module, function or Class.method, parameter): why a public float keyword default stays
+# rather than reading a field of the Tolerances that every other threshold comes in through
+ALLOWED_FLOAT_KEYWORDS = {
+    ("geom.py", "Tetrahedron.full_dimensional", "rank_rel"):
+        "bench/spans.py calls tetra.full_dimensional(tol.rank_rel) in every traced run",
+    ("rotation.py", "matrix_to_quat", "atol"):
+        "an orthogonality check, not a --tol-* flag; written_out_fit snaps its starts at atol=math.inf",
+}
+# The settable values of the library: each Tolerances field and each float keyword default
+SETTABLE_VALUES = 5
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -132,3 +146,30 @@ def test_each_allowed_public_name_is_still_public_and_unread(module, name):
     # an entry the system now reads, or a name no longer public, is stale and goes
     assert name in SURFACE[module].__all__
     assert name not in read_elsewhere(module)
+
+
+def float_keywords(module) -> set[tuple[str, str]]:
+    """(function or Class.method, parameter) of every float default of a public function, or of a
+    public method of a public class, in the module's __all__, found with inspect."""
+    routines = []
+    for name in module.__all__:
+        value = getattr(module, name)
+        if inspect.isfunction(value):
+            routines.append((name, value))
+        elif inspect.isclass(value):
+            routines += [(f"{name}.{attr}", getattr(value, attr)) for attr in vars(value)
+                         if not attr.startswith("_") and inspect.isroutine(getattr(value, attr))]
+    return {(qualname, parameter.name) for qualname, routine in routines
+            for parameter in inspect.signature(routine).parameters.values() if isinstance(parameter.default, float)}
+
+
+def test_every_public_float_keyword_is_allowed():
+    found = {(module, *keyword) for module in SURFACE for keyword in float_keywords(SURFACE[module])}
+    assert found <= set(ALLOWED_FLOAT_KEYWORDS), f"{sorted(found - set(ALLOWED_FLOAT_KEYWORDS))} take a float, not tol"
+    assert len(dataclasses.fields(geom.Tolerances)) + len(found) == SETTABLE_VALUES
+
+
+@pytest.mark.parametrize("module, routine, parameter", sorted(ALLOWED_FLOAT_KEYWORDS))
+def test_each_allowed_float_keyword_is_still_one(module, routine, parameter):
+    # an entry whose parameter now reads a Tolerances, or is gone, is stale and goes
+    assert (routine, parameter) in float_keywords(SURFACE[module])

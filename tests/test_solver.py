@@ -217,6 +217,14 @@ class TestEllipseGeometry:
         assert math.hypot(ux, uy) == pytest.approx(1.0, rel=1e-15)
         assert abs(ux * math.sin(angle) - uy * math.cos(angle)) <= 1e-12
 
+    @pytest.mark.parametrize("conic", [(1.0, 0.0, 1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)],
+                             ids=["no-real-point", "one-point"])
+    def test_a_conic_without_real_ellipse_points_is_refused(self, conic):
+        # x^2 + y^2 + 1 = 0 and x^2 + y^2 = 0 pass the edge-on test as circles, at level -1 and 0
+        for coefficients in (list(conic), [-x for x in conic]):
+            with pytest.raises(DegenerateViewError, match="^conic has no real ellipse points$"):
+                _ellipse_geometry(coefficients)
+
 
 class TestLabeledSolve:
     def test_four_cycle_instance_under_its_relabeling(self):
@@ -296,7 +304,7 @@ class TestOneRankRule:
         quad = project(tetra)
         full = factor > 1.0
         assert tetra.full_dimensional(rank_rel) is full
-        assert numeric_rank(tetra.vertices[:3], rank_rel) == (3 if full else 2)
+        assert numeric_rank(tetra.vertices[:3], tol) == (3 if full else 2)
         candidates = labeled_solve(tetra, quad, tol)
         assert candidates
         assert all(c.planar_ambiguous is not full for c in candidates)
@@ -314,7 +322,7 @@ class TestOneRankRule:
         quad = project(tetra)
         spans_a_plane = factor > 1.0
         assert not tetra.full_dimensional(rank_rel)
-        assert numeric_rank(tetra.vertices[:3], rank_rel) == (2 if spans_a_plane else 1)
+        assert numeric_rank(tetra.vertices[:3], tol) == (2 if spans_a_plane else 1)
         with pytest.raises(DegenerateTetrahedronError):
             reconstruct_geometric(tetra, quad, tol)
         if spans_a_plane:
