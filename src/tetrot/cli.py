@@ -33,12 +33,16 @@ to exit code 0 or 1.
 The parser, with every command and option, is built once on import and shared
 by all threads: `main()` builds nothing, and parsing stores nothing on the
 parser, so `main()` may be called from several threads at once.  A command is
-parsed once: its leading words (the command, then a `reproduce` name) pick the
-one parser that reads the rest, which is what argparse's subcommand actions
-hand it, and the top-level parser reads a list whose first word names no
-command.  Either way one parse_known_args call and one refusal of the words
-it leaves make the namespace, so help, usage and every error keep argparse's
-own words.
+parsed once at most: its leading words (the command, then a `reproduce` name)
+pick the one parser that reads the rest, which is what argparse's subcommand
+actions hand it.  The plain spelling of the rest, each word an exact option
+of that parser given once and each value a word that does not begin with "-"
+and converts, with every required option given, is read off the parser's own
+recorded options without argparse's pass.  Every other list (-h, usage
+errors, abbreviations, --opt=value, --, a repeated option, a value such as
+stdin's - or a negative number) goes to that parser's parse_known_args, and
+the top-level parser reads a list whose first word names no command, so
+help, usage and every error keep argparse's own words.
 """
 
 from __future__ import annotations
@@ -397,10 +401,27 @@ class _CommandParser(argparse.ArgumentParser):
     arguments through parse_known_args.
 
     A usage error is worded by the call that holds the arguments, so parsing
-    stores nothing on the parser and threads can share it.
+    stores nothing on the parser and threads can share it.  The parser records
+    each argument add_argument returns and each default set_defaults sets, as
+    it records the action of its subcommands, for _read to read.
     """
 
     _subcommands = None  # the action that holds the subcommands, set while the parser is built
+
+    def __init__(self, **kwargs):
+        self._arguments, self._options, self._own_defaults = [], {}, {}  # before ArgumentParser adds -h
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self._arguments.append(action)
+        if action.default is not argparse.SUPPRESS:  # -h sets nothing unless given: argparse reads it
+            self._options.update(dict.fromkeys(action.option_strings, action))
+        return action
+
+    def set_defaults(self, **kwargs):
+        super().set_defaults(**kwargs)
+        self._own_defaults.update(kwargs)
 
     def add_subparsers(self, **kwargs):
         self._subcommands = super().add_subparsers(**kwargs)
@@ -482,25 +503,85 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _read(parser: argparse.ArgumentParser, words: list):
+    """The namespace parser.parse_known_args(words) gives, with no word left,
+    read off the parser's own recorded options; None where the words need
+    argparse's pass.
+
+    The words are read here when each is an exact option string of the
+    parser, given at most once; an option that takes a value is followed by
+    one word that does not begin with "-", converts by the option's type and
+    lies in its choices; and every required option is given.  The namespace
+    then holds each argument's default, then each set_defaults value, then
+    what each given option stores, as argparse builds it.  Anything else is
+    None: -h, an abbreviation, --opt=value, --, a repeated option, a value
+    that begins with "-" (stdin's -, a negative number), a stray word, a
+    parser that still has subcommands to name, a positional argument or a
+    string default, which argparse converts by type.
+    """
+    if parser._subcommands is not None:
+        return None
+    given, index = {}, 0
+    while index < len(words):
+        word = words[index]
+        action = parser._options.get(word)
+        if action is None or action in given:
+            return None
+        if action.nargs == 0:
+            given[action], index = (word, []), index + 1
+            continue
+        if action.nargs is not None or index + 1 == len(words) or words[index + 1].startswith("-"):
+            return None
+        value = words[index + 1]
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action], index = (word, value), index + 2
+    namespace = argparse.Namespace()
+    for action in parser._arguments:
+        if not action.option_strings or action.required and action not in given:
+            return None
+        if action.default is argparse.SUPPRESS:
+            continue
+        if isinstance(action.default, str):  # argparse converts a string default by type
+            return None
+        if not hasattr(namespace, action.dest):
+            setattr(namespace, action.dest, action.default)
+    for dest, value in parser._own_defaults.items():
+        if not hasattr(namespace, dest):
+            setattr(namespace, dest, value)
+    for action, (word, value) in given.items():
+        action(parser, namespace, value, word)
+    return namespace
+
+
 def _parse(argv) -> argparse.Namespace:
-    """The namespace _PARSER.parse_args(argv) gives, from one parser's pass.
+    """The namespace _PARSER.parse_args(argv) gives, from one parser's pass at most.
 
     argparse's subparsers action hands every word after a subcommand's name
     to that subcommand's parser, and sets its dest to the name.  So the
     leading words that name a command, then a `reproduce` name, pick the
-    parser that reads the rest, and only that parser parses; words it leaves
-    are refused as parse_args refuses them.  A list whose first word names
-    no command walks no word, so _PARSER reads it whole, for its help, usage
-    and errors: parse_known_args and that refusal are what parse_args does.
+    parser that reads the rest.  _read reads them off that parser's options
+    when they are the plain spelling (exact option strings, each once, with
+    values that convert); any other list goes to that parser's
+    parse_known_args, and words it leaves are refused as parse_args refuses
+    them, so help, usage and every error keep argparse's own words.  A list
+    whose first word names no command walks no word, so _PARSER reads it whole.
     """
     words = sys.argv[1:] if argv is None else list(argv)
     parser, names = _PARSER, {}
     while parser._subcommands is not None and words and words[0] in parser._subcommands.choices:
         names[parser._subcommands.dest] = words[0]
         parser, words = parser._subcommands.choices[words[0]], words[1:]
-    args, unread = parser.parse_known_args(words)
-    if unread:
-        _PARSER.error(f"unrecognized arguments: {' '.join(unread)}")
+    args = _read(parser, words)
+    if args is None:
+        args, unread = parser.parse_known_args(words)
+        if unread:
+            _PARSER.error(f"unrecognized arguments: {' '.join(unread)}")
     return argparse.Namespace(**names, **vars(args))
 
 

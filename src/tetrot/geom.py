@@ -63,11 +63,18 @@ def _only_numbers(values) -> bool:
     return True
 
 
+def _is_number(value) -> bool:
+    """Whether value is one number by the rule of _only_numbers: not a list,
+    a tuple or an array of more than zero dimensions holding numbers."""
+    return type(value) in _PLAIN_NUMBERS or (
+        not isinstance(value, (list, tuple)) and _only_numbers(value) and np.ndim(value) == 0)
+
+
 def _check_number(value, name: str) -> float:
-    """value as a float, refused unless it is one number by the rule of _only_numbers,
-    not a list or array of them, and within the float range: an int too large
-    for a float is refused too, as as_finite_array refuses it."""
-    if not (type(value) in _PLAIN_NUMBERS or _only_numbers(value) and np.ndim(value) == 0):
+    """value as a float, refused unless it is one number by _is_number and
+    within the float range: an int too large for a float is refused too, as
+    as_finite_array refuses it."""
+    if not _is_number(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
@@ -131,7 +138,7 @@ class Tolerances:
             value = getattr(self, name)
             number = _check_number(value, name)
             if not (math.isfinite(number) and number > 0):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
         if not self.rank_rel < 1.0:  # a cutoff at or above 1 drops every singular value
             raise ValueError(f"rank_rel must be below 1, got {self.rank_rel!r}")
 
@@ -158,8 +165,9 @@ class Permutation4:
     def __post_init__(self) -> None:
         given = tuple(self.images)
         # int() would read True and "1" as 1, which the one number rule refuses, and 1.9 as 1;
-        # sorted compares the values, so 1.9, an infinity or a NaN is no image of 1..4
-        if not (_only_numbers(given) and sorted(given) == [1, 2, 3, 4]):
+        # sorted compares the values, so 1.9, an infinity or a NaN is no image of 1..4, and
+        # each image is one number first, since sorted cannot compare (1,) with 2
+        if not (all(map(_is_number, given)) and sorted(given) == [1, 2, 3, 4]):
             raise ValueError(f"images must be a permutation of 1..4, got {given}")
         object.__setattr__(self, "images", tuple(int(i) for i in given))
 

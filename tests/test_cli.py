@@ -1326,9 +1326,53 @@ WALK_ARGV = list(map(list, dict.fromkeys(map(tuple, [
 ]))))
 
 
+# Spellings that only argparse's pass reads: help, an abbreviation,
+# --opt=value, --, a repeated option, a value that begins with "-" (stdin's
+# -, a negative number), a missing required option, a value outside the
+# choices or beyond the type, a stray word, no instance name, and a flag
+# before the command.
+ARGPARSE_ARGV = [
+    ["solve", "-h"],
+    ["solve", "--tetra", "TET", "--projection", "PROJ"],
+    ["solve", "--tetrahedron=TET", "--projection", "PROJ"],
+    ["solve", "--tetrahedron", "TET", "--", "--projection", "PROJ"],
+    ["solve", "--tetrahedron", "TET", "--projection", "PROJ", "--labeled", "--labeled"],
+    ["solve", "--tetrahedron", "TET", "--projection", "PROJ", "--tetrahedron", "BIG"],
+    ["solve", "--tetrahedron", "-", "--projection", "PROJ"],
+    ["sample", "--rotation", "ROT", "--perm-class", "two-cycle", "--seed", "-1"],
+    ["solve", "--tetrahedron", "TET"],
+    ["analyze", "--rotation", "ROT", "--perm-class", "five-cycle"],
+    ["verify-dims", "--trials", "x"],
+    ["reproduce", "four-cycle", "extra"],
+    ["reproduce"],
+    ["--tol-geom", "1e-6", "reproduce", "four-cycle"],
+]
+
+# The argument shapes of the benchmark's cli workload, as golden_files names its inputs.
+WORKLOAD_ARGV = [
+    ["solve", "--tetrahedron", "TET", "--projection", "SHADOW"],
+    ["solve", "--tetrahedron", "TET", "--projection", "SHADOW", "--labeled"],
+    ["analyze", "--rotation", "ROT", "--perm-class", "double-two-cycle"],
+    ["sample", "--rotation", "ROT", "--perm-class", "double-two-cycle", "--trials", "5", "--seed", "3047"],
+    ["reproduce", "four-cycle"],
+]
+
+
+def parse_outcome(parse, argv) -> tuple:
+    """What parse(argv) gives: its namespace, floats by repr so that NaN equals
+    NaN, or None with the exit code; then what it printed."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            namespace, code = {key: repr(value) for key, value in vars(parse(argv)).items()}, None
+        except SystemExit as exc:  # help or a usage error
+            namespace, code = None, exc.code
+    return namespace, code, out.getvalue(), err.getvalue()
+
+
 class TestOneParse:
     """main() parses a command with the one parser its leading words name, and
-    prints what the full parse of _PARSER leads it to print."""
+    prints what the full parse of _PARSER leads it to print.  The plain
+    spelling is read off that parser's own options, and argparse reads the rest."""
 
     @pytest.mark.parametrize("words", WALK_ARGV, ids=lambda words: " ".join(words) or "no-arguments")
     def test_same_as_the_full_parse(self, capsys, monkeypatch, golden_files, words):
@@ -1355,6 +1399,39 @@ class TestOneParse:
         given = invoke(capsys, None)
         assert given == invoke(capsys, sys.argv[1:])
         assert given[0] == 1
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_same_namespace_as_the_full_parse_on_fuzzed_lists(self, data):
+        # either both refuse the list, with the same words, or both give the same namespace
+        argv = data.draw(_argv())
+        assert parse_outcome(cli._parse, argv) == parse_outcome(cli._PARSER.parse_args, argv), argv
+
+    def test_the_workload_shapes_are_read_off_the_parser(self, monkeypatch, golden_files):
+        def refuse(self, args=None, namespace=None):
+            raise AssertionError(f"argparse's pass ran on {args}")
+
+        argvs = [[golden_files.get(arg, arg) for arg in words] for words in WORKLOAD_ARGV]
+        expected = [parse_outcome(cli._PARSER.parse_args, argv) for argv in argvs]
+        monkeypatch.setattr(cli._CommandParser, "parse_known_args", refuse)
+        assert [parse_outcome(cli._parse, argv) for argv in argvs] == expected
+        assert all(namespace is not None for namespace, *_ in expected)
+
+    @pytest.mark.parametrize("words", ARGPARSE_ARGV, ids=" ".join)
+    def test_argparse_reads_every_other_spelling(self, monkeypatch, golden_files, words):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [golden_files.get(arg, arg) for arg in words]
+        expected = parse_outcome(cli._PARSER.parse_args, argv)
+        passes = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, args=None, namespace=None):
+            passes.append(self.prog)
+            return parse_known_args(self, args, namespace)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        assert parse_outcome(cli._parse, argv) == expected
+        assert passes
 
 
 def _in_threads(monkeypatch, calls: list, rounds: int) -> list:

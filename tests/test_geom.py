@@ -209,11 +209,12 @@ class TestPermutation4:
 
     @pytest.mark.parametrize("images", [
         (1.9, 2, 3, 4.2), ("1", "2", "3", "4"), (2, 1, 3.5, 4), (True, 2, 3, 4), (np.True_, 2, 3, 4),
-        (math.inf, 2, 3, 4), (math.nan, 2, 3, 4),
+        (math.inf, 2, 3, 4), (math.nan, 2, 3, 4), ((1,), 2, 3, 4), ([1], 2, 3, 4), (np.array([1]), 2, 3, 4),
     ])
     def test_rejects_images_that_are_not_integers(self, images):
         # int() would read the first, second, fourth and fifth as the identity and the third as
-        # (2, 1, 3, 4), and raise its own error on an infinity or a NaN
+        # (2, 1, 3, 4), and raise its own error on an infinity or a NaN; sorted cannot compare a
+        # nested image with a number
         with pytest.raises(ValueError, match="permutation of 1..4"):
             Permutation4(images)
 
@@ -281,11 +282,11 @@ class TestTolerances:
         # Tolerances is the one check of every library threshold: no NaN, infinity or negative passes
         for value, shown in ((0.0, "0.0"), (-1e-8, "-1e-08"), (math.nan, "nan"), (math.inf, "inf"),
                              (-math.inf, "-inf")):
-            with pytest.raises(ValueError, match=f"^{field} must be strictly positive, got {shown}$"):
+            with pytest.raises(ValueError, match=f"^{field} must be finite and strictly positive, got {shown}$"):
                 Tolerances(**{field: value})
-        # a bool, a string or a list is no number, whatever numpy would make of it, and
-        # neither is an int beyond the float range
-        for value in (True, np.True_, "1e-8", None, [1e-8], 10**400):
+        # a bool, a string or a list is no number, whatever numpy would make of it, a ragged
+        # list included, and neither is an int beyond the float range
+        for value in (True, np.True_, "1e-8", None, [1e-8], [[1e-8], [1e-8, 2.0]], 10**400):
             with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
                 Tolerances(**{field: value})
 
