@@ -21,7 +21,10 @@ and measures each sample's residual by the solver's gate rule.
 Input files keep no rule of their own: each number is checked once, by the
 library's as_finite_array (through Tetrahedron and ProjectionQuad for
 vertices and points), and a refused input exits 2 with its ValueError's
-message.
+message.  A file is one unbuffered read and one strict UTF-8 decode, with
+its CR and CRLF line ends read as text mode reads them; stdin's bytes are
+held to the same strict UTF-8.  A report is written in one pass into one
+list of pieces, joined once and written to stdout in one call.
 
 Every command's handler has the contract `(args, tol) -> (report, ok)`: it
 gets the parsed arguments and the tolerances they resolve to, passes `tol`
@@ -84,6 +87,7 @@ from .geom import (
 )
 from .instances import four_cycle_instance, norm_prune_instance, planar_instance
 from .rotation import (
+    AxisClass,
     UnitQuaternion,
     _axis_turn,
     _unit_axis,
@@ -102,14 +106,31 @@ _IDENTITY_ENTRIES = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def _load_json(path: str):
+    """The JSON value of the file at path, or of stdin for "-".
+
+    A file is one unbuffered read, decoded once as strict UTF-8, with its
+    CR and CRLF line ends read as "\\n" as text mode reads them; stdin's
+    bytes are decoded by the same rule, with no newline translated, as
+    POSIX stdin never did.  A text stdin with no byte buffer (io.StringIO)
+    is read as it is.  json.loads gets a str, never bytes, which it would
+    also read as UTF-16 or UTF-32.  A decoder error, bytes that are not
+    UTF-8 and nesting too deep are ValueErrors that name the file or
+    <stdin>; a file that cannot be opened raises its OSError.
+    """
     name = "<stdin>" if path == "-" else path
     if path == "-" and sys.stdin is None:  # Python's stdin when fd 0 was closed at start
         raise OSError("stdin is closed")
     try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        if path != "-":
+            with open(path, "rb", buffering=0) as handle:
+                text = handle.read().decode("utf-8")
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+        elif hasattr(sys.stdin, "buffer"):
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
+            text = sys.stdin.read()
+        return json.loads(text)
     except ValueError as exc:  # a decoder error, bytes that are not UTF-8, an integer too long
         raise ValueError(f"{name}: {exc}") from None
     except RecursionError:
@@ -167,43 +188,108 @@ def _candidate_json(cand: SolveCandidate) -> dict:
     }
 
 
-def _json(value, indent: str = "\n") -> str:
-    """value in the bytes of json.dumps(value, indent=2, allow_nan=False), for
-    value on a line that starts with indent.  Reports hold only dicts with
-    string keys, lists, strings, numbers, booleans and None: a non-finite
-    float raises ValueError, and any other value or key TypeError."""
+def _indents(depth: int) -> tuple[str, str, str]:
+    """The text before a container's first item, between its items and before
+    its closing bracket, for a container on a line indented by depth steps."""
+    inner = "\n" + "  " * (depth + 1)
+    return inner, "," + inner, "\n" + "  " * depth
+
+
+# _indents of every depth a report reaches, formed once; deeper values form theirs per container.
+_INDENTS = tuple(_indents(depth) for depth in range(6))
+
+
+def _json(value, end: str = "") -> str:
+    """value in the bytes of json.dumps(value, indent=2, allow_nan=False),
+    then end: one pass appends every piece to one list, joined once.  Reports
+    hold only dicts with string keys, lists, strings, numbers, booleans and
+    None: a non-finite float raises ValueError, and any other value or key
+    TypeError."""
+    pieces = []
+    _write(value, pieces.append, 0)
+    pieces.append(end)
+    return "".join(pieces)
+
+
+def _write(value, append, depth: int) -> None:
+    """Append the text of value, on a line indented by depth steps.  The exact
+    types a report holds are written here, a finite float first (inf - inf and
+    nan - nan are nan); any other value goes to _write_other."""
+    kind = type(value)
+    if kind is float and value - value == 0.0:
+        append(repr(value))
+    elif kind is str:
+        append(encode_basestring_ascii(value))
+    elif kind is list:
+        _write_list(value, append, depth)
+    elif kind is dict:
+        _write_dict(value, append, depth)
+    elif kind is int:
+        append(repr(value))
+    elif value is None:
+        append("null")
+    elif value is True:
+        append("true")
+    elif value is False:
+        append("false")
+    else:
+        _write_other(value, append, depth)
+
+
+def _write_other(value, append, depth: int) -> None:
+    """_write of a non-finite float, a subclass of float, str, int, list or dict
+    (np.float64 among them) as json.dumps writes it, or the refusal of any other value."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, list):
-        items, brackets = [_json(item, inner) for item in value], "[]"
+        append(float.__repr__(value))
+    elif isinstance(value, str):
+        append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        append(int.__repr__(value))
+    elif isinstance(value, list):
+        _write_list(value, append, depth)
     elif isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(key)}: {_json(item, inner)}" for key, item in value.items()]
-        brackets = "{}"
+        _write_dict(value, append, depth)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
+
+
+def _write_list(value: list, append, depth: int) -> None:
+    if not value:
+        append("[]")
+        return
+    lead, separator, closing = _INDENTS[depth] if depth < len(_INDENTS) else _indents(depth)
+    append("[")
+    for item in value:
+        append(lead)
+        lead = separator
+        _write(item, append, depth + 1)
+    append(closing)
+    append("]")
+
+
+def _write_dict(value: dict, append, depth: int) -> None:
+    if not value:
+        append("{}")
+        return
+    lead, separator, closing = _INDENTS[depth] if depth < len(_INDENTS) else _indents(depth)
+    append("{")
+    for key, item in value.items():
+        append(lead)
+        lead = separator
+        append(encode_basestring_ascii(key))  # TypeError for a key that is not a string
+        append(": ")
+        _write(item, append, depth + 1)
+    append(closing)
+    append("}")
 
 
 def _emit(report: dict) -> None:
-    """Print the report.  A reader that closed the pipe early gets nothing more,
-    and the command keeps its own exit code."""
+    """Write the report and its line end as one string.  A reader that closed
+    the pipe early gets nothing more, and the command keeps its own exit code."""
     try:
-        print(_json(report))
+        sys.stdout.write(_json(report, "\n"))
         sys.stdout.flush()
     except BrokenPipeError:
         # Python flushes stdout again at exit: point it at devnull, so that flush succeeds
@@ -279,8 +365,9 @@ def _cmd_verify_dims(args: argparse.Namespace, tol: Tolerances) -> tuple[dict, b
         for trial in range(args.trials):
             rng = np.random.default_rng([args.seed, index, trial])
             rotation = sample_cell_rotation(cell, rng)
-            computed = config_dimension(rotation, cell.perm_class, tol)
-            if computed != cell.expected_dim:
+            # a draw within --tol-angle of the identity lies in no cell, so it misses its own
+            if (classify_rotation(rotation, tol)[0] is AxisClass.NO_AXIS
+                    or config_dimension(rotation, cell.perm_class, tol) != cell.expected_dim):
                 mismatches += 1
         cells.append({
             "cell": cell.label(),

@@ -283,10 +283,32 @@ class TestAngleTolerance:
 
     def test_verify_dims_rejects_cell_rotations_within_tol_angle(self, capsys):
         # every rotation angle lies in [0, pi], so a tolerance above pi makes
-        # every cell rotation count as the identity, whatever the draws
-        code = main(["verify-dims", "--trials", "1", "--tol-angle", "3.5"])
-        assert code == 2
-        assert capsys.readouterr().err == "error: the identity rotation is excluded from dimension analysis\n"
+        # every cell rotation count as the identity, whatever the draws: each
+        # draw lies in no cell, so each misses its own
+        code, out, err = invoke(capsys, ["verify-dims", "--trials", "2", "--tol-angle", "3.5"])
+        assert (code, err) == (1, "")
+        report = strict_json(out)
+        assert report["ok"] is False
+        assert [cell["mismatches"] for cell in report["cells"]] == [2] * len(CLASSIFICATION_CELLS)
+
+    def test_verify_dims_finishes_when_the_tolerance_takes_some_draws(self, capsys):
+        # generic angles are drawn from 0.1 upwards, so --tol-angle 0.2 takes
+        # some draws for the identity: the sweep still reports every cell
+        code, out, err = invoke(capsys, ["verify-dims", "--tol-angle", "0.2", "--trials", "20"])
+        assert (code, err) == (1, "")
+        report = strict_json(out)
+        assert report["ok"] is False
+        assert [cell["cell"] for cell in report["cells"]] == [cell.label() for cell in CLASSIFICATION_CELLS]
+        assert all(cell["trials"] == 20 for cell in report["cells"])
+        assert 0 < sum(cell["mismatches"] for cell in report["cells"]) < 20 * len(CLASSIFICATION_CELLS)
+
+    def test_verify_dims_counts_only_the_identity_refusal(self, capsys, monkeypatch):
+        # a ValueError of the rank analysis itself still ends the sweep with exit 2
+        def refuse(*args):
+            raise ValueError("rank analysis failed")
+
+        monkeypatch.setattr(cli, "config_dimension", refuse)
+        assert invoke(capsys, ["verify-dims", "--trials", "1"]) == (2, "", "error: rank analysis failed\n")
 
 
 class TestSampleCommand:
@@ -597,6 +619,115 @@ class TestJsonErrors:
         assert captured.err == (
             "error: stdin can feed only one input, but --tetrahedron and --projection are both -\n"
         )
+
+
+def reference_load(path: str):
+    """What text mode and json.load give for the file at path: its value, or
+    the type (ValueError for any of its kinds) and message of the error they raise."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except ValueError as exc:  # a decoder error or bytes that are not UTF-8
+        return ValueError, str(exc)
+    except OSError as exc:
+        return type(exc), str(exc)
+
+
+def loaded(path: str):
+    """What _load_json gives for the file at path, its ValueError's message
+    without the file's name, so that it reads as reference_load's."""
+    try:
+        return cli._load_json(path)
+    except ValueError as exc:
+        prefix = f"{path}: "
+        assert str(exc).startswith(prefix)
+        return ValueError, str(exc)[len(prefix):]
+    except OSError as exc:
+        return type(exc), str(exc)
+
+
+# Files whose reading text mode decides: CR and CRLF line ends, each in a valid
+# document and before an error, and inside a string; a byte-order mark; a byte
+# that is not UTF-8 past the first 8 KiB; a sequence cut at the end; nothing.
+_READER_FILES = {
+    "crlf": b'{"vertices":\r\n  [[1, 0, 0], [0, 1, 0],\r\n   [0, 0, 1], [-1, -1, -1]]}\r\n',
+    "crlf-error": b'{"vertices":\r\n  [[1, 0, 0]\r\n   [0, 1, 0]]}\r\n',
+    "cr": b'{"vertices":\r  [[1, 0, 0], [0, 1, 0],\r   [0, 0, 1], [-1, -1, -1]]}\r',
+    "cr-error": b'{"vertices":\r  [[1, 0, 0]\r   [0, 1, 0]]}\r',
+    "cr-in-string": b'{"key\r\nname":\r\r\n 1}',
+    "bom": b'\xef\xbb\xbf{"vertices": []}',
+    "invalid-byte-past-8k": b'{"pad": "' + b"x" * 20_000 + b'\xe9", "vertices": []}',
+    "cut-sequence-at-end": b'{"vertices": []}\xe2\x82',
+    "empty": b"",
+}
+
+
+class TestReader:
+    """_load_json reads a file as open(path, encoding="utf-8") and json.load
+    read it, in one read and one decode, and holds stdin to the same strict
+    UTF-8."""
+
+    @pytest.mark.parametrize("name", sorted(_READER_FILES))
+    def test_same_value_or_message_as_text_mode(self, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(_READER_FILES[name])
+        assert loaded(str(path)) == reference_load(str(path))
+
+    def test_same_error_for_a_directory_and_a_missing_path(self, tmp_path):
+        for path in (str(tmp_path), str(tmp_path / "missing.json")):
+            expected = reference_load(path)
+            assert issubclass(expected[0], OSError)
+            assert loaded(path) == expected
+
+    def test_line_ends_reach_the_decoder_as_text_mode_gives_them(self, tmp_path):
+        # the line, column and char index count each CRLF as one character, "\n"
+        path = tmp_path / "crlf.json"
+        path.write_bytes(_READER_FILES["crlf-error"])
+        kind, message = loaded(str(path))
+        assert (kind, message) == (ValueError, "Expecting ',' delimiter: line 3 column 4 (char 29)")
+
+    def test_bytes_are_never_handed_to_the_decoder(self, tmp_path):
+        # json.loads(bytes) would read UTF-16; a file is UTF-8 text or an error
+        path = tmp_path / "utf16.json"
+        path.write_bytes('{"vertices": []}'.encode("utf-16"))
+        assert json.loads(path.read_bytes()) == {"vertices": []}
+        assert loaded(str(path))[0] is ValueError
+        assert loaded(str(path)) == reference_load(str(path))
+
+    def test_stdin_that_is_not_utf8_is_refused(self, capsys, monkeypatch, golden_files):
+        # a stdin that would pass the byte 0xe9 through as a lone surrogate,
+        # as Python's own stdin does in UTF-8 mode, is read as strict UTF-8
+        with open(golden_files["TET"], "rb") as handle:
+            raw = handle.read().replace(b'"vertices"', b'"vertices", "\xe9": 1', 1)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                                                          errors="surrogateescape"))
+        position = raw.index(b"\xe9")
+        assert invoke(capsys, ["solve", "--tetrahedron", "-", "--projection", golden_files["SHADOW"]]) == (
+            2, "", f"error: <stdin>: 'utf-8' codec can't decode byte 0xe9 in position {position}: "
+                   "invalid continuation byte\n")
+
+    def test_stdin_line_ends_are_read_as_given(self, capsys, monkeypatch, golden_files):
+        # POSIX stdin translates no newline (newline="\n"), so a CRLF document's
+        # error counts each CR as a character, as json.loads of its bytes does
+        crlf = b'{"vertices":\r\n [[1, 0, 0]\r\n [0, 1, 0]]}'
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(crlf.decode())
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(crlf), encoding="utf-8", newline="\n"))
+        assert invoke(capsys, ["solve", "--tetrahedron", "-", "--projection", golden_files["SHADOW"]]) == (
+            2, "", f"error: <stdin>: {expected.value}\n")
+
+    def test_stdin_of_a_fresh_process(self, golden_files):
+        # Python's UTF-8 mode gives sys.stdin errors="surrogateescape"; the
+        # byte 0xe9 is refused there as it is in a file
+        with open(golden_files["TET"], "rb") as handle:
+            latin = handle.read().replace(b'"vertices"', b'"vertices", "\xe9": 1', 1)
+        proc = subprocess.run([sys.executable, "-m", "tetrot.cli", "solve", "--tetrahedron", "-",
+                               "--projection", golden_files["SHADOW"]],
+                              input=latin, capture_output=True, env=dict(src_env(), PYTHONUTF8="1"), timeout=120)
+        position = latin.index(b"\xe9")
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (
+            2, b"", f"error: <stdin>: 'utf-8' codec can't decode byte 0xe9 in position {position}: "
+                    "invalid continuation byte\n")
 
 
 class TestClosedStdout:
@@ -1635,10 +1766,24 @@ _WRITER_LEAVES = (
     | st.text()
     | _ODD_TEXT
 )
-_WRITER_TREES = st.recursive(
+_WRITER_NESTED = st.recursive(
     _WRITER_LEAVES,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text() | _ODD_TEXT, inner, max_size=4),
     max_leaves=30,
+)
+
+
+def _nest(value, levels: int):
+    """value inside levels containers, lists and single-key dicts by turns."""
+    for level in range(levels):
+        value = [1.5, value] if level % 2 else {"k": value, "n": None}
+    return value
+
+
+# The trees above, and the same trees set deeper than the writer's table of
+# indents reaches, so that both ways of forming an indent are written.
+_WRITER_TREES = _WRITER_NESTED | st.builds(
+    _nest, _WRITER_NESTED, st.integers(len(cli._INDENTS), len(cli._INDENTS) + 4)
 )
 
 
@@ -1668,6 +1813,18 @@ class TestReportWriter:
     ])
     def test_edge_values(self, value):
         assert cli._json(value) == dumps(value)
+
+    def test_deeper_than_the_indent_table(self):
+        value = _nest([0.25, "s", [], {}], len(cli._INDENTS) + 3)
+        assert cli._json(value) == dumps(value)
+        assert cli._json(value, "\n") == dumps(value) + "\n"
+
+    def test_a_report_is_one_write(self, monkeypatch):
+        writes = []
+        monkeypatch.setattr("sys.stdout", mock.Mock(write=writes.append))
+        report = {"command": "solve", "candidates": [{"matrix": [[1.0, 0.0], [0.0, 1.0]], "ok": True}]}
+        cli._emit(report)
+        assert writes == [dumps(report) + "\n"]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")],
                              ids=["nan", "inf", "-inf", "np-nan", "np--inf"])
@@ -1708,6 +1865,8 @@ class TestReportWriter:
                 if "ok" in report:
                     assert code == (0 if report["ok"] else 1)
         assert {report["command"] for report in reports} == {"solve", "analyze", "sample", "verify-dims", "reproduce"}
+        # every report of every command is written in json.dumps's bytes
+        assert [cli._json(report) for report in reports] == [dumps(report) for report in reports]
         assert any(report.get("swap_candidates") for report in reports)  # _candidate_json's quaternions
         pending = list(reports)
         while pending:
