@@ -9,7 +9,7 @@ Commands
 
 Exit codes: 0 success / match, 1 semantic failure (no solution or mismatch),
 2 usage or parse error, a closed stdin or stdout included; a reader that
-closes stdout early changes none of them.  Identical arguments, including
+closes stdout or stderr early changes none of them.  Identical arguments, including
 the seed, produce byte-identical reports.
 
 `reproduce` takes the name of a worked instance as a subcommand, and its
@@ -24,7 +24,9 @@ vertices and points), and a refused input exits 2 with its ValueError's
 message.  A file is one unbuffered read and one strict UTF-8 decode, with
 its CR and CRLF line ends read as text mode reads them; stdin's bytes are
 held to the same strict UTF-8.  A report is written in one pass into one
-list of pieces, joined once and written to stdout in one call.
+list of pieces, joined once and written to stdout in one call; the writer
+takes the exact types a report holds, np.float64 aside, and refuses any
+other, a subclass included.
 
 Every command's handler has the contract `(args, tol) -> (report, ok)`: it
 gets the parsed arguments and the tolerances they resolve to, passes `tol`
@@ -40,8 +42,8 @@ parsed once at most: its leading words (the command, then a `reproduce` name)
 pick the one parser that reads the rest, which is what argparse's subcommand
 actions hand it.  The plain spelling of the rest, each word an exact option
 of that parser given once and each value a word that does not begin with "-"
-and converts, with every required option given, is read off the parser's own
-recorded options without argparse's pass.  Every other list (-h, usage
+and converts, with every required option given, is read without argparse's
+pass, by a plan built once with the parser.  Every other list (-h, usage
 errors, abbreviations, --opt=value, --, a repeated option, a value such as
 stdin's - or a negative number) goes to that parser's parse_known_args, and
 the top-level parser reads a list whose first word names no command, so
@@ -202,9 +204,10 @@ _INDENTS = tuple(_indents(depth) for depth in range(6))
 def _json(value, end: str = "") -> str:
     """value in the bytes of json.dumps(value, indent=2, allow_nan=False),
     then end: one pass appends every piece to one list, joined once.  Reports
-    hold only dicts with string keys, lists, strings, numbers, booleans and
-    None: a non-finite float raises ValueError, and any other value or key
-    TypeError."""
+    hold only dicts with str keys, lists, str, int, float, bool and None, each
+    of exactly that type, and np.float64: a non-finite float raises
+    ValueError, and any other value or key, a subclass of those types
+    included, TypeError."""
     pieces = []
     _write(value, pieces.append, 0)
     pieces.append(end)
@@ -212,77 +215,53 @@ def _json(value, end: str = "") -> str:
 
 
 def _write(value, append, depth: int) -> None:
-    """Append the text of value, on a line indented by depth steps.  The exact
-    types a report holds are written here, a finite float first (inf - inf and
-    nan - nan are nan); any other value goes to _write_other."""
+    """Append the text of value, on a line indented by depth steps.  Each
+    branch matches exact types, a finite float or an int first (inf - inf and
+    nan - nan are nan); a float subclass (np.float64) or a non-finite float
+    comes last."""
     kind = type(value)
-    if kind is float and value - value == 0.0:
+    if kind is float and value - value == 0.0 or kind is int:
         append(repr(value))
     elif kind is str:
         append(encode_basestring_ascii(value))
     elif kind is list:
-        _write_list(value, append, depth)
+        if not value:
+            append("[]")
+            return
+        lead, separator, closing = _INDENTS[depth] if depth < len(_INDENTS) else _indents(depth)
+        append("[")
+        for item in value:
+            append(lead)
+            lead = separator
+            _write(item, append, depth + 1)
+        append(closing)
+        append("]")
     elif kind is dict:
-        _write_dict(value, append, depth)
-    elif kind is int:
-        append(repr(value))
+        if not value:
+            append("{}")
+            return
+        lead, separator, closing = _INDENTS[depth] if depth < len(_INDENTS) else _indents(depth)
+        append("{")
+        for key, item in value.items():
+            append(lead)
+            lead = separator
+            append(encode_basestring_ascii(key))  # TypeError for a key that is not a string
+            append(": ")
+            _write(item, append, depth + 1)
+        append(closing)
+        append("}")
     elif value is None:
         append("null")
     elif value is True:
         append("true")
     elif value is False:
         append("false")
-    else:
-        _write_other(value, append, depth)
-
-
-def _write_other(value, append, depth: int) -> None:
-    """_write of a non-finite float, a subclass of float, str, int, list or dict
-    (np.float64 among them) as json.dumps writes it, or the refusal of any other value."""
-    if isinstance(value, float):
+    elif isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
         append(float.__repr__(value))
-    elif isinstance(value, str):
-        append(encode_basestring_ascii(value))
-    elif isinstance(value, int):
-        append(int.__repr__(value))
-    elif isinstance(value, list):
-        _write_list(value, append, depth)
-    elif isinstance(value, dict):
-        _write_dict(value, append, depth)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _write_list(value: list, append, depth: int) -> None:
-    if not value:
-        append("[]")
-        return
-    lead, separator, closing = _INDENTS[depth] if depth < len(_INDENTS) else _indents(depth)
-    append("[")
-    for item in value:
-        append(lead)
-        lead = separator
-        _write(item, append, depth + 1)
-    append(closing)
-    append("]")
-
-
-def _write_dict(value: dict, append, depth: int) -> None:
-    if not value:
-        append("{}")
-        return
-    lead, separator, closing = _INDENTS[depth] if depth < len(_INDENTS) else _indents(depth)
-    append("{")
-    for key, item in value.items():
-        append(lead)
-        lead = separator
-        append(encode_basestring_ascii(key))  # TypeError for a key that is not a string
-        append(": ")
-        _write(item, append, depth + 1)
-    append(closing)
-    append("}")
 
 
 def _emit(report: dict) -> None:
@@ -292,10 +271,17 @@ def _emit(report: dict) -> None:
         sys.stdout.write(_json(report, "\n"))
         sys.stdout.flush()
     except BrokenPipeError:
-        # Python flushes stdout again at exit: point it at devnull, so that flush succeeds
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_devnull(sys.stdout)
+
+
+def _to_devnull(stream) -> None:
+    """Point the descriptor of stream, whose reader closed its pipe, at
+    devnull.  Python flushes stdout and stderr again at exit, and what a
+    failed write left in the buffer would fail again there, turning the exit
+    code into 120; written to devnull, that flush succeeds."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 def _cmd_solve(args: argparse.Namespace, tol: Tolerances) -> tuple[dict, bool]:
@@ -471,12 +457,40 @@ _SHARED_OPTIONS = {
 }
 
 
-def _add_shared(parser: argparse.ArgumentParser, func, *options: str, **defaults) -> None:
-    """Add the shared options a command reads, the function that runs it and any default of its own."""
+def _add_shared(parser: _CommandParser, func, *options: str, **defaults) -> None:
+    """Add the shared options a command reads, the function that runs it and
+    any default of its own, the last of its arguments; then build its plan."""
     for option in options:
         kind, default, text = _SHARED_OPTIONS[option]
         parser.add_argument(option, type=kind, default=default, help=text)
     parser.set_defaults(func=func, **defaults)
+    parser._plan = _read_plan(parser)
+
+
+def _read_plan(parser: argparse.ArgumentParser):
+    """The read plan of a parser whose arguments are all in place, for _read:
+    each exact option string with its action, the namespace argparse starts
+    from (each action's default, then each set_defaults value, the first of
+    a dest winning) and the required actions.  None for a parser whose words
+    always need argparse's pass: one with a positional argument, an option
+    whose nargs is neither None nor 0, or a string default, which argparse
+    converts by type.  -h is left out: its default sets nothing, and
+    argparse's pass reads it."""
+    options, start, required = {}, {}, set()
+    for action in parser._actions:
+        if not action.option_strings or action.nargs not in (None, 0):
+            return None
+        if action.default is argparse.SUPPRESS:
+            continue
+        if isinstance(action.default, str):
+            return None
+        options.update(dict.fromkeys(action.option_strings, action))
+        start.setdefault(action.dest, action.default)
+        if action.required:
+            required.add(action)
+    for dest, value in parser._defaults.items():
+        start.setdefault(dest, value)
+    return options, start, frozenset(required)
 
 
 class _UsageError(Exception):
@@ -488,31 +502,13 @@ class _CommandParser(argparse.ArgumentParser):
     arguments through parse_known_args.
 
     A usage error is worded by the call that holds the arguments, so parsing
-    stores nothing on the parser and threads can share it.  The parser records
-    each argument add_argument returns and each default set_defaults sets, as
-    it records the action of its subcommands, for _read to read.
+    stores nothing on the parser and threads can share it.  _build_parser
+    sets the action of its subcommands, and _add_shared the plan _read reads
+    its words by, once each while the parser is built.
     """
 
-    _subcommands = None  # the action that holds the subcommands, set while the parser is built
-
-    def __init__(self, **kwargs):
-        self._arguments, self._options, self._own_defaults = [], {}, {}  # before ArgumentParser adds -h
-        super().__init__(**kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        self._arguments.append(action)
-        if action.default is not argparse.SUPPRESS:  # -h sets nothing unless given: argparse reads it
-            self._options.update(dict.fromkeys(action.option_strings, action))
-        return action
-
-    def set_defaults(self, **kwargs):
-        super().set_defaults(**kwargs)
-        self._own_defaults.update(kwargs)
-
-    def add_subparsers(self, **kwargs):
-        self._subcommands = super().add_subparsers(**kwargs)
-        return self._subcommands
+    _subcommands = None  # the action that holds the subcommands
+    _plan = None  # the _read_plan of a runnable command's parser
 
     def error(self, message):
         raise _UsageError(message)
@@ -547,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Recover tetrahedron rotations from orthographic projections "
                     "and analyze the relabeling ambiguities.",
     )
-    # recorded as _CommandParser records a command's, for _parse to walk
+    # set on each parser that has subcommands, for _parse to walk
     commands = parser._subcommands = parser.add_subparsers(dest="command", required=True,
                                                            parser_class=_CommandParser)
     perm_classes = [c.value for c in PermClass]
@@ -573,8 +569,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_dims = commands.add_parser("verify-dims", help="sweep the dimension table with random rotations")
     _add_shared(verify_dims, _cmd_verify_dims, "--tol-rank", "--tol-angle", "--seed", "--trials")
 
-    names = commands.add_parser("reproduce", help="replay a bundled worked instance").add_subparsers(
-        dest="name", required=True)
+    reproduce = commands.add_parser("reproduce", help="replay a bundled worked instance")
+    names = reproduce._subcommands = reproduce.add_subparsers(dest="name", required=True)
     for name, text, replay, options in (
         ("four-cycle", "ambiguous instance, two rotations", _reproduce_four_cycle, ("--tol-rank", "--tol-geom")),
         ("norm-prune", "norm test leaves only the identity", _reproduce_norm_prune, ("--tol-geom",)),
@@ -590,60 +586,40 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
-def _read(parser: argparse.ArgumentParser, words: list):
-    """The namespace parser.parse_known_args(words) gives, with no word left,
-    read off the parser's own recorded options; None where the words need
-    argparse's pass.
+def _read(plan, words: list):
+    """The namespace parse_known_args(words) gives on the parser of plan, with
+    no word left; None where the words need argparse's pass.
 
     The words are read here when each is an exact option string of the
-    parser, given at most once; an option that takes a value is followed by
+    plan, given at most once; an option that takes a value is followed by
     one word that does not begin with "-", converts by the option's type and
-    lies in its choices; and every required option is given.  The namespace
-    then holds each argument's default, then each set_defaults value, then
-    what each given option stores, as argparse builds it.  Anything else is
-    None: -h, an abbreviation, --opt=value, --, a repeated option, a value
-    that begins with "-" (stdin's -, a negative number), a stray word, a
-    parser that still has subcommands to name, a positional argument or a
-    string default, which argparse converts by type.
+    lies in its choices; and every required option is given.  A copy of the
+    plan's start namespace takes what each given option stores, as it is read.
+    Anything else is None: -h, an abbreviation, --opt=value, --, a repeated
+    option, a value that begins with "-" (stdin's -, a negative number) or a
+    stray word.
     """
-    if parser._subcommands is not None:
-        return None
-    given, index = {}, 0
-    while index < len(words):
-        word = words[index]
-        action = parser._options.get(word)
+    options, start, required = plan
+    namespace, given, words = argparse.Namespace(**start), set(), iter(words)
+    for word in words:
+        action = options.get(word)
         if action is None or action in given:
             return None
-        if action.nargs == 0:
-            given[action], index = (word, []), index + 1
-            continue
-        if action.nargs is not None or index + 1 == len(words) or words[index + 1].startswith("-"):
-            return None
-        value = words[index + 1]
-        if action.type is not None:
-            try:
-                value = action.type(value)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+        value = []  # what argparse hands an option that takes no value
+        if action.nargs is None:
+            value = next(words, None)
+            if value is None or value.startswith("-"):
                 return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        given[action], index = (word, value), index + 2
-    namespace = argparse.Namespace()
-    for action in parser._arguments:
-        if not action.option_strings or action.required and action not in given:
-            return None
-        if action.default is argparse.SUPPRESS:
-            continue
-        if isinstance(action.default, str):  # argparse converts a string default by type
-            return None
-        if not hasattr(namespace, action.dest):
-            setattr(namespace, action.dest, action.default)
-    for dest, value in parser._own_defaults.items():
-        if not hasattr(namespace, dest):
-            setattr(namespace, dest, value)
-    for action, (word, value) in given.items():
-        action(parser, namespace, value, word)
-    return namespace
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        given.add(action)
+        action(None, namespace, value, word)  # a store or count action does not read its parser
+    return namespace if given >= required else None
 
 
 def _parse(argv) -> argparse.Namespace:
@@ -652,7 +628,7 @@ def _parse(argv) -> argparse.Namespace:
     argparse's subparsers action hands every word after a subcommand's name
     to that subcommand's parser, and sets its dest to the name.  So the
     leading words that name a command, then a `reproduce` name, pick the
-    parser that reads the rest.  _read reads them off that parser's options
+    parser that reads the rest.  _read reads them by that parser's plan
     when they are the plain spelling (exact option strings, each once, with
     values that convert); any other list goes to that parser's
     parse_known_args, and words it leaves are refused as parse_args refuses
@@ -664,7 +640,8 @@ def _parse(argv) -> argparse.Namespace:
     while parser._subcommands is not None and words and words[0] in parser._subcommands.choices:
         names[parser._subcommands.dest] = words[0]
         parser, words = parser._subcommands.choices[words[0]], words[1:]
-    args = _read(parser, words)
+    plan = getattr(parser, "_plan", None)  # the top-level parser has none
+    args = None if plan is None else _read(plan, words)
     if args is None:
         args, unread = parser.parse_known_args(words)
         if unread:
@@ -682,7 +659,10 @@ def main(argv=None) -> int:
         return 0 if ok else 1
     except (ValueError, OSError) as exc:
         if sys.stderr is not None:  # with fd 2 closed at start, print would write to stdout
-            print(f"error: {exc}", file=sys.stderr)
+            try:
+                print(f"error: {exc}", file=sys.stderr)
+            except OSError:  # a reader that closed stderr gets no error line, and the code stays 2
+                _to_devnull(sys.stderr)
         return 2
 
 

@@ -731,23 +731,41 @@ class TestReader:
 
 
 class TestClosedStdout:
-    """A reader that closes the pipe early is not a usage error: the command
-    keeps its own exit code, and nothing reaches stderr."""
+    """A reader that closes the pipe of stdout or stderr early changes no exit
+    code: the command keeps its own, an error keeps 2, and nothing reaches
+    the stream still open."""
 
-    @pytest.mark.parametrize("argv, expected", [
-        (["reproduce", "four-cycle"], 0),
-        (["reproduce", "four-cycle", "--tol-geom", "1e-20"], 1),
-    ], ids=["match", "no-match"])
-    def test_exit_code_and_empty_stderr(self, argv, expected):
+    @pytest.mark.parametrize("closed, argv, expected", [
+        ("stdout", ["reproduce", "four-cycle"], 0),
+        ("stdout", ["reproduce", "four-cycle", "--tol-geom", "1e-20"], 1),
+        ("stderr", ["solve", "--tetrahedron", "/nonexistent.json", "--projection", "/x.json"], 2),
+    ], ids=["match", "no-match", "error-line"])
+    def test_exit_code_and_empty_stderr(self, closed, argv, expected):
         read, write = os.pipe()
         os.close(read)  # every write to the pipe now fails with EPIPE
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write}
+        # buffered streams, as Python opens them by default: a write that failed
+        # stays in the buffer, and the flush at exit would turn the code into 120
+        env = {key: value for key, value in src_env().items() if key != "PYTHONUNBUFFERED"}
         try:
-            proc = subprocess.run([sys.executable, "-m", "tetrot.cli", *argv], stdout=write,
-                                  stderr=subprocess.PIPE, env=src_env(), timeout=120)
+            proc = subprocess.run([sys.executable, "-m", "tetrot.cli", *argv], **streams,
+                                  env=env, timeout=120)
         finally:
             os.close(write)
         assert proc.returncode == expected
-        assert proc.stderr == b""
+        # the closed stream was a descriptor, so subprocess captured only the open one
+        assert {proc.stdout, proc.stderr} == {None, b""}
+
+    def test_an_error_line_with_no_reader_exits_two(self, capsys, monkeypatch):
+        read, write = os.pipe()
+        os.close(read)
+        # line-buffered, as Python's own stderr: the error line's write raises BrokenPipeError
+        with open(write, "w", buffering=1) as stderr:
+            monkeypatch.setattr(sys, "stderr", stderr)
+            assert invoke(capsys, ["solve", "--tetrahedron", "/nonexistent.json", "--projection", "/x.json"]) == (
+                2, "", "")
+            # the line left in the buffer now goes to devnull, as Python's flush at exit would send it
+            stderr.flush()
 
 
 class TestClosedAtStart:
@@ -1488,6 +1506,14 @@ WORKLOAD_ARGV = [
     ["reproduce", "four-cycle"],
 ]
 
+# A plain spelling for each runnable parser that the workload's shapes miss.
+PLAIN_ARGV = [
+    ["verify-dims", "--trials", "3", "--seed", "5"],
+    ["reproduce", "norm-prune", "--tol-geom", "1e-6"],
+    ["reproduce", "planar", "--tol-rank", "1e-9", "--tol-geom", "1e-6"],
+    ["reproduce", "uniqueness-sweep", "--trials", "2", "--seed", "7"],
+]
+
 
 def parse_outcome(parse, argv) -> tuple:
     """What parse(argv) gives: its namespace, floats by repr so that NaN equals
@@ -1503,7 +1529,7 @@ def parse_outcome(parse, argv) -> tuple:
 class TestOneParse:
     """main() parses a command with the one parser its leading words name, and
     prints what the full parse of _PARSER leads it to print.  The plain
-    spelling is read off that parser's own options, and argparse reads the rest."""
+    spelling is read by the plan built with that parser, and argparse reads the rest."""
 
     @pytest.mark.parametrize("words", WALK_ARGV, ids=lambda words: " ".join(words) or "no-arguments")
     def test_same_as_the_full_parse(self, capsys, monkeypatch, golden_files, words):
@@ -1542,11 +1568,32 @@ class TestOneParse:
         def refuse(self, args=None, namespace=None):
             raise AssertionError(f"argparse's pass ran on {args}")
 
-        argvs = [[golden_files.get(arg, arg) for arg in words] for words in WORKLOAD_ARGV]
+        argvs = [[golden_files.get(arg, arg) for arg in words] for words in WORKLOAD_ARGV + PLAIN_ARGV]
         expected = [parse_outcome(cli._PARSER.parse_args, argv) for argv in argvs]
         monkeypatch.setattr(cli._CommandParser, "parse_known_args", refuse)
         assert [parse_outcome(cli._parse, argv) for argv in argvs] == expected
         assert all(namespace is not None for namespace, *_ in expected)
+        heads = {" ".join(words[:1 + (words[0] == "reproduce")]) for words in WORKLOAD_ARGV + PLAIN_ARGV}
+        assert heads == set(runnable_parsers())
+
+    @pytest.mark.parametrize("add, lists", [
+        (lambda parser: parser.add_argument("word"), [[], ["w"], ["--seed", "1", "w"]]),
+        (lambda parser: parser.add_argument("--pair", type=int, nargs=2), [[], ["--pair", "1"], ["--pair", "1", "2"]]),
+        (lambda parser: parser.add_argument("--count", type=int, default="5"), [[], ["--count", "6"]]),
+    ], ids=["positional", "nargs-2", "string-default"])
+    def test_a_parser_the_plan_cannot_read_has_none(self, monkeypatch, add, lists):
+        # a plan would read "--pair 1", which argparse refuses, and keep --count's default "5",
+        # which argparse converts; a required positional is never given, so only _plan shows that one
+        top = argparse.ArgumentParser(prog="throwaway")
+        top._subcommands = top.add_subparsers(dest="command", required=True, parser_class=cli._CommandParser)
+        parser = top._subcommands.add_parser("run")
+        add(parser)
+        cli._add_shared(parser, None, "--seed")
+        assert parser._plan is None
+        monkeypatch.setattr(cli, "_PARSER", top)
+        for words in lists:
+            argv = ["run", *words]
+            assert parse_outcome(cli._parse, argv) == parse_outcome(top.parse_args, argv), argv
 
     @pytest.mark.parametrize("words", ARGPARSE_ARGV, ids=" ".join)
     def test_argparse_reads_every_other_spelling(self, monkeypatch, golden_files, words):
@@ -1844,10 +1891,13 @@ class TestReportWriter:
         with pytest.raises(TypeError):
             cli._json({"k": [value]})
 
-    @pytest.mark.parametrize("value", [(1.0, 2.0), {1: "int key"}, {None: "null key"}],
-                             ids=["tuple", "int-key", "none-key"])
+    @pytest.mark.parametrize("value", [
+        (1.0, 2.0), {1: "int key"}, {None: "null key"},
+        type("Text", (str,), {})("s"), type("Count", (int,), {})(1),
+        type("Items", (list,), {})([1.0]), type("Fields", (dict,), {})(k=1.0),
+    ], ids=["tuple", "int-key", "none-key", "str-subclass", "int-subclass", "list-subclass", "dict-subclass"])
     def test_tuples_and_keys_that_are_not_strings_raise_type_error(self, value):
-        # json would write a list and a string key; reports hold neither
+        # json would write a list, a string key and each subclass as its base type; reports hold none
         with pytest.raises(TypeError):
             cli._json(value)
 
