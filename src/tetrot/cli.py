@@ -25,8 +25,8 @@ message.  A file is one unbuffered read and one strict UTF-8 decode, with
 its CR and CRLF line ends read as text mode reads them; stdin's bytes are
 held to the same strict UTF-8.  A report is written in one pass into one
 list of pieces, joined once and written to stdout in one call; the writer
-takes the exact types a report holds, np.float64 aside, and refuses any
-other, a subclass included.
+takes the exact types a report holds and refuses any other, a subclass
+(np.float64 among them) included.
 
 Every command's handler has the contract `(args, tol) -> (report, ok)`: it
 gets the parsed arguments and the tolerances they resolve to, passes `tol`
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -205,8 +204,8 @@ def _json(value, end: str = "") -> str:
     """value in the bytes of json.dumps(value, indent=2, allow_nan=False),
     then end: one pass appends every piece to one list, joined once.  Reports
     hold only dicts with str keys, lists, str, int, float, bool and None, each
-    of exactly that type, and np.float64: a non-finite float raises
-    ValueError, and any other value or key, a subclass of those types
+    of exactly that type: a non-finite float raises ValueError, and any other
+    value or key, a subclass of those types (np.float64 among them)
     included, TypeError."""
     pieces = []
     _write(value, pieces.append, 0)
@@ -217,8 +216,7 @@ def _json(value, end: str = "") -> str:
 def _write(value, append, depth: int) -> None:
     """Append the text of value, on a line indented by depth steps.  Each
     branch matches exact types, a finite float or an int first (inf - inf and
-    nan - nan are nan); a float subclass (np.float64) or a non-finite float
-    comes last."""
+    nan - nan are nan); a non-finite float comes last."""
     kind = type(value)
     if kind is float and value - value == 0.0 or kind is int:
         append(repr(value))
@@ -256,10 +254,8 @@ def _write(value, append, depth: int) -> None:
         append("true")
     elif value is False:
         append("false")
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        append(float.__repr__(value))
+    elif kind is float:
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -217,15 +217,15 @@ def quat_to_axis_angle(q: UnitQuaternion) -> AxisAngle:
     return AxisAngle(np.array(axis), angle)
 
 
-def matrix_to_quat(r, atol: float = _ROTATION_ATOL) -> UnitQuaternion:
+def matrix_to_quat(r) -> UnitQuaternion:
     """Canonical quaternion of a rotation matrix.
 
-    Raises ValueError unless r.T @ r = I and det r = 1 within atol.
+    Raises ValueError unless r.T @ r = I and det r = 1 within _ROTATION_ATOL = 1e-9.
     """
     m = as_finite_array(r, (3, 3), "rotation matrix")
-    if not np.abs(m.T @ m - _EYE3).max() <= atol:
+    if not np.abs(m.T @ m - _EYE3).max() <= _ROTATION_ATOL:
         raise ValueError("matrix is not orthogonal within tolerance")
-    if abs(np.linalg.det(m) - 1.0) > atol:
+    if abs(np.linalg.det(m) - 1.0) > _ROTATION_ATOL:
         raise ValueError("matrix determinant is not 1 within tolerance")
     return UnitQuaternion._from_unit(*_quat_from_rows(m.tolist()))
 

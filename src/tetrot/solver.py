@@ -30,7 +30,6 @@ import numpy as np
 from .geom import (
     ALL_PERMUTATIONS,
     DEFAULT_TOLERANCES,
-    IDENTITY_PERMUTATION,
     Permutation4,
     ProjectionQuad,
     Tetrahedron,
@@ -124,15 +123,17 @@ def _noise_bounds(s: np.ndarray, tol: Tolerances) -> tuple[float, float]:
     return bound, tol.geom_abs + 8.0 * math.sqrt(bound) * float(s[0])
 
 
-def _starts(rows: list, normal: list[float], bound: float, rejected: bool = False) -> tuple[list[int], list]:
-    """Starts (pairs of rows) of the Procrustes fit, and the branch of each.
+def _starts(fitted: dict[int, list], normal: list[float], bound: float, rejected: bool = False) -> tuple[list[int], list]:
+    """Starts (pairs of rows) of the Procrustes fit, and the relabeling row of each.
 
-    Rows of a rotation make I - A A^T = c c^T, c their components along the
-    normal, which A leaves out.  A branch further from that form than bound
-    is dropped; one whose c is within bound of zero starts from A, any other
-    from its two completions A + c n^T and A - c n^T.  The completions are
-    written out on named floats, entry r[k] + (sign * e) * n[k], the
-    operations of a comprehension over the rows and the normal in its order.
+    fitted maps the row of a relabeling in ALL_PERMUTATIONS to the two rows
+    A fitted under it; the starts come in its order.  Rows of a rotation
+    make I - A A^T = c c^T, c their components along the normal, which A
+    leaves out.  A branch further from that form than bound is dropped; one
+    whose c is within bound of zero starts from A, any other from its two
+    completions A + c n^T and A - c n^T.  The completions are written out
+    on named floats, entry r[k] + (sign * e) * n[k], the operations of a
+    comprehension over the rows and the normal in its order.
 
     With rejected, the rows are branches that started from A and whose start
     the gate rejected, and each gives its two completions unless c is zero:
@@ -141,8 +142,8 @@ def _starts(rows: list, normal: list[float], bound: float, rejected: bool = Fals
     """
     n0, n1, n2 = normal
     cut = 0.0 if rejected else bound
-    owner, starts = [], []
-    for j, (r1, r2) in enumerate(rows):
+    owners, starts = [], []
+    for row, (r1, r2) in fitted.items():
         x0, x1, x2 = r1
         y0, y1, y2 = r2
         m00 = 1.0 - (x0 * x0 + x1 * x1 + x2 * x2)
@@ -161,11 +162,11 @@ def _starts(rows: list, normal: list[float], bound: float, rejected: bool = Fals
                 s0, s1 = sign * e0, sign * e1
                 starts.append(((x0 + s0 * n0, x1 + s0 * n1, x2 + s0 * n2),
                                (y0 + s1 * n0, y1 + s1 * n1, y2 + s1 * n2)))
-            owner += (j, j)
+            owners += (row, row)
         elif not rejected:
             starts.append((r1, r2))
-            owner.append(j)
-    return owner, starts
+            owners.append(row)
+    return owners, starts
 
 
 def _gauss_newton(vertices: np.ndarray, matrices: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -207,20 +208,22 @@ def _misses(images: list, shadows: list) -> list[float]:
 def _gate(
     vertices: np.ndarray,
     starts: list,
-    sigmas: list[Permutation4],
-    shadows: list,
+    rows: list[int],
+    points: list,
     screen: float,
     planar: bool,
     tol: Tolerances,
 ) -> list[SolveCandidate]:
     """Snap starts to rotations, refine them, and keep those that fit their shadow.
 
-    Start i, two rows fitted under sigmas[i] to the shadow shadows[i] (four
-    points, each a list of two floats), gets their cross product as third
-    row and is snapped to the components of a unit quaternion, as floats,
-    unless it is not finite.  A rotation missing by more than geom_abs but
-    at most screen takes Gauss-Newton steps; one within geom_abs at every
-    vertex is kept, and only a kept one becomes a UnitQuaternion, through
+    Start i is two rows fitted under sigma = ALL_PERMUTATIONS[rows[i]] to
+    the shadow _PICK[rows[i]](points), the four points (each a list of two
+    floats) that sigma sends the vertices to.  It gets their cross product
+    as third row and is snapped to the components of a unit quaternion, as
+    floats, unless it is not finite; only a start so kept gets its shadow.
+    A rotation missing by more than geom_abs but at most screen takes
+    Gauss-Newton steps; one within geom_abs at every vertex is kept, with
+    its sigma, and only a kept one becomes a UnitQuaternion, through
     UnitQuaternion._from_unit: the snap's components are unit and finite by
     construction, so only the sign rule is applied.  The matrices are one
     flat list of _rotation_rows entries, made an array once; the rotated
@@ -229,13 +232,13 @@ def _gate(
     that Gauss-Newton refines get their shadows as an array.
     """
     quats, kept = [], []
-    for i, (r1, r2) in enumerate(starts):
+    for row, (r1, r2) in zip(rows, starts):
         try:
             quats.append(_quat_from_rows([r1, r2, _cross(r1, r2)]))
         except ValueError:  # a NaN or inf row
             continue
-        kept.append(i)
-    shadows = [shadows[i] for i in kept]
+        kept.append(row)
+    shadows = [_PICK[row](points) for row in kept]
     for attempt in range(2):
         flat = []
         for q in quats:
@@ -245,13 +248,13 @@ def _gate(
         refine = [i for i, r in enumerate(residuals) if tol.geom_abs < r <= screen]
         if attempt or not refine:
             break
-        points = np.array([shadows[i] for i in refine])
-        for i, rows in zip(refine, _gauss_newton(vertices, matrices[refine], points).tolist()):
-            quats[i] = _quat_from_rows(rows)
+        targets = np.array([shadows[i] for i in refine])
+        for i, refined in zip(refine, _gauss_newton(vertices, matrices[refine], targets).tolist()):
+            quats[i] = _quat_from_rows(refined)
     matrices.flags.writeable = False
     return [
-        SolveCandidate(sigmas[i], UnitQuaternion._from_unit(*q), m, residual, planar)
-        for i, q, m, residual in zip(kept, quats, matrices, residuals)
+        SolveCandidate(ALL_PERMUTATIONS[row], UnitQuaternion._from_unit(*q), m, residual, planar)
+        for row, q, m, residual in zip(kept, quats, matrices, residuals)
         if residual <= tol.geom_abs
     ]
 
@@ -267,9 +270,11 @@ def _fit_relabelings(
     P3 = vertices[:3] is factored once, by one SVD, and a P3 spanning less
     than a plane is rejected even when perm_rows is empty.  The SVD
     truncated at k, the rank of P3, gives the first two rows of every branch
-    as the pseudo-inverse solution of P3 r = u; one gate call takes the
-    starts of every branch.  When k = 2, a branch whose one start the gate
-    rejected has its completions gated in a second call.
+    as the pseudo-inverse solution of P3 r = u, keyed by the branch's row;
+    each start carries that row through _starts and _gate to its candidate's
+    sigma.  One gate call takes the starts of every branch.  When k = 2, a
+    branch whose one start the gate rejected has its completions gated in a
+    second call.
     """
     p3 = tetra.vertices[:3]
     u, s, vt = np.linalg.svd(p3)
@@ -285,23 +290,19 @@ def _fit_relabelings(
         k = 2
     bound, screen = _noise_bounds(s[:k], tol)
     rhs = quad.points.ravel()[_RHS_INDEX[:, perm_rows]].reshape(3, -1)
-    rows = (vt[:k].T @ (u[:, :k].T @ rhs / s[:k, None])).T.reshape(-1, 2, 3).tolist()
-    normal = vt[2].tolist()
-    points = quad.points.tolist()
-    owner, starts = _starts(rows, normal, bound)
-    branch_rows = [perm_rows[j] for j in owner]
-    shadows = [_PICK[row](points) for row in branch_rows]
-    out = _gate(tetra.vertices, starts, [ALL_PERMUTATIONS[row] for row in branch_rows], shadows, screen, planar, tol)
+    fitted = dict(zip(perm_rows, (vt[:k].T @ (u[:, :k].T @ rhs / s[:k, None])).T.reshape(-1, 2, 3).tolist()))
+    normal, points = vt[2].tolist(), quad.points.tolist()
+    owners, starts = _starts(fitted, normal, bound)
+    out = _gate(tetra.vertices, starts, owners, points, screen, planar, tol)
     if k == 2 and len(out) < len(starts):
         # A plane's shadow is even in c, so Gauss-Newton cannot leave a start from A whose
         # c is within bound of zero: a branch whose one start the gate rejected is completed.
         accepted = {cand.sigma.images for cand in out}
-        lone = [j for j in owner if ALL_PERMUTATIONS[perm_rows[j]].images not in accepted and owner.count(j) == 1]
-        owner, starts = _starts([rows[j] for j in lone], normal, bound, True)
+        lone = {row: fitted[row] for row in owners
+                if owners.count(row) == 1 and ALL_PERMUTATIONS[row].images not in accepted}
+        owners, starts = _starts(lone, normal, bound, True)
         if starts:
-            branch_rows = [perm_rows[lone[j]] for j in owner]
-            shadows = [_PICK[row](points) for row in branch_rows]
-            out += _gate(tetra.vertices, starts, [ALL_PERMUTATIONS[row] for row in branch_rows], shadows, screen, planar, tol)
+            out += _gate(tetra.vertices, starts, owners, points, screen, planar, tol)
     return dedupe_rotations(out)
 
 
@@ -496,7 +497,7 @@ def reconstruct_geometric(
         lifts.append([(a * f00 + b * f10 + c * f20, a * f01 + b * f11 + c * f21, a * f02 + b * f12 + c * f22)
                       for a, b, c in ((l00, l10, l20), (l01, l11, l21))])
     _, screen = _noise_bounds(s, tol)
-    out = _gate(tetra.vertices, lifts, [IDENTITY_PERMUTATION] * 2, [u] * 2, screen, False, tol)
+    out = _gate(tetra.vertices, lifts, [0, 0], u, screen, False, tol)  # row 0 is the identity
     return dedupe_rotations(out)
 
 

@@ -32,7 +32,6 @@ from tetrot import (
     ALL_PERMUTATIONS,
     CLASSIFICATION_CELLS,
     DEFAULT_TOLERANCES,
-    IDENTITY_PERMUTATION,
     CollinearPointsError,
     DegenerateChordError,
     DegenerateTetrahedronError,
@@ -56,6 +55,7 @@ from tetrot import (
 )
 from tetrot.instances import four_cycle_instance, planar_instance
 from tetrot import geom, rotation, solver
+from tetrot.rotation import _quat_from_rows
 from tetrot.solver import _gate
 
 from conftest import near_edge_on, random_full_dim_tetrahedron, random_unit_quaternion, tilted_near_plane
@@ -161,9 +161,10 @@ def written_out_fit(tetra, quad, tol=DEFAULT_TOLERANCES):
     the rows of a rotation, screens the branch against bound.  It then
     picks one start A, or the two completions A + c n^T and A - c n^T along
     the least singular vector n of P3.  Each start, completed by r1 x r2,
-    is snapped by matrix_to_quat.  A start whose shadow misses by more than
-    geom_abs but at most screen takes three Gauss-Newton steps.  A rotation
-    is kept when its residual is at most geom_abs.  When k = 2 and the one
+    is snapped by the extraction that matrix_to_quat makes, without its
+    orthogonality check.  A start whose shadow misses by more than geom_abs
+    but at most screen takes three Gauss-Newton steps.  A rotation is kept
+    when its residual is at most geom_abs.  When k = 2 and the one
     start A is not kept, its two completions are tried, unless c is zero:
     mean + rad at most 0, or rad = 0, one double eigenvalue.
     """
@@ -179,6 +180,10 @@ def written_out_fit(tetra, quad, tol=DEFAULT_TOLERANCES):
     bound = 4.0 * ratio * (1.0 + ratio)
     screen = tol.geom_abs + 8.0 * math.sqrt(bound) * s[0]
     normal = vt[2]
+
+    def snap(matrix):
+        # Shepperd's extraction with no orthogonality check: a start is no rotation yet
+        return UnitQuaternion._from_unit(*_quat_from_rows(matrix.tolist()))
 
     def residual(q, points):
         matrix = quat_to_matrix(q)
@@ -208,10 +213,10 @@ def written_out_fit(tetra, quad, tol=DEFAULT_TOLERANCES):
         def kept(starts):
             found = []
             for row1, row2 in starts:
-                q = matrix_to_quat(np.vstack([row1, row2, np.cross(row1, row2)]), atol=math.inf)
+                q = snap(np.vstack([row1, row2, np.cross(row1, row2)]))
                 matrix, res = residual(q, points)
                 if tol.geom_abs < res <= screen:
-                    q = matrix_to_quat(gauss_newton(vertices, matrix, points), atol=math.inf)
+                    q = snap(gauss_newton(vertices, matrix, points))
                     matrix, res = residual(q, points)
                 if res <= tol.geom_abs:
                     found.append(SolveCandidate(sigma, q, matrix, res, planar))
@@ -303,7 +308,7 @@ class TestFitDefinition:
 
 
 class TestGate:
-    """_gate on one batch of starts with a row on either side of its tolerance."""
+    """_gate on starts with a row on either side of its tolerance, each under its own relabeling."""
 
     def test_only_rows_within_every_tolerance_come_back(self):
         tetra = four_cycle_instance().tetrahedron
@@ -320,7 +325,7 @@ class TestGate:
             points[3, 0] += d
             return points
 
-        rows = [
+        cases = [
             ("exact", eye, shadow, True),
             ("nan", nan, shadow, False),
             ("inf", inf, shadow, False),
@@ -329,23 +334,31 @@ class TestGate:
             ("residual below", eye, shifted(0.99e-8), True),
             ("residual above", eye, shifted(1.01e-8), False),
         ]
-        sigmas = list(ALL_PERMUTATIONS[: len(rows)])
-        out = _gate(
-            vertices,
-            [m.tolist() for _, m, _, _ in rows],
-            sigmas,
-            [points.tolist() for _, _, points, _ in rows],
-            0.0,  # no start is refined
-            False,
-            DEFAULT_TOLERANCES,
-        )
-        kept = [name for (name, *_), sigma in zip(rows, sigmas) if sigma in {c.sigma for c in out}]
-        assert kept == [name for name, _, _, ok in rows if ok]
+        out = []
+        for row, (_, start, points, _) in enumerate(cases):
+            # case i is fitted under relabeling row i, which sends vertex j to the case's point j
+            relabeled = np.empty_like(points)
+            relabeled[list(ALL_PERMUTATIONS[row].zero_based())] = points
+            out += _gate(vertices, [start.tolist()], [row], relabeled.tolist(), 0.0, False, DEFAULT_TOLERANCES)
+        sigmas = {c.sigma for c in out}
+        kept = [name for row, (name, *_) in enumerate(cases) if ALL_PERMUTATIONS[row] in sigmas]
+        assert kept == [name for name, _, _, ok in cases if ok]
         for cand in out:
             assert cand.residual <= DEFAULT_TOLERANCES.geom_abs
             assert not cand.matrix.flags.writeable
             assert np.abs(cand.matrix.T @ cand.matrix - np.eye(3)).max() <= 1e-12
             assert abs(np.linalg.det(cand.matrix) - 1.0) <= 1e-12
+
+    def test_a_dropped_start_leaves_each_other_start_its_row(self):
+        # the NaN start comes first, under another row: the exact one must still be gated against
+        # the shadow of row 0 and come back as the identity relabeling
+        vertices = four_cycle_instance().tetrahedron.vertices
+        eye = np.eye(3)[:2]
+        nan = eye.copy()
+        nan[1, 2] = np.nan
+        out = _gate(vertices, [nan.tolist(), eye.tolist()], [5, 0], vertices[:, :2].tolist(), 0.0, False,
+                    DEFAULT_TOLERANCES)
+        assert [c.sigma for c in out] == [ALL_PERMUTATIONS[0]]
 
     def test_a_start_inside_the_screen_is_refined(self):
         tetra = four_cycle_instance().tetrahedron
@@ -353,7 +366,7 @@ class TestGate:
         shadow = (tetra.vertices @ truth.T)[:, :2]
         off = quat_to_matrix(UnitQuaternion.normalized(1.0, 3e-6, -2e-6, 4e-6)) @ truth
         start = [off[:2].tolist()]
-        args = (tetra.vertices, start, [ALL_PERMUTATIONS[0]], [shadow.tolist()])
+        args = (tetra.vertices, start, [0], shadow.tolist())  # row 0 is the identity
         (cand,) = _gate(*args, 1e-3, False, DEFAULT_TOLERANCES)
         assert np.linalg.norm(cand.matrix - truth) <= 1e-12
         assert cand.residual <= 1e-13
@@ -825,7 +838,7 @@ def reference_geometric(tetra, quad, tol=DEFAULT_TOLERANCES):
         lifts.append([[fl[0][i] * f3[0][j] + fl[1][i] * f3[1][j] + fl[2][i] * f3[2][j] for j in range(3)]
                       for i in range(2)])
     _, screen = solver._noise_bounds(s, tol)
-    out = _gate(tetra.vertices, lifts, [IDENTITY_PERMUTATION] * 2, [u] * 2, screen, False, tol)
+    out = _gate(tetra.vertices, lifts, [0, 0], u, screen, False, tol)  # row 0 is the identity
     return dedupe_rotations(out)
 
 

@@ -49,11 +49,9 @@ ALLOWED_PUBLIC = {
 ALLOWED_FLOAT_KEYWORDS = {
     ("geom.py", "Tetrahedron.full_dimensional", "rank_rel"):
         "bench/spans.py calls tetra.full_dimensional(tol.rank_rel) in every traced run",
-    ("rotation.py", "matrix_to_quat", "atol"):
-        "an orthogonality check, not a --tol-* flag; written_out_fit snaps its starts at atol=math.inf",
 }
 # The settable values of the library: each Tolerances field and each float keyword default
-SETTABLE_VALUES = 5
+SETTABLE_VALUES = 4
 
 
 def imported_names(tree: ast.Module) -> set[str]:

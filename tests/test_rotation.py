@@ -15,7 +15,7 @@ from tetrot import (
     quat_to_axis_angle,
     quat_to_matrix,
 )
-from tetrot.rotation import _rotation_rows
+from tetrot.rotation import _ROTATION_ATOL, _rotation_rows
 from tetrot.instances import four_cycle_instance
 
 from conftest import random_unit_quaternion
@@ -212,12 +212,13 @@ class TestAxisAngleRoundTrips:
         return m
 
     def test_matrix_to_quat_accepts_orthogonality_error_just_below_atol(self):
-        q = matrix_to_quat(self._shear(0.99e-6), atol=1e-6)
+        assert _ROTATION_ATOL == 1e-9
+        q = matrix_to_quat(self._shear(0.99e-9))
         assert q.a > 0.99
 
     def test_matrix_to_quat_rejects_orthogonality_error_just_above_atol(self):
         with pytest.raises(ValueError, match="orthogonal"):
-            matrix_to_quat(self._shear(1.01e-6), atol=1e-6)
+            matrix_to_quat(self._shear(1.01e-9))
 
     @settings(max_examples=100, deadline=None)
     @given(quat_components)

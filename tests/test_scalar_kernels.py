@@ -318,13 +318,14 @@ def test_rotation_rows_are_exact_on_fractions():
         assert r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20) + r02 * (r10 * r21 - r11 * r20) == 1
 
 
-def reference_starts(rows: list, normal: list[float], bound: float, rejected: bool = False) -> tuple[list[int], list]:
-    """solver._starts with each completion a comprehension over the rows and the normal.
+def reference_starts(fitted: dict, normal: list[float], bound: float, rejected: bool = False) -> tuple[list[int], list]:
+    """solver._starts with each completion a comprehension over the rows and the normal: the
+    starts of the rows fitted under each relabeling row of fitted, and the row of each start.
 
     With rejected, every branch started from its rows, and each is completed
     when c is not zero."""
-    owner, starts = [], []
-    for j, (r1, r2) in enumerate(rows):
+    owners, starts = [], []
+    for row, (r1, r2) in fitted.items():
         m00 = 1.0 - (r1[0] * r1[0] + r1[1] * r1[1] + r1[2] * r1[2])
         m11 = 1.0 - (r2[0] * r2[0] + r2[1] * r2[1] + r2[2] * r2[2])
         m01 = -(r1[0] * r2[0] + r1[1] * r2[1] + r1[2] * r2[2])
@@ -343,9 +344,9 @@ def reference_starts(rows: list, normal: list[float], bound: float, rejected: bo
             scale = math.sqrt((mean + rad) / (e0 * e0 + e1 * e1))
             pairs = [[[a + sign * e * n for a, n in zip(r, normal)] for r, e in ((r1, e0), (r2, e1))]
                      for sign in (scale, -scale)]
-        owner += [j] * len(pairs)
+        owners += [row] * len(pairs)
         starts += pairs
-    return owner, starts
+    return owners, starts
 
 
 def test_starts_match_their_comprehension_form(monkeypatch):
@@ -377,14 +378,14 @@ def test_starts_match_their_comprehension_form(monkeypatch):
             seen.add("planar" if rank == 2 else "full rank")
         while calls:
             args = calls.pop()
-            rows = args[0]
-            owner, starts = _starts(*args)
-            want_owner, want = reference_starts(*args)
-            assert owner == want_owner
+            fitted = args[0]
+            owners, starts = _starts(*args)
+            want_owners, want = reference_starts(*args)
+            assert owners == want_owners
             assert [x.hex() for pair in starts for row in pair for x in row] == [
                 x.hex() for pair in want for row in pair for x in row]
-            seen.update(("completed" if owner.count(j) == 2 else "rows" if j in owner else "dropped")
-                        for j in range(len(rows)))
+            seen.update(("completed" if owners.count(row) == 2 else "rows" if row in owners else "dropped")
+                        for row in fitted)
             if args[3:] and starts:
                 seen.add("rejected, completed")
     assert seen == {"planar", "full rank", "completed", "rows", "dropped", "rejected, completed"}

@@ -738,6 +738,37 @@ class TestMetamorphicRelations:
         assert broken == []
 
 
+class TestScreen:
+    """The I - A A^T screen of _starts, which drops a branch further than bound from the form
+    c c^T that rows of a rotation give, keeps the true relabeling's branch of every shadow whose
+    points are all within geom_abs of the true shadow."""
+
+    @pytest.mark.parametrize("f", [0.5, 0.9, 1.0])
+    def test_the_true_branch_passes_the_screen(self, related_instances, f, monkeypatch):
+        calls = []
+        starts = solver._starts
+
+        def recorded(*args):
+            owners, got = starts(*args)
+            calls.append(owners)
+            return owners, got
+
+        monkeypatch.setattr(solver, "_starts", recorded)
+        dropped, screened = [], 0
+        for index, ((tetra, shadow), move, _, _) in enumerate(related_instances):
+            calls.clear()
+            try:
+                unlabeled_solve(tetra, ProjectionQuad(shadow + f * move))
+            except DegenerateTetrahedronError:
+                continue
+            # the points are within geom_abs of the identity's shadow, so the norm test keeps row 0
+            screened += 1
+            if 0 not in calls[0]:  # the first call screens the fitted rows; a second completes
+                dropped.append(index)
+        assert screened >= 200
+        assert dropped == []
+
+
 class TestDedupeRotations:
     @staticmethod
     def _candidate(sigma, quat, residual):
