@@ -253,7 +253,7 @@ class CaseCell:
         if isinstance(self.angle, tuple):
             angle = f"angle in ({self.angle[0]:.2f}, {self.angle[1]:.2f})"
         else:
-            angle = _special_turn(self.angle, DEFAULT_TOLERANCES.angle_abs) or case_label(self.axis_class, self.angle)
+            angle = _special_turn(self.angle, DEFAULT_TOLERANCES.angle_abs) or f"angle {self.angle:.2f}"
         return f"{self.perm_class.value} / {self.axis_class.value} / {angle}"
 
 

@@ -40,8 +40,6 @@ from .geom import (
 from .rotation import _EYE3, UnitQuaternion, _quat_from_rows, _rotation_rows
 
 __all__ = [
-    "CollinearPointsError",
-    "DegenerateChordError",
     "DegenerateTetrahedronError",
     "DegenerateViewError",
     "SolveCandidate",
@@ -77,19 +75,11 @@ DEDUPE_DISTANCE = 1e-6
 
 
 class DegenerateTetrahedronError(ValueError):
-    """Vertex set spans less than a plane; no rotation is recoverable."""
-
-
-class CollinearPointsError(ValueError):
-    """Points in degenerate position for a circle or conic construction."""
+    """The tetrahedron T admits no recovery by the route that raised it, whatever the view."""
 
 
 class DegenerateViewError(ValueError):
-    """The projected circumcircle does not fit a usable ellipse."""
-
-
-class DegenerateChordError(ValueError):
-    """A chord of the reconstruction collapses; the ratio transfer is ill posed."""
+    """The view U admits no recovery by the route that raised it."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,23 +318,24 @@ def _circumcircle(p: list[float], q: list[float], r: list[float], rel_tol: float
     The edges from p are divided by the power of two at or above the longer
     one before any square is formed, so nothing overflows for admitted
     coordinates and the division is exact; lengths are math.hypot.  The
-    points count as collinear, and CollinearPointsError is raised, when
-    they coincide or when |(q - p) x (r - p)| is at most rel_tol times the
-    square of the longer of the two edges.
+    points, three vertices of T, count as collinear, and
+    DegenerateTetrahedronError is raised, when they coincide or when
+    |(q - p) x (r - p)| is at most rel_tol times the square of the longer
+    of the two edges.
     """
     p0, p1, p2 = p
     a0, a1, a2 = q[0] - p0, q[1] - p1, q[2] - p2
     b0, b1, b2 = r[0] - p0, r[1] - p1, r[2] - p2
     longest = max(math.hypot(a0, a1, a2), math.hypot(b0, b1, b2))
     if longest == 0.0:
-        raise CollinearPointsError("circumcircle needs three non-collinear points")
+        raise DegenerateTetrahedronError("circumcircle needs three non-collinear points")
     scale = math.ldexp(1.0, math.frexp(longest)[1])
     longest /= scale
     a0, a1, a2, b0, b1, b2 = a0 / scale, a1 / scale, a2 / scale, b0 / scale, b1 / scale, b2 / scale
     n0, n1, n2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
     area = math.hypot(n0, n1, n2)
     if area <= rel_tol * longest * longest:
-        raise CollinearPointsError("circumcircle needs three non-collinear points")
+        raise DegenerateTetrahedronError("circumcircle needs three non-collinear points")
     # center - p = (|a|^2 b - |b|^2 a) x (a x b) / (2 |a x b|^2), times scale, for the scaled edges a and b
     g11, g22 = a0 * a0 + a1 * a1 + a2 * a2, b0 * b0 + b1 * b1 + b2 * b2
     twice = 2.0 * area * area
@@ -359,6 +350,9 @@ def _unit_conic(points: list[list[float]], rel_tol: float) -> tuple[float, float
     The unit frame maps X to (X - m)/w, where w is the root mean square
     distance of the points from their mean m; the conic is the unit null
     vector of the design matrix with rows (x^2, xy, y^2, x, y, 1) there.
+    The points come from the view U, so points that coincide, or that no
+    one conic passes through (the matrix's rank at rel_tol is below 5),
+    raise DegenerateViewError.
     """
     n = len(points)
     mx = my = 0.0
@@ -368,14 +362,14 @@ def _unit_conic(points: list[list[float]], rel_tol: float) -> tuple[float, float
     dev = [(x - mx, y - my) for x, y in points]
     spread = math.hypot(*(t for pair in dev for t in pair)) / math.sqrt(n)
     if spread == 0.0:
-        raise CollinearPointsError("coincident points do not determine a conic")
+        raise DegenerateViewError("coincident points do not determine a conic")
     flat = []
     for dx, dy in dev:
         x, y = dx / spread, dy / spread
         flat += (x * x, x * y, y * y, x, y, 1.0)
     _, s, vh = np.linalg.svd(np.array(flat).reshape(n, 6))
     if _rank(s, rel_tol) < 5:
-        raise CollinearPointsError("points in degenerate position, conic is not unique")
+        raise DegenerateViewError("points in degenerate position, conic is not unique")
     return mx, my, spread, vh[-1].tolist()
 
 
@@ -445,8 +439,12 @@ def reconstruct_geometric(
     every other step is closed form on named floats, every sum left to
     right.
 
-    Requires a full-dimensional tetrahedron and a non-degenerate view.
-    Agrees with labeled_solve where both apply.
+    A refusal names the input at fault.  DegenerateTetrahedronError: T is
+    not full-dimensional, its first three vertices are collinear, or a
+    vertex lies at its opposite edge's midpoint.  DegenerateViewError: the
+    first three points of U are collinear, a projected chord collapses, the
+    six points fix no one conic, or its ellipse is edge on or has no real
+    points.  Agrees with labeled_solve where both apply.
     """
     p3 = tetra.vertices[:3]
     s = np.linalg.svd(p3, compute_uv=False)
@@ -460,7 +458,7 @@ def reconstruct_geometric(
     area2 = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
     uscale = max(math.hypot(x1 - x0, y1 - y0), math.hypot(x2 - x0, y2 - y0))
     if uscale == 0.0 or area2 <= tol.rank_rel * uscale * uscale:
-        raise CollinearPointsError("projected points are collinear")
+        raise DegenerateViewError("projected points are collinear")
 
     six = u[:3]
     for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
@@ -468,7 +466,7 @@ def reconstruct_geometric(
         h0, h1, h2 = 0.5 * (b0 + d0) - a0, 0.5 * (b1 + d1) - a1, 0.5 * (b2 + d2) - a2
         chord_len = math.hypot(h0, h1, h2)
         if chord_len <= tol.rank_rel * radius:
-            raise DegenerateChordError("vertex coincides with the opposite edge midpoint")
+            raise DegenerateTetrahedronError("vertex coincides with the opposite edge midpoint")
         # second intersection of the chord line with the circle, as the
         # affine parameter along p_i -> mid; parameters transfer to the
         # projection unchanged.  Taken along the unit chord, whose product
@@ -477,7 +475,7 @@ def reconstruct_geometric(
         ratio = -2.0 * along / chord_len
         dx, dy = 0.5 * (xj + xk) - xi, 0.5 * (yj + yk) - yi
         if math.hypot(dx, dy) <= tol.rank_rel * uscale:
-            raise DegenerateChordError("projected chord collapses to a point")
+            raise DegenerateViewError("projected chord collapses to a point")
         six.append([xi + ratio * dx, yi + ratio * dy])
 
     mx, my, spread, coefficients = _unit_conic(six, tol.rank_rel)

@@ -237,6 +237,39 @@ class TestPredictedDimension:
         assert config_dimension(quat_from_axis_angle([0, 0, 1], math.pi / 2 + eps), PermClass.FOUR_CYCLE) == 3
 
 
+class TestCaseCellLabel:
+    def test_an_exact_angle_that_is_no_special_turn_is_named_by_its_value(self):
+        # as a range cell names its angles, not by the axis class a second time
+        assert CaseCell(PermClass.TWO_CYCLE, AxisClass.HORIZONTAL, 1.0).label() == "two-cycle / horizontal / angle 1.00"
+        assert CaseCell(PermClass.FOUR_CYCLE, AxisClass.VERTICAL, 3.14159).label() == "four-cycle / vertical / angle 3.14"
+
+    def test_the_classification_cells_keep_their_labels(self):
+        # the cells verify-dims reports, each a range or a special turn
+        assert [cell.label() for cell in CLASSIFICATION_CELLS] == [
+            "identity / oblique / angle in (0.10, 3.00)",
+            "identity / horizontal / angle in (0.10, 3.14)",
+            "two-cycle / oblique / angle in (0.10, 3.00)",
+            "two-cycle / horizontal / angle in (0.10, 3.00)",
+            "two-cycle / horizontal / half-turn",
+            "two-cycle / vertical / half-turn",
+            "two-cycle / oblique / half-turn",
+            "double-two-cycle / oblique / angle in (0.10, 3.00)",
+            "double-two-cycle / horizontal / angle in (0.10, 3.00)",
+            "double-two-cycle / horizontal / half-turn",
+            "double-two-cycle / vertical / half-turn",
+            "double-two-cycle / oblique / half-turn",
+            "three-cycle / oblique / angle in (0.10, 3.00)",
+            "three-cycle / horizontal / angle in (0.10, 3.14)",
+            "three-cycle / vertical / third-turn",
+            "four-cycle / oblique / angle in (0.10, 3.00)",
+            "four-cycle / vertical / quarter-turn",
+            "four-cycle / vertical / half-turn",
+            "four-cycle / oblique / half-turn",
+            "four-cycle / horizontal / angle in (0.10, 3.00)",
+            "four-cycle / horizontal / half-turn",
+        ]
+
+
 def exact_rank(rows: list[list[Fraction]]) -> int:
     """Rank by Gaussian elimination over the rationals."""
     rows = [list(row) for row in rows]

@@ -36,12 +36,11 @@ ALLOWED = {
 # (module, name): why the name stays public although no other module and no benchmark reads it
 ALLOWED_PUBLIC = {
     ("rotation.py", "AxisAngle"): "quat_to_axis_angle returns it",
-    ("rotation.py", "quat_to_axis_angle"): "the inverse of quat_from_axis_angle, which the CLI reads",
+    ("rotation.py", "quat_to_axis_angle"): "the inverse of quat_from_axis_angle, which configspace and instances read",
     ("rotation.py", "matrix_to_quat"): "the inverse of quat_to_matrix, and the only route from a matrix to a quaternion",
-    ("solver.py", "CollinearPointsError"): "reconstruct_geometric raises it",
-    ("solver.py", "DegenerateChordError"): "reconstruct_geometric raises it",
-    ("solver.py", "DegenerateTetrahedronError"): "labeled_solve, unlabeled_solve and reconstruct_geometric raise it",
-    ("solver.py", "DegenerateViewError"): "reconstruct_geometric raises it",
+    ("solver.py", "DegenerateTetrahedronError"):
+        "labeled_solve, unlabeled_solve and reconstruct_geometric raise it for a fault of the tetrahedron",
+    ("solver.py", "DegenerateViewError"): "reconstruct_geometric raises it for a fault of the view",
 }
 
 # (module, function or Class.method, parameter): why a public float keyword default stays

@@ -5,7 +5,7 @@ form of the same algorithm.  Here the oracle, which never calls the solver,
 decides for each of the 24 relabelings whether some rotation has a largest
 miss of at most geom_abs.  Completeness: every relabeling the oracle finds
 has a candidate.  Soundness: no candidate lies in a relabeling the oracle
-proves empty.  The instances are drawn before any solve and are kept
+proves empty, and the I - A A^T screen drops no other relabeling.  The instances are drawn before any solve and are kept
 whatever the solver makes of them; relabelings the oracle leaves undecided
 are counted in the assertion messages, never dropped.
 """
@@ -28,6 +28,7 @@ from tetrot import (
     sample_tetrahedron,
     unlabeled_solve,
 )
+from tetrot import solver
 from tetrot.instances import four_cycle_instance
 
 from conftest import random_full_dim_tetrahedron, random_unit_quaternion, tilted_near_plane
@@ -40,7 +41,8 @@ CELLS = [CLASSIFICATION_CELLS[i] for i in (4, 7, 10, 14, 16)]
 
 @pytest.fixture(scope="module")
 def verdicts():
-    """For each instance, its kind, the oracle's verdicts and the relabelings of the solver's candidates.
+    """For each instance, its kind, the instance itself, the oracle's verdicts and the relabelings of the
+    solver's candidates.
 
     Five of each kind: exact shadows of generic tetrahedra, exact shadows of
     null-space samples of five cells, exact shadows of tilted near-planar
@@ -67,32 +69,55 @@ def verdicts():
     for kind, tetra, points in instances:
         quad = ProjectionQuad(points)
         said = {sigma.images: verdict for sigma, verdict in zip(ALL_PERMUTATIONS, oracle(tetra.vertices, quad.points, GEOM_ABS))}
-        out.append((kind, said, {cand.sigma.images for cand in unlabeled_solve(tetra, quad)}))
+        out.append((kind, tetra, quad, said, {cand.sigma.images for cand in unlabeled_solve(tetra, quad)}))
     return out
 
 
 def tally(verdicts) -> str:
-    counts = {verdict: sum(list(said.values()).count(verdict) for _, said, _ in verdicts)
+    counts = {verdict: sum(list(said.values()).count(verdict) for *_, said, _ in verdicts)
               for verdict in (FOUND, EMPTY, UNDECIDED)}
     return f"{len(verdicts)} instances, relabelings {counts}"
 
 
 class TestAgainstTheOracle:
     def test_every_relabeling_the_oracle_finds_has_a_candidate(self, verdicts):
-        lost = [(index, kind, images) for index, (kind, said, solved) in enumerate(verdicts)
+        lost = [(index, kind, images) for index, (kind, _, _, said, solved) in enumerate(verdicts)
                 for images, verdict in said.items() if verdict == FOUND and images not in solved]
         assert lost == [], tally(verdicts)
 
     def test_no_candidate_lies_in_a_relabeling_the_oracle_proves_empty(self, verdicts):
-        unsound = [(index, kind, images) for index, (kind, said, solved) in enumerate(verdicts)
+        unsound = [(index, kind, images) for index, (kind, _, _, said, solved) in enumerate(verdicts)
                    for images in solved if said[images] == EMPTY]
         assert unsound == [], tally(verdicts)
 
     def test_the_oracle_decides_every_instance(self, verdicts):
         # every shadow is of a rotation, so its own relabeling at least is found
         assert len(verdicts) == 20
-        assert all(FOUND in said.values() for _, said, _ in verdicts), tally(verdicts)
-        assert sum(list(said.values()).count(UNDECIDED) for _, said, _ in verdicts) <= 2, tally(verdicts)
+        assert all(FOUND in said.values() for *_, said, _ in verdicts), tally(verdicts)
+        assert sum(list(said.values()).count(UNDECIDED) for *_, said, _ in verdicts) <= 2, tally(verdicts)
+
+    def test_the_screen_drops_only_relabelings_the_oracle_proves_empty(self, verdicts, monkeypatch):
+        # a fitted row to which the first _starts call gives no start was dropped by the
+        # I - A A^T screen, before the gate; the oracle must prove it empty
+        calls, starts_of = [], solver._starts
+
+        def recorded(fitted, *args, **kwargs):
+            owners, starts = starts_of(fitted, *args, **kwargs)
+            calls.append((list(fitted), owners))
+            return owners, starts
+
+        monkeypatch.setattr(solver, "_starts", recorded)
+        screened, fitted = [], 0
+        for index, (kind, tetra, quad, said, _) in enumerate(verdicts):
+            calls.clear()
+            unlabeled_solve(tetra, quad)
+            rows, owners = calls[0]
+            fitted += len(rows)
+            images = [ALL_PERMUTATIONS[row].images for row in rows if row not in owners]
+            screened += [(index, kind, image, said[image]) for image in images]
+        wrong = [entry for entry in screened if entry[3] != EMPTY]
+        assert wrong == [], f"{len(screened)} of {fitted} fitted rows screened; {tally(verdicts)}"
+        assert screened, "no instance exercises the screen"
 
 
 class TestOracle:

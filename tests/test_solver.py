@@ -8,8 +8,6 @@ from tetrot import (
     ALL_PERMUTATIONS,
     CLASSIFICATION_CELLS,
     DEFAULT_TOLERANCES,
-    CollinearPointsError,
-    DegenerateChordError,
     DegenerateTetrahedronError,
     DegenerateViewError,
     IDENTITY_PERMUTATION,
@@ -84,9 +82,9 @@ class TestCircumcircle:
             assert got_radius == pytest.approx(radius, abs=1e-8)
 
     def test_collinear_points_rejected(self):
-        with pytest.raises(CollinearPointsError):
+        with pytest.raises(DegenerateTetrahedronError):
             circumcircle([0, 0, 0], [1, 1, 1], [2, 2, 2])
-        with pytest.raises(CollinearPointsError):  # coincident: both edges from p have length 0
+        with pytest.raises(DegenerateTetrahedronError):  # coincident: both edges from p have length 0
             circumcircle([1, 2, 3], [1, 2, 3], [1, 2, 3])
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-8, 3e-9])
@@ -164,11 +162,11 @@ class TestUnitConic:
         [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)],
     ], ids=["collinear", "four-points", "four-on-a-line"])
     def test_rank_below_five_rejected(self, pts):
-        with pytest.raises(CollinearPointsError, match="^points in degenerate position, conic is not unique$"):
+        with pytest.raises(DegenerateViewError, match="^points in degenerate position, conic is not unique$"):
             _unit_conic(pts, self.RANK_REL)
 
     def test_coincident_points_rejected(self):
-        with pytest.raises(CollinearPointsError, match="^coincident points do not determine a conic$"):
+        with pytest.raises(DegenerateViewError, match="^coincident points do not determine a conic$"):
             _unit_conic([(1.5, -2.0)] * 6, self.RANK_REL)
 
     @pytest.mark.parametrize("scale", [1e80, 1e140, 1e150])
@@ -337,6 +335,13 @@ class TestOneRankRule:
 
 
 class TestReconstructGeometric:
+    # the view errors raised before an ellipse is fitted, by the messages of the points that fix none
+    BEFORE_THE_ELLIPSE = {
+        "projected points are collinear",
+        "coincident points do not determine a conic",
+        "points in degenerate position, conic is not unique",
+    }
+
     def test_agrees_on_the_four_cycle_instance(self):
         inst = four_cycle_instance()
         quad = relabeled(inst.projection, inst.sigma)
@@ -367,7 +372,7 @@ class TestReconstructGeometric:
     def test_collinear_projections_rejected(self):
         # vertices 1..3 in a vertical plane project onto a line
         tetra = Tetrahedron([[0, 0, 0], [1, 0, 1], [2, 0, -1], [0, 3, 0]])
-        with pytest.raises(CollinearPointsError):
+        with pytest.raises(DegenerateViewError, match="^projected points are collinear$"):
             reconstruct_geometric(tetra, project(tetra))
 
     def test_edge_on_view_rejected(self):
@@ -377,7 +382,7 @@ class TestReconstructGeometric:
         tilt = np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
         base = np.array([[1.0, 0, 0], [-0.6, 0.9, 0], [-0.5, -1.1, 0], [0.1, 0.2, 1.5]])
         tetra = Tetrahedron(base @ tilt.T)
-        with pytest.raises((DegenerateViewError, CollinearPointsError)):
+        with pytest.raises(DegenerateViewError):
             reconstruct_geometric(tetra, project(tetra))
 
     @staticmethod
@@ -390,49 +395,47 @@ class TestReconstructGeometric:
         tetra = self.near_midpoint(eps)
         for q in (UnitQuaternion(1.0, 0.0, 0.0, 0.0), random_unit_quaternion(np.random.default_rng(43))):
             message = "^vertex coincides with the opposite edge midpoint$"
-            with pytest.raises(DegenerateChordError, match=message):
+            with pytest.raises(DegenerateTetrahedronError, match=message):
                 reconstruct_geometric(tetra, labeled_shadow(tetra, q))
 
     def test_six_points_on_a_short_arc_rejected_by_the_conic_rank(self):
         tetra = self.near_midpoint(1e-4)
         for q in (UnitQuaternion(1.0, 0.0, 0.0, 0.0), random_unit_quaternion(np.random.default_rng(47))):
             message = "^" + re.escape("points in degenerate position, conic is not unique") + "$"
-            with pytest.raises(CollinearPointsError, match=message):
+            with pytest.raises(DegenerateViewError, match=message):
                 reconstruct_geometric(tetra, labeled_shadow(tetra, q))
 
-    def test_first_three_vertices_on_a_line_at_the_circle_cut_rejected(self):
-        # s[2] / s[0] of P3 is just above rank_rel; the triangle's area over
-        # its longest edge squared, the circumcircle's cut, is just below
+    @staticmethod
+    def on_a_line_at_the_circle_cut():
+        """A full-dimensional tetrahedron whose first three vertices are collinear at the circumcircle's cut.
+
+        s[2] / s[0] of P3 is just above rank_rel; the triangle's area over
+        its longest edge squared, the circumcircle's cut, is just below.
+        """
         vertices = """
             -0x1.1ebb8d107ac14p+0 0x1.f74872ccc9a2cp-14 0x1.a41d6ec327713p-30
             0x1.20e1104d311a9p+0 0x1.f746bb8fe5f0ap-14 0x1.816dd49e28c5dp-30
             -0x1.0f1c7927e3234p-5 0x1.f747e0c994e09p-14 -0x1.167a0e5a03c6fp-31
             0x1.94d823222ff28p-6 -0x1.7975c3c9911d0p-12 -0x1.4d271e1a2729cp-29
             """
-        tetra = Tetrahedron(np.reshape([float.fromhex(token) for token in vertices.split()], (4, 3)))
-        assert tetra.full_dimensional()
-        with pytest.raises(CollinearPointsError, match="^circumcircle needs three non-collinear points$"):
-            reconstruct_geometric(tetra, project(tetra))
+        return Tetrahedron(np.reshape([float.fromhex(token) for token in vertices.split()], (4, 3)))
 
-    @pytest.mark.parametrize("offset", [7e-10, 1e-9])
-    def test_projected_chord_collapse_rejected(self, offset):
-        # point 1 within 1e-9 of the midpoint of points 2 and 3, yet not collinear with them at rank_rel
-        tetra = Tetrahedron([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
-        quad = ProjectionQuad([[0, offset], [-1, 0], [1, 0], [0.3, 0.7]])
-        with pytest.raises(DegenerateChordError, match="^projected chord collapses to a point$"):
-            reconstruct_geometric(tetra, quad)
+    def test_first_three_vertices_on_a_line_at_the_circle_cut_rejected(self):
+        tetra = self.on_a_line_at_the_circle_cut()
+        assert tetra.full_dimensional()
+        with pytest.raises(DegenerateTetrahedronError, match="^circumcircle needs three non-collinear points$"):
+            reconstruct_geometric(tetra, project(tetra))
 
     def test_near_edge_on_views_raise_only_documented_errors(self):
         # circumcircle planes within 1e-12 to 1e-2 of vertical, where the
         # fitted ellipse degenerates to a segment
         rng = np.random.default_rng(49)
-        documented = (CollinearPointsError, DegenerateViewError)
         raised = set()
         for _ in range(300):
             tetra = near_edge_on(rng, rng.uniform(-12, -2))
             try:
                 assert len(reconstruct_geometric(tetra, project(tetra))) <= 1
-            except documented as exc:
+            except DegenerateViewError as exc:
                 raised.add(str(exc))
         assert "projected circumcircle is seen edge on" in raised
         assert raised <= {
@@ -455,9 +458,9 @@ class TestReconstructGeometric:
             assert abs(normal[2]) <= 1e-7 * np.linalg.norm(normal)
             try:
                 reconstruct_geometric(tetra, project(tetra))
-            except CollinearPointsError:
-                continue
             except DegenerateViewError as exc:
+                if str(exc) in self.BEFORE_THE_ELLIPSE:
+                    continue
                 assert str(exc) == "projected circumcircle is seen edge on"
                 edge_on += 1
             else:
@@ -498,7 +501,7 @@ class TestReconstructGeometric:
     @pytest.mark.parametrize("scale", [1e80, 1e100, 1e150])
     def test_no_overflow_at_admitted_magnitudes(self, scale):
         rng = np.random.default_rng(53)
-        documented = (CollinearPointsError, DegenerateChordError, DegenerateViewError)
+        documented = (DegenerateTetrahedronError, DegenerateViewError)
         for _ in range(20):
             vertices = rng.standard_normal((4, 3))
             vertices -= vertices.mean(axis=0)
@@ -509,6 +512,85 @@ class TestReconstructGeometric:
                 assert isinstance(reconstruct_geometric(tetra, quad), list)
             except documented:
                 pass
+
+
+REGULAR = Tetrahedron([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+# a shadow of REGULAR that both routes solve
+REGULAR_VIEW = labeled_shadow(REGULAR, UnitQuaternion.normalized(0.9, 0.1, 0.2, 0.3))
+RANK_ONE = Tetrahedron([[1, 0, 0], [2, 0, 0], [3, 0, 0], [-6, 0, 0]])
+
+
+def thin_view(height):
+    """A view whose first three points are a triangle of base 2 and the given height."""
+    return ProjectionQuad([[-1, 0], [1, 0], [0, height], [0.2, -0.5]])
+
+
+class TestRefusalNamesTheInputAtFault:
+    """Each refusal message comes with one class: DegenerateTetrahedronError for a fault of T,
+    DegenerateViewError for a fault of U.  A T case takes the view REGULAR_VIEW, a U case the
+    tetrahedron REGULAR, so in each case only the one input is degenerate."""
+
+    # name: (tetrahedron, message)
+    TETRAHEDRA = {
+        "line": (RANK_ONE, "vertices span less than a plane"),
+        "plane": (planar_instance().tetrahedron, "geometric reconstruction needs a full-dimensional tetrahedron"),
+        "line-at-the-circle-cut": (TestReconstructGeometric.on_a_line_at_the_circle_cut(),
+                                   "circumcircle needs three non-collinear points"),
+        "vertex-at-its-edge-midpoint": (TestReconstructGeometric.near_midpoint(1e-7),
+                                        "vertex coincides with the opposite edge midpoint"),
+    }
+    # name: (view, message)
+    VIEWS = {
+        "collinear": (thin_view(0.0), "projected points are collinear"),
+        # point 1 within 1e-9 of the midpoint of points 2 and 3, yet not collinear with them at rank_rel
+        "chord-collapse-7e-10": (ProjectionQuad([[0, 7e-10], [-1, 0], [1, 0], [0.3, 0.7]]),
+                                 "projected chord collapses to a point"),
+        "chord-collapse-1e-9": (ProjectionQuad([[0, 1e-9], [-1, 0], [1, 0], [0.3, 0.7]]),
+                                "projected chord collapses to a point"),
+        # the six points lie on an ellipse too thin for one conic, or for the edge-on cut
+        "conic-not-unique": (thin_view(2.5e-9), "points in degenerate position, conic is not unique"),
+        "edge-on": (thin_view(1e-7), "projected circumcircle is seen edge on"),
+    }
+
+    def test_the_regular_pair_is_solved_by_both_routes(self):
+        assert len(labeled_solve(REGULAR, REGULAR_VIEW)) == 1
+        assert len(reconstruct_geometric(REGULAR, REGULAR_VIEW)) == 1
+
+    @pytest.mark.parametrize("name", sorted(TETRAHEDRA))
+    def test_a_fault_of_the_tetrahedron(self, name):
+        tetra, message = self.TETRAHEDRA[name]
+        solve = labeled_solve if name == "line" else reconstruct_geometric
+        with pytest.raises(DegenerateTetrahedronError, match=f"^{message}$") as info:
+            solve(tetra, REGULAR_VIEW)
+        assert type(info.value) is DegenerateTetrahedronError
+
+    @pytest.mark.parametrize("name", sorted(VIEWS))
+    def test_a_fault_of_the_view(self, name):
+        quad, message = self.VIEWS[name]
+        with pytest.raises(DegenerateViewError, match=f"^{message}$") as info:
+            reconstruct_geometric(REGULAR, quad)
+        assert type(info.value) is DegenerateViewError
+
+    def test_the_conic_refuses_points_of_the_view(self):
+        for solve, args, message in (
+            (_unit_conic, ([(1.5, -2.0)] * 6, DEFAULT_TOLERANCES.rank_rel), "coincident points do not determine a conic"),
+            (_ellipse_geometry, ([1.0, 0.0, 1.0, 0.0, 0.0, 1.0],), "conic has no real ellipse points"),
+        ):
+            with pytest.raises(DegenerateViewError, match=f"^{message}$") as info:
+                solve(*args)
+            assert type(info.value) is DegenerateViewError
+
+    def test_both_routes_refuse_a_singular_tetrahedron_as_its_fault(self):
+        # with their own messages, as TestOneRankRule checks near the rank cut
+        for solve in (labeled_solve, unlabeled_solve, reconstruct_geometric):
+            with pytest.raises(DegenerateTetrahedronError):
+                solve(RANK_ONE, REGULAR_VIEW)
+
+    def test_the_solver_exports_two_errors(self):
+        errors = {name for name in solver.__all__ if name.endswith("Error")}
+        assert errors == {"DegenerateTetrahedronError", "DegenerateViewError"}
+        assert not issubclass(DegenerateTetrahedronError, DegenerateViewError)
+        assert not issubclass(DegenerateViewError, DegenerateTetrahedronError)
 
 
 class TestPrunePermutations:
