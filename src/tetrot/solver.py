@@ -68,7 +68,8 @@ _CROSS_MATRIX = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0], [0, 0, 1, 0, 0, 0, -1, 0
                          dtype=float)
 _CROSS_MATRIX.flags.writeable = False
 # Ratio of the projected circumcircle's minor to major axis at or below
-# which the geometric route refuses the view as edge on.
+# which the geometric route refuses the view as edge on: on the triangle
+# areas before the fit, and on the fitted ellipse (see reconstruct_geometric).
 _EDGE_ON_TILT = 1e-6
 # Frobenius distance at or beyond which two rotations count as two (see _apart).
 DEDUPE_DISTANCE = 1e-6
@@ -313,22 +314,20 @@ def labeled_solve(
 
 
 def _circumcircle(p: list[float], q: list[float], r: list[float], rel_tol: float):
-    """Center and radius of the circle through three points in space, on named floats.
+    """Center, radius and |(q - p) x (r - p)| of the circle through three points in space, on named floats.
 
     The edges from p are divided by the power of two at or above the longer
     one before any square is formed, so nothing overflows for admitted
     coordinates and the division is exact; lengths are math.hypot.  The
     points, three vertices of T, count as collinear, and
-    DegenerateTetrahedronError is raised, when they coincide or when
-    |(q - p) x (r - p)| is at most rel_tol times the square of the longer
-    of the two edges.
+    DegenerateTetrahedronError is raised, when |(q - p) x (r - p)| is at
+    most rel_tol times the square of the longer of the two edges: points
+    that coincide have both at zero.
     """
     p0, p1, p2 = p
     a0, a1, a2 = q[0] - p0, q[1] - p1, q[2] - p2
     b0, b1, b2 = r[0] - p0, r[1] - p1, r[2] - p2
     longest = max(math.hypot(a0, a1, a2), math.hypot(b0, b1, b2))
-    if longest == 0.0:
-        raise DegenerateTetrahedronError("circumcircle needs three non-collinear points")
     scale = math.ldexp(1.0, math.frexp(longest)[1])
     longest /= scale
     a0, a1, a2, b0, b1, b2 = a0 / scale, a1 / scale, a2 / scale, b0 / scale, b1 / scale, b2 / scale
@@ -341,7 +340,7 @@ def _circumcircle(p: list[float], q: list[float], r: list[float], rel_tol: float
     twice = 2.0 * area * area
     w0, w1, w2 = g11 * b0 - g22 * a0, g11 * b1 - g22 * a1, g11 * b2 - g22 * a2
     o0, o1, o2 = (w1 * n2 - w2 * n1) / twice, (w2 * n0 - w0 * n2) / twice, (w0 * n1 - w1 * n0) / twice
-    return (p0 + scale * o0, p1 + scale * o1, p2 + scale * o2), scale * math.hypot(o0, o1, o2)
+    return (p0 + scale * o0, p1 + scale * o1, p2 + scale * o2), scale * math.hypot(o0, o1, o2), scale * scale * area
 
 
 def _unit_conic(points: list[list[float]], rel_tol: float) -> tuple[float, float, float, list[float]]:
@@ -350,9 +349,10 @@ def _unit_conic(points: list[list[float]], rel_tol: float) -> tuple[float, float
     The unit frame maps X to (X - m)/w, where w is the root mean square
     distance of the points from their mean m; the conic is the unit null
     vector of the design matrix with rows (x^2, xy, y^2, x, y, 1) there.
-    The points come from the view U, so points that coincide, or that no
-    one conic passes through (the matrix's rank at rel_tol is below 5),
-    raise DegenerateViewError.
+    The points come from the view U, so points that no one conic passes
+    through (the matrix's rank at rel_tol is below 5) raise
+    DegenerateViewError.  The geometric route passes six points whose
+    first three span a triangle, so w is never zero.
     """
     n = len(points)
     mx = my = 0.0
@@ -361,8 +361,6 @@ def _unit_conic(points: list[list[float]], rel_tol: float) -> tuple[float, float
     mx, my = mx / n, my / n
     dev = [(x - mx, y - my) for x, y in points]
     spread = math.hypot(*(t for pair in dev for t in pair)) / math.sqrt(n)
-    if spread == 0.0:
-        raise DegenerateViewError("coincident points do not determine a conic")
     flat = []
     for dx, dy in dev:
         x, y = dx / spread, dy / spread
@@ -379,10 +377,12 @@ def _ellipse_geometry(coefficients: list[float]) -> tuple[tuple[float, float], f
 
     The tilt is the ratio of the minor to the major semi-axis,
     sqrt(level / big) / sqrt(level / small) with big >= small the
-    eigenvalues of [[a, b/2], [b/2, c]].  Its square small / big is tested
-    first, before the conic's type and level: a parabola or hyperbola has
-    small <= 0, so every conic at or below the edge-on cut gets the one
-    edge-on error, whatever rounding made of its type or level.
+    eigenvalues of [[a, b/2], [b/2, c]], and at most 1.  Its square
+    small / big is tested first, before the conic's type and level: a
+    parabola or hyperbola has small <= 0, so every conic at or below the
+    edge-on cut gets the one edge-on error, whatever rounding made of its
+    type or level.  The route tests the cut on the triangle areas first; a
+    view much larger than T can pass that test and meet this one.
     """
     a, b, c, d, e, f = coefficients
     if a + c < 0:
@@ -439,26 +439,30 @@ def reconstruct_geometric(
     every other step is closed form on named floats, every sum left to
     right.
 
+    For a shadow, |cross| of the first three points is the circle's tilt
+    times that of the first three vertices: a view at or below
+    _EDGE_ON_TILT by that ratio is refused as edge on before any chord or
+    conic is formed, and the fitted ellipse is held to the same cut.
+
     A refusal names the input at fault.  DegenerateTetrahedronError: T is
     not full-dimensional, its first three vertices are collinear, or a
     vertex lies at its opposite edge's midpoint.  DegenerateViewError: the
-    first three points of U are collinear, a projected chord collapses, the
-    six points fix no one conic, or its ellipse is edge on or has no real
-    points.  Agrees with labeled_solve where both apply.
+    circle is seen edge on, a projected chord collapses, the six points fix
+    no one conic, or its ellipse has no real points.  Agrees with
+    labeled_solve where both apply.
     """
     p3 = tetra.vertices[:3]
     s = np.linalg.svd(p3, compute_uv=False)
     if _rank(s, tol.rank_rel) < 3:
         raise DegenerateTetrahedronError("geometric reconstruction needs a full-dimensional tetrahedron")
     p = p3.tolist()
-    (c0, c1, c2), radius = _circumcircle(*p, tol.rank_rel)
+    (c0, c1, c2), radius, area = _circumcircle(*p, tol.rank_rel)
 
     u = quad.points.tolist()
     (x0, y0), (x1, y1), (x2, y2) = u[:3]
-    area2 = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+    if abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)) <= _EDGE_ON_TILT * area:
+        raise DegenerateViewError("projected circumcircle is seen edge on")
     uscale = max(math.hypot(x1 - x0, y1 - y0), math.hypot(x2 - x0, y2 - y0))
-    if uscale == 0.0 or area2 <= tol.rank_rel * uscale * uscale:
-        raise DegenerateViewError("projected points are collinear")
 
     six = u[:3]
     for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
@@ -480,7 +484,7 @@ def reconstruct_geometric(
 
     mx, my, spread, coefficients = _unit_conic(six, tol.rank_rel)
     (cx, cy), tilt, (ax, ay) = _ellipse_geometry(coefficients)
-    horiz = math.sqrt(max(1.0 - tilt * tilt, 0.0))
+    horiz = math.sqrt(1.0 - tilt * tilt)
     cx, cy = mx + spread * cx, my + spread * cy
 
     f00, f01, f02, f10, f11, f12, f20, f21, f22 = _frame(*p)

@@ -744,12 +744,10 @@ def cross(a, b):
 
 
 def reference_circumcircle(p, q, r, rel_tol):
-    """Center and radius of the circle through three points, one list per vector."""
+    """Center and radius of the circle through three points, and |(q - p) x (r - p)|, one list per vector."""
     d1 = [b - a for a, b in zip(p, q)]
     d2 = [b - a for a, b in zip(p, r)]
     longest = max(math.hypot(*d1), math.hypot(*d2))
-    if longest == 0.0:
-        raise DegenerateTetrahedronError("circumcircle needs three non-collinear points")
     # a power of two at or above the longer edge: the division is exact and no square overflows
     scale = math.ldexp(1.0, math.frexp(longest)[1])
     longest /= scale
@@ -763,7 +761,7 @@ def reference_circumcircle(p, q, r, rel_tol):
     g22 = u2[0] * u2[0] + u2[1] * u2[1] + u2[2] * u2[2]
     twice = 2.0 * area * area
     offset = [x / twice for x in cross([g11 * b - g22 * a for a, b in zip(u1, u2)], normal)]
-    return [a + scale * x for a, x in zip(p, offset)], scale * math.hypot(*offset)
+    return [a + scale * x for a, x in zip(p, offset)], scale * math.hypot(*offset), scale * scale * area
 
 
 def reference_frame(points):
@@ -786,8 +784,6 @@ def reference_unit_conic(points, rel_tol):
     my = left_to_right(y for _, y in points) / n
     dev = [(x - mx, y - my) for x, y in points]
     spread = math.hypot(*(t for pair in dev for t in pair)) / math.sqrt(n)
-    if spread == 0.0:
-        raise DegenerateViewError("coincident points do not determine a conic")
     rows = [[x * x, x * y, y * y, x, y, 1.0] for x, y in ((dx / spread, dy / spread) for dx, dy in dev)]
     _, s, vh = np.linalg.svd(np.array(rows))
     if geom._rank(s, rel_tol) < 5:
@@ -802,13 +798,13 @@ def reference_geometric(tetra, quad, tol=DEFAULT_TOLERANCES):
     if geom._rank(s, tol.rank_rel) < 3:
         raise DegenerateTetrahedronError("geometric reconstruction needs a full-dimensional tetrahedron")
     p = p3.tolist()
-    center, radius = reference_circumcircle(*p, tol.rank_rel)
+    center, radius, area = reference_circumcircle(*p, tol.rank_rel)
     u = quad.points.tolist()
     (x0, y0), (x1, y1), (x2, y2) = u[:3]
-    area2 = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+    # a shadow's |cross| of its first three points is the circle's tilt times their |cross| in space
+    if abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)) <= solver._EDGE_ON_TILT * area:
+        raise DegenerateViewError("projected circumcircle is seen edge on")
     uscale = max(math.hypot(x1 - x0, y1 - y0), math.hypot(x2 - x0, y2 - y0))
-    if uscale == 0.0 or area2 <= tol.rank_rel * uscale * uscale:
-        raise DegenerateViewError("projected points are collinear")
     six = u[:3]
     for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
         # the chord from p_i through the midpoint of its opposite edge meets the circle again
@@ -826,7 +822,7 @@ def reference_geometric(tetra, quad, tol=DEFAULT_TOLERANCES):
         six.append([xi + ratio * dx, yi + ratio * dy])
     mx, my, spread, coefficients = reference_unit_conic(six, tol.rank_rel)
     (cx, cy), tilt, (ax, ay) = solver._ellipse_geometry(coefficients)
-    horiz = math.sqrt(max(1.0 - tilt * tilt, 0.0))
+    horiz = math.sqrt(1.0 - tilt * tilt)
     cx, cy = mx + spread * cx, my + spread * cy
     f3 = reference_frame(p)
     lifts = []
@@ -892,7 +888,6 @@ class TestGeometricDefinition:
             0,
             1,
             (DegenerateTetrahedronError, "geometric reconstruction needs a full-dimensional tetrahedron"),
-            (DegenerateViewError, "projected points are collinear"),
             (DegenerateViewError, "projected circumcircle is seen edge on"),
         }
 
@@ -901,14 +896,15 @@ class TestGeometricDefinition:
         for tetra, _ in geometric_instances:
             p, q, r = tetra.vertices[:3].tolist()
             try:
-                center, radius = solver._circumcircle(p, q, r, rel_tol)
+                center, radius, area = solver._circumcircle(p, q, r, rel_tol)
             except DegenerateTetrahedronError as exc:
                 with pytest.raises(DegenerateTetrahedronError, match=f"^{exc}$"):
                     reference_circumcircle(p, q, r, rel_tol)
                 continue
-            want_center, want_radius = reference_circumcircle(p, q, r, rel_tol)
+            want_center, want_radius, want_area = reference_circumcircle(p, q, r, rel_tol)
             assert [x.hex() for x in center] == [x.hex() for x in want_center]
             assert radius.hex() == want_radius.hex()
+            assert area.hex() == want_area.hex()
 
 
 class TestOneFactorization:

@@ -706,6 +706,14 @@ class TestReader:
             2, "", f"error: <stdin>: 'utf-8' codec can't decode byte 0xe9 in position {position}: "
                    "invalid continuation byte\n")
 
+    def test_stdin_gives_the_report_of_the_file(self, capsys, monkeypatch, golden_files):
+        argv = ["solve", "--tetrahedron", golden_files["TET"], "--projection", golden_files["SHADOW"]]
+        from_file = invoke(capsys, argv)
+        with open(golden_files["TET"], "rb") as handle:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(handle.read()), encoding="utf-8"))
+        assert from_file[0] == 0
+        assert invoke(capsys, ["solve", "--tetrahedron", "-", *argv[3:]]) == from_file
+
     def test_stdin_line_ends_are_read_as_given(self, capsys, monkeypatch, golden_files):
         # POSIX stdin translates no newline (newline="\n"), so a CRLF document's
         # error counts each CR as a character, as json.loads of its bytes does
@@ -1202,6 +1210,13 @@ class TestGoldenText:
         monkeypatch.setenv("COLUMNS", "80")
         argv = [golden_files.get(arg, arg) for arg in GOLDEN_ARGV[case]]
         assert invoke(capsys, argv) == GOLDEN[case]
+
+    @pytest.mark.parametrize("argv", [["reproduce", "-h"], ["reproduce", "four-cycle", "-h"]], ids=" ".join)
+    def test_help_exits_zero_on_every_python(self, capsys, argv):
+        # the pins above hold only under 3.11; the exit code and the usage line hold under each
+        code, out, err = invoke(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: tetrot {' '.join(argv[:-1])} [-h]")
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_ARGV))
     def test_same_as_options_added_up_front(self, capsys, monkeypatch, fresh_process, case):

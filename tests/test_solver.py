@@ -1,5 +1,7 @@
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,20 +55,23 @@ def labeled_shadow(tetra: Tetrahedron, q: UnitQuaternion) -> ProjectionQuad:
 
 
 def circumcircle(p, q, r):
-    """Center and radius of the route's circle through three points, at the default rank_rel."""
-    center, radius = _circumcircle(*(np.asarray(x, dtype=float).tolist() for x in (p, q, r)), DEFAULT_TOLERANCES.rank_rel)
-    return np.array(center), radius
+    """Center, radius and |(q - p) x (r - p)| of the route's circle through three points, at the default rank_rel."""
+    center, radius, area = _circumcircle(*(np.asarray(x, dtype=float).tolist() for x in (p, q, r)),
+                                         DEFAULT_TOLERANCES.rank_rel)
+    return np.array(center), radius, area
 
 
 class TestCircumcircle:
     def test_unit_circle_in_the_plane(self):
-        center, radius = circumcircle([1, 0, 0], [0, 1, 0], [-1, 0, 0])
+        center, radius, area = circumcircle([1, 0, 0], [0, 1, 0], [-1, 0, 0])
         np.testing.assert_allclose(center, [0, 0, 0], atol=1e-14)
         assert radius == pytest.approx(1.0)
+        assert area == 2.0
 
     def test_scaling(self):
-        _, radius = circumcircle([2, 0, 0], [0, 2, 0], [-2, 0, 0])
+        _, radius, area = circumcircle([2, 0, 0], [0, 2, 0], [-2, 0, 0])
         assert radius == pytest.approx(2.0)
+        assert area == 8.0
 
     def test_recovers_a_random_space_circle(self):
         rng = np.random.default_rng(31)
@@ -77,20 +82,22 @@ class TestCircumcircle:
             radius = rng.uniform(0.5, 3.0)
             angles = np.sort(rng.uniform(0, 2 * math.pi, size=3))
             pts = [center + radius * (r @ [math.cos(t), math.sin(t), 0.0]) for t in angles]
-            got_center, got_radius = circumcircle(*pts)
+            got_center, got_radius, got_area = circumcircle(*pts)
             np.testing.assert_allclose(got_center, center, atol=1e-8)
             assert got_radius == pytest.approx(radius, abs=1e-8)
+            assert got_area == pytest.approx(np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0])), rel=1e-14)
 
     def test_collinear_points_rejected(self):
-        with pytest.raises(DegenerateTetrahedronError):
-            circumcircle([0, 0, 0], [1, 1, 1], [2, 2, 2])
-        with pytest.raises(DegenerateTetrahedronError):  # coincident: both edges from p have length 0
-            circumcircle([1, 2, 3], [1, 2, 3], [1, 2, 3])
+        # coincident points have both edges and the area zero, so the area test holds at 0 <= 0
+        for points in ([[0, 0, 0], [1, 1, 1], [2, 2, 2]], [[1, 2, 3]] * 3, [[0, 0, 0]] * 3, [[-1e150, 1e-300, 5.0]] * 3):
+            with pytest.raises(DegenerateTetrahedronError, match="^circumcircle needs three non-collinear points$") as info:
+                circumcircle(*points)
+            assert type(info.value) is DegenerateTetrahedronError
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-8, 3e-9])
     def test_nearly_collinear_points(self, eps):
         # the circle through (0, eps), (-1, 0) and (1, 0) has radius (1 + eps^2) / (2 eps)
-        center, radius = circumcircle([0, eps, 0], [-1, 0, 0], [1, 0, 0])
+        center, radius, _ = circumcircle([0, eps, 0], [-1, 0, 0], [1, 0, 0])
         expected = (1.0 + eps * eps) / (2.0 * eps)
         assert radius == pytest.approx(expected, rel=1e-12)
         np.testing.assert_allclose(center, [0.0, eps - expected, 0.0], rtol=0, atol=1e-12 * expected)
@@ -101,7 +108,7 @@ class TestCircumcircle:
         for _ in range(20):
             pts = rng.standard_normal((3, 3))
             pts = np.clip(pts * (scale / np.abs(pts).max()), -scale, scale)
-            center, radius = circumcircle(*pts)
+            center, radius, _ = circumcircle(*pts)
             dist = [math.hypot(*((center - p) / scale)) for p in pts]
             assert max(dist) - min(dist) <= 1e-12 * max(dist)
             assert abs(radius / scale - dist[0]) <= 1e-12 * dist[0]
@@ -165,10 +172,6 @@ class TestUnitConic:
         with pytest.raises(DegenerateViewError, match="^points in degenerate position, conic is not unique$"):
             _unit_conic(pts, self.RANK_REL)
 
-    def test_coincident_points_rejected(self):
-        with pytest.raises(DegenerateViewError, match="^coincident points do not determine a conic$"):
-            _unit_conic([(1.5, -2.0)] * 6, self.RANK_REL)
-
     @pytest.mark.parametrize("scale", [1e80, 1e140, 1e150])
     def test_scaling_moves_only_the_frame(self, scale):
         # points X = s x have the mean s m and the spread s w, and the same unit-frame conic
@@ -220,8 +223,9 @@ class TestEllipseGeometry:
     def test_a_conic_without_real_ellipse_points_is_refused(self, conic):
         # x^2 + y^2 + 1 = 0 and x^2 + y^2 = 0 pass the edge-on test as circles, at level -1 and 0
         for coefficients in (list(conic), [-x for x in conic]):
-            with pytest.raises(DegenerateViewError, match="^conic has no real ellipse points$"):
+            with pytest.raises(DegenerateViewError, match="^conic has no real ellipse points$") as info:
                 _ellipse_geometry(coefficients)
+            assert type(info.value) is DegenerateViewError
 
 
 class TestLabeledSolve:
@@ -335,13 +339,6 @@ class TestOneRankRule:
 
 
 class TestReconstructGeometric:
-    # the view errors raised before an ellipse is fitted, by the messages of the points that fix none
-    BEFORE_THE_ELLIPSE = {
-        "projected points are collinear",
-        "coincident points do not determine a conic",
-        "points in degenerate position, conic is not unique",
-    }
-
     def test_agrees_on_the_four_cycle_instance(self):
         inst = four_cycle_instance()
         quad = relabeled(inst.projection, inst.sigma)
@@ -370,9 +367,9 @@ class TestReconstructGeometric:
             reconstruct_geometric(inst.tetrahedron, inst.projection)
 
     def test_collinear_projections_rejected(self):
-        # vertices 1..3 in a vertical plane project onto a line
+        # vertices 1..3 in a vertical plane project onto a line: their circle is seen edge on
         tetra = Tetrahedron([[0, 0, 0], [1, 0, 1], [2, 0, -1], [0, 3, 0]])
-        with pytest.raises(DegenerateViewError, match="^projected points are collinear$"):
+        with pytest.raises(DegenerateViewError, match="^projected circumcircle is seen edge on$"):
             reconstruct_geometric(tetra, project(tetra))
 
     def test_edge_on_view_rejected(self):
@@ -439,7 +436,6 @@ class TestReconstructGeometric:
                 raised.add(str(exc))
         assert "projected circumcircle is seen edge on" in raised
         assert raised <= {
-            "projected points are collinear",
             "points in degenerate position, conic is not unique",
             "projected circumcircle is seen edge on",
             "conic has no real ellipse points",
@@ -450,22 +446,13 @@ class TestReconstructGeometric:
         # the six points are an affine image of concyclic points, so any
         # other view error would describe rounding, not the view
         rng = np.random.default_rng(59)
-        edge_on = 0
         for _ in range(400):
             tetra = near_edge_on(rng, rng.uniform(-12, -7))
             p0, p1, p2 = tetra.vertices[:3]
             normal = np.cross(p1 - p0, p2 - p0)
             assert abs(normal[2]) <= 1e-7 * np.linalg.norm(normal)
-            try:
+            with pytest.raises(DegenerateViewError, match="^projected circumcircle is seen edge on$"):
                 reconstruct_geometric(tetra, project(tetra))
-            except DegenerateViewError as exc:
-                if str(exc) in self.BEFORE_THE_ELLIPSE:
-                    continue
-                assert str(exc) == "projected circumcircle is seen edge on"
-                edge_on += 1
-            else:
-                pytest.fail("a view below the edge-on cut was reconstructed")
-        assert edge_on >= 50
 
     # Near-edge-on views, as float.hex, where an LU solve of the ellipse's
     # center system meets an exact zero pivot or eigh gives its smaller
@@ -541,15 +528,33 @@ class TestRefusalNamesTheInputAtFault:
     }
     # name: (view, message)
     VIEWS = {
-        "collinear": (thin_view(0.0), "projected points are collinear"),
-        # point 1 within 1e-9 of the midpoint of points 2 and 3, yet not collinear with them at rank_rel
-        "chord-collapse-7e-10": (ProjectionQuad([[0, 7e-10], [-1, 0], [1, 0], [0.3, 0.7]]),
-                                 "projected chord collapses to a point"),
-        "chord-collapse-1e-9": (ProjectionQuad([[0, 1e-9], [-1, 0], [1, 0], [0.3, 0.7]]),
-                                "projected chord collapses to a point"),
-        # the six points lie on an ellipse too thin for one conic, or for the edge-on cut
-        "conic-not-unique": (thin_view(2.5e-9), "points in degenerate position, conic is not unique"),
+        # the first three points span no triangle, or one whose area is at most
+        # _EDGE_ON_TILT times that of the first three vertices: the circle is seen edge on
+        "coincident": (ProjectionQuad([[1.5, -2.0]] * 4), "projected circumcircle is seen edge on"),
+        "collinear": (thin_view(0.0), "projected circumcircle is seen edge on"),
         "edge-on": (thin_view(1e-7), "projected circumcircle is seen edge on"),
+        "thin-2.5e-9": (thin_view(2.5e-9), "projected circumcircle is seen edge on"),
+        # point 1 within 1e-9 of the midpoint of points 2 and 3: a chord collapses, but the
+        # view is as thin as that, and edge on is tested first
+        "chord-collapse-7e-10": (ProjectionQuad([[0, 7e-10], [-1, 0], [1, 0], [0.3, 0.7]]),
+                                 "projected circumcircle is seen edge on"),
+        "chord-collapse-1e-9": (ProjectionQuad([[0, 1e-9], [-1, 0], [1, 0], [0.3, 0.7]]),
+                                "projected circumcircle is seen edge on"),
+        # views 100 times wider than T pass the area test: point 1 within 5e-8 of the
+        # midpoint of points 2 and 3, and thin triangles whose six points fix no one
+        # conic, or an ellipse below the cut
+        "chord-collapse": (ProjectionQuad([[0, 5e-8], [-100, 0], [100, 0], [30, 70]]),
+                           "projected chord collapses to a point"),
+        "conic-not-unique": (ProjectionQuad([[-100, 0], [100, 0], [500, 2.5e-7], [20, -50]]),
+                             "points in degenerate position, conic is not unique"),
+        "edge-on-at-the-fit": (ProjectionQuad([[-100, 0], [100, 0], [500, 1e-5], [20, -50]]),
+                               "projected circumcircle is seen edge on"),
+    }
+    # (class, message): why no case above raises the refusal through a solve
+    UNREACHED = {
+        ("DegenerateViewError", "conic has no real ellipse points"):
+            "six points of a rank-5 design matrix lie on its conic, so an ellipse through them has "
+            "real points; the test keeps rounding from taking the lift's square roots of negatives",
     }
 
     def test_the_regular_pair_is_solved_by_both_routes(self):
@@ -571,14 +576,33 @@ class TestRefusalNamesTheInputAtFault:
             reconstruct_geometric(REGULAR, quad)
         assert type(info.value) is DegenerateViewError
 
-    def test_the_conic_refuses_points_of_the_view(self):
-        for solve, args, message in (
-            (_unit_conic, ([(1.5, -2.0)] * 6, DEFAULT_TOLERANCES.rank_rel), "coincident points do not determine a conic"),
-            (_ellipse_geometry, ([1.0, 0.0, 1.0, 0.0, 0.0, 1.0],), "conic has no real ellipse points"),
-        ):
-            with pytest.raises(DegenerateViewError, match=f"^{message}$") as info:
-                solve(*args)
-            assert type(info.value) is DegenerateViewError
+    @staticmethod
+    def refusals() -> set[tuple[str, str]]:
+        """(class, message) of every raise of the two errors in solver.py, read with ast."""
+        found = set()
+        for node in ast.walk(ast.parse(Path(solver.__file__).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name):
+                name = node.exc.func.id
+                if name in ("DegenerateTetrahedronError", "DegenerateViewError"):
+                    # a message built at run time could not be matched to a case
+                    [message] = node.exc.args
+                    assert isinstance(message, ast.Constant) and isinstance(message.value, str), ast.dump(message)
+                    found.add((name, message.value))
+        return found
+
+    def test_every_refusal_has_a_case_or_a_reason(self):
+        cases = {("DegenerateTetrahedronError", message) for _, message in self.TETRAHEDRA.values()}
+        cases |= {("DegenerateViewError", message) for _, message in self.VIEWS.values()}
+        refusals = self.refusals()
+        assert len(refusals) == 8  # four faults of T and four of U
+        assert refusals - cases - set(self.UNREACHED) == set()
+
+    @pytest.mark.parametrize("refusal", sorted(UNREACHED))
+    def test_each_unreached_refusal_is_still_raised_and_has_no_case(self, refusal):
+        # an entry whose message a case now raises, or that the solver no longer raises, is stale and goes
+        cases = {message for _, message in [*self.TETRAHEDRA.values(), *self.VIEWS.values()]}
+        assert refusal in self.refusals()
+        assert refusal[1] not in cases
 
     def test_both_routes_refuse_a_singular_tetrahedron_as_its_fault(self):
         # with their own messages, as TestOneRankRule checks near the rank cut
