@@ -343,16 +343,18 @@ def _circumcircle(p: list[float], q: list[float], r: list[float], rel_tol: float
     return (p0 + scale * o0, p1 + scale * o1, p2 + scale * o2), scale * math.hypot(o0, o1, o2), scale * scale * area
 
 
-def _unit_conic(points: list[list[float]], rel_tol: float) -> tuple[float, float, float, list[float]]:
+def _unit_conic(points: list[list[float]]) -> tuple[float, float, float, list[float]]:
     """Mean (mx, my), spread w and conic of plane points in their unit frame.
 
     The unit frame maps X to (X - m)/w, where w is the root mean square
-    distance of the points from their mean m; the conic is the unit null
-    vector of the design matrix with rows (x^2, xy, y^2, x, y, 1) there.
-    The points come from the view U, so points that no one conic passes
-    through (the matrix's rank at rel_tol is below 5) raise
-    DegenerateViewError.  The geometric route passes six points whose
-    first three span a triangle, so w is never zero.
+    distance of the points from their mean m; the conic is the unit right
+    singular vector of the smallest singular value of the design matrix
+    with rows (x^2, xy, y^2, x, y, 1) there: the algebraic least-squares
+    conic (Bookstein, CGIP 1979), whatever the matrix's rank.  No rank is
+    tested: from a shadow above the edge-on cut the geometric route passes
+    six distinct points of one ellipse, which fix it, so a small singular
+    value tells how they spread, not a fault of the view, and the gate
+    judges the lift.  Their first three span a triangle, so w is never zero.
     """
     n = len(points)
     mx = my = 0.0
@@ -365,9 +367,7 @@ def _unit_conic(points: list[list[float]], rel_tol: float) -> tuple[float, float
     for dx, dy in dev:
         x, y = dx / spread, dy / spread
         flat += (x * x, x * y, y * y, x, y, 1.0)
-    _, s, vh = np.linalg.svd(np.array(flat).reshape(n, 6))
-    if _rank(s, rel_tol) < 5:
-        raise DegenerateViewError("points in degenerate position, conic is not unique")
+    _, _, vh = np.linalg.svd(np.array(flat).reshape(n, 6))
     return mx, my, spread, vh[-1].tolist()
 
 
@@ -442,13 +442,15 @@ def reconstruct_geometric(
     For a shadow, |cross| of the first three points is the circle's tilt
     times that of the first three vertices: a view at or below
     _EDGE_ON_TILT by that ratio is refused as edge on before any chord or
-    conic is formed, and the fitted ellipse is held to the same cut.
+    conic is formed, and the fitted ellipse is held to the same cut.  Above
+    it, a shadow's projected chords do not collapse and its six points are
+    six distinct points of one ellipse, so a view is refused only where the
+    arithmetic stops, and the gate decides every other view's lifts.
 
     A refusal names the input at fault.  DegenerateTetrahedronError: T is
     not full-dimensional, its first three vertices are collinear, or a
     vertex lies at its opposite edge's midpoint.  DegenerateViewError: the
-    circle is seen edge on, a projected chord collapses, the six points fix
-    no one conic, or its ellipse has no real points.  Agrees with
+    circle is seen edge on, or its ellipse has no real points.  Agrees with
     labeled_solve where both apply.
     """
     p3 = tetra.vertices[:3]
@@ -462,7 +464,6 @@ def reconstruct_geometric(
     (x0, y0), (x1, y1), (x2, y2) = u[:3]
     if abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)) <= _EDGE_ON_TILT * area:
         raise DegenerateViewError("projected circumcircle is seen edge on")
-    uscale = max(math.hypot(x1 - x0, y1 - y0), math.hypot(x2 - x0, y2 - y0))
 
     six = u[:3]
     for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
@@ -478,11 +479,9 @@ def reconstruct_geometric(
         along = ((a0 - c0) * h0 + (a1 - c1) * h1 + (a2 - c2) * h2) / chord_len
         ratio = -2.0 * along / chord_len
         dx, dy = 0.5 * (xj + xk) - xi, 0.5 * (yj + yk) - yi
-        if math.hypot(dx, dy) <= tol.rank_rel * uscale:
-            raise DegenerateViewError("projected chord collapses to a point")
         six.append([xi + ratio * dx, yi + ratio * dy])
 
-    mx, my, spread, coefficients = _unit_conic(six, tol.rank_rel)
+    mx, my, spread, coefficients = _unit_conic(six)
     (cx, cy), tilt, (ax, ay) = _ellipse_geometry(coefficients)
     horiz = math.sqrt(1.0 - tilt * tilt)
     cx, cy = mx + spread * cx, my + spread * cy

@@ -778,16 +778,14 @@ def reference_frame(points):
     return [e1, e2, cross(e1, e2)]
 
 
-def reference_unit_conic(points, rel_tol):
+def reference_unit_conic(points):
     n = len(points)
     mx = left_to_right(x for x, _ in points) / n
     my = left_to_right(y for _, y in points) / n
     dev = [(x - mx, y - my) for x, y in points]
     spread = math.hypot(*(t for pair in dev for t in pair)) / math.sqrt(n)
     rows = [[x * x, x * y, y * y, x, y, 1.0] for x, y in ((dx / spread, dy / spread) for dx, dy in dev)]
-    _, s, vh = np.linalg.svd(np.array(rows))
-    if geom._rank(s, rel_tol) < 5:
-        raise DegenerateViewError("points in degenerate position, conic is not unique")
+    _, _, vh = np.linalg.svd(np.array(rows))
     return mx, my, spread, vh[-1].tolist()
 
 
@@ -804,7 +802,6 @@ def reference_geometric(tetra, quad, tol=DEFAULT_TOLERANCES):
     # a shadow's |cross| of its first three points is the circle's tilt times their |cross| in space
     if abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)) <= solver._EDGE_ON_TILT * area:
         raise DegenerateViewError("projected circumcircle is seen edge on")
-    uscale = max(math.hypot(x1 - x0, y1 - y0), math.hypot(x2 - x0, y2 - y0))
     six = u[:3]
     for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
         # the chord from p_i through the midpoint of its opposite edge meets the circle again
@@ -817,10 +814,8 @@ def reference_geometric(tetra, quad, tol=DEFAULT_TOLERANCES):
         ratio = -2.0 * along / chord_len
         (xi, yi), (xj, yj), (xk, yk) = u[i], u[j], u[k]
         dx, dy = 0.5 * (xj + xk) - xi, 0.5 * (yj + yk) - yi
-        if math.hypot(dx, dy) <= tol.rank_rel * uscale:
-            raise DegenerateViewError("projected chord collapses to a point")
         six.append([xi + ratio * dx, yi + ratio * dy])
-    mx, my, spread, coefficients = reference_unit_conic(six, tol.rank_rel)
+    mx, my, spread, coefficients = reference_unit_conic(six)
     (cx, cy), tilt, (ax, ay) = solver._ellipse_geometry(coefficients)
     horiz = math.sqrt(1.0 - tilt * tilt)
     cx, cy = mx + spread * cx, my + spread * cy

@@ -1,6 +1,5 @@
 import ast
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -135,12 +134,11 @@ def assert_same_conic(got, expected, atol):
 
 
 class TestUnitConic:
-    RANK_REL = DEFAULT_TOLERANCES.rank_rel
     SHIFTED_ELLIPSE = [(3 * math.cos(t) + 1, 2 * math.sin(t) - 4) for t in (0.0, 0.9, 1.7, 2.8, 4.0, 5.5)]
 
     def test_unit_circle(self):
         pts = [(math.cos(t), math.sin(t)) for t in (0.0, 1.0, 2.0, 2.5, 4.0, 5.0)]
-        mx, my, w, coefficients = _unit_conic(pts, self.RANK_REL)
+        mx, my, w, coefficients = _unit_conic(pts)
         mean = np.mean(pts, axis=0)
         np.testing.assert_allclose([mx, my], mean, rtol=0, atol=1e-15)
         assert w == pytest.approx(math.sqrt(np.mean(np.sum((np.array(pts) - mean) ** 2, axis=1))), rel=1e-15)
@@ -149,35 +147,23 @@ class TestUnitConic:
 
     def test_axis_aligned_ellipse(self):
         pts = [(2 * math.cos(t), math.sin(t)) for t in (0.0, 0.9, 1.7, 2.8, 4.0, 5.5)]
-        mx, my, w, coefficients = _unit_conic(pts, self.RANK_REL)
+        mx, my, w, coefficients = _unit_conic(pts)
         assert_same_conic(coefficients, in_unit_frame([1, 0, 4, 0, 0, -4], mx, my, w), atol=1e-10)
 
     def test_exact_points_have_tiny_residual(self):
         rng = np.random.default_rng(32)
         pts = np.array([(3 * math.cos(t) + 1, 2 * math.sin(t) - 4) for t in rng.uniform(0, 2 * math.pi, 8)])
-        mx, my, w, (a, b, c, d, e, f) = _unit_conic(pts.tolist(), self.RANK_REL)
+        mx, my, w, (a, b, c, d, e, f) = _unit_conic(pts.tolist())
         xs, ys = (pts[:, 0] - mx) / w, (pts[:, 1] - my) / w
         residual = a * xs**2 + b * xs * ys + c * ys**2 + d * xs + e * ys + f
         assert np.max(np.abs(residual)) <= 1e-10
 
-    @pytest.mark.parametrize("pts", [
-        # on one line: that line paired with any other passes through them
-        [(t, 2 * t + 1) for t in range(5)],
-        # four points: the design matrix has four rows
-        [(0, 0), (1, 0), (0, 1), (1, 1)],
-        # every pair of lines y = 0 and one through (0, 1) passes through them: rank 4
-        [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)],
-    ], ids=["collinear", "four-points", "four-on-a-line"])
-    def test_rank_below_five_rejected(self, pts):
-        with pytest.raises(DegenerateViewError, match="^points in degenerate position, conic is not unique$"):
-            _unit_conic(pts, self.RANK_REL)
-
     @pytest.mark.parametrize("scale", [1e80, 1e140, 1e150])
     def test_scaling_moves_only_the_frame(self, scale):
         # points X = s x have the mean s m and the spread s w, and the same unit-frame conic
-        mx, my, w, coefficients = _unit_conic(self.SHIFTED_ELLIPSE, self.RANK_REL)
+        mx, my, w, coefficients = _unit_conic(self.SHIFTED_ELLIPSE)
         scaled_pts = [(x * scale, y * scale) for x, y in self.SHIFTED_ELLIPSE]
-        smx, smy, sw, scaled = _unit_conic(scaled_pts, self.RANK_REL)
+        smx, smy, sw, scaled = _unit_conic(scaled_pts)
         np.testing.assert_allclose([smx / scale, smy / scale, sw / scale], [mx, my, w], rtol=1e-14, atol=0)
         assert_same_conic(scaled, np.array(coefficients), atol=1e-12)
 
@@ -395,12 +381,38 @@ class TestReconstructGeometric:
             with pytest.raises(DegenerateTetrahedronError, match=message):
                 reconstruct_geometric(tetra, labeled_shadow(tetra, q))
 
-    def test_six_points_on_a_short_arc_rejected_by_the_conic_rank(self):
+    def test_six_points_on_a_short_arc_are_solved(self):
+        # the three vertices lie on an arc of about 4e-4 rad, so the design matrix's
+        # rank at rank_rel is below 5; its smallest singular vector is still the conic
         tetra = self.near_midpoint(1e-4)
         for q in (UnitQuaternion(1.0, 0.0, 0.0, 0.0), random_unit_quaternion(np.random.default_rng(47))):
-            message = "^" + re.escape("points in degenerate position, conic is not unique") + "$"
-            with pytest.raises(DegenerateViewError, match=message):
-                reconstruct_geometric(tetra, labeled_shadow(tetra, q))
+            quad = labeled_shadow(tetra, q)
+            [got], [expected] = reconstruct_geometric(tetra, quad), labeled_solve(tetra, quad)
+            assert np.linalg.norm(got.matrix - expected.matrix) <= 1e-6
+
+    # Draws of near_edge_on(default_rng(7), U(-12, -2)) whose exact shadows the
+    # route refused as "points in degenerate position, conic is not unique"
+    # while it tested the design matrix's rank, with circle tilts above the cut
+    RANK_REFUSED_DRAWS = (
+        21, 219, 248, 482, 491, 739, 941, 1003, 1030, 1090, 1225, 1298, 1312, 1388, 1400, 1422, 1625,
+        1626, 1630, 1742, 1827, 1861, 1975, 2001, 2051, 2120, 2610, 2681, 2777, 2916, 2929, 2944, 2986,
+    )
+
+    def test_near_edge_on_shadows_are_edge_on_or_agree_with_labeled_solve(self):
+        rng = np.random.default_rng(7)
+        solved = []
+        for i in range(3000):
+            tetra = near_edge_on(rng, rng.uniform(-12, -2))
+            quad = project(tetra)
+            try:
+                [got] = reconstruct_geometric(tetra, quad)
+            except DegenerateViewError as exc:
+                assert str(exc) == "projected circumcircle is seen edge on"
+                continue
+            [expected] = labeled_solve(tetra, quad)
+            assert np.linalg.norm(got.matrix - expected.matrix) <= 1e-6
+            solved.append(i)
+        assert set(self.RANK_REFUSED_DRAWS) <= set(solved)
 
     @staticmethod
     def on_a_line_at_the_circle_cut():
@@ -435,11 +447,8 @@ class TestReconstructGeometric:
             except DegenerateViewError as exc:
                 raised.add(str(exc))
         assert "projected circumcircle is seen edge on" in raised
-        assert raised <= {
-            "points in degenerate position, conic is not unique",
-            "projected circumcircle is seen edge on",
-            "conic has no real ellipse points",
-        }
+        view_refusals = TestRefusalNamesTheInputAtFault.refusals()
+        assert {("DegenerateViewError", message) for message in raised} <= view_refusals
 
     def test_views_below_the_edge_on_cut_get_the_edge_on_error(self):
         # a true circumcircle tilt of at most 1e-7, ten times below the cut:
@@ -540,21 +549,25 @@ class TestRefusalNamesTheInputAtFault:
                                  "projected circumcircle is seen edge on"),
         "chord-collapse-1e-9": (ProjectionQuad([[0, 1e-9], [-1, 0], [1, 0], [0.3, 0.7]]),
                                 "projected circumcircle is seen edge on"),
-        # views 100 times wider than T pass the area test: point 1 within 5e-8 of the
-        # midpoint of points 2 and 3, and thin triangles whose six points fix no one
-        # conic, or an ellipse below the cut
+        # views 100 times wider than T pass the area test, and their fitted ellipse is
+        # below the cut: point 1 within 5e-8 of the midpoint of points 2 and 3, so its
+        # projected chord nearly collapses, and thin triangles whose six points give a
+        # design matrix of rank 4 at rank_rel (chord-collapse and conic-not-unique) or 5
         "chord-collapse": (ProjectionQuad([[0, 5e-8], [-100, 0], [100, 0], [30, 70]]),
-                           "projected chord collapses to a point"),
+                           "projected circumcircle is seen edge on"),
         "conic-not-unique": (ProjectionQuad([[-100, 0], [100, 0], [500, 2.5e-7], [20, -50]]),
-                             "points in degenerate position, conic is not unique"),
+                             "projected circumcircle is seen edge on"),
         "edge-on-at-the-fit": (ProjectionQuad([[-100, 0], [100, 0], [500, 1e-5], [20, -50]]),
                                "projected circumcircle is seen edge on"),
     }
     # (class, message): why no case above raises the refusal through a solve
     UNREACHED = {
         ("DegenerateViewError", "conic has no real ellipse points"):
-            "six points of a rank-5 design matrix lie on its conic, so an ellipse through them has "
-            "real points; the test keeps rounding from taking the lift's square roots of negatives",
+            "the conic is the least-squares conic of six points of RMS radius 1 about its frame's "
+            "origin; one with no real points takes values of one sign at all six, and no view tried "
+            "made it the closest: 40,000 random, thin, near-collapsed and 100 times wider views of "
+            "REGULAR at scales 1e-3 to 1e8 raised only edge on.  The test keeps rounding from "
+            "taking the lift's square roots of negatives",
     }
 
     def test_the_regular_pair_is_solved_by_both_routes(self):
@@ -594,7 +607,7 @@ class TestRefusalNamesTheInputAtFault:
         cases = {("DegenerateTetrahedronError", message) for _, message in self.TETRAHEDRA.values()}
         cases |= {("DegenerateViewError", message) for _, message in self.VIEWS.values()}
         refusals = self.refusals()
-        assert len(refusals) == 8  # four faults of T and four of U
+        assert len(refusals) == 6  # four faults of T and two of U
         assert refusals - cases - set(self.UNREACHED) == set()
 
     @pytest.mark.parametrize("refusal", sorted(UNREACHED))
