@@ -158,6 +158,23 @@ class TestUnitConic:
         residual = a * xs**2 + b * xs * ys + c * ys**2 + d * xs + e * ys + f
         assert np.max(np.abs(residual)) <= 1e-10
 
+    @pytest.mark.parametrize("pts", [
+        # on one line: that line paired with any other passes through them
+        [(t, 2 * t + 1) for t in range(5)],
+        # four points: the design matrix has four rows
+        [(0, 0), (1, 0), (0, 1), (1, 1)],
+        # every pair of lines y = 0 and one through (0, 1) passes through them: rank 4
+        [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)],
+    ], ids=["collinear", "four-points", "four-on-a-line"])
+    def test_rank_below_five_gives_a_unit_conic_through_the_points(self, pts):
+        # no rank is tested: the smallest singular vector lies in the null space
+        mx, my, w, coefficients = _unit_conic(pts)
+        a, b, c, d, e, f = coefficients
+        assert math.hypot(*coefficients) == pytest.approx(1.0, abs=1e-15)
+        for x, y in pts:
+            x, y = (x - mx) / w, (y - my) / w
+            assert abs(a * x * x + b * x * y + c * y * y + d * x + e * y + f) <= 1e-14
+
     @pytest.mark.parametrize("scale", [1e80, 1e140, 1e150])
     def test_scaling_moves_only_the_frame(self, scale):
         # points X = s x have the mean s m and the spread s w, and the same unit-frame conic
